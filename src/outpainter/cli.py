@@ -83,6 +83,9 @@ def _load_config(path: str, mode: str | None, seed: int | None,
         raise pipeline.ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise pipeline.ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise pipeline.ConfigError(f"config {path} must be a JSON object, "
+                                   f"got {type(raw).__name__}")
     if mode is not None:
         raw["mode"] = mode
     raw["seed"] = _resolve_seed(int(raw.get("seed", 0)), seed)

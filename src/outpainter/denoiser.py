@@ -5,17 +5,17 @@ interpolation from observed voxels inside a spatio-temporal neighborhood and
 is intentionally context-limited: it only sees the tile or window it is
 handed, which is what makes global guidance and frame swapping measurably
 useful at desk scale.
+
+A denoiser prepares a stage's fixed conditioning once (`prepare`) and
+predicts each step's velocity from that prepared state (`denoise`).
 """
 from __future__ import annotations
 
-import hashlib
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .sampler import ScheduleError, weight
 from .video import MaskVideo, ShapeError, VideoTensor
 
@@ -37,6 +37,19 @@ class DenoiseRequest:
             raise ShapeError(f"mask {self.mask.data.shape} does not match {self.z.shape}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """A stage's fixed conditioning, made once by a denoiser's `prepare` and
+    handed to its `denoise` at every step of the stage."""
+
+    condition: VideoTensor
+    mask: MaskVideo
+    mode: str
+
+    def request(self, z: VideoTensor, t: float) -> DenoiseRequest:
+        return DenoiseRequest(z, self.condition, self.mask, t, self.mode)
 
 
 @dataclass(frozen=True)
@@ -64,9 +77,9 @@ class DenoiserConfig:
 def fold_anchor_frames(mask: np.ndarray) -> np.ndarray:
     """Treat frames whose mask is entirely 1 as fully observed anchors.
 
-    Guidance insertion and anchor-frame training mark trusted frames with an
-    all-ones mask while keeping their full content in the condition; for the
-    fill they act as observed sources.
+    Guidance insertion marks trusted frames with an all-ones mask while
+    keeping their full content in the condition; for the fill they act as
+    observed sources.
     """
     full = mask.reshape(mask.shape[0], -1).min(axis=1) >= 1.0
     if not full.any():
@@ -145,18 +158,18 @@ def _smooth3(z: np.ndarray) -> np.ndarray:
     return (acc / cnt).astype(z.dtype)
 
 
-def toy_predict_x0(req: DenoiseRequest, cfg: DenoiserConfig) -> VideoTensor:
-    """Literal fill-based prediction: v = (z - x0_fill) / t, no carryover."""
-    if req.t <= 0.0:
-        raise ScheduleError("t must be > 0: no denoising step remains")
-    x0 = inverse_distance_fill(req.condition.data, req.mask.data,
-                               cfg.temporal_scale(req.mode), cfg.neighbor_radius,
-                               cfg.fill_floor)
-    return VideoTensor((req.z.data - x0) / req.t)
+@dataclass(frozen=True)
+class PreparedFill(Prepared):
+    """The toy backend's per-stage state: `x0` is the read-only fill of the
+    condition, `carry_mask` the anchor-folded mask on which steps blend in
+    the latent average, or None when nothing is masked or carryover is off."""
+
+    x0: np.ndarray
+    carry_mask: np.ndarray | None
 
 
 class ToyDenoiser:
-    """Deterministic velocity predictor with per-(condition, mask) fill caching.
+    """Deterministic velocity predictor whose fill is prepared once per stage.
 
     On masked voxels the clean estimate blends the neighborhood fill with a
     3x3 spatial average of the current latent (latent_carryover), so
@@ -169,85 +182,43 @@ class ToyDenoiser:
     [-1, 1].  carryover=0 recovers the pure fill-based prediction.
     """
 
-    def __init__(self, config: DenoiserConfig | None = None, cache_size: int = 128):
+    def __init__(self, config: DenoiserConfig | None = None):
         self.config = config or DenoiserConfig()
-        self._cache: dict[bytes, np.ndarray] = {}
-        self._cache_size = cache_size
-        self._lock = threading.Lock()
 
-    def _fill_x0(self, condition: np.ndarray, mask: np.ndarray, mode: str) -> np.ndarray:
-        key = hashlib.blake2b(
-            mode.encode() + repr(condition.shape).encode()
-            + condition.tobytes() + mask.tobytes(), digest_size=16).digest()
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        x0 = inverse_distance_fill(condition, mask, self.config.temporal_scale(mode),
-                                   self.config.neighbor_radius, self.config.fill_floor)
-        with self._lock:
-            if len(self._cache) >= self._cache_size:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = x0
-        return x0
+    def prepare(self, condition: VideoTensor, mask: MaskVideo,
+                mode: str = "dense") -> PreparedFill:
+        """Fold anchor frames and fill the condition, once per stage.  With
+        nothing masked the fill is the condition itself, so it is returned
+        as float32 without running `inverse_distance_fill`."""
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if not mask.matches(condition):
+            raise ShapeError(f"mask {mask.data.shape} does not match {condition.shape}")
+        folded = fold_anchor_frames(mask.data)
+        folded.flags.writeable = False
+        if folded.any():
+            x0 = inverse_distance_fill(condition.data, folded, self.config.temporal_scale(mode),
+                                       self.config.neighbor_radius, self.config.fill_floor)
+            carry_mask = folded if self.config.latent_carryover > 0.0 else None
+        else:
+            x0 = np.asarray(condition.data, dtype=np.float32)
+            carry_mask = None
+        x0.flags.writeable = False
+        return PreparedFill(condition, mask, mode, x0, carry_mask)
 
-    def denoise(self, req: DenoiseRequest) -> VideoTensor:
+    def denoise(self, req: DenoiseRequest, prepared: PreparedFill | None = None) -> VideoTensor:
+        """Velocity for one step.  `prepared` is `self.prepare(req.condition,
+        req.mask, req.mode)`, shared by every step of a stage; without it the
+        fill is prepared for this call alone."""
         if req.t <= 0.0:
             raise ScheduleError("t must be > 0: no denoising step remains")
-        mask_eff = fold_anchor_frames(req.mask.data)
-        x0 = self._fill_x0(req.condition.data, mask_eff, req.mode)
-        kappa = self.config.latent_carryover
-        if kappa > 0.0:
-            x0 = x0 + kappa * mask_eff * (_smooth3(req.z.data) - x0)
+        if prepared is None:
+            prepared = self.prepare(req.condition, req.mask, req.mode)
+        x0 = prepared.x0
+        if prepared.carry_mask is not None:
+            x0 = x0 + self.config.latent_carryover * prepared.carry_mask * (_smooth3(req.z.data) - x0)
         x0 = np.clip(x0, -1.0, 1.0)
         return VideoTensor((req.z.data - x0) / req.t)
-
-
-def training_mask(video: VideoTensor, rng_seed: int, min_frac: float,
-                  max_frac: float) -> tuple[VideoTensor, MaskVideo]:
-    """Single directional band mask identical across frames, per Supp. C-style
-    directional masking: one edge (top/bottom/left/right), extent uniform in
-    [min_frac, max_frac]; masked pixels zeroed in the returned video."""
-    if not 0.0 < min_frac <= max_frac < 1.0:
-        raise ValueError("require 0 < min_frac <= max_frac < 1")
-    f, h, w, _ = video.shape
-    direction = rng.uniform_int(rng_seed, "train-mask/dir", 4)
-    u = rng.uniforms(rng_seed, "train-mask/frac", 1)[0]
-    frac = min_frac + (max_frac - min_frac) * u
-    mask = np.zeros((f, h, w, 1), dtype=np.float32)
-    if direction == 0:  # top
-        k = min(max(1, round(frac * h)), h - 1)
-        mask[:, :k] = 1.0
-    elif direction == 1:  # bottom
-        k = min(max(1, round(frac * h)), h - 1)
-        mask[:, h - k:] = 1.0
-    elif direction == 2:  # left
-        k = min(max(1, round(frac * w)), w - 1)
-        mask[:, :, :k] = 1.0
-    else:  # right
-        k = min(max(1, round(frac * w)), w - 1)
-        mask[:, :, w - k:] = 1.0
-    masked = VideoTensor(video.data * (1.0 - mask))
-    return masked, MaskVideo(mask)
-
-
-def anchor_frames(total: int, stride: int, rng_seed: int) -> tuple[int, ...]:
-    """Strided anchor indices with a seeded random offset in [0, stride)."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    offset = rng.uniform_int(rng_seed, "anchors/offset", min(stride, total))
-    return tuple(range(offset, total, stride))
-
-
-def apply_anchors(video: VideoTensor, masked: VideoTensor, mask: MaskVideo,
-                  anchors: tuple[int, ...]) -> tuple[VideoTensor, MaskVideo]:
-    """Replace anchor frames with ground truth and set their masks to one."""
-    cond = masked.data.copy()
-    msk = mask.data.copy()
-    idx = list(anchors)
-    cond[idx] = video.data[idx]
-    msk[idx] = 1.0
-    return VideoTensor(cond), MaskVideo(msk)
 
 
 def training_loss(v_hat: VideoTensor, v_star: VideoTensor, t: float) -> float:

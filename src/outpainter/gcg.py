@@ -18,7 +18,6 @@ import numpy as np
 
 from . import rng
 from .sampler import SampleSchedule, step
-from .denoiser import DenoiseRequest
 from .tiling import ConfigError, Tile, TilePlan, blend
 from .video import MaskVideo, ShapeError, VideoTensor
 
@@ -122,24 +121,29 @@ def _init_noise(rng_seed: int, tag: str, idx: tuple[int, ...],
 
 def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo, sched: KeyframeSchedule,
                   denoiser, sample: SampleSchedule, rng_seed: int,
-                  noise_tag: str = "gcg") -> VideoTensor:
+                  noise_tag: str = "gcg", prepared: dict | None = None) -> VideoTensor:
     """Denoise the keyframe stack and all local windows in lockstep, swapping
-    window latents into the global stack for the first swap_steps steps."""
+    window latents into the global stack for the first swap_steps steps.
+    Each stack is prepared once, before the step loop, into `prepared` (frame
+    indices -> prepared state), which constructions on one video may share."""
     frame_shape = video_ds.shape[1:]
-    cond_g = VideoTensor(_stack(video_ds.data, sched.indices))
-    mask_g = MaskVideo(_stack(mask_ds.data, sched.indices))
-    cond_w = [VideoTensor(_stack(video_ds.data, win)) for win in sched.windows]
-    mask_w = [MaskVideo(_stack(mask_ds.data, win)) for win in sched.windows]
+    prepared = {} if prepared is None else prepared
+    for idx in (sched.indices,) + sched.windows:
+        if idx not in prepared:
+            prepared[idx] = denoiser.prepare(VideoTensor(_stack(video_ds.data, idx)),
+                                             MaskVideo(_stack(mask_ds.data, idx)), "sparse")
+    prep_g = prepared[sched.indices]
+    prep_w = [prepared[win] for win in sched.windows]
     z_g = _init_noise(rng_seed, noise_tag, sched.indices, frame_shape)
     z_w = [_init_noise(rng_seed, noise_tag, win, frame_shape) for win in sched.windows]
     times = sample.times
     for s in range(sample.total_steps):
         t_from, t_to = float(times[s]), float(times[s + 1])
-        v_g = denoiser.denoise(DenoiseRequest(z_g, cond_g, mask_g, t_from, "sparse"))
+        v_g = denoiser.denoise(prep_g.request(z_g, t_from), prep_g)
         z_g = step(z_g, v_g, t_from, t_to)
         new_w = []
-        for zi, ci, mi in zip(z_w, cond_w, mask_w):
-            v_i = denoiser.denoise(DenoiseRequest(zi, ci, mi, t_from, "sparse"))
+        for zi, pi in zip(z_w, prep_w):
+            v_i = denoiser.denoise(pi.request(zi, t_from), pi)
             new_w.append(step(zi, v_i, t_from, t_to))
         z_w = new_w
         z_g = swap_globals(z_g, z_w, sched, s)
@@ -178,11 +182,15 @@ def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
     h, w = cond_v.shape[1:3]
     seg_size = min(count, len(keys))
     seg_outputs = []
+    prepared: dict = {}
     for start in _segment_starts(len(keys), seg_size, min(2, seg_size - 1) if seg_size > 1 else 0):
         seg_keys = tuple(keys[start:start + seg_size])
         sched = make_schedule(total_frames, seg_size, delta, swap_steps, tau, seg_keys)
+        # overlapping segments share windows: keep only the stacks this one reuses
+        stacks = {sched.indices, *sched.windows}
+        prepared = {idx: p for idx, p in prepared.items() if idx in stacks}
         out = construct_gcg(cond_v, msk_v, sched, denoiser, sample, rng_seed,
-                            noise_tag=tag)
+                            noise_tag=tag, prepared=prepared)
         seg_outputs.append((Tile(start, start + seg_size, 0, h, 0, w), out))
     seg_plan = TilePlan((len(keys), h, w), tuple(t for t, _ in seg_outputs), 0, 0, 0)
     return blend(seg_outputs, seg_plan).data.copy()

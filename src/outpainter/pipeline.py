@@ -16,7 +16,8 @@ from . import gcg as gcg_mod
 from . import rng
 from .denoiser import DenoiserConfig, ToyDenoiser
 from .sampler import SampleSchedule, sdedit_start
-from .tiling import ConfigError, SpatiallyTiledDenoiser, TilePlan, plan, tiled_denoise_pass
+from .tiling import (ConfigError, SpatiallyTiledDenoiser, TilePlan, plan, prepare_tiles,
+                     tiled_denoise_pass)
 from .video import (MaskVideo, PadSpec, VideoTensor, downsample_mask, pad_length,
                     pad_video, resize_bicubic, trim_length)
 
@@ -92,6 +93,13 @@ def _denoiser_from_dict(d: dict) -> DenoiserConfig:
         raise ConfigError(f"denoiser config: {exc}") from exc
 
 
+def _section(d: dict, name: str) -> dict:
+    value = d.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field {name} must be an object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     pad: PadSpec
@@ -113,6 +121,8 @@ class PipelineConfig:
             raise ConfigError("workers must be >= 1")
         if self.codec_factor < 1:
             raise ConfigError("codec_factor must be >= 1")
+        if (self.working_height is None) != (self.working_width is None):
+            raise ConfigError("working height and width must be set together")
         wh, ww = self.working_resolution()
         if wh > self.pad.target_height or ww > self.pad.target_width:
             raise ConfigError("working resolution exceeds target resolution")
@@ -132,13 +142,15 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        pad_d = _section(d, "pad")
         try:
-            pad_d = d["pad"]
             pad = PadSpec(int(pad_d["target_height"]), int(pad_d["target_width"]),
                           int(pad_d.get("offset_y", 0)), int(pad_d.get("offset_x", 0)))
         except KeyError as exc:
             raise ConfigError(f"missing config field: pad.{exc.args[0]}") from exc
-        working = d.get("working", {})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config field pad: {exc}") from exc
+        working = _section(d, "working")
         try:
             return cls(
                 pad=pad,
@@ -146,12 +158,12 @@ class PipelineConfig:
                 seed=int(d.get("seed", 0)),
                 working_height=working.get("height"),
                 working_width=working.get("width"),
-                sampler=SamplerParams(**d.get("sampler", {})),
-                gcg=GcgParams(**d.get("gcg", {})),
-                tiling=TilingParams(**d.get("tiling", {})),
-                denoiser=_denoiser_from_dict(d.get("denoiser", {})),
+                sampler=SamplerParams(**_section(d, "sampler")),
+                gcg=GcgParams(**_section(d, "gcg")),
+                tiling=TilingParams(**_section(d, "tiling")),
+                denoiser=_denoiser_from_dict(_section(d, "denoiser")),
                 workers=int(d.get("workers", 1)),
-                codec_factor=int(d.get("codec", {}).get("factor", 1)))
+                codec_factor=int(_section(d, "codec").get("factor", 1)))
         except TypeError as exc:
             raise ConfigError(f"bad config field: {exc}") from exc
 
@@ -239,10 +251,11 @@ def temporal_completion(guided: VideoTensor, guided_mask: MaskVideo, denoiser,
     """Full denoising from pure noise over the tile plan with per-step
     blending, conditioned on the guidance-augmented video."""
     z = VideoTensor(rng.normals(rng_seed, "completion:init", guided.shape))
+    prepared = prepare_tiles(denoiser, guided, guided_mask, plan_t, "dense")
     times = sample.times
     for s in range(sample.total_steps):
         z = tiled_denoise_pass(z, guided, guided_mask, plan_t, denoiser,
-                               float(times[s]), float(times[s + 1]), "dense", workers)
+                               float(times[s]), float(times[s + 1]), "dense", workers, prepared)
     return z
 
 
@@ -257,10 +270,11 @@ def spatial_refinement(completed_ds: VideoTensor, padded: VideoTensor,
     composite = VideoTensor(np.where(mask.data > 0.0, target.data, padded.data))
     z, start_step = sdedit_start(composite, strength, sample, rng_seed, "refine")
     zero_mask = MaskVideo(np.zeros(mask.data.shape, dtype=np.float32))
+    prepared = prepare_tiles(denoiser, composite, zero_mask, plan_st, "dense")
     times = sample.times
     for s in range(sample.total_steps - start_step, sample.total_steps):
         z = tiled_denoise_pass(z, composite, zero_mask, plan_st, denoiser,
-                               float(times[s]), float(times[s + 1]), "dense", workers)
+                               float(times[s]), float(times[s + 1]), "dense", workers, prepared)
     return z
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import DenoiseRequest
+from .denoiser import DenoiseRequest, Prepared
 from .sampler import step
 from .video import MaskVideo, ShapeError, VideoTensor
 
@@ -147,29 +147,49 @@ def _slice_tile(arr: np.ndarray, tile: Tile) -> np.ndarray:
     return arr[tile.f0:tile.f1, tile.y0:tile.y1, tile.x0:tile.x1]
 
 
+def prepare_tiles(denoiser, condition: VideoTensor, mask: MaskVideo,
+                  tile_plan: TilePlan, mode: str = "dense") -> list:
+    """Each tile's conditioning prepared through `denoiser.prepare`, in plan
+    order; a stage makes this once and reuses it at every step."""
+    if condition.shape[:3] != tile_plan.extent:
+        raise ShapeError(f"condition {condition.shape} does not match plan {tile_plan.extent}")
+    return [denoiser.prepare(VideoTensor(_slice_tile(condition.data, tile)),
+                             MaskVideo(_slice_tile(mask.data, tile)), mode)
+            for tile in tile_plan.tiles]
+
+
 def tiled_denoise_pass(z: VideoTensor, condition: VideoTensor, mask: MaskVideo,
                        tile_plan: TilePlan, denoiser, t_from: float, t_to: float,
-                       mode: str = "dense", workers: int = 1) -> VideoTensor:
+                       mode: str = "dense", workers: int = 1,
+                       prepared: list | None = None) -> VideoTensor:
     """One diffusion step over a tile plan: denoise each tile, step it, then
-    blend the stepped tiles into the next global latent."""
+    blend the stepped tiles into the next global latent.  `prepared` is
+    `prepare_tiles(denoiser, condition, mask, tile_plan, mode)`, made once per
+    stage; without it the tiles are prepared for this step alone."""
     if z.shape[:3] != tile_plan.extent:
         raise ShapeError(f"latent {z.shape} does not match plan extent {tile_plan.extent}")
+    if prepared is None:
+        prepared = prepare_tiles(denoiser, condition, mask, tile_plan, mode)
 
-    def run_tile(tile: Tile) -> tuple[Tile, VideoTensor]:
-        req = DenoiseRequest(
-            z=VideoTensor(_slice_tile(z.data, tile).copy()),
-            condition=VideoTensor(_slice_tile(condition.data, tile).copy()),
-            mask=MaskVideo(_slice_tile(mask.data, tile).copy()),
-            t=t_from, mode=mode)
-        v_hat = denoiser.denoise(req)
-        return tile, step(req.z, v_hat, t_from, t_to)
+    def run_tile(tile: Tile, prep) -> tuple[Tile, VideoTensor]:
+        z_tile = VideoTensor(_slice_tile(z.data, tile))
+        v_hat = denoiser.denoise(prep.request(z_tile, t_from), prep)
+        return tile, step(z_tile, v_hat, t_from, t_to)
 
     if workers > 1 and len(tile_plan.tiles) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(run_tile, tile_plan.tiles))
+            outputs = list(pool.map(run_tile, tile_plan.tiles, prepared))
     else:
-        outputs = [run_tile(t) for t in tile_plan.tiles]
+        outputs = [run_tile(t, p) for t, p in zip(tile_plan.tiles, prepared)]
     return blend(outputs, tile_plan)
+
+
+@dataclass(frozen=True)
+class PreparedTiles(Prepared):
+    """The adapter's state: the inner prepared state of each tile of `plan`."""
+
+    plan: TilePlan
+    parts: tuple
 
 
 class SpatiallyTiledDenoiser:
@@ -182,20 +202,24 @@ class SpatiallyTiledDenoiser:
         self.inner = inner
         self.plan = spatial_plan
 
-    def denoise(self, req: DenoiseRequest) -> VideoTensor:
-        f = req.z.frames
-        if self.plan.extent[1:] != req.z.shape[1:3]:
+    def prepare(self, condition: VideoTensor, mask: MaskVideo,
+                mode: str = "dense") -> PreparedTiles:
+        """Prepare each spatial tile, over all frames, through the inner denoiser."""
+        if self.plan.extent[1:] != condition.shape[1:3]:
             raise ShapeError(
-                f"plan extent {self.plan.extent} does not match request {req.z.shape}")
+                f"plan extent {self.plan.extent} does not match request {condition.shape}")
+        f = condition.frames
+        tiles = tuple(Tile(0, f, t.y0, t.y1, t.x0, t.x1) for t in self.plan.tiles)
+        frame_plan = TilePlan((f,) + self.plan.extent[1:], tiles, 0,
+                              self.plan.overlap_y, self.plan.overlap_x)
+        parts = prepare_tiles(self.inner, condition, mask, frame_plan, mode)
+        return PreparedTiles(condition, mask, mode, frame_plan, tuple(parts))
+
+    def denoise(self, req: DenoiseRequest, prepared: PreparedTiles | None = None) -> VideoTensor:
+        if prepared is None:
+            prepared = self.prepare(req.condition, req.mask, req.mode)
         outputs = []
-        for tile in self.plan.tiles:
-            full = Tile(0, f, tile.y0, tile.y1, tile.x0, tile.x1)
-            sub = DenoiseRequest(
-                z=VideoTensor(_slice_tile(req.z.data, full).copy()),
-                condition=VideoTensor(_slice_tile(req.condition.data, full).copy()),
-                mask=MaskVideo(_slice_tile(req.mask.data, full).copy()),
-                t=req.t, mode=req.mode)
-            outputs.append((full, self.inner.denoise(sub)))
-        frame_plan = TilePlan((f,) + self.plan.extent[1:], tuple(o[0] for o in outputs),
-                              0, self.plan.overlap_y, self.plan.overlap_x)
-        return blend(outputs, frame_plan)
+        for tile, part in zip(prepared.plan.tiles, prepared.parts):
+            sub = part.request(VideoTensor(_slice_tile(req.z.data, tile)), req.t)
+            outputs.append((tile, self.inner.denoise(sub, part)))
+        return blend(outputs, prepared.plan)

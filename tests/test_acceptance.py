@@ -100,7 +100,7 @@ def test_criterion_04_multiscale_termination_and_anchors():
         mask[:, :, 40:] = 1.0
         vds = VideoTensor(np.where(mask > 0, 0.0, data))
         mds = MaskVideo(mask)
-        den = ToyDenoiser(DenoiserConfig(), cache_size=64)
+        den = ToyDenoiser(DenoiserConfig())
         hist = []
         _, keys = gmod.multiscale_gcg(vds, mds, gmod.select_keyframes(frames, 13),
                                       20, den, SampleSchedule(4, 2), 7, 13, 5,

@@ -138,6 +138,23 @@ class TestOutpaint:
         assert main(["outpaint", str(bad), f"{prefix}.input.hlvd",
                      str(tmp_path / "o.hlvd")]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"pad": 3},
+        [{"pad": {"target_height": 16, "target_width": 24}}],
+        {"pad": {"target_height": 16, "target_width": 24}, "working": {"height": 4}},
+        {"pad": {"target_height": "tall", "target_width": 24}},
+    ], ids=["pad-not-object", "top-level-list", "working-height-only", "pad-value-not-int"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, doc):
+        prefix = _synth(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["outpaint", str(bad), f"{prefix}.input.hlvd",
+                     str(tmp_path / "o.hlvd")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.hlvd").exists()
+
     def test_bad_input_file_exit_2(self, tmp_path):
         config = _config(tmp_path)
         bad = tmp_path / "bad.hlvd"

@@ -1,16 +1,14 @@
-"""Toy denoiser: neighborhood fill oracle, fixed points, training utilities."""
-import math
-
+"""Toy denoiser: neighborhood fill oracle, fixed points, prepared conditioning, training loss."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from outpainter import rng
-from outpainter.denoiser import (DenoiseRequest, DenoiserConfig, ToyDenoiser,
-                                 anchor_frames, apply_anchors,
-                                 fold_anchor_frames, inverse_distance_fill,
-                                 toy_predict_x0, training_loss, training_mask)
-from outpainter.sampler import SampleSchedule, ScheduleError, step, weight
+from outpainter.denoiser import (MODES, DenoiseRequest, DenoiserConfig, ToyDenoiser,
+                                 _smooth3, fold_anchor_frames, inverse_distance_fill,
+                                 training_loss)
+from outpainter.sampler import (SampleSchedule, ScheduleError, step, velocity_target,
+                                weight)
 from outpainter.video import MaskVideo, ShapeError, VideoTensor
 
 
@@ -128,6 +126,9 @@ class TestFill:
         assert out.shape == (2, 2, 2, 1)
 
 
+PURE_FILL = DenoiserConfig(latent_carryover=0.0)
+
+
 class TestToyPrediction:
     def test_all_observed_velocity(self):
         g = np.random.default_rng(1)
@@ -135,7 +136,7 @@ class TestToyPrediction:
         z = g.standard_normal((2, 4, 4, 3)).astype(np.float32)
         mask = np.zeros((2, 4, 4, 1), np.float32)
         req = _request(cond, mask, z=z, t=0.5)
-        v = toy_predict_x0(req, DenoiserConfig())
+        v = ToyDenoiser(PURE_FILL).denoise(req)
         np.testing.assert_allclose(v.data, (z - cond) / 0.5, atol=1e-6)
         landed = step(req.z, v, 0.5, 0.0)  # half-size step over remaining time
         np.testing.assert_allclose(landed.data, cond, atol=1e-6)
@@ -147,15 +148,15 @@ class TestToyPrediction:
         cond[0, 2, 2] = 0.0
         z = np.random.default_rng(2).standard_normal((1, 5, 5, 3)).astype(np.float32)
         req = _request(cond, mask, z=z, t=0.8)
-        v = toy_predict_x0(req, DenoiserConfig())
+        v = ToyDenoiser(PURE_FILL).denoise(req)
         x0_hat = z - 0.8 * v.data
         np.testing.assert_allclose(x0_hat[0, 2, 2], 0.3, atol=1e-5)
 
     def test_t_zero_rejected(self):
         cond = np.zeros((1, 4, 4, 3), np.float32)
         with pytest.raises(ScheduleError):
-            toy_predict_x0(_request(cond, np.zeros((1, 4, 4, 1), np.float32), t=0.0),
-                           DenoiserConfig())
+            ToyDenoiser().denoise(
+                _request(cond, np.zeros((1, 4, 4, 1), np.float32), t=0.0))
 
 
 class TestToyDenoiser:
@@ -180,10 +181,10 @@ class TestToyDenoiser:
         cond = cond * (1.0 - mask)
         z = g.standard_normal((2, 6, 6, 3)).astype(np.float32)
         req = _request(cond, mask, z=z, t=0.7)
-        cfg = DenoiserConfig(latent_carryover=0.0)
-        got = ToyDenoiser(cfg).denoise(req)
+        got = ToyDenoiser(PURE_FILL).denoise(req)
         # the pinned formula plus the [-1, 1] clamp of the clean estimate
-        x0 = req.z.data - 0.7 * toy_predict_x0(req, cfg).data
+        x0 = inverse_distance_fill(cond, mask, PURE_FILL.lambda_dense,
+                                   PURE_FILL.neighbor_radius, PURE_FILL.fill_floor)
         expected = (req.z.data - np.clip(x0, -1.0, 1.0)) / 0.7
         np.testing.assert_allclose(got.data, expected, atol=1e-6)
 
@@ -205,16 +206,87 @@ class TestToyDenoiser:
         x0_b = z_b - 0.5 * v_b.data
         assert np.abs(x0_a - x0_b).max() > 1e-3
 
+    @given(frames=st.integers(1, 4), height=st.integers(1, 7), width=st.integers(1, 7),
+           channels=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1),
+           masking=st.sampled_from(["random", "none", "anchor frames", "all anchors"]),
+           cond_dtype=st.sampled_from([np.float32, np.float64]),
+           z_dtype=st.sampled_from([np.float32, np.float64]),
+           carryover=st.sampled_from([0.0, 0.5]), mode=st.sampled_from(MODES))
+    @settings(max_examples=80, deadline=None)
+    def test_prepared_steps_match_pinned_formula(self, frames, height, width, channels,
+                                                 seed, masking, cond_dtype, z_dtype,
+                                                 carryover, mode):
+        g = np.random.default_rng(seed)
+        shape = (frames, height, width, channels)
+        cond = g.uniform(-1.2, 1.2, shape).astype(cond_dtype)
+        mask = (g.uniform(size=shape[:3] + (1,)) < 0.4).astype(np.float32)
+        if masking == "none":
+            mask[:] = 0.0
+        elif masking == "anchor frames":
+            mask[g.uniform(size=frames) < 0.5] = 1.0
+        elif masking == "all anchors":
+            mask[:] = 1.0
+        cfg = DenoiserConfig(neighbor_radius=3, latent_carryover=carryover)
+        den = ToyDenoiser(cfg)
+        prepared = den.prepare(VideoTensor(cond), MaskVideo(mask), mode)
+        z = VideoTensor(g.standard_normal(shape).astype(z_dtype))
+        sched = SampleSchedule(3)
+        for s in range(3):
+            t_from, t_to = float(sched.times[s]), float(sched.times[s + 1])
+            req = prepared.request(z, t_from)
+            got = den.denoise(req, prepared)
+            # the pinned formula: fill, latent carryover, clamp
+            folded = fold_anchor_frames(req.mask.data)
+            x0 = inverse_distance_fill(req.condition.data, folded, cfg.temporal_scale(mode),
+                                       cfg.neighbor_radius, cfg.fill_floor)
+            if carryover > 0.0:
+                x0 = x0 + carryover * folded * (_smooth3(req.z.data) - x0)
+            expected = (req.z.data - np.clip(x0, -1.0, 1.0)) / t_from
+            assert got.data.dtype == expected.dtype
+            assert got.data.tobytes() == expected.tobytes()
+            z = step(z, got, t_from, t_to)
+
+    def test_prepared_state_is_immutable(self):
+        cond = np.full((1, 4, 4, 1), 0.3, np.float32)
+        mask = np.zeros((1, 4, 4, 1), np.float32)
+        mask[0, 1, 1, 0] = 1.0
+        prepared = ToyDenoiser().prepare(VideoTensor(cond), MaskVideo(mask))
+        for arr in (prepared.x0, prepared.carry_mask):
+            with pytest.raises(ValueError):
+                arr[0, 0, 0, 0] = 1.0
+
+    def test_nothing_masked_skips_fill_and_average(self):
+        cond = np.random.default_rng(11).uniform(-0.5, 0.5, (2, 4, 4, 3))
+        prepared = ToyDenoiser().prepare(VideoTensor(cond),
+                                         MaskVideo(np.ones((2, 4, 4, 1), np.float32)))
+        assert prepared.carry_mask is None
+        assert prepared.x0.dtype == np.float32
+        np.testing.assert_array_equal(prepared.x0, cond.astype(np.float32))
+
+    def test_prepare_validates(self):
+        cond = VideoTensor(np.zeros((1, 4, 4, 3), np.float32))
+        with pytest.raises(ShapeError):
+            ToyDenoiser().prepare(cond, MaskVideo(np.zeros((1, 4, 5, 1), np.float32)))
+        with pytest.raises(ValueError):
+            ToyDenoiser().prepare(cond, MaskVideo(np.zeros((1, 4, 4, 1), np.float32)),
+                                  "fast")
+
     def test_cache_consistency(self):
+        # repeated steps on one condition agree bit for bit, whether each call
+        # prepares on the spot or all share one prepared state
         g = np.random.default_rng(8)
         cond = g.uniform(-0.5, 0.5, (1, 6, 6, 1)).astype(np.float32)
         mask = (g.uniform(size=(1, 6, 6, 1)) < 0.3).astype(np.float32)
         cond = cond * (1.0 - mask)
         den = ToyDenoiser()
         z = g.standard_normal((1, 6, 6, 1)).astype(np.float32)
-        first = den.denoise(_request(cond, mask, z=z, t=0.5))
+        req = _request(cond, mask, z=z, t=0.5)
+        first = den.denoise(req)
         second = den.denoise(_request(cond, mask, z=z, t=0.5))
         np.testing.assert_array_equal(first.data, second.data)
+        prepared = den.prepare(req.condition, req.mask, req.mode)
+        for _ in range(2):
+            np.testing.assert_array_equal(den.denoise(req, prepared).data, first.data)
 
 
 class TestAnchorFolding:
@@ -248,71 +320,6 @@ class TestAnchorFolding:
         assert x0[0, 1, 1, 0] > 0.0  # pulled toward the trusted frame's 0.6
 
 
-class TestTrainingMask:
-    @given(seed=st.integers(0, 200))
-    @settings(max_examples=30, deadline=None)
-    def test_band_touches_one_edge(self, seed):
-        video = VideoTensor(np.zeros((2, 8, 10, 3), np.float32))
-        masked, mask = training_mask(video, seed, 0.2, 0.6)
-        m = mask.data[0, :, :, 0]
-        np.testing.assert_array_equal(mask.data[1, :, :, 0], m)
-        edges = (m[0].all(), m[-1].all(), m[:, 0].all(), m[:, -1].all())
-        assert sum(edges) == 1
-        # the band is a contiguous axis-aligned slab: row/col sums are 0/full
-        assert set(np.unique(m.sum(axis=0))) <= {0.0, float(m.shape[0])} or \
-               set(np.unique(m.sum(axis=1))) <= {0.0, float(m.shape[1])}
-
-    def test_half_left_direction(self):
-        video = VideoTensor(np.ones((1, 8, 8, 3), np.float32))
-        for seed in range(200):
-            masked, mask = training_mask(video, seed, 0.5, 0.5)
-            m = mask.data[0, :, :, 0]
-            if m[:, :4].all() and not m[:, 4:].any():
-                break
-        else:
-            pytest.fail("no seed produced a left-half band")
-        np.testing.assert_array_equal(masked.data, video.data * (1 - mask.data))
-
-    def test_masked_is_elementwise_product(self):
-        g = np.random.default_rng(9)
-        video = VideoTensor(g.uniform(-0.9, 0.9, (3, 8, 8, 3)).astype(np.float32))
-        masked, mask = training_mask(video, 5, 0.3, 0.5)
-        np.testing.assert_array_equal(masked.data, video.data * (1 - mask.data))
-
-    def test_bad_fracs(self):
-        with pytest.raises(ValueError):
-            training_mask(VideoTensor(np.zeros((1, 4, 4, 1), np.float32)), 0, 0.6, 0.5)
-
-
-class TestAnchors:
-    def test_stride_covers_all(self):
-        assert anchor_frames(5, 1, 0) == (0, 1, 2, 3, 4)
-
-    def test_large_stride_single_anchor(self):
-        anchors = anchor_frames(5, 10, 3)
-        assert len(anchors) == 1 and 0 <= anchors[0] < 5
-
-    def test_arithmetic_progression(self):
-        for seed in range(200):
-            anchors = anchor_frames(49, 8, seed)
-            offset = anchors[0]
-            assert anchors == tuple(range(offset, 49, 8))
-            if offset == 3:
-                assert anchors == (3, 11, 19, 27, 35, 43)
-                return
-        pytest.fail("no seed produced offset 3")
-
-    def test_apply_anchors(self):
-        g = np.random.default_rng(10)
-        video = VideoTensor(g.uniform(-0.9, 0.9, (6, 4, 4, 3)).astype(np.float32))
-        masked, mask = training_mask(video, 1, 0.3, 0.5)
-        cond, msk = apply_anchors(video, masked, mask, (0, 3))
-        np.testing.assert_array_equal(cond.data[0], video.data[0])
-        np.testing.assert_array_equal(cond.data[3], video.data[3])
-        assert (msk.data[0] == 1).all() and (msk.data[3] == 1).all()
-        np.testing.assert_array_equal(cond.data[1], masked.data[1])
-
-
 class TestTrainingLoss:
     def test_zero_for_exact(self):
         v = VideoTensor(np.ones((1, 2, 2, 1), np.float32))
@@ -331,7 +338,7 @@ class TestTrainingLoss:
             t = 0.5
             z = VideoTensor((1 - t) * x0.data + t * eps.data)
             mask = MaskVideo(np.zeros((2, 6, 6, 1), np.float32))
-            v_star = VideoTensor(eps.data - x0.data)
+            v_star = velocity_target(x0, eps)
             v_hat = ToyDenoiser().denoise(DenoiseRequest(z, x0, mask, t))
             zero = VideoTensor(np.zeros(v_star.shape, np.float32))
             assert training_loss(v_hat, v_star, t) < training_loss(zero, v_star, t)

@@ -1,0 +1,138 @@
+"""Golden outputs and fill counts of the pipeline on one small case.
+
+The hashes pin `pipeline.run` bit for bit on a 16-frame `revisit` clip
+(seed 0, the acceptance suite's ablation config), so a change meant to keep
+behaviour must leave them as they are.  The fill counts pin that a stage's
+conditioning is filled once, before its step loop, and not once per step.
+"""
+import hashlib
+import inspect
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from outpainter import denoiser as dmod
+from outpainter import gcg as gmod
+from outpainter import pipeline, scene
+from outpainter import tiling as tmod
+from outpainter.denoiser import DenoiserConfig, fold_anchor_frames
+
+FRAMES = 16
+GOLDEN = {
+    "full": "697cbee36dab408bc9001e355ebd3dbdf1a4559313bf7e4a1f963291c6a64d27",
+    "spatial_only": "c4364dc3279e0a1f2a8d8edb0c854b66928975778e3096e0ce6a8546f0c9c908",
+    "temporal_only": "026f02cc7dfc23e276c1916cecf1b28b968b15e780469767be0f7b8a9f02d61c",
+    "baseline": "837f0f3c16737e9f8a9097d7ace61db725e532d9a1931ba35bc09185e81c64fb",
+}
+
+
+def _case():
+    """Preset `revisit`, seed 0, its camera path re-timed to FRAMES frames."""
+    spec, frames, geometry = scene.PRESETS["revisit"](0)
+    camera = tuple(replace(k, frame=k.frame * (FRAMES - 1) // (frames - 1))
+                   for k in spec.camera)
+    return scene.make_case(replace(spec, camera=camera), FRAMES, geometry)
+
+
+def _config(case, mode):
+    return pipeline.PipelineConfig(
+        pad=case.geometry.placement, mode=mode, seed=0,
+        working_height=16, working_width=24,
+        sampler=pipeline.SamplerParams(total_steps=10, swap_steps=3),
+        gcg=pipeline.GcgParams(keyframes=5, delta=1, tau=4),
+        tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
+                                     tile_x=12, overlap_y=4, overlap_x=4),
+        denoiser=DenoiserConfig(lambda_sparse=2.5, lambda_dense=2.0,
+                                neighbor_radius=5))
+
+
+@pytest.fixture(scope="module")
+def case():
+    return _case()
+
+
+@pytest.mark.parametrize("mode", pipeline.MODES)
+def test_output_hash(case, mode):
+    out = pipeline.run(_config(case, mode), case.input).output
+    assert out.data.dtype == np.float32
+    assert hashlib.sha256(out.data.tobytes()).hexdigest() == GOLDEN[mode]
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """Shapes of the conditions handed to `inverse_distance_fill`, in call order."""
+    calls = []
+    real = dmod.inverse_distance_fill
+
+    def counted(condition, mask, *args):
+        calls.append(condition.shape)
+        return real(condition, mask, *args)
+
+    monkeypatch.setattr(dmod, "inverse_distance_fill", counted)
+    return calls
+
+
+def _spy(monkeypatch, module, name, fills):
+    """Record (arguments, fills made inside) for each call of module.name."""
+    real = getattr(module, name)
+    sig = inspect.signature(real)
+    seen = []
+
+    def spy(*args, **kwargs):
+        before = len(fills)
+        out = real(*args, **kwargs)
+        seen.append((sig.bind(*args, **kwargs).arguments, len(fills) - before))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def _masked(mask: np.ndarray) -> bool:
+    return bool(fold_anchor_frames(mask).any())
+
+
+@pytest.mark.parametrize("mode", pipeline.MODES)
+def test_stage_fills(case, fills, monkeypatch, mode):
+    completion = _spy(monkeypatch, pipeline, "temporal_completion", fills)
+    refinement = _spy(monkeypatch, pipeline, "spatial_refinement", fills)
+    pipeline.run(_config(case, mode), case.input)
+    [(args, made)] = completion
+    assert 0 < made <= len(args["plan_t"].tiles)
+    for args, made in refinement:
+        assert made == 0  # refinement conditions on an all-zero mask
+
+
+@pytest.mark.parametrize("mode, frames", [("temporal_only", FRAMES), ("full", 48)])
+def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
+    """Fills equal the distinct (stack, spatial tile) conditionings with a
+    masked voxel, not the steps times that: `temporal_only` guides at target
+    resolution through the spatial adapter; `full` at the preset's 48 frames
+    densifies over several rounds of overlapping segments."""
+    clip = case if frames == FRAMES else scene.preset_case("revisit", 0)
+    constructs = _spy(monkeypatch, gmod, "construct_gcg", fills)
+    completion = _spy(monkeypatch, pipeline, "temporal_completion", fills)
+    steps = []
+    real_denoise = dmod.ToyDenoiser.denoise
+    monkeypatch.setattr(dmod.ToyDenoiser, "denoise",
+                        lambda self, *a: steps.append(1) or real_denoise(self, *a))
+    pipeline.run(_config(clip, mode), clip.input)
+    stacks = {}  # a round's stacks share its noise tag, video and mask
+    for args, _ in constructs:
+        sched = args["sched"]
+        for idx in (sched.indices,) + sched.windows:
+            stacks[args["noise_tag"], idx] = (args["mask_ds"].data[list(idx)], args["denoiser"])
+    if mode == "full":  # overlapping segments name some stacks twice
+        assert len(stacks) < sum(1 + len(a["sched"].windows) for a, _ in constructs)
+    expected = 0
+    for mask, den in stacks.values():
+        tiles = den.plan.tiles if isinstance(den, tmod.SpatiallyTiledDenoiser) else [None]
+        expected += sum(_masked(mask if t is None else mask[:, t.y0:t.y1, t.x0:t.x1])
+                        for t in tiles)
+    [(args, _)] = completion
+    guided_mask = args["guided_mask"].data
+    expected += sum(_masked(guided_mask[t.f0:t.f1, t.y0:t.y1, t.x0:t.x1])
+                    for t in args["plan_t"].tiles)
+    assert len(fills) == expected
+    assert len(steps) >= 10 * expected  # steps reuse the prepared fills

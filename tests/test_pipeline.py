@@ -53,6 +53,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _small_config(workers=0)
 
+    def test_working_needs_both_sides(self):
+        with pytest.raises(ConfigError, match="together"):
+            _small_config(working_height=8)
+        with pytest.raises(ConfigError, match="together"):
+            PipelineConfig.from_dict({"pad": {"target_height": 16, "target_width": 24},
+                                      "working": {"width": 8}})
+
     def test_working_resolution_default_caps_longest_side(self):
         cfg = PipelineConfig(pad=PadSpec(1536, 768, 0, 0))
         assert cfg.working_resolution() == (768, 384)
