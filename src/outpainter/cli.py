@@ -75,8 +75,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_config(path: str, mode: str | None, seed: int | None,
-                 workers: int | None) -> pipeline.PipelineConfig:
+def _load_config(path: str, mode: str | None, seed: int | None) -> pipeline.PipelineConfig:
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -88,9 +87,7 @@ def _load_config(path: str, mode: str | None, seed: int | None,
                                    f"got {type(raw).__name__}")
     if mode is not None:
         raw["mode"] = mode
-    raw["seed"] = _resolve_seed(int(raw.get("seed", 0)), seed)
-    if workers is not None:
-        raw["workers"] = workers
+    raw["seed"] = _resolve_seed(raw.get("seed", 0), seed)
     return pipeline.PipelineConfig.from_dict(raw)
 
 
@@ -115,7 +112,7 @@ def _run_one(config: pipeline.PipelineConfig, in_path: str, out_path: str) -> pi
 
 
 def cmd_outpaint(args) -> int:
-    config = _load_config(args.config, args.mode, args.seed, args.workers)
+    config = _load_config(args.config, args.mode, args.seed)
     result = _run_one(config, args.input, args.output)
     total = sum(result.timings.values())
     print(f"outpaint[{result.mode}]: {args.input} -> {args.output} "
@@ -153,7 +150,7 @@ def cmd_ablate(args) -> int:
     mask = video.read_mask(args.mask) if args.mask else None
     table = {}
     for mode in pipeline.MODES:
-        config = _load_config(args.config, mode, args.seed, args.workers)
+        config = _load_config(args.config, mode, args.seed)
         result = _run_one(config, args.input, str(outdir / f"{mode}.hlvd"))
         row = {"seconds": round(sum(result.timings.values()), 3)}
         if truth is not None and mask is not None:
@@ -189,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="output HLVD video")
     p.add_argument("--mode", choices=pipeline.MODES)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_outpaint)
 
     p = sub.add_parser("eval", help="compute metrics against ground truth")
@@ -212,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth")
     p.add_argument("--mask")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_ablate)
     return parser
 

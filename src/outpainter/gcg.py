@@ -18,8 +18,8 @@ import numpy as np
 
 from . import rng
 from .sampler import SampleSchedule, step
-from .tiling import ConfigError, Tile, TilePlan, blend
-from .video import MaskVideo, ShapeError, VideoTensor
+from .tiling import ConfigError, blend, plan
+from .video import MaskVideo, VideoTensor
 
 
 class GcgError(RuntimeError):
@@ -164,15 +164,6 @@ def midpoints(indices, tau: int) -> tuple[int, ...]:
     return tuple(sorted(mids - set(idx)))
 
 
-def _segment_starts(length: int, size: int, overlap: int) -> list[int]:
-    if length <= size:
-        return [0]
-    stride = size - overlap
-    starts = list(range(0, length - size, stride))
-    starts.append(length - size)
-    return starts
-
-
 def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
                   denoiser, sample: SampleSchedule, rng_seed: int, count: int,
                   delta: int, swap_steps: int, tau: int, tag: str) -> np.ndarray:
@@ -181,18 +172,18 @@ def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
     total_frames = cond_v.frames
     h, w = cond_v.shape[1:3]
     seg_size = min(count, len(keys))
+    seg_plan = plan((len(keys), h, w), seg_size, h, w, min(2, seg_size - 1))
     seg_outputs = []
     prepared: dict = {}
-    for start in _segment_starts(len(keys), seg_size, min(2, seg_size - 1) if seg_size > 1 else 0):
-        seg_keys = tuple(keys[start:start + seg_size])
+    for tile in seg_plan.tiles:
+        seg_keys = tuple(keys[tile.f0:tile.f1])
         sched = make_schedule(total_frames, seg_size, delta, swap_steps, tau, seg_keys)
         # overlapping segments share windows: keep only the stacks this one reuses
         stacks = {sched.indices, *sched.windows}
         prepared = {idx: p for idx, p in prepared.items() if idx in stacks}
         out = construct_gcg(cond_v, msk_v, sched, denoiser, sample, rng_seed,
                             noise_tag=tag, prepared=prepared)
-        seg_outputs.append((Tile(start, start + seg_size, 0, h, 0, w), out))
-    seg_plan = TilePlan((len(keys), h, w), tuple(t for t, _ in seg_outputs), 0, 0, 0)
+        seg_outputs.append((tile, out))
     return blend(seg_outputs, seg_plan).data.copy()
 
 

@@ -8,12 +8,11 @@ Ablation modes selectively disable the guidance and refinement stages.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import gcg as gcg_mod
-from . import rng
 from .denoiser import DenoiserConfig, ToyDenoiser
 from .sampler import SampleSchedule, sdedit_start
 from .tiling import (ConfigError, SpatiallyTiledDenoiser, TilePlan, plan, prepare_tiles,
@@ -78,7 +77,9 @@ class TilingParams:
             raise ConfigError("tiling.overlap_x must be in [0, tile_x)")
 
 
-def _denoiser_from_dict(d: dict) -> DenoiserConfig:
+def _denoiser_from_dict(config: dict) -> DenoiserConfig:
+    d = _section(config, "denoiser", ("kind", "lambda_sparse", "lambda_dense", "radius",
+                                      "fill_floor", "latent_carryover"))
     kind = d.get("kind", "toy")
     if kind != "toy":
         raise ConfigError(f"unknown denoiser kind {kind!r}")
@@ -93,11 +94,23 @@ def _denoiser_from_dict(d: dict) -> DenoiserConfig:
         raise ConfigError(f"denoiser config: {exc}") from exc
 
 
-def _section(d: dict, name: str) -> dict:
+def _known(d: dict, allowed, prefix: str = "") -> dict:
+    """`d` itself, after rejecting any key that is not in `allowed`."""
+    unknown = [f"{prefix}{k}" for k in d if k not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown config field {', '.join(unknown)}")
+    return d
+
+
+def _section(d: dict, name: str, allowed) -> dict:
     value = d.get(name, {})
     if not isinstance(value, dict):
         raise ConfigError(f"config field {name} must be an object, got {type(value).__name__}")
-    return value
+    return _known(value, allowed, f"{name}.")
+
+
+def _codec_kind(factor: int) -> str:
+    return "identity" if factor == 1 else "avgpool"
 
 
 @dataclass(frozen=True)
@@ -111,16 +124,16 @@ class PipelineConfig:
     gcg: GcgParams = field(default_factory=GcgParams)
     tiling: TilingParams = field(default_factory=TilingParams)
     denoiser: DenoiserConfig = field(default_factory=DenoiserConfig)
-    workers: int = 1
     codec_factor: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.codec_factor < 1:
-            raise ConfigError("codec_factor must be >= 1")
+        # bools are not seeds; rng.stream_key keys on 64 bits, so wider seeds alias
+        if not (type(self.seed) is int and 0 <= self.seed < 2 ** 64):
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if not (type(self.codec_factor) is int and self.codec_factor >= 1):
+            raise ConfigError(f"codec factor must be an integer >= 1, got {self.codec_factor!r}")
         if (self.working_height is None) != (self.working_width is None):
             raise ConfigError("working height and width must be set together")
         wh, ww = self.working_resolution()
@@ -142,7 +155,15 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        pad_d = _section(d, "pad")
+        _known(d, ("pad", "mode", "seed", "working", "sampler", "gcg", "tiling", "denoiser",
+                   "codec"))
+        pad_d = _section(d, "pad", [f.name for f in fields(PadSpec)])
+        working = _section(d, "working", ("height", "width"))
+        codec = _section(d, "codec", ("kind", "factor"))
+
+        def params(name, make):
+            return make(**_section(d, name, [f.name for f in fields(make)]))
+
         try:
             pad = PadSpec(int(pad_d["target_height"]), int(pad_d["target_width"]),
                           int(pad_d.get("offset_y", 0)), int(pad_d.get("offset_x", 0)))
@@ -150,22 +171,24 @@ class PipelineConfig:
             raise ConfigError(f"missing config field: pad.{exc.args[0]}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config field pad: {exc}") from exc
-        working = _section(d, "working")
         try:
-            return cls(
+            config = cls(
                 pad=pad,
                 mode=d.get("mode", "full"),
-                seed=int(d.get("seed", 0)),
+                seed=d.get("seed", 0),
                 working_height=working.get("height"),
                 working_width=working.get("width"),
-                sampler=SamplerParams(**_section(d, "sampler")),
-                gcg=GcgParams(**_section(d, "gcg")),
-                tiling=TilingParams(**_section(d, "tiling")),
-                denoiser=_denoiser_from_dict(_section(d, "denoiser")),
-                workers=int(d.get("workers", 1)),
-                codec_factor=int(_section(d, "codec").get("factor", 1)))
+                sampler=params("sampler", SamplerParams),
+                gcg=params("gcg", GcgParams),
+                tiling=params("tiling", TilingParams),
+                denoiser=_denoiser_from_dict(d),
+                codec_factor=codec.get("factor", 1))
         except TypeError as exc:
             raise ConfigError(f"bad config field: {exc}") from exc
+        kind = _codec_kind(config.codec_factor)
+        if codec.get("kind", kind) != kind:
+            raise ConfigError(f"codec.kind must be {kind!r} for factor {config.codec_factor}")
+        return config
 
     def to_dict(self) -> dict:
         wh, ww = self.working_resolution()
@@ -185,9 +208,7 @@ class PipelineConfig:
                 "fill_floor": self.denoiser.fill_floor,
                 "latent_carryover": self.denoiser.latent_carryover,
             },
-            "workers": self.workers,
-            "codec": {"kind": "identity" if self.codec_factor == 1 else "avgpool",
-                      "factor": self.codec_factor},
+            "codec": {"kind": _codec_kind(self.codec_factor), "factor": self.codec_factor},
         }
 
 
@@ -245,37 +266,40 @@ def insert_guidance(video_ds: VideoTensor, mask_ds: MaskVideo, guidance: VideoTe
     return VideoTensor(cond), MaskVideo(msk)
 
 
-def temporal_completion(guided: VideoTensor, guided_mask: MaskVideo, denoiser,
-                        plan_t: TilePlan, sample: SampleSchedule, rng_seed: int,
-                        workers: int = 1) -> VideoTensor:
-    """Full denoising from pure noise over the tile plan with per-step
-    blending, conditioned on the guidance-augmented video."""
-    z = VideoTensor(rng.normals(rng_seed, "completion:init", guided.shape))
-    prepared = prepare_tiles(denoiser, guided, guided_mask, plan_t, "dense")
+def _sample_tiles(condition: VideoTensor, mask: MaskVideo, denoiser, tile_plan: TilePlan,
+                  sample: SampleSchedule, strength: float, rng_seed: int,
+                  label: str) -> VideoTensor:
+    """SDEdit from `condition` over a tile plan with per-step blending: noise
+    it to `strength`, prepare each tile's conditioning once, then step."""
+    z, steps = sdedit_start(condition, strength, sample, rng_seed, label)
+    prepared = prepare_tiles(denoiser, condition, mask, tile_plan, "dense")
     times = sample.times
-    for s in range(sample.total_steps):
-        z = tiled_denoise_pass(z, guided, guided_mask, plan_t, denoiser,
-                               float(times[s]), float(times[s + 1]), "dense", workers, prepared)
+    for s in range(sample.total_steps - steps, sample.total_steps):
+        z = tiled_denoise_pass(z, tile_plan, denoiser, float(times[s]), float(times[s + 1]),
+                               prepared)
     return z
+
+
+def temporal_completion(guided: VideoTensor, guided_mask: MaskVideo, denoiser,
+                        plan_t: TilePlan, sample: SampleSchedule, rng_seed: int) -> VideoTensor:
+    """Full denoising from pure noise over the tile plan with per-step
+    blending, conditioned on the guidance-augmented video.  At strength 1
+    SDEdit starts from the noise alone: (1-1)*guided + 1*eps is eps."""
+    return _sample_tiles(guided, guided_mask, denoiser, plan_t, sample, 1.0, rng_seed,
+                         "completion:init")
 
 
 def spatial_refinement(completed_ds: VideoTensor, padded: VideoTensor,
                        mask: MaskVideo, denoiser, plan_st: TilePlan,
-                       sample: SampleSchedule, strength: float, rng_seed: int,
-                       workers: int = 1) -> VideoTensor:
+                       sample: SampleSchedule, strength: float, rng_seed: int) -> VideoTensor:
     """Upsample the completed working-resolution video to target resolution,
     composite observed pixels back in, inject moderate noise, and re-denoise
     over spatio-temporal tiles anchored on the composite."""
     target = VideoTensor(resize_bicubic(completed_ds, padded.height, padded.width).data)
     composite = VideoTensor(np.where(mask.data > 0.0, target.data, padded.data))
-    z, start_step = sdedit_start(composite, strength, sample, rng_seed, "refine")
     zero_mask = MaskVideo(np.zeros(mask.data.shape, dtype=np.float32))
-    prepared = prepare_tiles(denoiser, composite, zero_mask, plan_st, "dense")
-    times = sample.times
-    for s in range(sample.total_steps - start_step, sample.total_steps):
-        z = tiled_denoise_pass(z, composite, zero_mask, plan_st, denoiser,
-                               float(times[s]), float(times[s + 1]), "dense", workers, prepared)
-    return z
+    return _sample_tiles(composite, zero_mask, denoiser, plan_st, sample, strength, rng_seed,
+                         "refine")
 
 
 def _stage(timings: dict, name: str):
@@ -348,7 +372,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
             plan_t = plan((guided.frames, wh, ww), til.tile_t, til.tile_y, til.tile_x,
                           til.overlap_t, til.overlap_y, til.overlap_x)
         completed = temporal_completion(guided, guided_mask, denoiser, plan_t,
-                                        sample, config.seed, config.workers)
+                                        sample, config.seed)
         if factor > 1:
             completed = codec_decode(completed, factor)
 
@@ -358,7 +382,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
                            til.overlap_t, til.overlap_y, til.overlap_x)
             result = spatial_refinement(completed, padded, mask, denoiser, plan_st,
                                         sample, config.sampler.refine_strength,
-                                        config.seed, config.workers)
+                                        config.seed)
         else:
             result = completed
 

@@ -3,7 +3,7 @@
 All randomness in the pipeline flows through this module so that runs are
 reproducible bit-for-bit given (seed, label).  The generator is a keyed
 splitmix64-style integer hash applied to a counter stream; it has no mutable
-state, so concurrent workers can draw from disjoint labels safely.
+state, so a draw does not depend on the order of calls.
 """
 from __future__ import annotations
 

@@ -6,7 +6,6 @@ reconciled continuously instead of once at the end.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,29 +157,19 @@ def prepare_tiles(denoiser, condition: VideoTensor, mask: MaskVideo,
             for tile in tile_plan.tiles]
 
 
-def tiled_denoise_pass(z: VideoTensor, condition: VideoTensor, mask: MaskVideo,
-                       tile_plan: TilePlan, denoiser, t_from: float, t_to: float,
-                       mode: str = "dense", workers: int = 1,
-                       prepared: list | None = None) -> VideoTensor:
+def tiled_denoise_pass(z: VideoTensor, tile_plan: TilePlan, denoiser, t_from: float,
+                       t_to: float, prepared: list) -> VideoTensor:
     """One diffusion step over a tile plan: denoise each tile, step it, then
     blend the stepped tiles into the next global latent.  `prepared` is
     `prepare_tiles(denoiser, condition, mask, tile_plan, mode)`, made once per
-    stage; without it the tiles are prepared for this step alone."""
+    stage."""
     if z.shape[:3] != tile_plan.extent:
         raise ShapeError(f"latent {z.shape} does not match plan extent {tile_plan.extent}")
-    if prepared is None:
-        prepared = prepare_tiles(denoiser, condition, mask, tile_plan, mode)
-
-    def run_tile(tile: Tile, prep) -> tuple[Tile, VideoTensor]:
+    outputs = []
+    for tile, prep in zip(tile_plan.tiles, prepared, strict=True):
         z_tile = VideoTensor(_slice_tile(z.data, tile))
         v_hat = denoiser.denoise(prep.request(z_tile, t_from), prep)
-        return tile, step(z_tile, v_hat, t_from, t_to)
-
-    if workers > 1 and len(tile_plan.tiles) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(run_tile, tile_plan.tiles, prepared))
-    else:
-        outputs = [run_tile(t, p) for t, p in zip(tile_plan.tiles, prepared)]
+        outputs.append((tile, step(z_tile, v_hat, t_from, t_to)))
     return blend(outputs, tile_plan)
 
 

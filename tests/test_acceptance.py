@@ -60,7 +60,8 @@ def test_criterion_02_single_tile_equivalence():
         z = VideoTensor(g.standard_normal(shape).astype(np.float32))
         condition, maskv = VideoTensor(cond), MaskVideo(mask)
         p = tmod.plan(shape[:3], shape[0], shape[1], shape[2])
-        tiled = tmod.tiled_denoise_pass(z, condition, maskv, p, den, 1.0, 0.75)
+        prepared = tmod.prepare_tiles(den, condition, maskv, p)
+        tiled = tmod.tiled_denoise_pass(z, p, den, 1.0, 0.75, prepared)
         v = den.denoise(DenoiseRequest(z, condition, maskv, 1.0, "dense"))
         untiled = step(z, v, 1.0, 0.75)
         worst = max(worst, float(np.abs(tiled.data - untiled.data).max()))
@@ -284,9 +285,10 @@ def test_criterion_09_per_step_blending_reduces_seams():
             z = VideoTensor(z0[sl].copy())
             c = VideoTensor(cond.data[sl].copy())
             m = MaskVideo(mask.data[sl].copy())
+            prepared = den.prepare(c, m, "dense")
             for s in range(sample.total_steps):
                 t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
-                v = den.denoise(DenoiseRequest(z, c, m, t_from, "dense"))
+                v = den.denoise(prepared.request(z, t_from), prepared)
                 z = step(z, v, t_from, t_to)
             outputs.append((tile, z))
         final_merge = tmod.blend(outputs, p)
@@ -305,28 +307,27 @@ def test_criterion_09_per_step_blending_reduces_seams():
 def test_criterion_10_determinism_and_io(tmp_path):
     t0 = time.time()
     case = scene.preset_case("drift", seed=2)
+    cfg = pipeline.PipelineConfig(
+        pad=case.geometry.placement, mode="full", seed=2,
+        working_height=16, working_width=24,
+        sampler=pipeline.SamplerParams(total_steps=4, swap_steps=2),
+        gcg=pipeline.GcgParams(keyframes=3, delta=1, tau=16),
+        tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
+                                     tile_x=12, overlap_y=4, overlap_x=4),
+        denoiser=DenoiserConfig(neighbor_radius=4))
     outputs = []
-    for workers in (1, 3):
-        cfg = pipeline.PipelineConfig(
-            pad=case.geometry.placement, mode="full", seed=2,
-            working_height=16, working_width=24, workers=workers,
-            sampler=pipeline.SamplerParams(total_steps=4, swap_steps=2),
-            gcg=pipeline.GcgParams(keyframes=3, delta=1, tau=16),
-            tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
-                                         tile_x=12, overlap_y=4, overlap_x=4),
-            denoiser=DenoiserConfig(neighbor_radius=4))
-        for repeat in (0, 1):
-            path = tmp_path / f"out_w{workers}_r{repeat}.hlvd"
-            write_raw(path, pipeline.run(cfg, case.input).output)
-            outputs.append(path.read_bytes())
+    for repeat in (0, 1, 2):
+        path = tmp_path / f"out_r{repeat}.hlvd"
+        write_raw(path, pipeline.run(cfg, case.input).output)
+        outputs.append(path.read_bytes())
     identical = len(set(outputs)) == 1
-    round_trip = read_raw(tmp_path / "out_w1_r0.hlvd")
+    round_trip = read_raw(tmp_path / "out_r0.hlvd")
     write_raw(tmp_path / "copy.hlvd", round_trip)
     lossless = ((tmp_path / "copy.hlvd").read_bytes()
-                == (tmp_path / "out_w1_r0.hlvd").read_bytes())
+                == (tmp_path / "out_r0.hlvd").read_bytes())
     elapsed = time.time() - t0
     ok = identical and lossless and elapsed < 120.0
     _line(10, "determinism and lossless io", ok,
-          f"4 runs bit-identical={identical}, round trip lossless={lossless}, "
+          f"{len(outputs)} runs bit-identical={identical}, round trip lossless={lossless}, "
           f"{elapsed:.1f}s")
     assert ok

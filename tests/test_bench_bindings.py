@@ -1,0 +1,34 @@
+"""The bindings the benchmark's traced run patches still exist by name.
+
+`perfbench/spans.py` wraps functions where their callers look them up and
+reads some arguments by name; a refactor that renames one would otherwise
+only show up when `perfbench/run.py --trace 1` runs.
+"""
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from outpainter import gcg, tiling
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_binding_exists(spans):
+    missing = [f"{spans.binding(owner, attr)}" for owner, attr, _ in spans.TRACED
+               if attr not in owner.__dict__]
+    assert not missing
+
+
+def test_traced_arguments_keep_their_names():
+    assert "tile_plan" in inspect.signature(tiling.tiled_denoise_pass).parameters
+    assert "noise_tag" in inspect.signature(gcg.construct_gcg).parameters

@@ -51,6 +51,18 @@ def _synth(tmp_path: Path, prefix="case", seed=3, frames=8) -> Path:
     return out
 
 
+def _usage_error(tmp_path: Path, capsys, config: Path, *flags: str) -> str:
+    """Run `outpaint` expecting exit 2 with a one-line error; return the line."""
+    prefix = _synth(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "o.hlvd"
+    assert main(["outpaint", str(config), f"{prefix}.input.hlvd", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    return err
+
+
 class TestSynth:
     def test_writes_triplet_deterministically(self, tmp_path):
         a = _synth(tmp_path, "a")
@@ -145,15 +157,32 @@ class TestOutpaint:
         {"pad": {"target_height": "tall", "target_width": 24}},
     ], ids=["pad-not-object", "top-level-list", "working-height-only", "pad-value-not-int"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, doc):
-        prefix = _synth(tmp_path)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(["outpaint", str(bad), f"{prefix}.input.hlvd",
-                     str(tmp_path / "o.hlvd")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not (tmp_path / "o.hlvd").exists()
+        _usage_error(tmp_path, capsys, bad)
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"workers": 2}, "workers"),
+        ({"colour": "red"}, "colour"),
+        ({"denoiser": {"radius": 3, "sigma": 1.0}}, "denoiser.sigma"),
+        ({"pad": {"target_height": 16, "target_width": 24, "offset_z": 0}}, "pad.offset_z"),
+        ({"codec": {"kind": "avgpool", "factor": 1}}, "codec.kind"),
+    ], ids=["workers", "top-level", "denoiser-key", "pad-key", "codec-kind"])
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, overrides, named):
+        err = _usage_error(tmp_path, capsys, _config(tmp_path, **overrides))
+        assert named in err
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, -1, 2 ** 64],
+                             ids=["string", "float", "bool", "negative", "2**64"])
+    def test_bad_config_seed_exit_2(self, tmp_path, capsys, seed):
+        err = _usage_error(tmp_path, capsys, _config(tmp_path, seed=seed))
+        assert "seed must be an integer" in err
+
+    def test_bad_flag_and_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        config = _config(tmp_path)
+        assert "seed" in _usage_error(tmp_path, capsys, config, "--seed", "-1")
+        monkeypatch.setenv("HLOP_SEED", str(2 ** 64))
+        assert "seed" in _usage_error(tmp_path, capsys, config)
 
     def test_bad_input_file_exit_2(self, tmp_path):
         config = _config(tmp_path)

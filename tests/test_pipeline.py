@@ -36,7 +36,7 @@ def _input_clip(frames=8, h=16, w=16, seed=0):
 
 class TestConfig:
     def test_dict_round_trip(self):
-        cfg = _small_config(workers=2, codec_factor=2,
+        cfg = _small_config(codec_factor=2,
                             working_height=8, working_width=12)
         back = PipelineConfig.from_dict(cfg.to_dict())
         assert back.to_dict() == cfg.to_dict()
@@ -50,8 +50,46 @@ class TestConfig:
             _small_config(mode="fastest")
 
     def test_bad_workers(self):
-        with pytest.raises(ConfigError):
-            _small_config(workers=0)
+        doc = _small_config().to_dict()
+        doc["workers"] = 1
+        with pytest.raises(ConfigError, match="unknown config field workers"):
+            PipelineConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "tile_t"), ("pad", "offset"), ("working", "depth"),
+        ("denoiser", "lambda"), ("codec", "mode"), ("sampler", "steps"),
+        ("gcg", "kappa"), ("tiling", "tile_z")])
+    def test_unknown_key_named(self, section, key):
+        doc = _small_config().to_dict()
+        (doc if section is None else doc[section])[key] = 1
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigError, match=rf"unknown config field {name}$"):
+            PipelineConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, -1, 2 ** 64, None])
+    def test_bad_seed(self, seed):
+        doc = _small_config().to_dict()
+        doc["seed"] = seed
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            PipelineConfig.from_dict(doc)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            _small_config(seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2 ** 64 - 1):
+            doc = _small_config().to_dict()
+            doc["seed"] = seed
+            assert PipelineConfig.from_dict(doc).seed == seed
+
+    @pytest.mark.parametrize("kind, factor", [
+        ("avgpool", 1), ("identity", 2), ("jpeg", 1)])
+    def test_codec_kind_must_match_factor(self, kind, factor):
+        doc = _small_config(working_height=8, working_width=12).to_dict()
+        doc["codec"] = {"kind": kind, "factor": factor}
+        with pytest.raises(ConfigError, match="codec.kind"):
+            PipelineConfig.from_dict(doc)
+        del doc["codec"]["kind"]
+        assert PipelineConfig.from_dict(doc).codec_factor == factor
 
     def test_working_needs_both_sides(self):
         with pytest.raises(ConfigError, match="together"):
@@ -73,6 +111,13 @@ class TestConfig:
     def test_codec_divisibility(self):
         with pytest.raises(ConfigError):
             _small_config(codec_factor=5)
+
+    @pytest.mark.parametrize("factor", [0, 2.0, "2", True, None])
+    def test_codec_factor_must_be_positive_int(self, factor):
+        doc = _small_config(working_height=8, working_width=12).to_dict()
+        doc["codec"] = {"factor": factor}
+        with pytest.raises(ConfigError, match="codec factor must be an integer"):
+            PipelineConfig.from_dict(doc)
 
     def test_unknown_denoiser_kind(self):
         with pytest.raises(ConfigError):

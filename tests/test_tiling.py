@@ -7,7 +7,7 @@ from outpainter.denoiser import DenoiseRequest, DenoiserConfig, ToyDenoiser
 from outpainter.sampler import SampleSchedule, step
 from outpainter.tiling import (WEIGHT_EPS, ConfigError, CoverageError,
                                SpatiallyTiledDenoiser, Tile, TilePlan, blend,
-                               plan, tile_weight, tiled_denoise_pass)
+                               plan, prepare_tiles, tile_weight, tiled_denoise_pass)
 from outpainter.video import MaskVideo, ShapeError, VideoTensor
 
 
@@ -166,7 +166,8 @@ class TestTiledPass:
         for seed in range(3):
             z, cond, mask = self._problem(seed)
             p = plan(z.shape[:3], z.frames, z.height, z.width)
-            tiled = tiled_denoise_pass(z, cond, mask, p, den, 1.0, 0.75)
+            tiled = tiled_denoise_pass(z, p, den, 1.0, 0.75,
+                                       prepare_tiles(den, cond, mask, p))
             v = den.denoise(DenoiseRequest(z, cond, mask, 1.0, "dense"))
             untiled = step(z, v, 1.0, 0.75)
             np.testing.assert_allclose(tiled.data, untiled.data, atol=1e-6)
@@ -179,25 +180,21 @@ class TestTiledPass:
         z = VideoTensor(g.standard_normal((6, 12, 12, 3)).astype(np.float32))
         sched = SampleSchedule(5)
         p = plan((6, 12, 12), 4, 6, 6, 2, 2, 2)
+        prepared = prepare_tiles(den, cond, mask, p)
         for s in range(5):
-            z = tiled_denoise_pass(z, cond, mask, p, den,
-                                   float(sched.times[s]), float(sched.times[s + 1]))
+            z = tiled_denoise_pass(z, p, den, float(sched.times[s]),
+                                   float(sched.times[s + 1]), prepared)
         np.testing.assert_allclose(z.data, cond.data, atol=1e-6)
-
-    def test_workers_bit_identical(self):
-        den = ToyDenoiser(DenoiserConfig(neighbor_radius=3))
-        z, cond, mask = self._problem(seed=3)
-        p = plan(z.shape[:3], 4, 6, 6, 2, 2, 2)
-        serial = tiled_denoise_pass(z, cond, mask, p, den, 1.0, 0.8, workers=1)
-        threaded = tiled_denoise_pass(z, cond, mask, p, den, 1.0, 0.8, workers=4)
-        np.testing.assert_array_equal(serial.data, threaded.data)
 
     def test_extent_mismatch_rejected(self):
         den = ToyDenoiser()
         z, cond, mask = self._problem()
         p = plan((5, 12, 12), 5, 12, 12)
         with pytest.raises(ShapeError):
-            tiled_denoise_pass(z, cond, mask, p, den, 1.0, 0.5)
+            prepare_tiles(den, cond, mask, p)
+        prepared = prepare_tiles(den, VideoTensor(cond.data[:5]), MaskVideo(mask.data[:5]), p)
+        with pytest.raises(ShapeError):
+            tiled_denoise_pass(z, p, den, 1.0, 0.5, prepared)
 
 
 class TestSpatialAdapter:
@@ -215,8 +212,8 @@ class TestSpatialAdapter:
                                            MaskVideo(mask), 1.0, "dense"))
         stepped_via_adapter = step(z, v, 1.0, 0.75)
         full_plan = plan(shape[:3], shape[0], 8, 8, 0, 4, 4)
-        stepped_via_pass = tiled_denoise_pass(z, VideoTensor(cond), MaskVideo(mask),
-                                              full_plan, den, 1.0, 0.75)
+        prepared = prepare_tiles(den, VideoTensor(cond), MaskVideo(mask), full_plan)
+        stepped_via_pass = tiled_denoise_pass(z, full_plan, den, 1.0, 0.75, prepared)
         np.testing.assert_allclose(stepped_via_adapter.data,
                                    stepped_via_pass.data, atol=1e-6)
 
