@@ -31,10 +31,11 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
 
 
 def _parse_rect(text: str) -> tuple[int, int, int, int]:
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise pipeline.ConfigError(f"rectangle must be 'y,x,h,w', got {text!r}")
-    return tuple(parts)
+    try:
+        y, x, h, w = (int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise pipeline.ConfigError(f"rectangle must be 'y,x,h,w' integers, got {text!r}") from exc
+    return y, x, h, w
 
 
 def _resolve_seed(config_seed: int, flag_seed: int | None) -> int:
@@ -50,21 +51,28 @@ def _resolve_seed(config_seed: int, flag_seed: int | None) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = _resolve_seed(0, args.seed)
+    seed = pipeline.check_seed(_resolve_seed(0, args.seed))
     if args.preset:
+        given = [f"--{k}" for k in ("scene", "frames", "crop", "full") if vars(args)[k] is not None]
+        if given:
+            raise pipeline.ConfigError(f"--preset does not take {', '.join(given)}")
         case = scene.preset_case(args.preset, seed)
     else:
         if not args.scene:
             raise pipeline.ConfigError("synth needs --preset or --scene")
         try:
             spec = scene.SceneSpec.from_json(Path(args.scene).read_text())
-        except (OSError, ValueError, KeyError) as exc:
+            pipeline.check_seed(spec.seed)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise pipeline.ConfigError(f"bad scene file {args.scene}: {exc}") from exc
         if args.crop is None or args.full is None:
             raise pipeline.ConfigError("--scene requires --crop and --full")
+        frames = 48 if args.frames is None else args.frames
+        if frames < 1:
+            raise pipeline.ConfigError(f"--frames must be >= 1, got {frames}")
         geometry = scene.CaseGeometry(full=_parse_rect(args.full),
                                       crop=_parse_rect(args.crop))
-        case = scene.make_case(spec, args.frames, geometry)
+        case = scene.make_case(spec, frames, geometry)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     video.write_raw(f"{prefix}.input.hlvd", case.input)
@@ -80,7 +88,7 @@ def _load_config(path: str, mode: str | None, seed: int | None) -> pipeline.Pipe
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise pipeline.ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise pipeline.ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise pipeline.ConfigError(f"config {path} must be a JSON object, "
@@ -173,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="render a synthetic scene to HLVD files")
     p.add_argument("--preset", choices=sorted(scene.PRESETS))
     p.add_argument("--scene", help="scene spec JSON file")
-    p.add_argument("--frames", type=int, default=48)
+    p.add_argument("--frames", type=int, help="frames to render with --scene (default 48)")
     p.add_argument("--crop", help="crop rect 'y,x,h,w' relative to camera")
     p.add_argument("--full", help="full rect 'y,x,h,w' relative to camera")
     p.add_argument("--seed", type=int, default=None)
@@ -217,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (pipeline.ConfigError, video.FormatError) as exc:
+    except (pipeline.ConfigError, video.FormatError, scene.GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except pipeline.StageError as exc:

@@ -58,15 +58,15 @@ class DenoiserConfig:
 
     lambda_sparse: float = 8.0
     lambda_dense: float = 2.0
-    neighbor_radius: int = 6
+    radius: int = 6
     fill_floor: float = 0.0
     latent_carryover: float = 0.5
 
     def __post_init__(self):
         if self.lambda_sparse <= 0 or self.lambda_dense <= 0:
             raise ValueError("temporal scales must be positive")
-        if self.neighbor_radius < 1:
-            raise ValueError("neighbor_radius must be >= 1")
+        if self.radius < 1:
+            raise ValueError("radius must be >= 1")
         if not 0.0 <= self.latent_carryover < 1.0:
             raise ValueError("latent_carryover must be in [0, 1)")
 
@@ -198,7 +198,7 @@ class ToyDenoiser:
         folded.flags.writeable = False
         if folded.any():
             x0 = inverse_distance_fill(condition.data, folded, self.config.temporal_scale(mode),
-                                       self.config.neighbor_radius, self.config.fill_floor)
+                                       self.config.radius, self.config.fill_floor)
             carry_mask = folded if self.config.latent_carryover > 0.0 else None
         else:
             x0 = np.asarray(condition.data, dtype=np.float32)

@@ -164,6 +164,22 @@ def midpoints(indices, tau: int) -> tuple[int, ...]:
     return tuple(sorted(mids - set(idx)))
 
 
+def insert_guidance(video_ds: VideoTensor, mask_ds: MaskVideo, guidance: VideoTensor,
+                    keys: tuple[int, ...]) -> tuple[VideoTensor, MaskVideo]:
+    """Replace keyframe frames with their guidance content and mark them as
+    fully trusted (all-ones mask); every other frame is untouched."""
+    if guidance.frames != len(keys):
+        raise ConfigError(f"{guidance.frames} guidance frames for {len(keys)} keyframes")
+    cond = video_ds.data.copy()
+    msk = mask_ds.data.copy()
+    for i, k in enumerate(keys):
+        if not 0 <= k < video_ds.frames:
+            raise IndexError(f"keyframe {k} out of range [0, {video_ds.frames})")
+        cond[k] = guidance.data[i]
+        msk[k] = 1.0
+    return VideoTensor(cond), MaskVideo(msk)
+
+
 def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
                   denoiser, sample: SampleSchedule, rng_seed: int, count: int,
                   delta: int, swap_steps: int, tau: int, tag: str) -> np.ndarray:
@@ -214,14 +230,11 @@ def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
         if rounds > cap:
             raise GcgError(f"densification did not converge within {cap} rounds")
         keys = sorted(set(keys) | set(midpoints(keys, tau)))
-        cond = video_ds.data.copy()
-        msk = mask_ds.data.copy()
-        for k, content in known.items():
-            cond[k] = content
-            msk[k] = 1.0
-        merged = _run_segments(keys, VideoTensor(cond), MaskVideo(msk), denoiser,
-                               sample, rng_seed, count, delta, swap_steps, tau,
-                               f"gcg:r{rounds}")
+        cond_v, msk_v = insert_guidance(video_ds, mask_ds,
+                                        VideoTensor(np.stack(list(known.values()))),
+                                        tuple(known))
+        merged = _run_segments(keys, cond_v, msk_v, denoiser, sample, rng_seed, count,
+                               delta, swap_steps, tau, f"gcg:r{rounds}")
         for pos, k in enumerate(keys):
             if k in known:
                 merged[pos] = known[k]

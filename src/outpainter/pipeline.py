@@ -7,8 +7,10 @@ Ablation modes selectively disable the guidance and refinement stages.
 """
 from __future__ import annotations
 
+import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,11 +42,11 @@ class SamplerParams:
 
     def __post_init__(self):
         if self.total_steps < 1:
-            raise ConfigError("sampler.total_steps must be >= 1")
+            raise ConfigError("total_steps must be >= 1")
         if not 0 <= self.swap_steps <= self.total_steps:
-            raise ConfigError("sampler.swap_steps must be in [0, total_steps]")
+            raise ConfigError("swap_steps must be in [0, total_steps]")
         if not 0.0 < self.refine_strength <= 1.0:
-            raise ConfigError("sampler.refine_strength must be in (0, 1]")
+            raise ConfigError("refine_strength must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class GcgParams:
 
     def __post_init__(self):
         if self.keyframes < 1 or self.delta < 1 or self.tau < 1:
-            raise ConfigError("gcg parameters must be positive")
+            raise ConfigError("keyframes, delta and tau must be positive")
 
 
 @dataclass(frozen=True)
@@ -70,43 +72,54 @@ class TilingParams:
 
     def __post_init__(self):
         if not 0 <= self.overlap_t < self.tile_t:
-            raise ConfigError("tiling.overlap_t must be in [0, tile_t)")
+            raise ConfigError("overlap_t must be in [0, tile_t)")
         if not 0 <= self.overlap_y < self.tile_y:
-            raise ConfigError("tiling.overlap_y must be in [0, tile_y)")
+            raise ConfigError("overlap_y must be in [0, tile_y)")
         if not 0 <= self.overlap_x < self.tile_x:
-            raise ConfigError("tiling.overlap_x must be in [0, tile_x)")
+            raise ConfigError("overlap_x must be in [0, tile_x)")
 
 
-def _denoiser_from_dict(config: dict) -> DenoiserConfig:
-    d = _section(config, "denoiser", ("kind", "lambda_sparse", "lambda_dense", "radius",
-                                      "fill_floor", "latent_carryover"))
-    kind = d.get("kind", "toy")
-    if kind != "toy":
-        raise ConfigError(f"unknown denoiser kind {kind!r}")
-    try:
-        return DenoiserConfig(
-            lambda_sparse=float(d.get("lambda_sparse", 8.0)),
-            lambda_dense=float(d.get("lambda_dense", 2.0)),
-            neighbor_radius=int(d.get("radius", 6)),
-            fill_floor=float(d.get("fill_floor", 0.0)),
-            latent_carryover=float(d.get("latent_carryover", 0.5)))
-    except ValueError as exc:
-        raise ConfigError(f"denoiser config: {exc}") from exc
+def check_seed(seed) -> int:
+    """`seed` if it is an int, not a bool, in [0, 2**64): rng.stream_key keys
+    on 64 bits, so wider seeds would alias narrower ones."""
+    if not (type(seed) is int and 0 <= seed < 2 ** 64):
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
-def _known(d: dict, allowed, prefix: str = "") -> dict:
-    """`d` itself, after rejecting any key that is not in `allowed`."""
-    unknown = [f"{prefix}{k}" for k in d if k not in allowed]
-    if unknown:
-        raise ConfigError(f"unknown config field {', '.join(unknown)}")
-    return d
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
 
 
-def _section(d: dict, name: str, allowed) -> dict:
-    value = d.get(name, {})
+def _typed(name: str, value, hint):
+    """`value` if it is exactly of type `hint`, nothing coerced: an int takes
+    no bool, a float any finite number (as a float), `object` anything."""
+    if hint is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # NaN and infinities fail the comparison
+    if hint is object or hint is not float and type(value) is hint:
+        return value
+    raise ConfigError(f"config field {name} must be {_TYPE_NAMES[hint]}, got {value!r}")
+
+
+def _load(make, value, name: str, hints: dict | None = None, **fixed):
+    """`make(**value)` for the JSON object `value` of config field `name`, whose
+    keys and types are `hints` (by default the annotations of the dataclass
+    `make`) and whose `fixed` keys may hold only their given value.  Any error,
+    from a type to `make`'s own checks, becomes a one-line ConfigError."""
+    prefix = f"{name}." if name else ""
     if not isinstance(value, dict):
         raise ConfigError(f"config field {name} must be an object, got {type(value).__name__}")
-    return _known(value, allowed, f"{name}.")
+    hints = get_type_hints(make) if hints is None else hints
+    unknown = [prefix + k for k in value if k not in hints and k not in fixed]
+    if unknown:
+        raise ConfigError(f"unknown config field {', '.join(unknown)}")
+    for key, only in fixed.items():
+        if value.get(key, only) != only:
+            raise ConfigError(f"config field {prefix}{key} must be {only!r}, got {value[key]!r}")
+    kwargs = {k: _typed(prefix + k, v, hints[k]) for k, v in value.items() if k not in fixed}
+    try:
+        return make(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {name}: {exc}") from exc
 
 
 def _codec_kind(factor: int) -> str:
@@ -129,16 +142,14 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        # bools are not seeds; rng.stream_key keys on 64 bits, so wider seeds alias
-        if not (type(self.seed) is int and 0 <= self.seed < 2 ** 64):
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        check_seed(self.seed)
         if not (type(self.codec_factor) is int and self.codec_factor >= 1):
             raise ConfigError(f"codec factor must be an integer >= 1, got {self.codec_factor!r}")
         if (self.working_height is None) != (self.working_width is None):
             raise ConfigError("working height and width must be set together")
         wh, ww = self.working_resolution()
-        if wh > self.pad.target_height or ww > self.pad.target_width:
-            raise ConfigError("working resolution exceeds target resolution")
+        if not (0 < wh <= self.pad.target_height and 0 < ww <= self.pad.target_width):
+            raise ConfigError(f"working resolution {wh}x{ww} is not within [1, target]")
         if self.codec_factor > 1 and (wh % self.codec_factor or ww % self.codec_factor):
             raise ConfigError("working resolution must be divisible by codec_factor")
 
@@ -155,36 +166,22 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        _known(d, ("pad", "mode", "seed", "working", "sampler", "gcg", "tiling", "denoiser",
-                   "codec"))
-        pad_d = _section(d, "pad", [f.name for f in fields(PadSpec)])
-        working = _section(d, "working", ("height", "width"))
-        codec = _section(d, "codec", ("kind", "factor"))
-
-        def params(name, make):
-            return make(**_section(d, name, [f.name for f in fields(make)]))
-
-        try:
-            pad = PadSpec(int(pad_d["target_height"]), int(pad_d["target_width"]),
-                          int(pad_d.get("offset_y", 0)), int(pad_d.get("offset_x", 0)))
-        except KeyError as exc:
-            raise ConfigError(f"missing config field: pad.{exc.args[0]}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config field pad: {exc}") from exc
-        try:
-            config = cls(
-                pad=pad,
-                mode=d.get("mode", "full"),
-                seed=d.get("seed", 0),
-                working_height=working.get("height"),
-                working_width=working.get("width"),
-                sampler=params("sampler", SamplerParams),
-                gcg=params("gcg", GcgParams),
-                tiling=params("tiling", TilingParams),
-                denoiser=_denoiser_from_dict(d),
-                codec_factor=codec.get("factor", 1))
-        except TypeError as exc:
-            raise ConfigError(f"bad config field: {exc}") from exc
+        """The config a JSON object describes, laid out as `to_dict` writes it."""
+        d = _load(dict, d, "", dict.fromkeys(("pad", "mode", "seed", "working", "sampler", "gcg",
+                                              "tiling", "denoiser", "codec"), object))
+        working = _load(dict, d.get("working", {}), "working", {"height": int, "width": int})
+        codec = _load(dict, d.get("codec", {}), "codec", {"kind": object, "factor": object})
+        config = cls(
+            pad=_load(PadSpec, d.get("pad", {}), "pad"),
+            mode=d.get("mode", "full"),
+            seed=d.get("seed", 0),
+            working_height=working.get("height"),
+            working_width=working.get("width"),
+            sampler=_load(SamplerParams, d.get("sampler", {}), "sampler"),
+            gcg=_load(GcgParams, d.get("gcg", {}), "gcg"),
+            tiling=_load(TilingParams, d.get("tiling", {}), "tiling"),
+            denoiser=_load(DenoiserConfig, d.get("denoiser", {}), "denoiser", kind="toy"),
+            codec_factor=codec.get("factor", 1))
         kind = _codec_kind(config.codec_factor)
         if codec.get("kind", kind) != kind:
             raise ConfigError(f"codec.kind must be {kind!r} for factor {config.codec_factor}")
@@ -200,14 +197,7 @@ class PipelineConfig:
             "sampler": asdict(self.sampler),
             "gcg": asdict(self.gcg),
             "tiling": asdict(self.tiling),
-            "denoiser": {
-                "kind": "toy",
-                "lambda_sparse": self.denoiser.lambda_sparse,
-                "lambda_dense": self.denoiser.lambda_dense,
-                "radius": self.denoiser.neighbor_radius,
-                "fill_floor": self.denoiser.fill_floor,
-                "latent_carryover": self.denoiser.latent_carryover,
-            },
+            "denoiser": {"kind": "toy", **asdict(self.denoiser)},
             "codec": {"kind": _codec_kind(self.codec_factor), "factor": self.codec_factor},
         }
 
@@ -248,22 +238,6 @@ class RunResult:
     seed: int
     timings: dict[str, float]
     keyframes: tuple[int, ...] | None
-
-
-def insert_guidance(video_ds: VideoTensor, mask_ds: MaskVideo, guidance: VideoTensor,
-                    keys: tuple[int, ...]) -> tuple[VideoTensor, MaskVideo]:
-    """Replace keyframe frames with their guidance content and mark them as
-    fully trusted (all-ones mask); every other frame is untouched."""
-    if guidance.frames != len(keys):
-        raise ConfigError(f"{guidance.frames} guidance frames for {len(keys)} keyframes")
-    cond = video_ds.data.copy()
-    msk = mask_ds.data.copy()
-    for i, k in enumerate(keys):
-        if not 0 <= k < video_ds.frames:
-            raise IndexError(f"keyframe {k} out of range [0, {video_ds.frames})")
-        cond[k] = guidance.data[i]
-        msk[k] = 1.0
-    return VideoTensor(cond), MaskVideo(msk)
 
 
 def _sample_tiles(condition: VideoTensor, mask: MaskVideo, denoiser, tile_plan: TilePlan,
@@ -363,7 +337,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
             guidance, keys = gcg_mod.multiscale_gcg(
                 video_ds, mask_ds, initial, g.tau, stage1, sample,
                 config.seed, kcount, delta)
-            guided, guided_mask = insert_guidance(video_ds, mask_ds, guidance, keys)
+            guided, guided_mask = gcg_mod.insert_guidance(video_ds, mask_ds, guidance, keys)
 
     with _stage(timings, "completion"):
         if use_downsample:

@@ -161,8 +161,8 @@ class CaseGeometry:
     def __post_init__(self):
         fy, fx, fh, fw = self.full
         cy, cx, ch, cw = self.crop
-        if cy < fy or cx < fx or cy + ch > fy + fh or cx + cw > fx + fw:
-            raise GeometryError(f"crop {self.crop} not contained in full {self.full}")
+        if min(ch, cw) < 1 or cy < fy or cx < fx or cy + ch > fy + fh or cx + cw > fx + fw:
+            raise GeometryError(f"crop {self.crop} is empty or not contained in full {self.full}")
 
     @property
     def placement(self) -> PadSpec:

@@ -106,12 +106,14 @@ class PadSpec:
 
     target_height: int
     target_width: int
-    offset_y: int
-    offset_x: int
+    offset_y: int = 0
+    offset_x: int = 0
 
-    def validate(self, height: int, width: int) -> None:
+    def __post_init__(self):
         if self.offset_y < 0 or self.offset_x < 0:
             raise ShapeError("negative pad offsets")
+
+    def validate(self, height: int, width: int) -> None:
         if self.offset_y + height > self.target_height:
             raise ShapeError(
                 f"offset_y {self.offset_y} + H {height} exceeds target {self.target_height}"
@@ -222,9 +224,10 @@ def _read_raw_array(path: str | Path) -> np.ndarray:
     f, h, w, c = struct.unpack("<IIII", raw[4:20])
     count = f * h * w * c
     payload = raw[20:]
-    if len(payload) < count * 4:
-        raise FormatError(f"{path}: truncated payload ({len(payload)} bytes for {count} floats)")
-    data = np.frombuffer(payload[:count * 4], dtype="<f4").reshape(f, h, w, c)
+    if len(payload) != count * 4:
+        raise FormatError(f"{path}: payload of {len(payload)} bytes, expected {count * 4} "
+                          f"for {count} floats")
+    data = np.frombuffer(payload, dtype="<f4").reshape(f, h, w, c)
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: non-finite values in payload")
     return np.array(data, dtype=np.float32)

@@ -49,7 +49,7 @@ def test_criterion_01_blend_partition_of_unity():
 
 def test_criterion_02_single_tile_equivalence():
     t0 = time.time()
-    den = ToyDenoiser(DenoiserConfig(neighbor_radius=3))
+    den = ToyDenoiser(DenoiserConfig(radius=3))
     worst = 0.0
     for trial in range(10):
         g = np.random.default_rng(100 + trial)
@@ -135,7 +135,7 @@ def test_criterion_05_swap_ablation_direction():
         vds, mds = pad_video(case.input, case.geometry.placement)
         vds = VideoTensor(np.where(mds.data > 0, 0.0, vds.data))
         den = ToyDenoiser(DenoiserConfig(lambda_sparse=1.0, lambda_dense=2.0,
-                                         neighbor_radius=6))
+                                         radius=6))
         vals = {}
         for swap_steps in (8, 0):
             sample = SampleSchedule(40, swap_steps)
@@ -166,7 +166,7 @@ def _ablation_config(case, seed, mode):
         tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
                                      tile_x=12, overlap_y=4, overlap_x=4),
         denoiser=DenoiserConfig(lambda_sparse=2.5, lambda_dense=2.0,
-                                neighbor_radius=5))
+                                radius=5))
 
 
 def test_criterion_06_compression_ablation_ordering():
@@ -273,7 +273,7 @@ def test_criterion_09_per_step_blending_reduces_seams():
     for seed in range(5):
         case = scene.preset_case("textured", seed)
         cond, mask = pad_video(case.input, case.geometry.placement)
-        den = ToyDenoiser(DenoiserConfig(lambda_dense=2.0, neighbor_radius=4))
+        den = ToyDenoiser(DenoiserConfig(lambda_dense=2.0, radius=4))
         sample = SampleSchedule(8)
         p = tmod.plan(cond.shape[:3], 16, 12, 12, 4, 4, 4)
         per_step = pipeline.temporal_completion(cond, mask, den, p, sample, seed)
@@ -314,7 +314,7 @@ def test_criterion_10_determinism_and_io(tmp_path):
         gcg=pipeline.GcgParams(keyframes=3, delta=1, tau=16),
         tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
                                      tile_x=12, overlap_y=4, overlap_x=4),
-        denoiser=DenoiserConfig(neighbor_radius=4))
+        denoiser=DenoiserConfig(radius=4))
     outputs = []
     for repeat in (0, 1, 2):
         path = tmp_path / f"out_r{repeat}.hlvd"

@@ -53,13 +53,25 @@ def _synth(tmp_path: Path, prefix="case", seed=3, frames=8) -> Path:
 
 def _usage_error(tmp_path: Path, capsys, config: Path, *flags: str) -> str:
     """Run `outpaint` expecting exit 2 with a one-line error; return the line."""
-    prefix = _synth(tmp_path)
+    with pytest.MonkeyPatch.context() as mp:  # synth checks HLOP_SEED too
+        mp.delenv("HLOP_SEED", raising=False)
+        prefix = _synth(tmp_path)
     capsys.readouterr()
     out = tmp_path / "o.hlvd"
     assert main(["outpaint", str(config), f"{prefix}.input.hlvd", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+    return err
+
+
+def _synth_error(tmp_path: Path, capsys, argv: list) -> str:
+    """Run `synth` expecting exit 2 with a one-line error and no files."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("x.*"))
     return err
 
 
@@ -98,6 +110,40 @@ class TestSynth:
 
     def test_missing_spec_is_usage_error(self, tmp_path):
         assert main(["synth", "--out-prefix", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)], ids=["negative", "2**64"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_bad_seed_exit_2(self, tmp_path, capsys, monkeypatch, seed, source):
+        argv = ["synth", "--preset", "textured", "--out-prefix", str(tmp_path / "x")]
+        if source == "env":
+            monkeypatch.setenv("HLOP_SEED", seed)
+        else:
+            argv += ["--seed", seed]
+        assert "seed must be an integer" in _synth_error(tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize("edit, flags, named", [
+        ({"bogus": 1}, (), "bogus"),
+        ({"seed": None}, (), "seed"),
+        ({"seed": -1}, (), "seed"),
+        ({}, ("--crop=a,b,c,d",), "a,b,c,d"),
+        ({}, ("--frames", "0"), "--frames"),
+        ({}, ("--full=0,0,4,4",), "not contained"),
+        ({}, ("--crop=0,0,0,4",), "empty"),
+    ], ids=["unknown-key", "missing-seed", "negative-seed", "crop-not-int", "zero-frames",
+            "crop-outside-full", "empty-crop"])
+    def test_malformed_scene_input_exit_2(self, tmp_path, capsys, edit, flags, named):
+        scene_file = _write_scene(tmp_path / "scene.json")
+        doc = json.loads(scene_file.read_text())
+        doc.update(edit)
+        scene_file.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        argv = ["synth", "--scene", str(scene_file), "--frames", "4", "--crop=-8,-12,16,16",
+                "--full=-8,-12,16,24", *flags, "--out-prefix", str(tmp_path / "x")]
+        assert named in _synth_error(tmp_path, capsys, argv)
+
+    def test_preset_rejects_scene_flags(self, tmp_path, capsys):
+        argv = ["synth", "--preset", "textured", "--frames", "8",
+                "--out-prefix", str(tmp_path / "x")]
+        assert "--frames" in _synth_error(tmp_path, capsys, argv)
 
 
 class TestOutpaint:
@@ -150,6 +196,12 @@ class TestOutpaint:
         assert main(["outpaint", str(bad), f"{prefix}.input.hlvd",
                      str(tmp_path / "o.hlvd")]) == 2
 
+    def test_unparsable_integer_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"pad": {"target_height": 16, "target_width": 24}, "seed": %s}'
+                       % ("9" * 5000))
+        assert "not valid JSON" in _usage_error(tmp_path, capsys, bad)
+
     @pytest.mark.parametrize("doc", [
         {"pad": 3},
         [{"pad": {"target_height": 16, "target_width": 24}}],
@@ -183,6 +235,28 @@ class TestOutpaint:
         assert "seed" in _usage_error(tmp_path, capsys, config, "--seed", "-1")
         monkeypatch.setenv("HLOP_SEED", str(2 ** 64))
         assert "seed" in _usage_error(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("gcg", "keyframes", True), ("gcg", "delta_auto", "no"), ("gcg", "delta_auto", 0),
+        ("sampler", "total_steps", 2.5), ("sampler", "refine_strength", "0.5"),
+        ("tiling", "tile_t", 16.0), ("working", "height", 8.5),
+        ("pad", "target_width", 24.9), ("pad", "target_height", "16"),
+        ("denoiser", "radius", 3.9), ("denoiser", "lambda_dense", "2")])
+    def test_value_not_of_field_type_exit_2(self, tmp_path, capsys, section, key, value):
+        doc = json.loads(_config(tmp_path).read_text())
+        doc.setdefault(section, {"width": 24} if section == "working" else {})[key] = value
+        err = _usage_error(tmp_path, capsys, _config(tmp_path, **doc))
+        assert f"config field {section}.{key} must be" in err and "stage" not in err
+
+    def test_hlvd_trailing_bytes_exit_2(self, tmp_path, capsys):
+        prefix = _synth(tmp_path)
+        padded = tmp_path / "padded.hlvd"
+        padded.write_bytes(Path(f"{prefix}.input.hlvd").read_bytes() + b"junk")
+        capsys.readouterr()
+        assert main(["export-ppm", str(padded), str(tmp_path / "frames")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "payload" in err
+        assert not (tmp_path / "frames").exists()
 
     def test_bad_input_file_exit_2(self, tmp_path):
         config = _config(tmp_path)

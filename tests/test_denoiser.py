@@ -184,7 +184,7 @@ class TestToyDenoiser:
         got = ToyDenoiser(PURE_FILL).denoise(req)
         # the pinned formula plus the [-1, 1] clamp of the clean estimate
         x0 = inverse_distance_fill(cond, mask, PURE_FILL.lambda_dense,
-                                   PURE_FILL.neighbor_radius, PURE_FILL.fill_floor)
+                                   PURE_FILL.radius, PURE_FILL.fill_floor)
         expected = (req.z.data - np.clip(x0, -1.0, 1.0)) / 0.7
         np.testing.assert_allclose(got.data, expected, atol=1e-6)
 
@@ -226,7 +226,7 @@ class TestToyDenoiser:
             mask[g.uniform(size=frames) < 0.5] = 1.0
         elif masking == "all anchors":
             mask[:] = 1.0
-        cfg = DenoiserConfig(neighbor_radius=3, latent_carryover=carryover)
+        cfg = DenoiserConfig(radius=3, latent_carryover=carryover)
         den = ToyDenoiser(cfg)
         prepared = den.prepare(VideoTensor(cond), MaskVideo(mask), mode)
         z = VideoTensor(g.standard_normal(shape).astype(z_dtype))
@@ -238,7 +238,7 @@ class TestToyDenoiser:
             # the pinned formula: fill, latent carryover, clamp
             folded = fold_anchor_frames(req.mask.data)
             x0 = inverse_distance_fill(req.condition.data, folded, cfg.temporal_scale(mode),
-                                       cfg.neighbor_radius, cfg.fill_floor)
+                                       cfg.radius, cfg.fill_floor)
             if carryover > 0.0:
                 x0 = x0 + carryover * folded * (_smooth3(req.z.data) - x0)
             expected = (req.z.data - np.clip(x0, -1.0, 1.0)) / t_from
@@ -312,7 +312,7 @@ class TestAnchorFolding:
         mask = np.zeros((2, 3, 3, 1), np.float32)
         mask[0, 1, 1, 0] = 1.0
         mask[1] = 1.0
-        den = ToyDenoiser(DenoiserConfig(lambda_dense=1.0, neighbor_radius=3,
+        den = ToyDenoiser(DenoiserConfig(lambda_dense=1.0, radius=3,
                                          latent_carryover=0.0))
         z = np.zeros((2, 3, 3, 1), np.float32)
         v = den.denoise(_request(cond, mask, z=z, t=1.0))

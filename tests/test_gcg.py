@@ -148,7 +148,7 @@ class TestConstructGcg:
         mask = MaskVideo(m)
         sched = make_schedule(24, 5, 2, 0, 8)
         sample = SampleSchedule(4, 0)
-        den = ToyDenoiser(DenoiserConfig(neighbor_radius=3))
+        den = ToyDenoiser(DenoiserConfig(radius=3))
         out = construct_gcg(cond, mask, sched, den, sample, 11, noise_tag="probe")
         # manual keyframe-stack denoising from the same per-frame noise
         idx = list(sched.indices)
@@ -171,7 +171,7 @@ class TestConstructGcg:
         # the neighborhood must reach across stack frames (radius > lambda),
         # otherwise per-frame trajectories are stack-independent and the swap
         # is vacuously a no-op
-        den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, neighbor_radius=6))
+        den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=6))
         outs = {}
         for S in (2, 0):
             sched = make_schedule(24, 5, 2, S, 8)
@@ -206,7 +206,7 @@ class TestMultiscale:
         cond = VideoTensor(video.data * (1 - m))
         mask = MaskVideo(m)
         sample = SampleSchedule(3, 1)
-        den = ToyDenoiser(DenoiserConfig(neighbor_radius=3))
+        den = ToyDenoiser(DenoiserConfig(radius=3))
         initial = select_keyframes(20, 5)
         merged, keys = multiscale_gcg(cond, mask, initial, tau=5, denoiser=den,
                                       sample=sample, rng_seed=9, count=5, delta=2)
@@ -225,7 +225,7 @@ class TestMultiscale:
         mask = MaskVideo(m)
         hist = []
         merged, keys = multiscale_gcg(cond, mask, select_keyframes(33, 5), tau=4,
-                                      denoiser=ToyDenoiser(DenoiserConfig(neighbor_radius=3)),
+                                      denoiser=ToyDenoiser(DenoiserConfig(radius=3)),
                                       sample=SampleSchedule(3, 1), rng_seed=5,
                                       count=5, delta=2, history=hist)
         assert max_index_gap(keys) <= 4
@@ -249,7 +249,7 @@ class TestMultiscale:
         cond = VideoTensor(video.data * (1 - m))
         mask = MaskVideo(m)
         merged, keys = multiscale_gcg(cond, mask, select_keyframes(481, 13), tau=20,
-                                      denoiser=ToyDenoiser(DenoiserConfig(neighbor_radius=2)),
+                                      denoiser=ToyDenoiser(DenoiserConfig(radius=2)),
                                       sample=SampleSchedule(2, 1), rng_seed=3,
                                       count=13, delta=5)
         assert len(keys) == 25

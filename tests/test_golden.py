@@ -44,7 +44,7 @@ def _config(case, mode):
         tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
                                      tile_x=12, overlap_y=4, overlap_x=4),
         denoiser=DenoiserConfig(lambda_sparse=2.5, lambda_dense=2.0,
-                                neighbor_radius=5))
+                                radius=5))
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,20 @@
 """End-to-end orchestration: config, stages, codec, ablation modes."""
+import copy
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from outpainter import rng, scene
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
+from outpainter.gcg import insert_guidance
 from outpainter.pipeline import (GcgParams, PipelineConfig, SamplerParams,
                                  StageError, TilingParams, codec_decode,
-                                 codec_encode, codec_encode_mask,
-                                 insert_guidance, run, spatial_refinement,
-                                 temporal_completion)
+                                 codec_encode, codec_encode_mask, run,
+                                 spatial_refinement, temporal_completion)
 from outpainter.sampler import SampleSchedule
 from outpainter.tiling import ConfigError, plan
 from outpainter.video import MaskVideo, PadSpec, VideoTensor, pad_video
@@ -23,10 +29,61 @@ def _small_config(mode="full", seed=0, **overrides):
         gcg=GcgParams(keyframes=3, delta=1, tau=4),
         tiling=TilingParams(tile_t=8, overlap_t=2, tile_y=16, tile_x=24,
                             overlap_y=4, overlap_x=6),
-        denoiser=DenoiserConfig(neighbor_radius=3),
+        denoiser=DenoiserConfig(radius=3),
     )
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+# Values of the wrong JSON type for int, bool and float fields; nothing may be
+# coerced, and a float field takes finite numbers only.
+BAD_TYPES = [
+    ("gcg", "keyframes", True), ("gcg", "delta_auto", 0), ("tiling", "tile_t", 16.0),
+    ("working", "height", 8.5), ("denoiser", "lambda_dense", "2"),
+    ("denoiser", "fill_floor", float("inf")), ("sampler", "refine_strength", None),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+# Every key of the config's JSON form: the sections themselves and their keys.
+_DOC = PipelineConfig(pad=PadSpec(16, 24)).to_dict()
+_KEY_PATHS = sorted([k] for k in _DOC) + sorted(
+    [k, sub] for k, v in _DOC.items() if isinstance(v, dict) for sub in v)
+
+
+def _default(path: list):
+    return _DOC[path[0]] if len(path) == 1 else _DOC[path[0]][path[1]]
+
+
+def _typed_values(path: list):
+    """Values of the key's own type, most of them in range."""
+    hint = type(_default(path))
+    if hint is bool:
+        return st.booleans()
+    if hint is int:
+        return st.integers(-2, 2 ** 64 + 1) | st.integers(0, 64)
+    if hint is float:
+        return st.floats(-1.0, 2.0) | st.integers(-1, 3)
+    return st.just(_default(path))
+
+
+def _load_or_config_error(edits) -> None:
+    """Load a valid config with `edits` (key path, value) applied: it loads
+    and round-trips through `to_dict`, or raises ConfigError."""
+    doc = _small_config().to_dict()
+    for path, value in edits:
+        if len(path) == 2 and not isinstance(doc[path[0]], dict):
+            doc[path[0]] = {}
+        (doc[path[0]] if len(path) == 2 else doc)[path[-1]] = copy.deepcopy(value)
+    try:
+        cfg = PipelineConfig.from_dict(doc)
+    except ConfigError:
+        return
+    assert PipelineConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
 def _input_clip(frames=8, h=16, w=16, seed=0):
@@ -125,6 +182,52 @@ class TestConfig:
                 "pad": {"target_height": 8, "target_width": 8},
                 "denoiser": {"kind": "unet"}})
 
+    @pytest.mark.parametrize("section, key, value", BAD_TYPES)
+    def test_value_not_of_field_type_named(self, section, key, value):
+        doc = _small_config().to_dict()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^config field {section}\.{key} must be "):
+            PipelineConfig.from_dict(doc)
+
+    def test_integer_in_float_field_is_a_float(self):
+        doc = _small_config().to_dict()
+        doc["sampler"]["refine_strength"] = 1
+        doc["denoiser"]["lambda_dense"] = 3
+        cfg = PipelineConfig.from_dict(doc)
+        assert type(cfg.sampler.refine_strength) is float
+        assert type(cfg.denoiser.lambda_dense) is float and cfg.denoiser.lambda_dense == 3.0
+
+    @pytest.mark.parametrize("section, value, named", [
+        ("sampler", {"total_steps": 0}, "total_steps"),
+        ("denoiser", {"radius": 0}, "denoiser: radius"),
+        ("pad", {"target_height": 16}, "target_width"),
+        ("pad", {"target_height": 16, "target_width": 24, "offset_y": -1}, "pad: negative"),
+        ("working", {"height": 0, "width": 8}, "working resolution"),
+        ("sampler", [3], "sampler must be an object"),
+    ], ids=["range", "denoiser-range", "missing", "pad-range", "working-range", "not-object"])
+    def test_range_and_shape_errors_are_config_errors(self, section, value, named):
+        doc = _small_config().to_dict()
+        doc[section] = value
+        with pytest.raises(ConfigError, match=named):
+            PipelineConfig.from_dict(doc)
+
+    @given(edits=st.lists(st.tuples(st.sampled_from(_KEY_PATHS), JSON_VALUES),
+                          min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_values_load_or_raise_config_error(self, edits):
+        _load_or_config_error(edits)
+
+    @given(edits=st.lists(st.sampled_from(_KEY_PATHS).flatmap(
+        lambda path: st.tuples(st.just(path), _typed_values(path))), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_configs_round_trip(self, edits):
+        _load_or_config_error(edits)
+
+    def test_readme_schema_block_is_the_default_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"### Config schema.*?```json\n(.*?)```", readme, re.S).group(1)
+        assert json.loads(block) == PipelineConfig(pad=PadSpec(16, 24)).to_dict()
+
 
 class TestGuidanceInsertion:
     def test_inserts_content_and_trust(self):
@@ -154,7 +257,7 @@ class TestTemporalCompletion:
         guided = _input_clip(8, 8, 8, seed=2)
         mask = MaskVideo(np.ones((8, 8, 8, 1), np.float32))
         p = plan((8, 8, 8), 6, 8, 8, 2, 0, 0)
-        out = temporal_completion(guided, mask, ToyDenoiser(DenoiserConfig(neighbor_radius=3)),
+        out = temporal_completion(guided, mask, ToyDenoiser(DenoiserConfig(radius=3)),
                                   p, SampleSchedule(4), rng_seed=1)
         np.testing.assert_allclose(out.data, guided.data, atol=1e-6)
 
@@ -174,7 +277,7 @@ class TestSpatialRefinement:
         completed = VideoTensor(rng.normals(3, "completed", (4, 8, 12, 3)) * 0.3)
         p = plan((4, 8, 12), 4, 8, 12)
         out = spatial_refinement(completed, padded, mask,
-                                 ToyDenoiser(DenoiserConfig(neighbor_radius=3)), p,
+                                 ToyDenoiser(DenoiserConfig(radius=3)), p,
                                  SampleSchedule(10), strength=0.01, rng_seed=2)
         # the upsampling stage clamps to the valid data range before compositing
         composite = np.where(mask.data > 0,
@@ -286,7 +389,7 @@ class TestRun:
             gcg=GcgParams(keyframes=3, delta=1, tau=16),
             tiling=TilingParams(tile_t=16, overlap_t=4, tile_y=12, tile_x=12,
                                 overlap_y=4, overlap_x=4),
-            denoiser=DenoiserConfig(neighbor_radius=3))
+            denoiser=DenoiserConfig(radius=3))
         result = run(cfg, case.input)
         assert result.output.shape == case.ground_truth.shape
         mask = scene.case_mask(case)

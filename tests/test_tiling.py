@@ -162,7 +162,7 @@ class TestTiledPass:
         return (VideoTensor(z), VideoTensor(cond), MaskVideo(mask))
 
     def test_single_tile_matches_untiled(self):
-        den = ToyDenoiser(DenoiserConfig(neighbor_radius=3))
+        den = ToyDenoiser(DenoiserConfig(radius=3))
         for seed in range(3):
             z, cond, mask = self._problem(seed)
             p = plan(z.shape[:3], z.frames, z.height, z.width)
@@ -173,7 +173,7 @@ class TestTiledPass:
             np.testing.assert_allclose(tiled.data, untiled.data, atol=1e-6)
 
     def test_all_observed_converges_to_condition(self):
-        den = ToyDenoiser(DenoiserConfig(neighbor_radius=3))
+        den = ToyDenoiser(DenoiserConfig(radius=3))
         g = np.random.default_rng(2)
         cond = VideoTensor(g.uniform(-0.8, 0.8, (6, 12, 12, 3)).astype(np.float32))
         mask = MaskVideo(np.zeros((6, 12, 12, 1), np.float32))
@@ -199,7 +199,7 @@ class TestTiledPass:
 
 class TestSpatialAdapter:
     def test_matches_spatial_pass(self):
-        den = ToyDenoiser(DenoiserConfig(neighbor_radius=3))
+        den = ToyDenoiser(DenoiserConfig(radius=3))
         g = np.random.default_rng(5)
         shape = (4, 16, 16, 3)
         cond = g.uniform(-0.8, 0.8, shape).astype(np.float32)

@@ -201,6 +201,13 @@ class TestRawFormat:
         with pytest.raises(FormatError):
             read_raw(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long.hlvd"
+        write_raw(path, _video((2, 4, 4, 3)))
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(FormatError, match="payload"):
+            read_raw(path)
+
 
 class TestPpm:
     def test_byte_mapping(self, tmp_path):
