@@ -6,11 +6,14 @@ The environment variable HLOP_SEED overrides any configured seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from . import metrics, pipeline, scene, video
 
@@ -51,12 +54,11 @@ def _resolve_seed(config_seed: int, flag_seed: int | None) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = pipeline.check_seed(_resolve_seed(0, args.seed))
     if args.preset:
         given = [f"--{k}" for k in ("scene", "frames", "crop", "full") if vars(args)[k] is not None]
         if given:
             raise pipeline.ConfigError(f"--preset does not take {', '.join(given)}")
-        case = scene.preset_case(args.preset, seed)
+        case = scene.preset_case(args.preset, pipeline.check_seed(_resolve_seed(0, args.seed)))
     else:
         if not args.scene:
             raise pipeline.ConfigError("synth needs --preset or --scene")
@@ -72,7 +74,8 @@ def cmd_synth(args) -> int:
             raise pipeline.ConfigError(f"--frames must be >= 1, got {frames}")
         geometry = scene.CaseGeometry(full=_parse_rect(args.full),
                                       crop=_parse_rect(args.crop))
-        case = scene.make_case(spec, frames, geometry)
+        seed = pipeline.check_seed(_resolve_seed(spec.seed, args.seed))
+        case = scene.make_case(dataclasses.replace(spec, seed=seed), frames, geometry)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     video.write_raw(f"{prefix}.input.hlvd", case.input)
@@ -101,6 +104,10 @@ def _load_config(path: str, mode: str | None, seed: int | None) -> pipeline.Pipe
 
 def _run_one(config: pipeline.PipelineConfig, in_path: str, out_path: str) -> pipeline.RunResult:
     clip = video.read_raw(in_path)
+    peak = float(np.abs(clip.data).max())
+    if peak > 1.0:
+        raise video.FormatError(f"{in_path}: values must lie in [-1, 1], "
+                                f"largest |value| is {peak:g}")
     result = pipeline.run(config, clip)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -153,7 +160,6 @@ def cmd_export_ppm(args) -> int:
 
 def cmd_ablate(args) -> int:
     outdir = Path(args.dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     truth = video.read_raw(args.truth) if args.truth else None
     mask = video.read_mask(args.mask) if args.mask else None
     table = {}

@@ -16,27 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import ScheduleError, weight
+from .sampler import ScheduleError
 from .video import MaskVideo, ShapeError, VideoTensor
 
 MODES = ("sparse", "dense")
-
-
-@dataclass(frozen=True)
-class DenoiseRequest:
-    z: VideoTensor
-    condition: VideoTensor
-    mask: MaskVideo
-    t: float
-    mode: str = "dense"
-
-    def __post_init__(self):
-        if self.z.shape != self.condition.shape:
-            raise ShapeError(f"z {self.z.shape} vs condition {self.condition.shape}")
-        if not self.mask.matches(self.z):
-            raise ShapeError(f"mask {self.mask.data.shape} does not match {self.z.shape}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -47,9 +30,6 @@ class Prepared:
     condition: VideoTensor
     mask: MaskVideo
     mode: str
-
-    def request(self, z: VideoTensor, t: float) -> DenoiseRequest:
-        return DenoiseRequest(z, self.condition, self.mask, t, self.mode)
 
 
 @dataclass(frozen=True)
@@ -206,24 +186,15 @@ class ToyDenoiser:
         x0.flags.writeable = False
         return PreparedFill(condition, mask, mode, x0, carry_mask)
 
-    def denoise(self, req: DenoiseRequest, prepared: PreparedFill | None = None) -> VideoTensor:
-        """Velocity for one step.  `prepared` is `self.prepare(req.condition,
-        req.mask, req.mode)`, shared by every step of a stage; without it the
-        fill is prepared for this call alone."""
-        if req.t <= 0.0:
+    def denoise(self, prepared: PreparedFill, z: VideoTensor, t: float) -> VideoTensor:
+        """Velocity for one step from `prepared`, which is
+        `self.prepare(condition, mask, mode)`, shared by every step of a stage."""
+        if t <= 0.0:
             raise ScheduleError("t must be > 0: no denoising step remains")
-        if prepared is None:
-            prepared = self.prepare(req.condition, req.mask, req.mode)
+        if z.shape != prepared.condition.shape:
+            raise ShapeError(f"z {z.shape} vs condition {prepared.condition.shape}")
         x0 = prepared.x0
         if prepared.carry_mask is not None:
-            x0 = x0 + self.config.latent_carryover * prepared.carry_mask * (_smooth3(req.z.data) - x0)
+            x0 = x0 + self.config.latent_carryover * prepared.carry_mask * (_smooth3(z.data) - x0)
         x0 = np.clip(x0, -1.0, 1.0)
-        return VideoTensor((req.z.data - x0) / req.t)
-
-
-def training_loss(v_hat: VideoTensor, v_star: VideoTensor, t: float) -> float:
-    """Weighted mean squared velocity error."""
-    if v_hat.shape != v_star.shape:
-        raise ShapeError(f"shape mismatch: {v_hat.shape} vs {v_star.shape}")
-    diff = v_hat.data.astype(np.float64) - v_star.data.astype(np.float64)
-    return float(np.mean(diff * diff) * weight(t))
+        return VideoTensor((z.data - x0) / t)

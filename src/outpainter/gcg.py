@@ -121,29 +121,29 @@ def _init_noise(rng_seed: int, tag: str, idx: tuple[int, ...],
 
 def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo, sched: KeyframeSchedule,
                   denoiser, sample: SampleSchedule, rng_seed: int,
-                  noise_tag: str = "gcg", prepared: dict | None = None) -> VideoTensor:
+                  noise_tag: str = "gcg", shared: dict | None = None) -> VideoTensor:
     """Denoise the keyframe stack and all local windows in lockstep, swapping
     window latents into the global stack for the first swap_steps steps.
-    Each stack is prepared once, before the step loop, into `prepared` (frame
+    Each stack is prepared once, before the step loop, into `shared` (frame
     indices -> prepared state), which constructions on one video may share."""
     frame_shape = video_ds.shape[1:]
-    prepared = {} if prepared is None else prepared
+    shared = {} if shared is None else shared
     for idx in (sched.indices,) + sched.windows:
-        if idx not in prepared:
-            prepared[idx] = denoiser.prepare(VideoTensor(_stack(video_ds.data, idx)),
-                                             MaskVideo(_stack(mask_ds.data, idx)), "sparse")
-    prep_g = prepared[sched.indices]
-    prep_w = [prepared[win] for win in sched.windows]
+        if idx not in shared:
+            shared[idx] = denoiser.prepare(VideoTensor(_stack(video_ds.data, idx)),
+                                           MaskVideo(_stack(mask_ds.data, idx)), "sparse")
+    prep_g = shared[sched.indices]
+    prep_w = [shared[win] for win in sched.windows]
     z_g = _init_noise(rng_seed, noise_tag, sched.indices, frame_shape)
     z_w = [_init_noise(rng_seed, noise_tag, win, frame_shape) for win in sched.windows]
     times = sample.times
     for s in range(sample.total_steps):
         t_from, t_to = float(times[s]), float(times[s + 1])
-        v_g = denoiser.denoise(prep_g.request(z_g, t_from), prep_g)
+        v_g = denoiser.denoise(prep_g, z_g, t_from)
         z_g = step(z_g, v_g, t_from, t_to)
         new_w = []
         for zi, pi in zip(z_w, prep_w):
-            v_i = denoiser.denoise(pi.request(zi, t_from), pi)
+            v_i = denoiser.denoise(pi, zi, t_from)
             new_w.append(step(zi, v_i, t_from, t_to))
         z_w = new_w
         z_g = swap_globals(z_g, z_w, sched, s)
@@ -182,7 +182,7 @@ def insert_guidance(video_ds: VideoTensor, mask_ds: MaskVideo, guidance: VideoTe
 
 def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
                   denoiser, sample: SampleSchedule, rng_seed: int, count: int,
-                  delta: int, swap_steps: int, tau: int, tag: str) -> np.ndarray:
+                  delta: int, tau: int, tag: str) -> np.ndarray:
     """Construct guidance for `keys`, split into overlapping capacity-K
     segments blended along the keyframe-index axis; returns len(keys) frames."""
     total_frames = cond_v.frames
@@ -190,15 +190,15 @@ def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
     seg_size = min(count, len(keys))
     seg_plan = plan((len(keys), h, w), seg_size, h, w, min(2, seg_size - 1))
     seg_outputs = []
-    prepared: dict = {}
+    shared: dict = {}
     for tile in seg_plan.tiles:
         seg_keys = tuple(keys[tile.f0:tile.f1])
-        sched = make_schedule(total_frames, seg_size, delta, swap_steps, tau, seg_keys)
+        sched = make_schedule(total_frames, seg_size, delta, sample.swap_steps, tau, seg_keys)
         # overlapping segments share windows: keep only the stacks this one reuses
         stacks = {sched.indices, *sched.windows}
-        prepared = {idx: p for idx, p in prepared.items() if idx in stacks}
+        shared = {idx: p for idx, p in shared.items() if idx in stacks}
         out = construct_gcg(cond_v, msk_v, sched, denoiser, sample, rng_seed,
-                            noise_tag=tag, prepared=prepared)
+                            noise_tag=tag, shared=shared)
         seg_outputs.append((tile, out))
     return blend(seg_outputs, seg_plan).data.copy()
 
@@ -206,8 +206,7 @@ def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
 def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
                    initial: tuple[int, ...], tau: int, denoiser,
                    sample: SampleSchedule, rng_seed: int, count: int,
-                   delta: int, swap_steps: int | None = None,
-                   history: list | None = None
+                   delta: int, history: list | None = None
                    ) -> tuple[VideoTensor, tuple[int, ...]]:
     """Iteratively densify keyframes via midpoints until the maximum gap is at
     most tau; keyframes from earlier rounds stay bit-identical.
@@ -215,11 +214,9 @@ def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
     If `history` is given, (keys, frames) snapshots are appended per round.
     """
     total_frames = video_ds.frames
-    if swap_steps is None:
-        swap_steps = sample.swap_steps
     keys = sorted(set(initial))
     merged = _run_segments(keys, video_ds, mask_ds, denoiser, sample, rng_seed,
-                           count, delta, swap_steps, tau, "gcg:r0")
+                           count, delta, tau, "gcg:r0")
     known: dict[int, np.ndarray] = {k: merged[i] for i, k in enumerate(keys)}
     if history is not None:
         history.append((tuple(keys), merged.copy()))
@@ -234,7 +231,7 @@ def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
                                         VideoTensor(np.stack(list(known.values()))),
                                         tuple(known))
         merged = _run_segments(keys, cond_v, msk_v, denoiser, sample, rng_seed, count,
-                               delta, swap_steps, tau, f"gcg:r{rounds}")
+                               delta, tau, f"gcg:r{rounds}")
         for pos, k in enumerate(keys):
             if k in known:
                 merged[pos] = known[k]

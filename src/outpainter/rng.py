@@ -47,13 +47,6 @@ def uniforms(seed: int, label: str, n: int) -> np.ndarray:
     return (bits.astype(np.float64) + 1.0) * (2.0 ** -53)
 
 
-def uniform_int(seed: int, label: str, high: int) -> int:
-    """One uniform integer in [0, high)."""
-    if high <= 0:
-        raise ValueError("high must be positive")
-    return int(_raw64(seed, label, 1)[0] % np.uint64(high))
-
-
 def normals(seed: int, label: str, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normal field of the given shape via Box-Muller, float32."""
     n = int(np.prod(shape)) if shape else 1

@@ -74,9 +74,3 @@ def sdedit_start(x_init: VideoTensor, strength: float, schedule: SampleSchedule,
     eps = VideoTensor(rng.normals(rng_seed, label, x_init.shape))
     return add_noise(x_init, eps, float(t_s)), start_step
 
-
-def weight(t: float) -> float:
-    """Loss weighting of the training objective; constant by design."""
-    if not 0.0 <= t <= 1.0:
-        raise ScheduleError(f"t={t} outside [0, 1]")
-    return 1.0

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import DenoiseRequest, Prepared
+from .denoiser import Prepared
 from .sampler import step
 from .video import MaskVideo, ShapeError, VideoTensor
 
@@ -168,7 +168,7 @@ def tiled_denoise_pass(z: VideoTensor, tile_plan: TilePlan, denoiser, t_from: fl
     outputs = []
     for tile, prep in zip(tile_plan.tiles, prepared, strict=True):
         z_tile = VideoTensor(_slice_tile(z.data, tile))
-        v_hat = denoiser.denoise(prep.request(z_tile, t_from), prep)
+        v_hat = denoiser.denoise(prep, z_tile, t_from)
         outputs.append((tile, step(z_tile, v_hat, t_from, t_to)))
     return blend(outputs, tile_plan)
 
@@ -204,11 +204,11 @@ class SpatiallyTiledDenoiser:
         parts = prepare_tiles(self.inner, condition, mask, frame_plan, mode)
         return PreparedTiles(condition, mask, mode, frame_plan, tuple(parts))
 
-    def denoise(self, req: DenoiseRequest, prepared: PreparedTiles | None = None) -> VideoTensor:
-        if prepared is None:
-            prepared = self.prepare(req.condition, req.mask, req.mode)
+    def denoise(self, prepared: PreparedTiles, z: VideoTensor, t: float) -> VideoTensor:
+        if z.shape != prepared.condition.shape:
+            raise ShapeError(f"z {z.shape} vs condition {prepared.condition.shape}")
         outputs = []
         for tile, part in zip(prepared.plan.tiles, prepared.parts):
-            sub = part.request(VideoTensor(_slice_tile(req.z.data, tile)), req.t)
-            outputs.append((tile, self.inner.denoise(sub, part)))
+            z_tile = VideoTensor(_slice_tile(z.data, tile))
+            outputs.append((tile, self.inner.denoise(part, z_tile, t)))
         return blend(outputs, prepared.plan)

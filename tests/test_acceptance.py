@@ -15,7 +15,7 @@ import conftest
 from outpainter import gcg as gmod
 from outpainter import metrics, pipeline, rng, scene
 from outpainter import tiling as tmod
-from outpainter.denoiser import DenoiseRequest, DenoiserConfig, ToyDenoiser
+from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.sampler import SampleSchedule, step, velocity_target
 from outpainter.video import MaskVideo, VideoTensor, pad_video, read_raw, write_raw
 
@@ -62,7 +62,7 @@ def test_criterion_02_single_tile_equivalence():
         p = tmod.plan(shape[:3], shape[0], shape[1], shape[2])
         prepared = tmod.prepare_tiles(den, condition, maskv, p)
         tiled = tmod.tiled_denoise_pass(z, p, den, 1.0, 0.75, prepared)
-        v = den.denoise(DenoiseRequest(z, condition, maskv, 1.0, "dense"))
+        v = den.denoise(den.prepare(condition, maskv, "dense"), z, 1.0)
         untiled = step(z, v, 1.0, 0.75)
         worst = max(worst, float(np.abs(tiled.data - untiled.data).max()))
     ok = worst <= 1e-6
@@ -288,7 +288,7 @@ def test_criterion_09_per_step_blending_reduces_seams():
             prepared = den.prepare(c, m, "dense")
             for s in range(sample.total_steps):
                 t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
-                v = den.denoise(prepared.request(z, t_from), prepared)
+                v = den.denoise(prepared, z, t_from)
                 z = step(z, v, t_from, t_to)
             outputs.append((tile, z))
         final_merge = tmod.blend(outputs, p)

@@ -8,9 +8,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from outpainter import gcg, tiling
+from outpainter.denoiser import ToyDenoiser
+from outpainter.video import MaskVideo, VideoTensor
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -32,3 +35,12 @@ def test_every_traced_binding_exists(spans):
 def test_traced_arguments_keep_their_names():
     assert "tile_plan" in inspect.signature(tiling.tiled_denoise_pass).parameters
     assert "noise_tag" in inspect.signature(gcg.construct_gcg).parameters
+
+
+def test_zero_mask_hook_reads_prepared_mask():
+    # the zero-mask counter reads args[1].mask of ToyDenoiser.denoise
+    params = list(inspect.signature(ToyDenoiser.denoise).parameters)
+    assert params[:2] == ["self", "prepared"]
+    mask = MaskVideo(np.zeros((1, 2, 2, 1), np.float32))
+    prepared = ToyDenoiser().prepare(VideoTensor(np.zeros((1, 2, 2, 3), np.float32)), mask)
+    assert prepared.mask is mask

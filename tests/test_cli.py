@@ -43,12 +43,19 @@ def _config(tmp_path: Path, **overrides) -> Path:
 
 
 def _synth(tmp_path: Path, prefix="case", seed=3, frames=8) -> Path:
+    """Render `_write_scene`'s scene; `seed=None` passes no --seed flag."""
     scene_file = _write_scene(tmp_path / "scene.json")
     out = tmp_path / prefix
+    flags = [] if seed is None else ["--seed", str(seed)]
     assert main(["synth", "--scene", str(scene_file), "--frames", str(frames),
                  "--crop=-8,-12,16,16", "--full=-8,-12,16,24",
-                 "--seed", str(seed), "--out-prefix", str(out)]) == 0
+                 *flags, "--out-prefix", str(out)]) == 0
     return out
+
+
+def _same_files(a: Path, b: Path) -> bool:
+    return all(Path(f"{a}{suffix}").read_bytes() == Path(f"{b}{suffix}").read_bytes()
+               for suffix in (".input.hlvd", ".truth.hlvd", ".mask.hlvd"))
 
 
 def _usage_error(tmp_path: Path, capsys, config: Path, *flags: str) -> str:
@@ -79,8 +86,7 @@ class TestSynth:
     def test_writes_triplet_deterministically(self, tmp_path):
         a = _synth(tmp_path, "a")
         b = _synth(tmp_path, "b")
-        for suffix in (".input.hlvd", ".truth.hlvd", ".mask.hlvd"):
-            assert Path(f"{a}{suffix}").read_bytes() == Path(f"{b}{suffix}").read_bytes()
+        assert _same_files(a, b)
         clip = read_raw(f"{a}.input.hlvd")
         truth = read_raw(f"{a}.truth.hlvd")
         mask = read_mask(f"{a}.mask.hlvd")
@@ -96,6 +102,22 @@ class TestSynth:
                      "--out-prefix", str(out)]) == 0
         assert Path(f"{out}.input.hlvd").read_bytes() == \
             Path(f"{out}.truth.hlvd").read_bytes()
+
+    def test_scene_flag_seed_changes_render(self, tmp_path):
+        a = _synth(tmp_path, "a", seed=1)
+        b = _synth(tmp_path, "b", seed=2)
+        assert not _same_files(a, b)
+
+    def test_scene_file_seed_without_flag(self, tmp_path):
+        # _write_scene's scene file sets seed 17
+        assert _same_files(_synth(tmp_path, "none", seed=None),
+                           _synth(tmp_path, "flag", seed=17))
+
+    def test_scene_env_seed_beats_flag(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HLOP_SEED", "5")
+        env = _synth(tmp_path, "env", seed=1)
+        monkeypatch.delenv("HLOP_SEED")
+        assert _same_files(env, _synth(tmp_path, "flag", seed=5))
 
     def test_preset_smoke(self, tmp_path):
         out = tmp_path / "preset"
@@ -257,6 +279,22 @@ class TestOutpaint:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "payload" in err
         assert not (tmp_path / "frames").exists()
+
+    @pytest.mark.parametrize("command", ["outpaint", "ablate"])
+    def test_out_of_range_input_exit_2(self, tmp_path, capsys, command):
+        prefix = _synth(tmp_path)
+        data = read_raw(f"{prefix}.input.hlvd").data.copy()
+        data[2, 3, 4, 1] = 5.0
+        bad = tmp_path / "bad.hlvd"
+        write_raw(bad, VideoTensor(data))
+        out = tmp_path / "out"
+        target = out / "o.hlvd" if command == "outpaint" else out
+        capsys.readouterr()
+        assert main([command, str(_config(tmp_path)), str(bad), str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and "[-1, 1]" in err and "is 5\n" in err
+        assert not out.exists()
 
     def test_bad_input_file_exit_2(self, tmp_path):
         config = _config(tmp_path)

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from outpainter import rng
-from outpainter.denoiser import DenoiseRequest, DenoiserConfig, ToyDenoiser
-from outpainter.gcg import (KeyframeSchedule, build_window, construct_gcg,
+from outpainter import gcg, rng
+from outpainter.denoiser import DenoiserConfig, ToyDenoiser
+from outpainter.gcg import (GcgError, KeyframeSchedule, build_window, construct_gcg,
                             auto_delta, make_schedule, max_index_gap, midpoints,
                             multiscale_gcg, select_keyframes, swap_globals)
 from outpainter.sampler import SampleSchedule, step
@@ -156,9 +156,10 @@ class TestConstructGcg:
         mask_g = MaskVideo(mask.data[idx].copy())
         z = VideoTensor(np.concatenate(
             [rng.normals(11, f"probe:init:{f}", (1,) + cond.shape[1:]) for f in idx]))
+        prepared = den.prepare(cond_g, mask_g, "sparse")
         for s in range(4):
             t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
-            v = den.denoise(DenoiseRequest(z, cond_g, mask_g, t_from, "sparse"))
+            v = den.denoise(prepared, z, t_from)
             z = step(z, v, t_from, t_to)
         np.testing.assert_array_equal(out.data, z.data)
 
@@ -254,6 +255,19 @@ class TestMultiscale:
                                       count=13, delta=5)
         assert len(keys) == 25
         assert max_index_gap(keys) == 20
+
+    def test_round_cap_stops_stalled_densification(self, monkeypatch):
+        # with no midpoints added the gaps never shrink; the round cap,
+        # ceil(log2(33 / 4)) + 2 = 6, must end the loop
+        monkeypatch.setattr(gcg, "midpoints", lambda indices, tau: ())
+        video, mask = _observed_case(frames=33, seed=7)
+        m = np.zeros(mask.data.shape, np.float32)
+        m[:, :, 4:] = 1.0
+        with pytest.raises(GcgError, match="within 6 rounds"):
+            multiscale_gcg(VideoTensor(video.data * (1 - m)), MaskVideo(m),
+                           select_keyframes(33, 5), tau=4,
+                           denoiser=ToyDenoiser(DenoiserConfig(radius=3)),
+                           sample=SampleSchedule(1), rng_seed=5, count=5, delta=2)
 
 
 class TestAutoDelta:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from outpainter import rng, scene
+from outpainter import gcg, rng, scene
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
-from outpainter.gcg import insert_guidance
+from outpainter.gcg import GcgError, insert_guidance
 from outpainter.pipeline import (GcgParams, PipelineConfig, SamplerParams,
                                  StageError, TilingParams, codec_decode,
                                  codec_encode, codec_encode_mask, run,
@@ -379,6 +379,15 @@ class TestRun:
         with pytest.raises(StageError) as err:
             run(_small_config(), clip)
         assert err.value.stage == "pad"
+
+    def test_stalled_densification_is_guidance_error(self, monkeypatch):
+        monkeypatch.setattr(gcg, "midpoints", lambda indices, tau: ())
+        cfg = _small_config(mode="temporal_only",
+                            gcg=GcgParams(keyframes=3, delta=1, tau=1))
+        with pytest.raises(StageError) as err:
+            run(cfg, _input_clip())
+        assert err.value.stage == "guidance"
+        assert isinstance(err.value.cause, GcgError)
 
     def test_preset_ablation_smoke(self):
         case = scene.preset_case("drift", seed=1)

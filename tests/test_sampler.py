@@ -4,7 +4,7 @@ import pytest
 
 from outpainter import rng
 from outpainter.sampler import (SampleSchedule, ScheduleError, add_noise,
-                                sdedit_start, step, velocity_target, weight)
+                                sdedit_start, step, velocity_target)
 from outpainter.video import VideoTensor
 
 
@@ -126,16 +126,6 @@ class TestSdeditStart:
             sdedit_start(x0, 0.0, SampleSchedule(4), rng_seed=0)
 
 
-class TestWeight:
-    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
-    def test_constant(self, t):
-        assert weight(t) == 1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ScheduleError):
-            weight(1.1)
-
-
 class TestRngStreams:
     def test_label_independence(self):
         a = rng.normals(3, "alpha", (64,))
@@ -149,10 +139,6 @@ class TestRngStreams:
     def test_uniform_range(self):
         u = rng.uniforms(1, "u", 1000)
         assert u.min() > 0.0 and u.max() <= 1.0
-
-    def test_uniform_int_range(self):
-        vals = {rng.uniform_int(s, "i", 7) for s in range(50)}
-        assert vals <= set(range(7)) and len(vals) > 1
 
     def test_normals_moments(self):
         z = rng.normals(2, "m", (20000,))

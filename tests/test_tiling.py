@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from outpainter.denoiser import DenoiseRequest, DenoiserConfig, ToyDenoiser
+from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.sampler import SampleSchedule, step
 from outpainter.tiling import (WEIGHT_EPS, ConfigError, CoverageError,
                                SpatiallyTiledDenoiser, Tile, TilePlan, blend,
@@ -168,7 +168,7 @@ class TestTiledPass:
             p = plan(z.shape[:3], z.frames, z.height, z.width)
             tiled = tiled_denoise_pass(z, p, den, 1.0, 0.75,
                                        prepare_tiles(den, cond, mask, p))
-            v = den.denoise(DenoiseRequest(z, cond, mask, 1.0, "dense"))
+            v = den.denoise(den.prepare(cond, mask), z, 1.0)
             untiled = step(z, v, 1.0, 0.75)
             np.testing.assert_allclose(tiled.data, untiled.data, atol=1e-6)
 
@@ -208,8 +208,7 @@ class TestSpatialAdapter:
         z = VideoTensor(g.standard_normal(shape).astype(np.float32))
         spatial = plan((1, 16, 16), 1, 8, 8, 0, 4, 4)
         adapter = SpatiallyTiledDenoiser(den, spatial)
-        v = adapter.denoise(DenoiseRequest(z, VideoTensor(cond),
-                                           MaskVideo(mask), 1.0, "dense"))
+        v = adapter.denoise(adapter.prepare(VideoTensor(cond), MaskVideo(mask)), z, 1.0)
         stepped_via_adapter = step(z, v, 1.0, 0.75)
         full_plan = plan(shape[:3], shape[0], 8, 8, 0, 4, 4)
         prepared = prepare_tiles(den, VideoTensor(cond), MaskVideo(mask), full_plan)
@@ -221,5 +220,8 @@ class TestSpatialAdapter:
         adapter = SpatiallyTiledDenoiser(ToyDenoiser(), plan((1, 8, 8), 1, 8, 8))
         z = VideoTensor(np.zeros((1, 6, 6, 1), np.float32))
         with pytest.raises(ShapeError):
-            adapter.denoise(DenoiseRequest(z, z, MaskVideo(
-                np.zeros((1, 6, 6, 1), np.float32)), 0.5))
+            adapter.prepare(z, MaskVideo(np.zeros((1, 6, 6, 1), np.float32)))
+        cond = VideoTensor(np.zeros((1, 8, 8, 1), np.float32))
+        prepared = adapter.prepare(cond, MaskVideo(np.zeros((1, 8, 8, 1), np.float32)))
+        with pytest.raises(ShapeError):
+            adapter.denoise(prepared, VideoTensor(np.zeros((2, 8, 8, 1), np.float32)), 0.5)
