@@ -108,6 +108,10 @@ def _run_one(config: pipeline.PipelineConfig, in_path: str, out_path: str) -> pi
     if peak > 1.0:
         raise video.FormatError(f"{in_path}: values must lie in [-1, 1], "
                                 f"largest |value| is {peak:g}")
+    try:
+        config.pad.validate(clip.height, clip.width)
+    except video.ShapeError as exc:
+        raise pipeline.ConfigError(f"pad canvas does not fit {in_path}: {exc}") from exc
     result = pipeline.run(config, clip)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -146,12 +150,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_ppm(args) -> int:
+    if args.every < 1:
+        raise pipeline.ConfigError(f"--every must be >= 1, got {args.every}")
     clip = video.read_raw(args.input)
     outdir = Path(args.dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    every = max(1, args.every)
     count = 0
-    for f in range(0, clip.frames, every):
+    for f in range(0, clip.frames, args.every):
         video.write_ppm(outdir / f"frame_{f:05d}.ppm", clip, f)
         count += 1
     print(f"export-ppm: wrote {count} frames to {outdir}")

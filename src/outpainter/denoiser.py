@@ -47,6 +47,8 @@ class DenoiserConfig:
             raise ValueError("temporal scales must be positive")
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
+        if not -1.0 <= self.fill_floor <= 1.0:
+            raise ValueError("fill_floor must be in [-1, 1], the range of the clean estimate")
         if not 0.0 <= self.latent_carryover < 1.0:
             raise ValueError("latent_carryover must be in [0, 1)")
 

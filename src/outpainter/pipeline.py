@@ -1,8 +1,9 @@
 """End-to-end outpainting orchestration.
 
-Stages: length/spatial padding, downsampling to a working resolution,
-multi-scale keyframe guidance, guidance insertion, temporally tiled
-completion, and noise-injected spatial refinement back at target resolution.
+Stages: spatial padding onto the target canvas, downsampling to a working
+resolution, multi-scale keyframe guidance, guidance insertion, temporally
+tiled completion, and noise-injected spatial refinement back at target
+resolution.  Every stage runs on the clip's true frame count.
 Ablation modes selectively disable the guidance and refinement stages.
 """
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .denoiser import DenoiserConfig, ToyDenoiser
 from .sampler import SampleSchedule, sdedit_start
 from .tiling import (ConfigError, SpatiallyTiledDenoiser, TilePlan, plan, prepare_tiles,
                      tiled_denoise_pass)
-from .video import (MaskVideo, PadSpec, VideoTensor, downsample_mask, pad_length,
-                    pad_video, resize_bicubic, trim_length)
+from .video import (MaskVideo, PadSpec, VideoTensor, downsample_mask, pad_video,
+                    resize_bicubic)
 
 MODES = ("full", "spatial_only", "temporal_only", "baseline")
 
@@ -297,8 +298,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
     denoiser = ToyDenoiser(config.denoiser)
 
     with _stage(timings, "pad"):
-        extended, orig_frames = pad_length(video, til.tile_t)
-        padded, mask = pad_video(extended, config.pad)
+        padded, mask = pad_video(video, config.pad)
 
     use_gcg = config.mode in ("full", "temporal_only")
     use_downsample = config.mode in ("full", "spatial_only")
@@ -354,12 +354,9 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
         if use_refine:
             plan_st = plan(padded.shape[:3], til.tile_t, til.tile_y, til.tile_x,
                            til.overlap_t, til.overlap_y, til.overlap_x)
-            result = spatial_refinement(completed, padded, mask, denoiser, plan_st,
+            output = spatial_refinement(completed, padded, mask, denoiser, plan_st,
                                         sample, config.sampler.refine_strength,
                                         config.seed)
         else:
-            result = completed
-
-    with _stage(timings, "trim"):
-        output = trim_length(result, orig_frames)
+            output = completed
     return RunResult(output, config.mode, config.seed, timings, keys)

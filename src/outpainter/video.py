@@ -141,26 +141,6 @@ def pad_video(video: VideoTensor, spec: PadSpec) -> tuple[VideoTensor, MaskVideo
     return VideoTensor(out), MaskVideo(mask)
 
 
-def pad_length(video: VideoTensor, multiple: int) -> tuple[VideoTensor, int]:
-    """Extend F to the next multiple by repeating the last frame."""
-    if multiple < 1:
-        raise ValueError("multiple must be >= 1")
-    f = video.frames
-    target = ((f + multiple - 1) // multiple) * multiple
-    if target == f:
-        return video, f
-    tail = np.repeat(video.data[-1:], target - f, axis=0)
-    return VideoTensor(np.concatenate([video.data, tail], axis=0)), f
-
-
-def trim_length(video: VideoTensor, original_length: int) -> VideoTensor:
-    if original_length > video.frames:
-        raise ShapeError(f"cannot trim to {original_length} from {video.frames} frames")
-    if original_length == video.frames:
-        return video
-    return VideoTensor(video.data[:original_length].copy())
-
-
 def _cubic_kernel(x: np.ndarray) -> np.ndarray:
     # Catmull-Rom cubic, a = -0.5
     ax = np.abs(x)

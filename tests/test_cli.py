@@ -179,7 +179,7 @@ class TestOutpaint:
         assert manifest["mode"] == "full"
         assert manifest["keyframes"]
         assert set(manifest["stage_seconds"]) == {"pad", "downsample", "guidance",
-                                                  "completion", "refinement", "trim"}
+                                                  "completion", "refinement"}
 
     def test_manifest_rerun_is_bit_identical(self, tmp_path):
         prefix = _synth(tmp_path)
@@ -296,6 +296,19 @@ class TestOutpaint:
         assert str(bad) in err and "[-1, 1]" in err and "is 5\n" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["outpaint", "ablate"])
+    def test_canvas_smaller_than_clip_exit_2(self, tmp_path, capsys, command):
+        prefix = _synth(tmp_path)
+        config = _config(tmp_path, pad={"target_height": 4, "target_width": 4})
+        out = tmp_path / "out"
+        target = out / "o.hlvd" if command == "outpaint" else out
+        capsys.readouterr()
+        assert main([command, str(config), f"{prefix}.input.hlvd", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds target 4" in err
+        assert not out.exists()
+
     def test_bad_input_file_exit_2(self, tmp_path):
         config = _config(tmp_path)
         bad = tmp_path / "bad.hlvd"
@@ -368,6 +381,17 @@ class TestExportPpm:
         assert main(["export-ppm", f"{prefix}.input.hlvd", str(outdir),
                      "--every", "100"]) == 0
         assert [p.name for p in sorted(outdir.glob("*.ppm"))] == ["frame_00000.ppm"]
+
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_non_positive_every_exit_2(self, tmp_path, capsys, every):
+        prefix = _synth(tmp_path)
+        outdir = tmp_path / "frames"
+        capsys.readouterr()
+        assert main(["export-ppm", f"{prefix}.input.hlvd", str(outdir),
+                     f"--every={every}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --every must be >= 1, got {every}\n"
+        assert not outdir.exists()
 
     def test_round_trip_quantization(self, tmp_path):
         prefix = _synth(tmp_path)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from outpainter import gcg, rng, scene
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.gcg import GcgError, insert_guidance
-from outpainter.pipeline import (GcgParams, PipelineConfig, SamplerParams,
+from outpainter.pipeline import (MODES, GcgParams, PipelineConfig, SamplerParams,
                                  StageError, TilingParams, codec_decode,
                                  codec_encode, codec_encode_mask, run,
                                  spatial_refinement, temporal_completion)
@@ -204,7 +204,10 @@ class TestConfig:
         ("pad", {"target_height": 16, "target_width": 24, "offset_y": -1}, "pad: negative"),
         ("working", {"height": 0, "width": 8}, "working resolution"),
         ("sampler", [3], "sampler must be an object"),
-    ], ids=["range", "denoiser-range", "missing", "pad-range", "working-range", "not-object"])
+        ("denoiser", {"fill_floor": 5.0}, "denoiser: fill_floor must be in"),
+        ("denoiser", {"fill_floor": 1e300}, "denoiser: fill_floor must be in"),
+    ], ids=["range", "denoiser-range", "missing", "pad-range", "working-range", "not-object",
+            "fill-floor-range", "fill-floor-huge"])
     def test_range_and_shape_errors_are_config_errors(self, section, value, named):
         doc = _small_config().to_dict()
         doc[section] = value
@@ -338,7 +341,7 @@ class TestRun:
         assert result.output.shape == (8, 16, 24, 3)
         assert result.mode == mode
         assert set(result.timings) == {"pad", "downsample", "guidance",
-                                       "completion", "refinement", "trim"}
+                                       "completion", "refinement"}
         if mode in ("full", "temporal_only"):
             assert result.keyframes
         else:
@@ -373,6 +376,26 @@ class TestRun:
         clip = _input_clip(frames=5)  # not a multiple of tile_t=8
         result = run(_small_config(), clip)
         assert result.output.frames == 5
+
+    @given(frames=st.integers(1, 40), mode=st.sampled_from(MODES),
+           tile_t=st.sampled_from([1, 2, 5, 8, 16, 1_000_000]),
+           keyframes=st.sampled_from([1, 3, 13]),
+           offset=st.tuples(st.integers(0, 4), st.integers(0, 8)))
+    @settings(max_examples=25, deadline=None)
+    def test_any_clip_length(self, frames, mode, tile_t, keyframes, offset):
+        """Every stage runs on the clip's own frame count, whatever tile_t."""
+        clip = _input_clip(frames, 12, 16, seed=frames)
+        cfg = _small_config(
+            mode=mode, pad=PadSpec(16, 24, *offset),
+            gcg=GcgParams(keyframes=keyframes, delta=1, tau=4),
+            tiling=TilingParams(tile_t=tile_t, overlap_t=min(2, tile_t - 1), tile_y=16,
+                                tile_x=24, overlap_y=4, overlap_x=6))
+        result = run(cfg, clip)
+        assert result.output.shape == (frames, 16, 24, 3)
+        padded, mask = pad_video(clip, cfg.pad)
+        observed = np.broadcast_to(mask.data == 0, padded.shape)
+        assert np.abs(result.output.data - padded.data)[observed].max() <= 1e-6
+        np.testing.assert_array_equal(run(cfg, clip).output.data, result.output.data)
 
     def test_stage_error_names_stage(self):
         clip = _input_clip(8, 32, 32)  # larger than the 16x24 pad target

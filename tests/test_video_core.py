@@ -1,12 +1,10 @@
 """Tensor types, padding, resampling, mask reduction, and file formats."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from outpainter.video import (FormatError, MaskVideo, PadSpec, ShapeError,
-                              VideoTensor, downsample_mask, pad_length,
-                              pad_video, read_mask, read_ppm, read_raw,
-                              resize_bicubic, trim_length, write_ppm, write_raw)
+                              VideoTensor, downsample_mask, pad_video, read_mask,
+                              read_ppm, read_raw, resize_bicubic, write_ppm, write_raw)
 
 
 def _video(shape, seed=0, scale=0.8):
@@ -65,34 +63,6 @@ class TestPad:
     def test_overflow_rejected(self):
         with pytest.raises(ShapeError):
             pad_video(_video((1, 4, 4, 3)), PadSpec(4, 4, 1, 0))
-
-
-class TestLength:
-    def test_pad_10_to_12(self):
-        v = _video((10, 2, 2, 3))
-        out, orig = pad_length(v, 4)
-        assert out.frames == 12 and orig == 10
-        np.testing.assert_array_equal(out.data[10], v.data[9])
-        np.testing.assert_array_equal(out.data[11], v.data[9])
-
-    def test_identity_multiple(self):
-        v = _video((12, 2, 2, 3))
-        out, orig = pad_length(v, 4)
-        assert out is v and orig == 12
-
-    def test_481_to_490(self):
-        v = _video((481, 1, 1, 1))
-        out, orig = pad_length(v, 49)
-        assert out.frames == 490 and orig == 481
-        assert trim_length(out, orig).frames == 481
-
-    @given(frames=st.integers(1, 20), multiple=st.integers(1, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip(self, frames, multiple):
-        v = _video((frames, 2, 2, 1), seed=frames * 31 + multiple)
-        out, orig = pad_length(v, multiple)
-        assert out.frames % multiple == 0
-        np.testing.assert_array_equal(trim_length(out, orig).data, v.data)
 
 
 def _cubic(x):
