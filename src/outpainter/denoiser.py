@@ -7,10 +7,14 @@ handed, which is what makes global guidance and frame swapping measurably
 useful at desk scale.
 
 A denoiser prepares a stage's fixed conditioning once (`prepare`) and
-predicts each step's velocity from that prepared state (`denoise`).
+predicts each step's velocity from that prepared state (`denoise`).  Both
+work on the frame concatenation of `items` equal-length stacks, so a caller
+runs a group of same-shaped tiles or stacks as one array; `split` and `join`
+take a prepared group apart into its items and put items back together.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,16 +24,40 @@ from .sampler import ScheduleError
 from .video import MaskVideo, ShapeError, VideoTensor
 
 MODES = ("sparse", "dense")
+# Bounds that keep the fill's neighborhood ball finite.
+RADIUS_MAX = 16
+LAMBDA_MIN = 0.5
 
 
 @dataclass(frozen=True)
 class Prepared:
     """A stage's fixed conditioning, made once by a denoiser's `prepare` and
-    handed to its `denoise` at every step of the stage."""
+    handed to its `denoise` at every step of the stage.  `condition` and
+    `mask` are the frame concatenation of `items` equal-length stacks."""
 
     condition: VideoTensor
     mask: MaskVideo
     mode: str
+    items: int
+
+    @property
+    def item_frames(self) -> int:
+        return self.condition.frames // self.items
+
+
+def frames_per_item(condition: VideoTensor, items: int) -> int:
+    """Frames per item of a concatenation of `items` equal-length stacks."""
+    if items < 1 or condition.frames % items:
+        raise ShapeError(f"{condition.frames} frames do not split into {items} equal stacks")
+    return condition.frames // items
+
+
+def join_conditions(parts) -> tuple[VideoTensor, MaskVideo]:
+    """The frame concatenation of the prepared states' conditions and masks."""
+    if len({p.mode for p in parts}) != 1 or len({p.item_frames for p in parts}) != 1:
+        raise ShapeError("joined items must share one mode and one frame count")
+    return (VideoTensor(np.concatenate([p.condition.data for p in parts])),
+            MaskVideo(np.concatenate([p.mask.data for p in parts])))
 
 
 @dataclass(frozen=True)
@@ -43,10 +71,10 @@ class DenoiserConfig:
     latent_carryover: float = 0.5
 
     def __post_init__(self):
-        if self.lambda_sparse <= 0 or self.lambda_dense <= 0:
-            raise ValueError("temporal scales must be positive")
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
+        if not (self.lambda_sparse >= LAMBDA_MIN and self.lambda_dense >= LAMBDA_MIN):
+            raise ValueError(f"lambda_sparse and lambda_dense must be >= {LAMBDA_MIN}")
+        if not 1 <= self.radius <= RADIUS_MAX:
+            raise ValueError(f"radius must be in [1, {RADIUS_MAX}]")
         if not -1.0 <= self.fill_floor <= 1.0:
             raise ValueError("fill_floor must be in [-1, 1], the range of the clean estimate")
         if not 0.0 <= self.latent_carryover < 1.0:
@@ -71,24 +99,29 @@ def fold_anchor_frames(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neighbor_offsets(radius: int, lam: float) -> list[tuple[int, int, int, float]]:
+@functools.lru_cache(maxsize=64)
+def _neighbor_offsets(radius: int, lam: float,
+                      shape: tuple[int, int, int]) -> tuple[tuple[int, int, int, float], ...]:
+    """(df, dy, dx, weight) of the ball of `radius` that fit an item of
+    `shape` (|df| < f, |dy| < h, |dx| < w), in ascending (df, dy, dx) order."""
+    f, h, w = shape
     r2 = float(radius) ** 2
     offsets = []
-    max_df = int(radius // lam)
+    max_df = min(int(radius // lam), f - 1)
     for df in range(-max_df, max_df + 1):
         rem_f = r2 - (lam * df) ** 2
         if rem_f < 0:
             continue
-        max_dy = int(math.floor(math.sqrt(rem_f)))
+        max_dy = min(int(math.floor(math.sqrt(rem_f))), h - 1)
         for dy in range(-max_dy, max_dy + 1):
             rem_y = rem_f - dy * dy
-            max_dx = int(math.floor(math.sqrt(rem_y)))
+            max_dx = min(int(math.floor(math.sqrt(rem_y))), w - 1)
             for dx in range(-max_dx, max_dx + 1):
                 d2 = (lam * df) ** 2 + dy * dy + dx * dx
                 if d2 == 0.0 or d2 > r2:
                     continue
                 offsets.append((df, dy, dx, 1.0 / d2))
-    return offsets
+    return tuple(offsets)
 
 
 def _shifted_slices(n: int, off: int) -> tuple[slice, slice]:
@@ -102,23 +135,28 @@ def inverse_distance_fill(condition: np.ndarray, mask: np.ndarray, lam: float,
                           radius: int, floor: float) -> np.ndarray:
     """Predicted clean stack: observed voxels kept, masked voxels filled by
     inverse-squared-distance weighting of observed voxels within `radius`
-    (metric dx^2 + dy^2 + (lam*df)^2); unreachable voxels get `floor`."""
-    f, h, w, _ = condition.shape
+    (metric dx^2 + dy^2 + (lam*df)^2); unreachable voxels get `floor`.
+
+    The arrays are (F, H, W, C), or (N, F, H, W, C) for N items filled at
+    once; a fill only reads its own item."""
+    f, h, w = condition.shape[-4:-1]
     obs = (1.0 - mask).astype(np.float64)
     val = condition.astype(np.float64) * obs
     num = np.zeros_like(val)
     den = np.zeros_like(obs)
-    for df, dy, dx, wgt in _neighbor_offsets(radius, lam):
-        if abs(df) >= f or abs(dy) >= h or abs(dx) >= w:
-            continue
+    for df, dy, dx, wgt in _neighbor_offsets(radius, lam, (f, h, w)):
         fd, fs = _shifted_slices(f, df)
         yd, ys = _shifted_slices(h, dy)
         xd, xs = _shifted_slices(w, dx)
-        num[fd, yd, xd] += wgt * val[fs, ys, xs]
-        den[fd, yd, xd] += wgt * obs[fs, ys, xs]
-    fill = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), floor)
-    out = obs * condition.astype(np.float64) + (1.0 - obs) * fill
-    return out.astype(np.float32)
+        num[..., fd, yd, xd, :] += wgt * val[..., fs, ys, xs, :]
+        den[..., fd, yd, xd, :] += wgt * obs[..., fs, ys, xs, :]
+    # in place, num becomes the fill and then obs*condition + (1-obs)*fill
+    covered = den > 0.0
+    num /= np.where(covered, den, 1.0)
+    np.copyto(num, floor, where=~covered)
+    num *= 1.0 - obs
+    num += val
+    return num.astype(np.float32)
 
 
 def _smooth3(z: np.ndarray) -> np.ndarray:
@@ -137,14 +175,16 @@ def _smooth3(z: np.ndarray) -> np.ndarray:
             xd, xs = _shifted_slices(w, dx)
             acc[:, yd, xd] += z[:, ys, xs]
             cnt[:, yd, xd] += ones[:, ys, xs]
-    return (acc / cnt).astype(z.dtype)
+    acc /= cnt
+    return acc.astype(z.dtype, copy=False)
 
 
 @dataclass(frozen=True)
 class PreparedFill(Prepared):
     """The toy backend's per-stage state: `x0` is the read-only fill of the
     condition, `carry_mask` the anchor-folded mask on which steps blend in
-    the latent average, or None when nothing is masked or carryover is off."""
+    the latent average, or None when nothing is masked or carryover is off;
+    then `x0` is already clamped to [-1, 1]."""
 
     x0: np.ndarray
     carry_mask: np.ndarray | None
@@ -167,36 +207,78 @@ class ToyDenoiser:
     def __init__(self, config: DenoiserConfig | None = None):
         self.config = config or DenoiserConfig()
 
-    def prepare(self, condition: VideoTensor, mask: MaskVideo,
-                mode: str = "dense") -> PreparedFill:
-        """Fold anchor frames and fill the condition, once per stage.  With
-        nothing masked the fill is the condition itself, so it is returned
-        as float32 without running `inverse_distance_fill`."""
+    def prepare(self, condition: VideoTensor, mask: MaskVideo, mode: str = "dense",
+                items: int = 1) -> PreparedFill:
+        """Fold anchor frames and fill the condition, once per stage.  The
+        condition is the frame concatenation of `items` equal-length stacks;
+        one `inverse_distance_fill` covers every item with a masked voxel,
+        and an item with none keeps its condition as its fill."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if not mask.matches(condition):
             raise ShapeError(f"mask {mask.data.shape} does not match {condition.shape}")
+        shape = (items, frames_per_item(condition, items)) + condition.shape[1:]
         folded = fold_anchor_frames(mask.data)
         folded.flags.writeable = False
-        if folded.any():
-            x0 = inverse_distance_fill(condition.data, folded, self.config.temporal_scale(mode),
-                                       self.config.radius, self.config.fill_floor)
-            carry_mask = folded if self.config.latent_carryover > 0.0 else None
+        masked = folded.reshape(items, -1).any(axis=1)
+        if masked.any():
+            x0 = condition.data.astype(np.float32)
+            x0.reshape(shape)[masked] = inverse_distance_fill(
+                condition.data.reshape(shape)[masked], folded.reshape(shape[:4] + (1,))[masked],
+                self.config.temporal_scale(mode), self.config.radius, self.config.fill_floor)
         else:
             x0 = np.asarray(condition.data, dtype=np.float32)
-            carry_mask = None
+        carry_mask = folded if masked.any() and self.config.latent_carryover > 0.0 else None
+        if carry_mask is None and not -1.0 <= x0.min() <= x0.max() <= 1.0:
+            x0 = np.clip(x0, -1.0, 1.0)  # once here, not at every step
         x0.flags.writeable = False
-        return PreparedFill(condition, mask, mode, x0, carry_mask)
+        return PreparedFill(condition, mask, mode, items, x0, carry_mask)
+
+    def split(self, prepared: PreparedFill) -> tuple[PreparedFill, ...]:
+        """Each item of `prepared` as a prepared state of its own (views)."""
+        n = prepared.item_frames
+        return tuple(
+            PreparedFill(VideoTensor(prepared.condition.data[sl]),
+                         MaskVideo(prepared.mask.data[sl]), prepared.mode, 1,
+                         prepared.x0[sl],
+                         None if prepared.carry_mask is None else prepared.carry_mask[sl])
+            for sl in (slice(i * n, (i + 1) * n) for i in range(prepared.items)))
+
+    def join(self, parts) -> PreparedFill:
+        """One prepared state for the frame concatenation of `parts`.  An
+        item without a carry mask gets a zero one, which leaves its already
+        clamped `x0` as it is."""
+        if len(parts) == 1:
+            return parts[0]
+        condition, mask = join_conditions(parts)
+        x0 = np.concatenate([p.x0 for p in parts])
+        x0.flags.writeable = False
+        carry_mask = None
+        if any(p.carry_mask is not None for p in parts):
+            carry_mask = np.concatenate([np.zeros(p.mask.data.shape, np.float32)
+                                         if p.carry_mask is None else p.carry_mask
+                                         for p in parts])
+            carry_mask.flags.writeable = False
+        return PreparedFill(condition, mask, parts[0].mode, sum(p.items for p in parts),
+                            x0, carry_mask)
 
     def denoise(self, prepared: PreparedFill, z: VideoTensor, t: float) -> VideoTensor:
         """Velocity for one step from `prepared`, which is
-        `self.prepare(condition, mask, mode)`, shared by every step of a stage."""
+        `self.prepare(condition, mask, mode, items)`, shared by every step of
+        a stage.  Every operation is per frame, so one call on a
+        concatenation equals one call per item."""
         if t <= 0.0:
             raise ScheduleError("t must be > 0: no denoising step remains")
         if z.shape != prepared.condition.shape:
             raise ShapeError(f"z {z.shape} vs condition {prepared.condition.shape}")
         x0 = prepared.x0
         if prepared.carry_mask is not None:
-            x0 = x0 + self.config.latent_carryover * prepared.carry_mask * (_smooth3(z.data) - x0)
-        x0 = np.clip(x0, -1.0, 1.0)
-        return VideoTensor((z.data - x0) / t)
+            # in place: x0 + carryover * carry_mask * (_smooth3(z) - x0), clamped
+            blended = _smooth3(z.data)
+            blended -= x0
+            blended *= self.config.latent_carryover * prepared.carry_mask
+            blended += x0
+            x0 = np.clip(blended, -1.0, 1.0, out=blended)
+        v = z.data - x0
+        v /= t
+        return VideoTensor(v)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng
 from .sampler import SampleSchedule, step
-from .tiling import ConfigError, blend, plan
+from .tiling import ConfigError, blend, group_items, plan
 from .video import MaskVideo, VideoTensor
 
 
@@ -91,63 +91,66 @@ def make_schedule(total_frames: int, count: int, delta: int, swap_steps: int,
     return KeyframeSchedule(tuple(indices), count, delta, windows, swap_steps, tau)
 
 
-def swap_globals(global_latents: VideoTensor, window_latents: list[VideoTensor],
-                 sched: KeyframeSchedule, step_index: int) -> VideoTensor:
-    """During the first swap_steps steps, replace each global slot with the
-    same frame's latent from its local window; a no-op afterwards."""
+def swap_globals(latent: np.ndarray, sched: KeyframeSchedule, step_index: int) -> None:
+    """During the first swap_steps steps, copy each keyframe's latent from
+    its local window into its global slot, in place; a no-op afterwards.
+    `latent` is the frame concatenation [global stack; window 1; ...]."""
     if step_index >= sched.swap_steps:
-        return global_latents
-    out = global_latents.data.copy()
+        return
+    n = len(sched.indices)
     for i, (k, win) in enumerate(zip(sched.indices, sched.windows)):
-        if k not in win:
-            raise ConfigError(f"keyframe {k} missing from its window {win}")
-        out[i] = window_latents[i].data[win.index(k)]
-    return VideoTensor(out)
-
-
-def _stack(video: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
-    return video[list(idx)].copy()
+        latent[i] = latent[n + i * sched.K + win.index(k)]
 
 
 def _init_noise(rng_seed: int, tag: str, idx: tuple[int, ...],
-                frame_shape: tuple[int, ...]) -> VideoTensor:
+                frame_shape: tuple[int, ...]) -> np.ndarray:
     # Per-frame noise keyed by the original frame index so the global stack
     # and every window slot referring to the same frame start from identical
-    # latents; this makes the swap ablation a controlled comparison.
-    frames = [rng.normals(rng_seed, f"{tag}:init:{f}", (1,) + frame_shape)
-              for f in idx]
-    return VideoTensor(np.concatenate(frames, axis=0))
+    # latents; this makes the swap ablation a controlled comparison.  Each
+    # distinct frame's noise is drawn once.
+    noise = {f: rng.normals(rng_seed, f"{tag}:init:{f}", (1,) + frame_shape)
+             for f in dict.fromkeys(idx)}
+    return np.concatenate([noise[f] for f in idx], axis=0)
 
 
 def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo, sched: KeyframeSchedule,
                   denoiser, sample: SampleSchedule, rng_seed: int,
                   noise_tag: str = "gcg", shared: dict | None = None) -> VideoTensor:
-    """Denoise the keyframe stack and all local windows in lockstep, swapping
-    window latents into the global stack for the first swap_steps steps.
-    Each stack is prepared once, before the step loop, into `shared` (frame
-    indices -> prepared state), which constructions on one video may share."""
-    frame_shape = video_ds.shape[1:]
+    """Denoise the keyframe stack and all local windows in lockstep as one
+    latent, [global stack; window 1; ...], swapping window latents into the
+    global stack for the first swap_steps steps.  Each group of stacks
+    (`group_items`) is denoised as one array; its stacks are prepared once,
+    before the step loop, into `shared` (frame indices -> prepared state of
+    that stack), which constructions on one video may share."""
+    stacks = (sched.indices,) + sched.windows
     shared = {} if shared is None else shared
-    for idx in (sched.indices,) + sched.windows:
-        if idx not in shared:
-            shared[idx] = denoiser.prepare(VideoTensor(_stack(video_ds.data, idx)),
-                                           MaskVideo(_stack(mask_ds.data, idx)), "sparse")
-    prep_g = shared[sched.indices]
-    prep_w = [shared[win] for win in sched.windows]
-    z_g = _init_noise(rng_seed, noise_tag, sched.indices, frame_shape)
-    z_w = [_init_noise(rng_seed, noise_tag, win, frame_shape) for win in sched.windows]
+    groups = group_items([(len(idx),) + video_ds.shape[1:3] for idx in stacks])
+    prepared = []
+    for g in groups:
+        group = list(stacks[g])
+        new = [idx for idx in dict.fromkeys(group) if idx not in shared]
+        if new:
+            frames = [f for idx in new for f in idx]
+            made = denoiser.prepare(VideoTensor(video_ds.data[frames]),
+                                    MaskVideo(mask_ds.data[frames]), "sparse", items=len(new))
+            shared.update(zip(new, denoiser.split(made)))
+            if new == group:  # nothing reused: the group is prepared as it stands
+                prepared.append(made)
+                continue
+        prepared.append(denoiser.join([shared[idx] for idx in group]))
+    bounds = np.cumsum([0] + [len(idx) for idx in stacks])
+    z = _init_noise(rng_seed, noise_tag, sum(stacks, ()), video_ds.shape[1:])
+    stepped = np.empty(z.shape, dtype=np.float64)  # Euler steps are float64
     times = sample.times
     for s in range(sample.total_steps):
         t_from, t_to = float(times[s]), float(times[s + 1])
-        v_g = denoiser.denoise(prep_g, z_g, t_from)
-        z_g = step(z_g, v_g, t_from, t_to)
-        new_w = []
-        for zi, pi in zip(z_w, prep_w):
-            v_i = denoiser.denoise(pi, zi, t_from)
-            new_w.append(step(zi, v_i, t_from, t_to))
-        z_w = new_w
-        z_g = swap_globals(z_g, z_w, sched, s)
-    return z_g
+        for g, prep in zip(groups, prepared):  # a group is read, then overwritten
+            lo, hi = bounds[g.start], bounds[g.stop]
+            z_g = VideoTensor(z[lo:hi])
+            stepped[lo:hi] = step(z_g, denoiser.denoise(prep, z_g, t_from), t_from, t_to).data
+        z = stepped
+        swap_globals(z, sched, s)
+    return VideoTensor(z[:len(sched.indices)])
 
 
 def max_index_gap(indices) -> int:

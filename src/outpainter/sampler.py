@@ -56,8 +56,9 @@ def step(z: VideoTensor, v_hat: VideoTensor, t_from: float, t_to: float) -> Vide
     _check_shapes(z, v_hat)
     if t_to >= t_from:
         raise ScheduleError(f"t_to={t_to} must be < t_from={t_from}")
-    return VideoTensor(z.data.astype(np.float64)
-                       + (t_to - t_from) * v_hat.data.astype(np.float64))
+    out = (t_to - t_from) * np.asarray(v_hat.data, dtype=np.float64)
+    out += z.data
+    return VideoTensor(out)
 
 
 def sdedit_start(x_init: VideoTensor, strength: float, schedule: SampleSchedule,

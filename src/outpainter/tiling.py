@@ -2,19 +2,25 @@
 
 Overlapping tiles are denoised independently and merged each diffusion step by
 a weighted average whose windows peak at tile centers, so tile seams are
-reconciled continuously instead of once at the end.
+reconciled continuously instead of once at the end.  Same-shaped tiles run in
+groups: a group is prepared, denoised and stepped as one array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .denoiser import Prepared
+from .denoiser import Prepared, frames_per_item, join_conditions
 from .sampler import step
 from .video import MaskVideo, ShapeError, VideoTensor
 
 WEIGHT_EPS = 1e-3
+# Most voxels (F*H*W) one group of tiles or stacks holds; an item larger than
+# this is a group of its own.
+GROUP_VOXELS = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -62,6 +68,24 @@ class TilePlan:
             if tile.f1 > f or tile.y1 > h or tile.x1 > w:
                 raise ShapeError(f"tile {tile} exceeds extent {self.extent}")
 
+    @cached_property
+    def weights(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Each tile's blend weight, in plan order, and their per-voxel sum,
+        built once per plan; tiles with equal weights share one array."""
+        shared: dict = {}
+        weights = []
+        den = np.zeros(self.extent + (1,), dtype=np.float64)
+        for tile in self.tiles:
+            key = (tile.shape,) + _touches(tile, self.extent)
+            if key not in shared:
+                shared[key] = tile_weight(tile, self)
+                shared[key].flags.writeable = False
+            weights.append(shared[key])
+            den[_box(tile)] += shared[key]
+        if not (den > 0.0).all():
+            raise CoverageError("blend leaves uncovered voxels")
+        return tuple(weights), den
+
 
 def _axis_starts(extent: int, size: int, overlap: int) -> list[int]:
     """Tile start offsets along one axis: stride size-overlap, last tile
@@ -104,81 +128,134 @@ def _axis_weights(n: int, touches_low: bool, touches_high: bool) -> np.ndarray:
     return w
 
 
+def _touches(tile: Tile, extent: tuple[int, int, int]) -> tuple[bool, ...]:
+    f, h, w = extent
+    return (tile.f0 == 0, tile.f1 == f, tile.y0 == 0, tile.y1 == h, tile.x0 == 0, tile.x1 == w)
+
+
 def tile_weight(tile: Tile, tile_plan: TilePlan) -> np.ndarray:
     """Separable Hann blend weights, with a flat 1.0 plateau on tile halves
     that touch the full-extent boundary (true video borders are never
     down-weighted against nothing)."""
-    f, h, w = tile_plan.extent
-    wf = _axis_weights(tile.f1 - tile.f0, tile.f0 == 0, tile.f1 == f)
-    wy = _axis_weights(tile.y1 - tile.y0, tile.y0 == 0, tile.y1 == h)
-    wx = _axis_weights(tile.x1 - tile.x0, tile.x0 == 0, tile.x1 == w)
+    f0, f1, y0, y1, x0, x1 = _touches(tile, tile_plan.extent)
+    wf = _axis_weights(tile.f1 - tile.f0, f0, f1)
+    wy = _axis_weights(tile.y1 - tile.y0, y0, y1)
+    wx = _axis_weights(tile.x1 - tile.x0, x0, x1)
     return (wf[:, None, None, None] * wy[None, :, None, None]
             * wx[None, None, :, None])
 
 
-def _canonical(items: list) -> list:
-    return sorted(items, key=lambda pair: (pair[0].f0, pair[0].y0, pair[0].x0,
-                                           pair[0].f1, pair[0].y1, pair[0].x1))
+def _box(tile: Tile) -> tuple[slice, slice, slice]:
+    return slice(tile.f0, tile.f1), slice(tile.y0, tile.y1), slice(tile.x0, tile.x1)
 
 
-def blend(tile_outputs: list[tuple[Tile, VideoTensor]], tile_plan: TilePlan) -> VideoTensor:
-    """Per-voxel weighted average of tile outputs (double precision, canonical
-    accumulation order, so the result is exactly order-independent)."""
-    if not tile_outputs:
-        raise CoverageError("no tiles to blend")
-    f, h, w = tile_plan.extent
-    c = tile_outputs[0][1].channels
-    num = np.zeros((f, h, w, c), dtype=np.float64)
-    den = np.zeros((f, h, w, 1), dtype=np.float64)
-    for tile, out in _canonical(tile_outputs):
-        if out.shape[:3] != tile.shape:
-            raise ShapeError(f"output {out.shape} does not match tile {tile}")
-        wgt = tile_weight(tile, tile_plan)
-        sl = (slice(tile.f0, tile.f1), slice(tile.y0, tile.y1), slice(tile.x0, tile.x1))
-        num[sl] += wgt * out.data.astype(np.float64)
-        den[sl] += wgt
-    if not (den > 0.0).all():
-        raise CoverageError("blend leaves uncovered voxels")
+def blend(tile_outputs, tile_plan: TilePlan) -> VideoTensor:
+    """Per-voxel weighted average of one output per plan tile, accumulated in
+    double precision in plan order with the plan's weights, so the result is
+    exactly independent of the order outputs arrive in.  `tile_outputs` holds
+    (tile, VideoTensor or array) pairs: a list in any order, or any other
+    iterable in plan order, which is consumed one output at a time and never
+    held whole."""
+    tiles = tile_plan.tiles
+    if isinstance(tile_outputs, list):
+        order = {tile: i for i, tile in enumerate(tiles)}
+        if any(tile not in order for tile, _ in tile_outputs):
+            raise CoverageError("an output's tile is not in the plan")
+        tile_outputs = sorted(tile_outputs, key=lambda pair: order[pair[0]])
+    weights, den = tile_plan.weights
+    num = None
+    count = 0
+    for i, (tile, out) in enumerate(tile_outputs):
+        if i >= len(tiles) or tile != tiles[i]:
+            raise CoverageError(f"output {i} is for tile {tile}, not the plan's tile")
+        data = out.data if isinstance(out, VideoTensor) else out
+        if data.shape[:3] != tile.shape:
+            raise ShapeError(f"output {data.shape} does not match tile {tile}")
+        if num is None:
+            num = np.zeros(tile_plan.extent + data.shape[3:], dtype=np.float64)
+        num[_box(tile)] += weights[i] * data
+        count = i + 1
+    if count != len(tiles):
+        raise CoverageError(f"{count} outputs for {len(tiles)} plan tiles")
     return VideoTensor((num / den).astype(np.float32))
 
 
-def _slice_tile(arr: np.ndarray, tile: Tile) -> np.ndarray:
-    return arr[tile.f0:tile.f1, tile.y0:tile.y1, tile.x0:tile.x1]
+def group_items(shapes: list[tuple[int, int, int]]) -> list[slice]:
+    """Consecutive runs of same-shaped items cut into groups of near-equal
+    size, each holding at most GROUP_VOXELS voxels (an item larger than that
+    alone): the items a denoiser prepares and steps as one array."""
+    groups: list[slice] = []
+    start = 0
+    while start < len(shapes):
+        end = start
+        while end < len(shapes) and shapes[end] == shapes[start]:
+            end += 1
+        count = -(-(end - start) // max(1, GROUP_VOXELS // math.prod(shapes[start])))
+        cuts = [start + (end - start) * j // count for j in range(count + 1)]
+        groups += [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        start = end
+    return groups
+
+
+def _gather(arr: np.ndarray, tiles) -> np.ndarray:
+    """The frame concatenation of the tiles' boxes of `arr`."""
+    parts = [arr[_box(tile)] for tile in tiles]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def prepare_tiles(denoiser, condition: VideoTensor, mask: MaskVideo,
                   tile_plan: TilePlan, mode: str = "dense") -> list:
-    """Each tile's conditioning prepared through `denoiser.prepare`, in plan
-    order; a stage makes this once and reuses it at every step."""
+    """The tiles' conditioning prepared through `denoiser.prepare`, one call
+    per group of `group_items`, in plan order; a stage makes this once and
+    reuses it at every step."""
     if condition.shape[:3] != tile_plan.extent:
         raise ShapeError(f"condition {condition.shape} does not match plan {tile_plan.extent}")
-    return [denoiser.prepare(VideoTensor(_slice_tile(condition.data, tile)),
-                             MaskVideo(_slice_tile(mask.data, tile)), mode)
-            for tile in tile_plan.tiles]
+    tiles = tile_plan.tiles
+    return [denoiser.prepare(VideoTensor(_gather(condition.data, tiles[g])),
+                             MaskVideo(_gather(mask.data, tiles[g])), mode,
+                             items=g.stop - g.start)
+            for g in group_items([tile.shape for tile in tiles])]
+
+
+def _tile_outputs(tile_plan: TilePlan, prepared, data: np.ndarray, run):
+    """(tile, output) in plan order: each prepared group's tiles are gathered
+    from `data` as one array and handed to `run(prepared_group, z_group)`."""
+    start = 0
+    for prep in prepared:
+        tiles = tile_plan.tiles[start:start + prep.items]
+        out = run(prep, VideoTensor(_gather(data, tiles))).data
+        n = out.shape[0] // len(tiles)
+        for j, tile in enumerate(tiles):
+            yield tile, out[j * n:(j + 1) * n]
+        start += prep.items
 
 
 def tiled_denoise_pass(z: VideoTensor, tile_plan: TilePlan, denoiser, t_from: float,
                        t_to: float, prepared: list) -> VideoTensor:
-    """One diffusion step over a tile plan: denoise each tile, step it, then
-    blend the stepped tiles into the next global latent.  `prepared` is
-    `prepare_tiles(denoiser, condition, mask, tile_plan, mode)`, made once per
-    stage."""
+    """One diffusion step over a tile plan: denoise and step each group of
+    tiles as one array, then blend the stepped tiles into the next global
+    latent.  `prepared` is `prepare_tiles(denoiser, condition, mask,
+    tile_plan, mode)`, made once per stage."""
     if z.shape[:3] != tile_plan.extent:
         raise ShapeError(f"latent {z.shape} does not match plan extent {tile_plan.extent}")
-    outputs = []
-    for tile, prep in zip(tile_plan.tiles, prepared, strict=True):
-        z_tile = VideoTensor(_slice_tile(z.data, tile))
-        v_hat = denoiser.denoise(prep, z_tile, t_from)
-        outputs.append((tile, step(z_tile, v_hat, t_from, t_to)))
-    return blend(outputs, tile_plan)
+
+    def stepped(prep, z_group):
+        return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
+
+    return blend(_tile_outputs(tile_plan, prepared, z.data, stepped), tile_plan)
 
 
 @dataclass(frozen=True)
 class PreparedTiles(Prepared):
-    """The adapter's state: the inner prepared state of each tile of `plan`."""
+    """The adapter's state: `parts` holds, item by item, the inner prepared
+    groups of `plan`, a plan over one item's frames."""
 
     plan: TilePlan
     parts: tuple
+
+    def item_parts(self, i: int) -> tuple:
+        per = len(self.parts) // self.items
+        return self.parts[i * per:(i + 1) * per]
 
 
 class SpatiallyTiledDenoiser:
@@ -191,24 +268,51 @@ class SpatiallyTiledDenoiser:
         self.inner = inner
         self.plan = spatial_plan
 
-    def prepare(self, condition: VideoTensor, mask: MaskVideo,
-                mode: str = "dense") -> PreparedTiles:
-        """Prepare each spatial tile, over all frames, through the inner denoiser."""
+    def prepare(self, condition: VideoTensor, mask: MaskVideo, mode: str = "dense",
+                items: int = 1) -> PreparedTiles:
+        """Prepare each item's spatial tiles, over all its frames, through
+        the inner denoiser, in groups of same-shaped tiles."""
         if self.plan.extent[1:] != condition.shape[1:3]:
             raise ShapeError(
                 f"plan extent {self.plan.extent} does not match request {condition.shape}")
-        f = condition.frames
+        f = frames_per_item(condition, items)
         tiles = tuple(Tile(0, f, t.y0, t.y1, t.x0, t.x1) for t in self.plan.tiles)
         frame_plan = TilePlan((f,) + self.plan.extent[1:], tiles, 0,
                               self.plan.overlap_y, self.plan.overlap_x)
-        parts = prepare_tiles(self.inner, condition, mask, frame_plan, mode)
-        return PreparedTiles(condition, mask, mode, frame_plan, tuple(parts))
+        parts = []
+        for i in range(items):
+            sl = slice(i * f, (i + 1) * f)
+            parts += prepare_tiles(self.inner, VideoTensor(condition.data[sl]),
+                                   MaskVideo(mask.data[sl]), frame_plan, mode)
+        return PreparedTiles(condition, mask, mode, items, frame_plan, tuple(parts))
+
+    def split(self, prepared: PreparedTiles) -> tuple[PreparedTiles, ...]:
+        """Each item of `prepared` as a prepared state of its own."""
+        f = prepared.item_frames
+        return tuple(PreparedTiles(VideoTensor(prepared.condition.data[i * f:(i + 1) * f]),
+                                   MaskVideo(prepared.mask.data[i * f:(i + 1) * f]),
+                                   prepared.mode, 1, prepared.plan, prepared.item_parts(i))
+                     for i in range(prepared.items))
+
+    def join(self, parts) -> PreparedTiles:
+        """One prepared state for the frame concatenation of `parts`."""
+        if len(parts) == 1:
+            return parts[0]
+        condition, mask = join_conditions(parts)
+        return PreparedTiles(condition, mask, parts[0].mode, sum(p.items for p in parts),
+                             parts[0].plan, sum((p.parts for p in parts), ()))
 
     def denoise(self, prepared: PreparedTiles, z: VideoTensor, t: float) -> VideoTensor:
         if z.shape != prepared.condition.shape:
             raise ShapeError(f"z {z.shape} vs condition {prepared.condition.shape}")
-        outputs = []
-        for tile, part in zip(prepared.plan.tiles, prepared.parts):
-            z_tile = VideoTensor(_slice_tile(z.data, tile))
-            outputs.append((tile, self.inner.denoise(part, z_tile, t)))
-        return blend(outputs, prepared.plan)
+
+        def velocity(part, z_group):
+            return self.inner.denoise(part, z_group, t)
+
+        f = prepared.item_frames
+        out = np.empty(z.shape, dtype=np.float32)
+        for i in range(prepared.items):
+            out[i * f:(i + 1) * f] = blend(_tile_outputs(prepared.plan, prepared.item_parts(i),
+                                                         z.data[i * f:(i + 1) * f], velocity),
+                                           prepared.plan).data
+        return VideoTensor(out)

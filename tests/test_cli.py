@@ -270,6 +270,14 @@ class TestOutpaint:
         err = _usage_error(tmp_path, capsys, _config(tmp_path, **doc))
         assert f"config field {section}.{key} must be" in err and "stage" not in err
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("radius", 1000000000, "radius must be in [1, 16]"),
+        ("lambda_dense", 1e-300, "lambda_sparse and lambda_dense must be >= 0.5")],
+        ids=["radius-huge", "lambda-tiny"])
+    def test_unbounded_neighborhood_exit_2(self, tmp_path, capsys, key, value, named):
+        err = _usage_error(tmp_path, capsys, _config(tmp_path, denoiser={key: value}))
+        assert f"config field denoiser: {named}" in err
+
     def test_hlvd_trailing_bytes_exit_2(self, tmp_path, capsys):
         prefix = _synth(tmp_path)
         padded = tmp_path / "padded.hlvd"

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from outpainter import rng
-from outpainter.denoiser import (MODES, DenoiserConfig, ToyDenoiser, _smooth3,
-                                 fold_anchor_frames, inverse_distance_fill)
+from outpainter.denoiser import (MODES, DenoiserConfig, ToyDenoiser, _neighbor_offsets,
+                                 _smooth3, fold_anchor_frames, inverse_distance_fill)
 from outpainter.sampler import SampleSchedule, ScheduleError, step, velocity_target
 from outpainter.video import MaskVideo, ShapeError, VideoTensor
 
@@ -117,6 +117,24 @@ class TestFill:
         a = inverse_distance_fill(cond, mask, 2.0, 4, 0.0)
         b = inverse_distance_fill(far, mask, 2.0, 4, 0.0)
         assert a[0, 0, 0, 0] == b[0, 0, 0, 0]
+
+    def test_item_axis_fills_each_item_alone(self):
+        g = np.random.default_rng(9)
+        cond = g.uniform(-0.9, 0.9, (3, 2, 5, 4, 3)).astype(np.float32)
+        mask = (g.uniform(size=(3, 2, 5, 4, 1)) < 0.4).astype(np.float32)
+        out = inverse_distance_fill(cond, mask, 2.0, 4, -0.5)
+        for i in range(3):
+            assert out[i].tobytes() == inverse_distance_fill(cond[i], mask[i], 2.0, 4,
+                                                             -0.5).tobytes()
+
+    def test_offsets_fit_the_item(self):
+        # the ball clipped to the item, in the unclipped ball's order
+        ball = _neighbor_offsets(6, 2.0, (99, 99, 99))
+        fitting = [o for o in ball if abs(o[0]) < 3 and abs(o[1]) < 4 and abs(o[2]) < 5]
+        assert list(_neighbor_offsets(6, 2.0, (3, 4, 5))) == fitting
+        # a radius far beyond the item enumerates only what fits
+        huge = _neighbor_offsets(10 ** 9, 0.5, (2, 2, 3))
+        assert len(huge) == 3 * 3 * 5 - 1
 
     def test_short_axes_do_not_crash(self):
         cond = np.zeros((2, 2, 2, 1), np.float32)
@@ -240,6 +258,53 @@ class TestToyDenoiser:
             assert got.data.dtype == expected.dtype
             assert got.data.tobytes() == expected.tobytes()
             z = step(z, got, t_from, t_to)
+
+    @given(items=st.integers(1, 4), frames=st.integers(1, 3), height=st.integers(1, 6),
+           width=st.integers(1, 6), channels=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2**32 - 1),
+           maskings=st.lists(st.sampled_from(["random", "none", "anchor frames",
+                                              "all anchors"]), min_size=4, max_size=4),
+           cond_dtype=st.sampled_from([np.float32, np.float64]),
+           z_dtype=st.sampled_from([np.float32, np.float64]),
+           carryover=st.sampled_from([0.0, 0.5]), mode=st.sampled_from(MODES))
+    @settings(max_examples=80, deadline=None)
+    def test_items_match_one_call_per_item(self, items, frames, height, width, channels,
+                                           seed, maskings, cond_dtype, z_dtype, carryover,
+                                           mode):
+        g = np.random.default_rng(seed)
+        shape = (items * frames, height, width, channels)
+        cond = g.uniform(-1.2, 1.2, shape).astype(cond_dtype)
+        mask = (g.uniform(size=shape[:3] + (1,)) < 0.4).astype(np.float32)
+        slices = [slice(i * frames, (i + 1) * frames) for i in range(items)]
+        for sl, masking in zip(slices, maskings):
+            if masking == "none":
+                mask[sl] = 0.0
+            elif masking == "anchor frames":
+                mask[sl][g.uniform(size=frames) < 0.5] = 1.0
+            elif masking == "all anchors":
+                mask[sl] = 1.0
+        den = ToyDenoiser(DenoiserConfig(radius=3, latent_carryover=carryover))
+        batched = den.prepare(VideoTensor(cond), MaskVideo(mask), mode, items=items)
+        singles = [den.prepare(VideoTensor(cond[sl]), MaskVideo(mask[sl]), mode)
+                   for sl in slices]
+        joined = den.join(singles)
+        rejoined = den.join(den.split(batched))
+        z = VideoTensor(g.standard_normal(shape).astype(z_dtype))
+        sched = SampleSchedule(2)
+        for s in range(2):
+            t_from, t_to = float(sched.times[s]), float(sched.times[s + 1])
+            want = np.concatenate([den.denoise(p, VideoTensor(z.data[sl]), t_from).data
+                                   for p, sl in zip(singles, slices)])
+            for prepared in (batched, joined, rejoined):
+                got = den.denoise(prepared, z, t_from).data
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            z = step(z, den.denoise(batched, z, t_from), t_from, t_to)
+
+    def test_items_must_split_the_frames(self):
+        cond = VideoTensor(np.zeros((5, 2, 2, 1), np.float32))
+        with pytest.raises(ShapeError):
+            ToyDenoiser().prepare(cond, MaskVideo(np.zeros((5, 2, 2, 1), np.float32)),
+                                  items=2)
 
     def test_prepared_state_is_immutable(self):
         cond = np.full((1, 4, 4, 1), 0.3, np.float32)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from outpainter import gcg, rng
+from outpainter import gcg, rng, tiling
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.gcg import (GcgError, KeyframeSchedule, build_window, construct_gcg,
                             auto_delta, make_schedule, max_index_gap, midpoints,
@@ -92,35 +92,39 @@ class TestSchedule:
             KeyframeSchedule((0, 5), 3, 1, ((0, 1, 2),), 2, 4)
 
 
-def _stacks(sched, frame_shape=(4, 4, 1), seed=0):
+def _latent(sched, frame_shape=(4, 4, 1), seed=0):
+    """A construction's latent: [global stack; window 1; ...; window n]."""
     g = np.random.default_rng(seed)
-    globals_ = VideoTensor(g.standard_normal((len(sched.indices),) + frame_shape)
-                           .astype(np.float32))
-    windows = [VideoTensor(g.standard_normal((sched.K,) + frame_shape)
-                           .astype(np.float32)) for _ in sched.indices]
-    return globals_, windows
+    frames = len(sched.indices) * (1 + sched.K)
+    return g.standard_normal((frames,) + frame_shape).astype(np.float32)
 
 
 class TestSwap:
     def test_early_step_copies_window_latents(self):
         sched = make_schedule(48, 5, 2, 8, 12)
-        globals_, windows = _stacks(sched)
-        out = swap_globals(globals_, windows, sched, step_index=0)
+        latent = _latent(sched)
+        before = latent.copy()
+        swap_globals(latent, sched, step_index=0)
+        n = len(sched.indices)
         for i, (k, win) in enumerate(zip(sched.indices, sched.windows)):
-            np.testing.assert_array_equal(out.data[i], windows[i].data[win.index(k)])
+            np.testing.assert_array_equal(latent[i], before[n + i * sched.K + win.index(k)])
+        np.testing.assert_array_equal(latent[n:], before[n:])
 
     def test_late_step_is_identity(self):
         sched = make_schedule(48, 5, 2, 8, 12)
-        globals_, windows = _stacks(sched)
-        out = swap_globals(globals_, windows, sched, step_index=8)
-        assert out is globals_
+        latent = _latent(sched)
+        before = latent.copy()
+        swap_globals(latent, sched, step_index=8)
+        np.testing.assert_array_equal(latent, before)
 
     def test_swap_budget_boundary(self):
         sched = make_schedule(48, 5, 2, 8, 12)
-        globals_, windows = _stacks(sched, seed=1)
-        changed = [not np.array_equal(
-            swap_globals(globals_, windows, sched, s).data, globals_.data)
-            for s in range(40)]
+        before = _latent(sched, seed=1)
+        changed = []
+        for s in range(40):
+            latent = before.copy()
+            swap_globals(latent, sched, s)
+            changed.append(not np.array_equal(latent, before))
         assert all(changed[:8]) and not any(changed[8:])
 
 
@@ -179,6 +183,30 @@ class TestConstructGcg:
             outs[S] = construct_gcg(cond, mask, sched, den,
                                     SampleSchedule(4, S), 13)
         assert not np.array_equal(outs[2].data, outs[0].data)
+
+
+class TestGroupBudget:
+    @pytest.mark.parametrize("adapter", [False, True], ids=["toy", "spatial-adapter"])
+    def test_one_stack_groups_equal_default_groups(self, monkeypatch, adapter):
+        # 33 frames, tau 4: several rounds of overlapping segments, which
+        # share window stacks across constructions
+        video, _ = _observed_case(frames=33, hw=(8, 8), seed=9)
+        m = np.zeros(video.shape[:3] + (1,), np.float32)
+        m[:, :, 5:] = 1.0
+        cond, mask = VideoTensor(video.data * (1 - m)), MaskVideo(m)
+        den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
+        if adapter:
+            den = tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2))
+        outs = []
+        for budget in (tiling.GROUP_VOXELS, 1):
+            monkeypatch.setattr(tiling, "GROUP_VOXELS", budget)
+            merged, keys = multiscale_gcg(cond, mask, select_keyframes(33, 5), tau=4,
+                                          denoiser=den, sample=SampleSchedule(3, 2),
+                                          rng_seed=5, count=5, delta=2)
+            sched = make_schedule(33, 5, 2, 2, 4)
+            direct = construct_gcg(cond, mask, sched, den, SampleSchedule(3, 2), 5)
+            outs.append((merged.data.tobytes(), keys, direct.data.tobytes()))
+        assert outs[0] == outs[1]
 
 
 class TestGaps:

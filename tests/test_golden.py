@@ -4,6 +4,7 @@ The hashes pin `pipeline.run` bit for bit on a 16-frame `revisit` clip
 (seed 0, the acceptance suite's ablation config), so a change meant to keep
 behaviour must leave them as they are.  The fill counts pin that a stage's
 conditioning is filled once, before its step loop, and not once per step.
+A fill covers a group of stacks at once, so fills are counted in items.
 """
 import hashlib
 import inspect
@@ -61,12 +62,13 @@ def test_output_hash(case, mode):
 
 @pytest.fixture
 def fills(monkeypatch):
-    """Shapes of the conditions handed to `inverse_distance_fill`, in call order."""
+    """Item counts (the leading axis) of the conditions handed to
+    `inverse_distance_fill`, in call order."""
     calls = []
     real = dmod.inverse_distance_fill
 
     def counted(condition, mask, *args):
-        calls.append(condition.shape)
+        calls.append(condition.shape[0])
         return real(condition, mask, *args)
 
     monkeypatch.setattr(dmod, "inverse_distance_fill", counted)
@@ -106,17 +108,17 @@ def test_stage_fills(case, fills, monkeypatch, mode):
 
 @pytest.mark.parametrize("mode, frames", [("temporal_only", FRAMES), ("full", 48)])
 def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
-    """Fills equal the distinct (stack, spatial tile) conditionings with a
-    masked voxel, not the steps times that: `temporal_only` guides at target
+    """Filled items equal the distinct (stack, spatial tile) conditionings
+    with a masked voxel, not the steps times that: `temporal_only` guides at target
     resolution through the spatial adapter; `full` at the preset's 48 frames
     densifies over several rounds of overlapping segments."""
     clip = case if frames == FRAMES else scene.preset_case("revisit", 0)
     constructs = _spy(monkeypatch, gmod, "construct_gcg", fills)
     completion = _spy(monkeypatch, pipeline, "temporal_completion", fills)
-    steps = []
+    steps = []  # items denoised per call
     real_denoise = dmod.ToyDenoiser.denoise
     monkeypatch.setattr(dmod.ToyDenoiser, "denoise",
-                        lambda self, *a: steps.append(1) or real_denoise(self, *a))
+                        lambda self, *a: steps.append(a[0].items) or real_denoise(self, *a))
     pipeline.run(_config(clip, mode), clip.input)
     stacks = {}  # a round's stacks share its noise tag, video and mask
     for args, _ in constructs:
@@ -134,5 +136,5 @@ def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
     guided_mask = args["guided_mask"].data
     expected += sum(_masked(guided_mask[t.f0:t.f1, t.y0:t.y1, t.x0:t.x1])
                     for t in args["plan_t"].tiles)
-    assert len(fills) == expected
-    assert len(steps) >= 10 * expected  # steps reuse the prepared fills
+    assert sum(fills) == expected
+    assert sum(steps) >= 10 * expected  # steps reuse the prepared fills

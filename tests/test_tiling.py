@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from outpainter import tiling
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.sampler import SampleSchedule, step
 from outpainter.tiling import (WEIGHT_EPS, ConfigError, CoverageError,
-                               SpatiallyTiledDenoiser, Tile, TilePlan, blend,
+                               SpatiallyTiledDenoiser, Tile, TilePlan, blend, group_items,
                                plan, prepare_tiles, tile_weight, tiled_denoise_pass)
 from outpainter.video import MaskVideo, ShapeError, VideoTensor
 
@@ -152,6 +153,29 @@ class TestBlend:
         np.testing.assert_allclose(blend(outputs, p).data, c, atol=1e-6)
 
 
+class TestGroups:
+    def test_budget_splits_runs_of_one_shape(self, monkeypatch):
+        monkeypatch.setattr(tiling, "GROUP_VOXELS", 10)
+        shapes = [(1, 2, 2)] * 5 + [(1, 3, 3)] * 2 + [(2, 4, 4)]
+        assert group_items(shapes) == [slice(0, 1), slice(1, 3), slice(3, 5),
+                                       slice(5, 6), slice(6, 7), slice(7, 8)]
+        monkeypatch.setattr(tiling, "GROUP_VOXELS", 22 * 4)
+        assert group_items([(1, 2, 2)] * 24) == [slice(0, 12), slice(12, 24)]
+
+    def test_default_budget_keeps_one_shape_together(self):
+        assert group_items([(16, 12, 12)] * 5) == [slice(0, 5)]
+        assert group_items([]) == []
+
+    def test_streamed_outputs_must_follow_the_plan(self):
+        p = plan((1, 10, 1), 1, 4, 1, 0, 2, 0)
+        outputs = [(t, VideoTensor(np.zeros(t.shape + (1,), np.float32))) for t in p.tiles]
+        assert blend(iter(outputs), p).data.shape == (1, 10, 1, 1)
+        with pytest.raises(CoverageError):
+            blend(iter(outputs[::-1]), p)
+        with pytest.raises(CoverageError):
+            blend(iter(outputs[:-1]), p)
+
+
 class TestTiledPass:
     def _problem(self, seed=0, shape=(6, 12, 12, 3)):
         g = np.random.default_rng(seed)
@@ -186,6 +210,23 @@ class TestTiledPass:
                                    float(sched.times[s + 1]), prepared)
         np.testing.assert_allclose(z.data, cond.data, atol=1e-6)
 
+    def test_one_tile_groups_equal_default_groups(self, monkeypatch):
+        den = ToyDenoiser(DenoiserConfig(radius=3))
+        z0, cond, mask = self._problem(seed=4, shape=(8, 20, 20, 3))
+        p = plan((8, 20, 20), 4, 8, 8, 2, 3, 3)
+        sched = SampleSchedule(3)
+        outs = []
+        for budget in (tiling.GROUP_VOXELS, 1):
+            monkeypatch.setattr(tiling, "GROUP_VOXELS", budget)
+            prepared = prepare_tiles(den, cond, mask, p)
+            assert len(prepared) == (1 if budget > 1 else len(p.tiles))
+            z = z0
+            for s in range(3):
+                z = tiled_denoise_pass(z, p, den, float(sched.times[s]),
+                                       float(sched.times[s + 1]), prepared)
+            outs.append(z.data.tobytes())
+        assert outs[0] == outs[1]
+
     def test_extent_mismatch_rejected(self):
         den = ToyDenoiser()
         z, cond, mask = self._problem()
@@ -215,6 +256,26 @@ class TestSpatialAdapter:
         stepped_via_pass = tiled_denoise_pass(z, full_plan, den, 1.0, 0.75, prepared)
         np.testing.assert_allclose(stepped_via_adapter.data,
                                    stepped_via_pass.data, atol=1e-6)
+
+    def test_items_and_groups_match_one_call_per_item(self, monkeypatch):
+        den = ToyDenoiser(DenoiserConfig(radius=3))
+        g = np.random.default_rng(6)
+        shape = (3 * 4, 16, 16, 3)
+        cond = g.uniform(-0.8, 0.8, shape).astype(np.float32)
+        mask = (g.uniform(size=shape[:3] + (1,)) < 0.3).astype(np.float32)
+        mask[4:8] = 0.0  # an item with nothing masked
+        z = VideoTensor(g.standard_normal(shape))
+        adapter = SpatiallyTiledDenoiser(den, plan((1, 16, 16), 1, 8, 8, 0, 4, 4))
+        per_item = np.concatenate([
+            adapter.denoise(adapter.prepare(VideoTensor(cond[i:i + 4]),
+                                            MaskVideo(mask[i:i + 4])),
+                            VideoTensor(z.data[i:i + 4]), 0.5).data
+            for i in (0, 4, 8)])
+        for budget in (tiling.GROUP_VOXELS, 1):
+            monkeypatch.setattr(tiling, "GROUP_VOXELS", budget)
+            prepared = adapter.prepare(VideoTensor(cond), MaskVideo(mask), items=3)
+            for state in (prepared, adapter.join(adapter.split(prepared))):
+                assert adapter.denoise(state, z, 0.5).data.tobytes() == per_item.tobytes()
 
     def test_extent_mismatch_rejected(self):
         adapter = SpatiallyTiledDenoiser(ToyDenoiser(), plan((1, 8, 8), 1, 8, 8))
