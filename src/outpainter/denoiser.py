@@ -9,8 +9,7 @@ useful at desk scale.
 A denoiser prepares a stage's fixed conditioning once (`prepare`) and
 predicts each step's velocity from that prepared state (`denoise`).  Both
 work on the frame concatenation of `items` equal-length stacks, so a caller
-runs a group of same-shaped tiles or stacks as one array; `split` and `join`
-take a prepared group apart into its items and put items back together.
+runs a group of same-shaped tiles or stacks as one array.
 """
 from __future__ import annotations
 
@@ -50,14 +49,6 @@ def frames_per_item(condition: VideoTensor, items: int) -> int:
     if items < 1 or condition.frames % items:
         raise ShapeError(f"{condition.frames} frames do not split into {items} equal stacks")
     return condition.frames // items
-
-
-def join_conditions(parts) -> tuple[VideoTensor, MaskVideo]:
-    """The frame concatenation of the prepared states' conditions and masks."""
-    if len({p.mode for p in parts}) != 1 or len({p.item_frames for p in parts}) != 1:
-        raise ShapeError("joined items must share one mode and one frame count")
-    return (VideoTensor(np.concatenate([p.condition.data for p in parts])),
-            MaskVideo(np.concatenate([p.mask.data for p in parts])))
 
 
 @dataclass(frozen=True)
@@ -234,38 +225,10 @@ class ToyDenoiser:
         x0.flags.writeable = False
         return PreparedFill(condition, mask, mode, items, x0, carry_mask)
 
-    def split(self, prepared: PreparedFill) -> tuple[PreparedFill, ...]:
-        """Each item of `prepared` as a prepared state of its own (views)."""
-        n = prepared.item_frames
-        return tuple(
-            PreparedFill(VideoTensor(prepared.condition.data[sl]),
-                         MaskVideo(prepared.mask.data[sl]), prepared.mode, 1,
-                         prepared.x0[sl],
-                         None if prepared.carry_mask is None else prepared.carry_mask[sl])
-            for sl in (slice(i * n, (i + 1) * n) for i in range(prepared.items)))
-
-    def join(self, parts) -> PreparedFill:
-        """One prepared state for the frame concatenation of `parts`.  An
-        item without a carry mask gets a zero one, which leaves its already
-        clamped `x0` as it is."""
-        if len(parts) == 1:
-            return parts[0]
-        condition, mask = join_conditions(parts)
-        x0 = np.concatenate([p.x0 for p in parts])
-        x0.flags.writeable = False
-        carry_mask = None
-        if any(p.carry_mask is not None for p in parts):
-            carry_mask = np.concatenate([np.zeros(p.mask.data.shape, np.float32)
-                                         if p.carry_mask is None else p.carry_mask
-                                         for p in parts])
-            carry_mask.flags.writeable = False
-        return PreparedFill(condition, mask, parts[0].mode, sum(p.items for p in parts),
-                            x0, carry_mask)
-
     def denoise(self, prepared: PreparedFill, z: VideoTensor, t: float) -> VideoTensor:
         """Velocity for one step from `prepared`, which is
-        `self.prepare(condition, mask, mode, items)`, shared by every step of
-        a stage.  Every operation is per frame, so one call on a
+        `self.prepare(condition, mask, mode, items)`, made once for every
+        step of a stage.  Every operation is per frame, so one call on a
         concatenation equals one call per item."""
         if t <= 0.0:
             raise ScheduleError("t must be > 0: no denoising step remains")

@@ -3,15 +3,17 @@ global-local frame swapping during sampling, and multi-scale densification.
 
 Stage 1 denoises a sparse keyframe stack together with one short-stride local
 window per keyframe; during the first ``swap_steps`` denoising steps the
-global stack's latent for frame k_i is overwritten by the latent of the same
+keyframe stack's latent for frame k_i is overwritten by the latent of the same
 frame inside its local window, injecting short-range temporal cues into the
 global trajectory.  Midpoint keyframes are then inserted until the largest
 inter-keyframe gap falls below tau, with previously generated keyframes kept
-bit-identical as trusted anchors.
+bit-identical as trusted anchors.  A round's overlapping keyframe segments
+are constructed together, in one latent.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +32,7 @@ class GcgError(RuntimeError):
 class KeyframeSchedule:
     indices: tuple[int, ...]
     K: int
-    delta: int
     windows: tuple[tuple[int, ...], ...]
-    swap_steps: int
-    tau: int
 
     def __post_init__(self):
         if list(self.indices) != sorted(set(self.indices)):
@@ -83,74 +82,81 @@ def build_window(k: int, count: int, delta: int, total_frames: int) -> tuple[int
     raise ConfigError(f"no feasible window for k={k}, K={count}, F={total_frames}")
 
 
-def make_schedule(total_frames: int, count: int, delta: int, swap_steps: int,
-                  tau: int, indices: tuple[int, ...] | None = None) -> KeyframeSchedule:
+def make_schedule(total_frames: int, count: int, delta: int,
+                  indices: tuple[int, ...] | None = None) -> KeyframeSchedule:
     if indices is None:
         indices = select_keyframes(total_frames, count)
     windows = tuple(build_window(k, count, delta, total_frames) for k in indices)
-    return KeyframeSchedule(tuple(indices), count, delta, windows, swap_steps, tau)
+    return KeyframeSchedule(tuple(indices), count, windows)
 
 
-def swap_globals(latent: np.ndarray, sched: KeyframeSchedule, step_index: int) -> None:
+def swap_globals(latent: np.ndarray, scheds: Sequence[KeyframeSchedule],
+                 windows: tuple[tuple[int, ...], ...], step_index: int,
+                 swap_steps: int) -> None:
     """During the first swap_steps steps, copy each keyframe's latent from
-    its local window into its global slot, in place; a no-op afterwards.
-    `latent` is the frame concatenation [global stack; window 1; ...]."""
-    if step_index >= sched.swap_steps:
+    its local window into its keyframe stack, in place; a no-op afterwards.
+    `latent` is the frame concatenation [stack of scheds[0]; ...; stack of
+    scheds[-1]; windows[0]; ...], and `windows` holds every window of
+    `scheds` once."""
+    if step_index >= swap_steps:
         return
-    n = len(sched.indices)
-    for i, (k, win) in enumerate(zip(sched.indices, sched.windows)):
-        latent[i] = latent[n + i * sched.K + win.index(k)]
+    starts = np.cumsum([sum(len(sc.indices) for sc in scheds)] + [len(w) for w in windows])
+    start = dict(zip(windows, starts.tolist()))
+    src = [start[win] + win.index(k) for sc in scheds for k, win in zip(sc.indices, sc.windows)]
+    latent[:len(src)] = latent[src]
 
 
 def _init_noise(rng_seed: int, tag: str, idx: tuple[int, ...],
                 frame_shape: tuple[int, ...]) -> np.ndarray:
-    # Per-frame noise keyed by the original frame index so the global stack
-    # and every window slot referring to the same frame start from identical
-    # latents; this makes the swap ablation a controlled comparison.  Each
-    # distinct frame's noise is drawn once.
+    # Per-frame noise keyed by the original frame index so every keyframe
+    # stack and every window slot referring to the same frame start from
+    # identical latents; this makes the swap ablation a controlled comparison.
+    # Each distinct frame's noise is drawn once.
     noise = {f: rng.normals(rng_seed, f"{tag}:init:{f}", (1,) + frame_shape)
              for f in dict.fromkeys(idx)}
     return np.concatenate([noise[f] for f in idx], axis=0)
 
 
-def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo, sched: KeyframeSchedule,
-                  denoiser, sample: SampleSchedule, rng_seed: int,
-                  noise_tag: str = "gcg", shared: dict | None = None) -> VideoTensor:
-    """Denoise the keyframe stack and all local windows in lockstep as one
-    latent, [global stack; window 1; ...], swapping window latents into the
-    global stack for the first swap_steps steps.  Each group of stacks
-    (`group_items`) is denoised as one array; its stacks are prepared once,
-    before the step loop, into `shared` (frame indices -> prepared state of
-    that stack), which constructions on one video may share."""
-    stacks = (sched.indices,) + sched.windows
-    shared = {} if shared is None else shared
-    groups = group_items([(len(idx),) + video_ds.shape[1:3] for idx in stacks])
+def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
+                  scheds: Sequence[KeyframeSchedule], denoiser,
+                  sample: SampleSchedule, rng_seed: int,
+                  noise_tag: str = "gcg") -> list[VideoTensor]:
+    """Denoise one keyframe stack per schedule and every distinct local
+    window of `scheds` in lockstep as one latent, [stack 1; ...; stack n;
+    window 1; ...], swapping window latents into the stacks for the first
+    swap_steps steps; returns each schedule's stack.  A window evolves the
+    same way in every schedule that names it and the swap never writes it,
+    so one slot serves them all.  Nothing reads a window after the swap
+    budget, so from then on only the keyframe stacks are stepped.  The
+    stacks and the windows are grouped apart (`group_items`); each group is
+    prepared once and denoised as one array."""
+    windows = tuple(dict.fromkeys(w for sc in scheds for w in sc.windows)
+                    if sample.swap_steps else ())
+    stacks = [sc.indices for sc in scheds] + list(windows)
+    n = len(scheds)
+    shapes = [(len(idx),) + video_ds.shape[1:3] for idx in stacks]
+    key_groups = group_items(shapes[:n])  # first, so zip(key_groups, prepared) pairs them
+    groups = key_groups + [slice(n + g.start, n + g.stop) for g in group_items(shapes[n:])]
     prepared = []
     for g in groups:
-        group = list(stacks[g])
-        new = [idx for idx in dict.fromkeys(group) if idx not in shared]
-        if new:
-            frames = [f for idx in new for f in idx]
-            made = denoiser.prepare(VideoTensor(video_ds.data[frames]),
-                                    MaskVideo(mask_ds.data[frames]), "sparse", items=len(new))
-            shared.update(zip(new, denoiser.split(made)))
-            if new == group:  # nothing reused: the group is prepared as it stands
-                prepared.append(made)
-                continue
-        prepared.append(denoiser.join([shared[idx] for idx in group]))
+        frames = [f for idx in stacks[g] for f in idx]
+        prepared.append(denoiser.prepare(VideoTensor(video_ds.data[frames]),
+                                         MaskVideo(mask_ds.data[frames]), "sparse",
+                                         items=g.stop - g.start))
     bounds = np.cumsum([0] + [len(idx) for idx in stacks])
     z = _init_noise(rng_seed, noise_tag, sum(stacks, ()), video_ds.shape[1:])
     stepped = np.empty(z.shape, dtype=np.float64)  # Euler steps are float64
     times = sample.times
     for s in range(sample.total_steps):
         t_from, t_to = float(times[s]), float(times[s + 1])
-        for g, prep in zip(groups, prepared):  # a group is read, then overwritten
+        live = groups if s < sample.swap_steps else key_groups
+        for g, prep in zip(live, prepared):  # a group is read, then overwritten
             lo, hi = bounds[g.start], bounds[g.stop]
             z_g = VideoTensor(z[lo:hi])
             stepped[lo:hi] = step(z_g, denoiser.denoise(prep, z_g, t_from), t_from, t_to).data
         z = stepped
-        swap_globals(z, sched, s)
-    return VideoTensor(z[:len(sched.indices)])
+        swap_globals(z, scheds, windows, s, sample.swap_steps)
+    return [VideoTensor(z[bounds[j]:bounds[j + 1]]) for j in range(n)]
 
 
 def max_index_gap(indices) -> int:
@@ -185,25 +191,16 @@ def insert_guidance(video_ds: VideoTensor, mask_ds: MaskVideo, guidance: VideoTe
 
 def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
                   denoiser, sample: SampleSchedule, rng_seed: int, count: int,
-                  delta: int, tau: int, tag: str) -> np.ndarray:
+                  delta: int, tag: str) -> np.ndarray:
     """Construct guidance for `keys`, split into overlapping capacity-K
     segments blended along the keyframe-index axis; returns len(keys) frames."""
-    total_frames = cond_v.frames
     h, w = cond_v.shape[1:3]
     seg_size = min(count, len(keys))
     seg_plan = plan((len(keys), h, w), seg_size, h, w, min(2, seg_size - 1))
-    seg_outputs = []
-    shared: dict = {}
-    for tile in seg_plan.tiles:
-        seg_keys = tuple(keys[tile.f0:tile.f1])
-        sched = make_schedule(total_frames, seg_size, delta, sample.swap_steps, tau, seg_keys)
-        # overlapping segments share windows: keep only the stacks this one reuses
-        stacks = {sched.indices, *sched.windows}
-        shared = {idx: p for idx, p in shared.items() if idx in stacks}
-        out = construct_gcg(cond_v, msk_v, sched, denoiser, sample, rng_seed,
-                            noise_tag=tag, shared=shared)
-        seg_outputs.append((tile, out))
-    return blend(seg_outputs, seg_plan).data.copy()
+    scheds = [make_schedule(cond_v.frames, seg_size, delta, tuple(keys[t.f0:t.f1]))
+              for t in seg_plan.tiles]
+    outputs = construct_gcg(cond_v, msk_v, scheds, denoiser, sample, rng_seed, noise_tag=tag)
+    return blend(zip(seg_plan.tiles, outputs), seg_plan).data.copy()
 
 
 def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
@@ -219,7 +216,7 @@ def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
     total_frames = video_ds.frames
     keys = sorted(set(initial))
     merged = _run_segments(keys, video_ds, mask_ds, denoiser, sample, rng_seed,
-                           count, delta, tau, "gcg:r0")
+                           count, delta, "gcg:r0")
     known: dict[int, np.ndarray] = {k: merged[i] for i, k in enumerate(keys)}
     if history is not None:
         history.append((tuple(keys), merged.copy()))
@@ -234,7 +231,7 @@ def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
                                         VideoTensor(np.stack(list(known.values()))),
                                         tuple(known))
         merged = _run_segments(keys, cond_v, msk_v, denoiser, sample, rng_seed, count,
-                               delta, tau, f"gcg:r{rounds}")
+                               delta, f"gcg:r{rounds}")
         for pos, k in enumerate(keys):
             if k in known:
                 merged[pos] = known[k]

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .denoiser import Prepared, frames_per_item, join_conditions
+from .denoiser import Prepared, frames_per_item
 from .sampler import step
 from .video import MaskVideo, ShapeError, VideoTensor
 
@@ -285,22 +285,6 @@ class SpatiallyTiledDenoiser:
             parts += prepare_tiles(self.inner, VideoTensor(condition.data[sl]),
                                    MaskVideo(mask.data[sl]), frame_plan, mode)
         return PreparedTiles(condition, mask, mode, items, frame_plan, tuple(parts))
-
-    def split(self, prepared: PreparedTiles) -> tuple[PreparedTiles, ...]:
-        """Each item of `prepared` as a prepared state of its own."""
-        f = prepared.item_frames
-        return tuple(PreparedTiles(VideoTensor(prepared.condition.data[i * f:(i + 1) * f]),
-                                   MaskVideo(prepared.mask.data[i * f:(i + 1) * f]),
-                                   prepared.mode, 1, prepared.plan, prepared.item_parts(i))
-                     for i in range(prepared.items))
-
-    def join(self, parts) -> PreparedTiles:
-        """One prepared state for the frame concatenation of `parts`."""
-        if len(parts) == 1:
-            return parts[0]
-        condition, mask = join_conditions(parts)
-        return PreparedTiles(condition, mask, parts[0].mode, sum(p.items for p in parts),
-                             parts[0].plan, sum((p.parts for p in parts), ()))
 
     def denoise(self, prepared: PreparedTiles, z: VideoTensor, t: float) -> VideoTensor:
         if z.shape != prepared.condition.shape:

@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, determinism, manifests, file formats."""
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from outpainter import metrics
+from outpainter import metrics, pipeline
 from outpainter.cli import main
 from outpainter.scene import CameraKey, SceneSpec
 from outpainter.video import read_mask, read_ppm, read_raw, write_raw, VideoTensor
@@ -343,6 +346,60 @@ class TestOutpaint:
         monkeypatch.setenv("HLOP_SEED", "not-a-number")
         assert main(["outpaint", str(config), f"{prefix}.input.hlvd",
                      str(tmp_path / "o.hlvd")]) == 2
+
+
+# Every key of the config's JSON form, with its default value.
+_KEYS = {(section, key): value
+         for section, doc in pipeline.PipelineConfig(pad=pipeline.PadSpec(16, 24)).to_dict().items()
+         for key, value in (doc.items() if isinstance(doc, dict) else [(None, doc)])}
+
+
+def _own_type(default):
+    """Values of the type of `default`.  Integers stay small, so that a
+    drawn step count or tile size runs in a moment."""
+    if type(default) is bool:
+        return st.booleans()
+    if type(default) is int:
+        return st.integers(-1, 24)
+    if type(default) is float:
+        return st.floats() | st.floats(-1.0, 2.0)
+    return st.sampled_from(sorted({*pipeline.MODES, "toy", "identity", "avgpool"})) | st.text(
+        max_size=4)
+
+
+@pytest.fixture(scope="module")
+def short_clips(tmp_path_factory):
+    """Input clips of 1 to 6 frames, by frame count."""
+    root = tmp_path_factory.mktemp("clips")
+    clips = {}
+    for frames in range(1, 7):
+        (root / str(frames)).mkdir()
+        clips[frames] = f"{_synth(root / str(frames), frames=frames)}.input.hlvd"
+    return root, clips
+
+
+@given(frames=st.integers(1, 6), edits=st.lists(st.sampled_from(sorted(_KEYS, key=str)).flatmap(
+    lambda path: st.tuples(st.just(path), _own_type(_KEYS[path]))), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_config_exits_0_or_2(short_clips, frames, edits):
+    """A config with values of each key's own type either runs (exit 0) or
+    is refused with one `error:` line (exit 2); it never fails at run time."""
+    root, clips = short_clips
+    doc = json.loads(_config(root).read_text())
+    for (section, key), value in edits:
+        if key is None:
+            doc[section] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+    config = root / "fuzzed.json"
+    config.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["outpaint", str(config), clips[frames], str(root / "out.hlvd")])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestEval:

@@ -80,50 +80,51 @@ class TestBuildWindow:
 
 class TestSchedule:
     def test_make_schedule_windows(self):
-        sched = make_schedule(48, 5, 2, 8, 12)
+        sched = make_schedule(48, 5, 2)
         assert sched.indices == select_keyframes(48, 5)
         for k, win in zip(sched.indices, sched.windows):
             assert k in win and len(win) == 5
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            KeyframeSchedule((0, 5, 2), 3, 1, ((0, 1, 2),) * 3, 2, 4)
+            KeyframeSchedule((0, 5, 2), 3, ((0, 1, 2),) * 3)
         with pytest.raises(ConfigError):
-            KeyframeSchedule((0, 5), 3, 1, ((0, 1, 2),), 2, 4)
+            KeyframeSchedule((0, 5), 3, ((0, 1, 2),))
 
 
 def _latent(sched, frame_shape=(4, 4, 1), seed=0):
-    """A construction's latent: [global stack; window 1; ...; window n]."""
+    """A one-schedule construction's latent, [keyframe stack; window 1; ...;
+    window n], and its windows."""
     g = np.random.default_rng(seed)
     frames = len(sched.indices) * (1 + sched.K)
-    return g.standard_normal((frames,) + frame_shape).astype(np.float32)
+    return g.standard_normal((frames,) + frame_shape).astype(np.float32), sched.windows
 
 
 class TestSwap:
     def test_early_step_copies_window_latents(self):
-        sched = make_schedule(48, 5, 2, 8, 12)
-        latent = _latent(sched)
+        sched = make_schedule(48, 5, 2)
+        latent, windows = _latent(sched)
         before = latent.copy()
-        swap_globals(latent, sched, step_index=0)
+        swap_globals(latent, (sched,), windows, step_index=0, swap_steps=8)
         n = len(sched.indices)
         for i, (k, win) in enumerate(zip(sched.indices, sched.windows)):
             np.testing.assert_array_equal(latent[i], before[n + i * sched.K + win.index(k)])
         np.testing.assert_array_equal(latent[n:], before[n:])
 
     def test_late_step_is_identity(self):
-        sched = make_schedule(48, 5, 2, 8, 12)
-        latent = _latent(sched)
+        sched = make_schedule(48, 5, 2)
+        latent, windows = _latent(sched)
         before = latent.copy()
-        swap_globals(latent, sched, step_index=8)
+        swap_globals(latent, (sched,), windows, step_index=8, swap_steps=8)
         np.testing.assert_array_equal(latent, before)
 
     def test_swap_budget_boundary(self):
-        sched = make_schedule(48, 5, 2, 8, 12)
-        before = _latent(sched, seed=1)
+        sched = make_schedule(48, 5, 2)
+        before, windows = _latent(sched, seed=1)
         changed = []
         for s in range(40):
             latent = before.copy()
-            swap_globals(latent, sched, s)
+            swap_globals(latent, (sched,), windows, s, 8)
             changed.append(not np.array_equal(latent, before))
         assert all(changed[:8]) and not any(changed[8:])
 
@@ -138,8 +139,8 @@ def _observed_case(frames=24, hw=(6, 6), seed=3):
 class TestConstructGcg:
     def test_all_observed_reaches_input_keyframes(self):
         video, mask = _observed_case()
-        sched = make_schedule(24, 5, 2, 2, 8)
-        out = construct_gcg(video, mask, sched, ToyDenoiser(), SampleSchedule(4, 2), 7)
+        sched = make_schedule(24, 5, 2)
+        [out] = construct_gcg(video, mask, (sched,), ToyDenoiser(), SampleSchedule(4, 2), 7)
         np.testing.assert_allclose(out.data, video.data[list(sched.indices)],
                                    atol=1e-6)
 
@@ -150,10 +151,10 @@ class TestConstructGcg:
         m[:, :, 3:] = 1.0
         cond = VideoTensor(video.data * (1 - m))
         mask = MaskVideo(m)
-        sched = make_schedule(24, 5, 2, 0, 8)
+        sched = make_schedule(24, 5, 2)
         sample = SampleSchedule(4, 0)
         den = ToyDenoiser(DenoiserConfig(radius=3))
-        out = construct_gcg(cond, mask, sched, den, sample, 11, noise_tag="probe")
+        [out] = construct_gcg(cond, mask, (sched,), den, sample, 11, noise_tag="probe")
         # manual keyframe-stack denoising from the same per-frame noise
         idx = list(sched.indices)
         cond_g = VideoTensor(cond.data[idx].copy())
@@ -179,10 +180,65 @@ class TestConstructGcg:
         den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=6))
         outs = {}
         for S in (2, 0):
-            sched = make_schedule(24, 5, 2, S, 8)
-            outs[S] = construct_gcg(cond, mask, sched, den,
-                                    SampleSchedule(4, S), 13)
+            sched = make_schedule(24, 5, 2)
+            [outs[S]] = construct_gcg(cond, mask, (sched,), den,
+                                      SampleSchedule(4, S), 13)
         assert not np.array_equal(outs[2].data, outs[0].data)
+
+
+def _round(frames, keys, count, delta):
+    """The schedules of one densification round's overlapping segments."""
+    seg_plan = tiling.plan((len(keys), 1, 1), count, 1, 1, min(2, count - 1))
+    return [make_schedule(frames, count, delta, tuple(keys[t.f0:t.f1])) for t in seg_plan.tiles]
+
+
+def _masked_case(frames, hw=(8, 8), seed=9):
+    video, _ = _observed_case(frames=frames, hw=hw, seed=seed)
+    m = np.zeros(video.shape[:3] + (1,), np.float32)
+    m[:, :, 5:] = 1.0
+    return VideoTensor(video.data * (1 - m)), MaskVideo(m)
+
+
+class TestRound:
+    @pytest.mark.parametrize("adapter", [False, True], ids=["toy", "spatial-adapter"])
+    @pytest.mark.parametrize("frames, keys, count, delta", [
+        (33, tuple(range(0, 33, 3)), 5, 1),  # segments share windows
+        (5, tuple(range(5)), 5, 1),  # every window is the keyframe stack
+        (12, tuple(range(0, 12, 2)), 4, 2),  # a window is the first segment's stack
+    ], ids=["shared-windows", "5-frames", "12-frames"])
+    def test_round_equals_one_construction_per_schedule(self, adapter, frames, keys,
+                                                        count, delta):
+        cond, mask = _masked_case(frames)
+        den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
+        if adapter:
+            den = tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2))
+        scheds = _round(frames, keys, count, delta)
+        sample = SampleSchedule(4, 2)
+        together = construct_gcg(cond, mask, scheds, den, sample, 3, noise_tag="round")
+        assert len(together) == len(scheds)
+        for sched, out in zip(scheds, together):
+            [alone] = construct_gcg(cond, mask, (sched,), den, sample, 3, noise_tag="round")
+            assert out.data.tobytes() == alone.data.tobytes()
+
+    @pytest.mark.parametrize("swap_steps", [0, 2, 6])
+    def test_windows_stop_stepping_after_the_swap(self, monkeypatch, swap_steps):
+        cond, mask = _masked_case(33)
+        scheds = _round(33, tuple(range(0, 33, 3)), 5, 1)
+        windows = {w for sched in scheds for w in sched.windows}
+        assert len(windows) < sum(len(sched.windows) for sched in scheds)
+        items = {}  # denoised items per step time
+        real = ToyDenoiser.denoise
+
+        def spy(self, prepared, z, t):
+            items[t] = items.get(t, 0) + prepared.items
+            return real(self, prepared, z, t)
+
+        monkeypatch.setattr(ToyDenoiser, "denoise", spy)
+        sample = SampleSchedule(6, swap_steps)
+        construct_gcg(cond, mask, scheds, ToyDenoiser(DenoiserConfig(radius=3)), sample, 3)
+        n = len(scheds)
+        assert [items[float(t)] for t in sample.times[:-1]] == (
+            [n + len(windows)] * swap_steps + [n] * (6 - swap_steps))
 
 
 class TestGroupBudget:
@@ -190,10 +246,7 @@ class TestGroupBudget:
     def test_one_stack_groups_equal_default_groups(self, monkeypatch, adapter):
         # 33 frames, tau 4: several rounds of overlapping segments, which
         # share window stacks across constructions
-        video, _ = _observed_case(frames=33, hw=(8, 8), seed=9)
-        m = np.zeros(video.shape[:3] + (1,), np.float32)
-        m[:, :, 5:] = 1.0
-        cond, mask = VideoTensor(video.data * (1 - m)), MaskVideo(m)
+        cond, mask = _masked_case(33)
         den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
         if adapter:
             den = tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2))
@@ -203,8 +256,8 @@ class TestGroupBudget:
             merged, keys = multiscale_gcg(cond, mask, select_keyframes(33, 5), tau=4,
                                           denoiser=den, sample=SampleSchedule(3, 2),
                                           rng_seed=5, count=5, delta=2)
-            sched = make_schedule(33, 5, 2, 2, 4)
-            direct = construct_gcg(cond, mask, sched, den, SampleSchedule(3, 2), 5)
+            sched = make_schedule(33, 5, 2)
+            [direct] = construct_gcg(cond, mask, (sched,), den, SampleSchedule(3, 2), 5)
             outs.append((merged.data.tobytes(), keys, direct.data.tobytes()))
         assert outs[0] == outs[1]
 
@@ -240,8 +293,8 @@ class TestMultiscale:
         merged, keys = multiscale_gcg(cond, mask, initial, tau=5, denoiser=den,
                                       sample=sample, rng_seed=9, count=5, delta=2)
         assert keys == initial  # gaps are 4..5 <= tau, no rounds run
-        sched = make_schedule(20, 5, 2, 1, 5, indices=initial)
-        direct = construct_gcg(cond, mask, sched, den, sample, 9, noise_tag="gcg:r0")
+        sched = make_schedule(20, 5, 2, indices=initial)
+        [direct] = construct_gcg(cond, mask, (sched,), den, sample, 9, noise_tag="gcg:r0")
         # the single-segment merge is the direct construction rounded to float32
         np.testing.assert_array_equal(merged.data,
                                       direct.data.astype(np.float32))

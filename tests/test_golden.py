@@ -120,13 +120,18 @@ def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
     monkeypatch.setattr(dmod.ToyDenoiser, "denoise",
                         lambda self, *a: steps.append(a[0].items) or real_denoise(self, *a))
     pipeline.run(_config(clip, mode), clip.input)
-    stacks = {}  # a round's stacks share its noise tag, video and mask
+    # a call builds one round, whose stacks share its noise tag, video and
+    # mask: a keyframe stack per schedule, conditioned on its own even where
+    # it names a window's frames, and each distinct window once
+    stacks = {}
     for args, _ in constructs:
-        sched = args["sched"]
-        for idx in (sched.indices,) + sched.windows:
-            stacks[args["noise_tag"], idx] = (args["mask_ds"].data[list(idx)], args["denoiser"])
-    if mode == "full":  # overlapping segments name some stacks twice
-        assert len(stacks) < sum(1 + len(a["sched"].windows) for a, _ in constructs)
+        for sched in args["scheds"]:
+            for kind, idx in [("keys", sched.indices)] + [("window", w) for w in sched.windows]:
+                stacks[kind, args["noise_tag"], idx] = (args["mask_ds"].data[list(idx)],
+                                                        args["denoiser"])
+    if mode == "full":  # overlapping segments name some windows twice
+        named = sum(len(s.windows) for a, _ in constructs for s in a["scheds"])
+        assert sum(kind == "window" for kind, _, _ in stacks) < named
     expected = 0
     for mask, den in stacks.values():
         tiles = den.plan.tiles if isinstance(den, tmod.SpatiallyTiledDenoiser) else [None]
