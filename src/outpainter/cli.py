@@ -102,7 +102,9 @@ def _load_config(path: str, mode: str | None, seed: int | None) -> pipeline.Pipe
     return pipeline.PipelineConfig.from_dict(raw)
 
 
-def _run_one(config: pipeline.PipelineConfig, in_path: str, out_path: str) -> pipeline.RunResult:
+def _load_clip(config: pipeline.PipelineConfig, in_path: str) -> video.VideoTensor:
+    """The input clip, refused unless its values lie in [-1, 1] and it fits
+    the config's pad canvas."""
     clip = video.read_raw(in_path)
     peak = float(np.abs(clip.data).max())
     if peak > 1.0:
@@ -112,6 +114,29 @@ def _run_one(config: pipeline.PipelineConfig, in_path: str, out_path: str) -> pi
         config.pad.validate(clip.height, clip.width)
     except video.ShapeError as exc:
         raise pipeline.ConfigError(f"pad canvas does not fit {in_path}: {exc}") from exc
+    return clip
+
+
+def _load_scoring(truth_path: str, mask_path: str,
+                  shape: tuple) -> tuple[video.VideoTensor, video.MaskVideo]:
+    """The truth and mask that score an output of `shape`, refused unless
+    they match it and its frames hold an SSIM window."""
+    truth = video.read_raw(truth_path)
+    mask = video.read_mask(mask_path)
+    if truth.shape != shape:
+        raise pipeline.ConfigError(f"truth {truth_path} is {truth.shape}, the output {shape}")
+    if mask.data.shape != shape[:3] + (1,):
+        raise pipeline.ConfigError(f"mask {mask_path} is {mask.data.shape}, "
+                                   f"the output needs {shape[:3] + (1,)}")
+    n = metrics.SSIM_WINDOW
+    if shape[1] < n or shape[2] < n:
+        raise pipeline.ConfigError(f"output frames of {shape[1]}x{shape[2]} are smaller "
+                                   f"than the {n}x{n} SSIM window")
+    return truth, mask
+
+
+def _run_one(config: pipeline.PipelineConfig, clip: video.VideoTensor, in_path: str,
+             out_path: str) -> pipeline.RunResult:
     result = pipeline.run(config, clip)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -132,7 +157,7 @@ def _run_one(config: pipeline.PipelineConfig, in_path: str, out_path: str) -> pi
 
 def cmd_outpaint(args) -> int:
     config = _load_config(args.config, args.mode, args.seed)
-    result = _run_one(config, args.input, args.output)
+    result = _run_one(config, _load_clip(config, args.input), args.input, args.output)
     total = sum(result.timings.values())
     print(f"outpaint[{result.mode}]: {args.input} -> {args.output} "
           f"({result.output.frames} frames, {total:.2f}s)")
@@ -141,8 +166,7 @@ def cmd_outpaint(args) -> int:
 
 def cmd_eval(args) -> int:
     out = video.read_raw(args.output)
-    truth = video.read_raw(args.truth)
-    mask = video.read_mask(args.mask)
+    truth, mask = _load_scoring(args.truth, args.mask, out.shape)
     rep = metrics.report(out, truth, mask)
     _atomic_write_json(Path(args.report), rep)
     print(f"eval: psnr(all)={rep['psnr']['all']} ssim={rep['ssim']} -> {args.report}")
@@ -164,15 +188,20 @@ def cmd_export_ppm(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if (args.truth is None) != (args.mask is None):
+        raise pipeline.ConfigError("ablate takes --truth and --mask together or neither")
     outdir = Path(args.dir)
-    truth = video.read_raw(args.truth) if args.truth else None
-    mask = video.read_mask(args.mask) if args.mask else None
+    configs = {mode: _load_config(args.config, mode, args.seed) for mode in pipeline.MODES}
+    pad = configs["full"].pad
+    clip = _load_clip(configs["full"], args.input)
+    if args.truth is not None:
+        truth, mask = _load_scoring(args.truth, args.mask, (clip.frames, pad.target_height,
+                                                            pad.target_width, clip.channels))
     table = {}
-    for mode in pipeline.MODES:
-        config = _load_config(args.config, mode, args.seed)
-        result = _run_one(config, args.input, str(outdir / f"{mode}.hlvd"))
+    for mode, config in configs.items():
+        result = _run_one(config, clip, args.input, str(outdir / f"{mode}.hlvd"))
         row = {"seconds": round(sum(result.timings.values()), 3)}
-        if truth is not None and mask is not None:
+        if args.truth is not None:
             rep = metrics.report(result.output, truth, mask)
             row["psnr_outpainted"] = rep["psnr"]["outpainted"]
             row["ssim"] = rep["ssim"]

@@ -7,8 +7,8 @@ keyframe stack's latent for frame k_i is overwritten by the latent of the same
 frame inside its local window, injecting short-range temporal cues into the
 global trajectory.  Midpoint keyframes are then inserted until the largest
 inter-keyframe gap falls below tau, with previously generated keyframes kept
-bit-identical as trusted anchors.  A round's overlapping keyframe segments
-are constructed together, in one latent.
+bit-identical as trusted anchors that only condition later rounds.  A round's
+overlapping keyframe segments are constructed together, in one latent.
 """
 from __future__ import annotations
 
@@ -96,13 +96,15 @@ def swap_globals(latent: np.ndarray, scheds: Sequence[KeyframeSchedule],
     """During the first swap_steps steps, copy each keyframe's latent from
     its local window into its keyframe stack, in place; a no-op afterwards.
     `latent` is the frame concatenation [stack of scheds[0]; ...; stack of
-    scheds[-1]; windows[0]; ...], and `windows` holds every window of
-    `scheds` once."""
+    scheds[-1]; windows[0]; ...], and `windows` holds each window of `scheds`
+    once; a keyframe whose window is not among them keeps its own latent."""
     if step_index >= swap_steps:
         return
-    starts = np.cumsum([sum(len(sc.indices) for sc in scheds)] + [len(w) for w in windows])
+    pairs = [(k, win) for sc in scheds for k, win in zip(sc.indices, sc.windows)]
+    starts = np.cumsum([len(pairs)] + [len(w) for w in windows])
     start = dict(zip(windows, starts.tolist()))
-    src = [start[win] + win.index(k) for sc in scheds for k, win in zip(sc.indices, sc.windows)]
+    src = [start[win] + win.index(k) if win in start else i
+           for i, (k, win) in enumerate(pairs)]
     latent[:len(src)] = latent[src]
 
 
@@ -119,19 +121,20 @@ def _init_noise(rng_seed: int, tag: str, idx: tuple[int, ...],
 
 def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
                   scheds: Sequence[KeyframeSchedule], denoiser,
-                  sample: SampleSchedule, rng_seed: int,
-                  noise_tag: str = "gcg") -> list[VideoTensor]:
+                  sample: SampleSchedule, rng_seed: int, noise_tag: str = "gcg",
+                  anchors: frozenset = frozenset()) -> list[VideoTensor]:
     """Denoise one keyframe stack per schedule and every distinct local
     window of `scheds` in lockstep as one latent, [stack 1; ...; stack n;
     window 1; ...], swapping window latents into the stacks for the first
     swap_steps steps; returns each schedule's stack.  A window evolves the
     same way in every schedule that names it and the swap never writes it,
     so one slot serves them all.  Nothing reads a window after the swap
-    budget, so from then on only the keyframe stacks are stepped.  The
-    stacks and the windows are grouped apart (`group_items`); each group is
-    prepared once and denoised as one array."""
-    windows = tuple(dict.fromkeys(w for sc in scheds for w in sc.windows)
-                    if sample.swap_steps else ())
+    budget, so from then on only the keyframe stacks are stepped.  Keyframes
+    in `anchors` only condition the round, so their windows are not built.
+    The stacks and the windows are grouped apart (`group_items`); each group
+    is prepared once and denoised as one array."""
+    windows = tuple(dict.fromkeys(w for sc in scheds for k, w in zip(sc.indices, sc.windows)
+                                  if k not in anchors) if sample.swap_steps else ())
     stacks = [sc.indices for sc in scheds] + list(windows)
     n = len(scheds)
     shapes = [(len(idx),) + video_ds.shape[1:3] for idx in stacks]
@@ -191,7 +194,7 @@ def insert_guidance(video_ds: VideoTensor, mask_ds: MaskVideo, guidance: VideoTe
 
 def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
                   denoiser, sample: SampleSchedule, rng_seed: int, count: int,
-                  delta: int, tag: str) -> np.ndarray:
+                  delta: int, tag: str, anchors: frozenset) -> np.ndarray:
     """Construct guidance for `keys`, split into overlapping capacity-K
     segments blended along the keyframe-index axis; returns len(keys) frames."""
     h, w = cond_v.shape[1:3]
@@ -199,48 +202,35 @@ def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
     seg_plan = plan((len(keys), h, w), seg_size, h, w, min(2, seg_size - 1))
     scheds = [make_schedule(cond_v.frames, seg_size, delta, tuple(keys[t.f0:t.f1]))
               for t in seg_plan.tiles]
-    outputs = construct_gcg(cond_v, msk_v, scheds, denoiser, sample, rng_seed, noise_tag=tag)
-    return blend(zip(seg_plan.tiles, outputs), seg_plan).data.copy()
+    outputs = construct_gcg(cond_v, msk_v, scheds, denoiser, sample, rng_seed,
+                            noise_tag=tag, anchors=anchors)
+    return blend(zip(seg_plan.tiles, outputs), seg_plan).data
 
 
 def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
                    initial: tuple[int, ...], tau: int, denoiser,
                    sample: SampleSchedule, rng_seed: int, count: int,
-                   delta: int, history: list | None = None
-                   ) -> tuple[VideoTensor, tuple[int, ...]]:
+                   delta: int) -> tuple[VideoTensor, tuple[int, ...]]:
     """Iteratively densify keyframes via midpoints until the maximum gap is at
-    most tau; keyframes from earlier rounds stay bit-identical.
-
-    If `history` is given, (keys, frames) snapshots are appended per round.
-    """
-    total_frames = video_ds.frames
+    most tau.  Round 0 conditions on the clip; each later round conditions on
+    it with every known keyframe inserted as a trusted anchor, and keeps only
+    its new keyframes, so earlier ones stay bit-identical."""
     keys = sorted(set(initial))
-    merged = _run_segments(keys, video_ds, mask_ds, denoiser, sample, rng_seed,
-                           count, delta, "gcg:r0")
-    known: dict[int, np.ndarray] = {k: merged[i] for i, k in enumerate(keys)}
-    if history is not None:
-        history.append((tuple(keys), merged.copy()))
-    cap = math.ceil(math.log2(max(total_frames / max(tau, 1), 1.0))) + 2
-    rounds = 0
-    while len(keys) >= 2 and max_index_gap(keys) > tau:
-        rounds += 1
-        if rounds > cap:
-            raise GcgError(f"densification did not converge within {cap} rounds")
+    cond_v, msk_v = video_ds, mask_ds
+    known: dict[int, np.ndarray] = {}
+    cap = math.ceil(math.log2(max(video_ds.frames / max(tau, 1), 1.0))) + 2
+    for r in range(cap + 1):
+        merged = _run_segments(keys, cond_v, msk_v, denoiser, sample, rng_seed, count,
+                               delta, f"gcg:r{r}", frozenset(known))
+        for k, frame in zip(keys, merged):
+            known.setdefault(k, frame)
+        if len(keys) < 2 or max_index_gap(keys) <= tau:
+            return VideoTensor(np.stack([known[k] for k in keys])), tuple(keys)
         keys = sorted(set(keys) | set(midpoints(keys, tau)))
         cond_v, msk_v = insert_guidance(video_ds, mask_ds,
                                         VideoTensor(np.stack(list(known.values()))),
                                         tuple(known))
-        merged = _run_segments(keys, cond_v, msk_v, denoiser, sample, rng_seed, count,
-                               delta, f"gcg:r{rounds}")
-        for pos, k in enumerate(keys):
-            if k in known:
-                merged[pos] = known[k]
-            else:
-                known[k] = merged[pos]
-        if history is not None:
-            history.append((tuple(keys), merged.copy()))
-    result = np.stack([known[k] for k in keys], axis=0)
-    return VideoTensor(result), tuple(keys)
+    raise GcgError(f"densification did not converge within {cap} rounds")
 
 
 def auto_delta(video_ds: VideoTensor, threshold: float = 0.05,

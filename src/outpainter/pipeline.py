@@ -88,7 +88,8 @@ def check_seed(seed) -> int:
     return seed
 
 
-_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", list: "a list"}
 
 
 def _typed(name: str, value, hint):

@@ -8,13 +8,18 @@ exactly and outpainted content can be scored against real ground truth.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
+from .pipeline import _load, _typed
 from .rng import stream_key
 from .video import MaskVideo, PadSpec, VideoTensor, pad_video
+
+SPRITE_SHAPES = ("disc", "rect", "arrow")
 
 
 class GeometryError(ValueError):
@@ -33,6 +38,17 @@ class Sprite:
     visible_from: int = 0
     visible_until: int = 10 ** 9
 
+    def __post_init__(self):
+        if self.shape not in SPRITE_SHAPES:
+            raise ValueError(f"sprite shape must be one of {SPRITE_SHAPES}, got {self.shape!r}")
+        if len(self.color) != 3 or not all(-1.0 <= c <= 1.0 for c in self.color):
+            raise ValueError(f"sprite color must hold 3 numbers in [-1, 1], got {self.color!r}")
+        if not self.size > 0.0:
+            raise ValueError(f"sprite size must be > 0, got {self.size}")
+        if self.visible_from > self.visible_until:
+            raise ValueError(f"sprite visible_from {self.visible_from} is after "
+                             f"visible_until {self.visible_until}")
+
 
 @dataclass(frozen=True)
 class CameraKey:
@@ -44,22 +60,47 @@ class CameraKey:
 @dataclass(frozen=True)
 class SceneSpec:
     seed: int
-    world_extent: int = 4096
     texture_octaves: int = 3
     texture_base_freq: float = 1.0 / 24.0
     sprites: tuple[Sprite, ...] = ()
     camera: tuple[CameraKey, ...] = (CameraKey(0, 0.0, 0.0),)
     channels: int = 3
 
+    def __post_init__(self):
+        if not 1 <= self.texture_octaves <= 8:
+            raise ValueError(f"texture_octaves must be in [1, 8], got {self.texture_octaves}")
+        if not 0.0 < self.texture_base_freq < math.inf:
+            raise ValueError(f"texture_base_freq must be finite and > 0, "
+                             f"got {self.texture_base_freq}")
+        if self.channels not in (1, 3):
+            raise ValueError(f"channels must be 1 or 3, got {self.channels}")
+        if not self.camera:
+            raise ValueError("camera needs at least one key")
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
-        doc = json.loads(text)
-        sprites = tuple(Sprite(**{**s, "color": tuple(s["color"])}) for s in doc.pop("sprites", []))
-        camera = tuple(CameraKey(**k) for k in doc.pop("camera", [{"frame": 0, "cx": 0.0, "cy": 0.0}]))
-        return cls(sprites=sprites, camera=camera, **doc)
+        """The spec a JSON object describes, laid out as `to_json` writes it;
+        each object's keys and value types are checked by the config loader."""
+        doc = _load(dict, json.loads(text), "scene",
+                    {**get_type_hints(cls), "sprites": list, "camera": list})
+        if "sprites" in doc:
+            doc["sprites"] = tuple(_sprite(f"scene.sprites[{i}]", s)
+                                   for i, s in enumerate(doc["sprites"]))
+        if "camera" in doc:
+            doc["camera"] = tuple(_load(CameraKey, k, f"scene.camera[{i}]")
+                                  for i, k in enumerate(doc["camera"]))
+        return cls(**doc)
+
+
+def _sprite(name: str, value) -> Sprite:
+    """The sprite the JSON object `value` describes; `name` prefixes errors."""
+    doc = _load(dict, value, name, {**get_type_hints(Sprite), "color": list})
+    if "color" in doc:
+        doc["color"] = tuple(_typed(f"{name}.color", c, float) for c in doc["color"])
+    return Sprite(**doc)
 
 
 _M1 = np.uint64(0xFF51AFD7ED558CCD)
@@ -113,12 +154,10 @@ def _sprite_hit(sprite: Sprite, frame: int, x: np.ndarray, y: np.ndarray) -> np.
         return (x - cx) ** 2 + (y - cy) ** 2 <= half ** 2
     if sprite.shape == "rect":
         return (np.abs(x - cx) <= half) & (np.abs(y - cy) <= half)
-    if sprite.shape == "arrow":
-        # isoceles triangle pointing +x: apex at cx+half, base at cx-half
-        inside_x = (x >= cx - half) & (x <= cx + half)
-        spread = (sprite.size / 3.0) * (cx + half - x) / sprite.size
-        return inside_x & (np.abs(y - cy) <= spread)
-    raise ValueError(f"unknown sprite shape {sprite.shape!r}")
+    # arrow, an isoceles triangle pointing +x: apex at cx+half, base at cx-half
+    inside_x = (x >= cx - half) & (x <= cx + half)
+    spread = (sprite.size / 3.0) * (cx + half - x) / sprite.size
+    return inside_x & (np.abs(y - cy) <= spread)
 
 
 def render(spec: SceneSpec, frame: int, window: tuple[float, float, float, float],
@@ -238,7 +277,7 @@ def revisit_pairs(case: SceneCase, min_gap: int | None = None,
 def _base_spec(seed: int, sprites: tuple[Sprite, ...] = (),
                camera: tuple[CameraKey, ...] = (CameraKey(0, 128.0, 128.0),),
                octaves: int = 3) -> SceneSpec:
-    return SceneSpec(seed=seed, world_extent=4096, texture_octaves=octaves,
+    return SceneSpec(seed=seed, texture_octaves=octaves,
                      texture_base_freq=1.0 / 24.0, sprites=sprites, camera=camera)
 
 

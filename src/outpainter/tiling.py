@@ -57,10 +57,6 @@ class Tile:
 class TilePlan:
     extent: tuple[int, int, int]
     tiles: tuple[Tile, ...]
-    overlap_t: int
-    overlap_y: int
-    overlap_x: int
-    weight_kind: str = "hann"
 
     def __post_init__(self):
         f, h, w = self.extent
@@ -114,7 +110,7 @@ def plan(extent: tuple[int, int, int], tile_size_t: int, tile_size_y: int,
     dt, dy, dx = min(tile_size_t, f), min(tile_size_y, h), min(tile_size_x, w)
     tiles = tuple(Tile(a, a + dt, b, b + dy, c, c + dx)
                   for a in st for b in sy for c in sx)
-    return TilePlan(extent, tiles, overlap_t, overlap_y, overlap_x)
+    return TilePlan(extent, tiles)
 
 
 def _axis_weights(n: int, touches_low: bool, touches_high: bool) -> np.ndarray:
@@ -151,17 +147,10 @@ def _box(tile: Tile) -> tuple[slice, slice, slice]:
 
 def blend(tile_outputs, tile_plan: TilePlan) -> VideoTensor:
     """Per-voxel weighted average of one output per plan tile, accumulated in
-    double precision in plan order with the plan's weights, so the result is
-    exactly independent of the order outputs arrive in.  `tile_outputs` holds
-    (tile, VideoTensor or array) pairs: a list in any order, or any other
-    iterable in plan order, which is consumed one output at a time and never
-    held whole."""
+    double precision with the plan's weights.  `tile_outputs` is an iterable
+    of (tile, VideoTensor or array) pairs in plan order, consumed one output
+    at a time and never held whole."""
     tiles = tile_plan.tiles
-    if isinstance(tile_outputs, list):
-        order = {tile: i for i, tile in enumerate(tiles)}
-        if any(tile not in order for tile, _ in tile_outputs):
-            raise CoverageError("an output's tile is not in the plan")
-        tile_outputs = sorted(tile_outputs, key=lambda pair: order[pair[0]])
     weights, den = tile_plan.weights
     num = None
     count = 0
@@ -277,8 +266,7 @@ class SpatiallyTiledDenoiser:
                 f"plan extent {self.plan.extent} does not match request {condition.shape}")
         f = frames_per_item(condition, items)
         tiles = tuple(Tile(0, f, t.y0, t.y1, t.x0, t.x1) for t in self.plan.tiles)
-        frame_plan = TilePlan((f,) + self.plan.extent[1:], tiles, 0,
-                              self.plan.overlap_y, self.plan.overlap_x)
+        frame_plan = TilePlan((f,) + self.plan.extent[1:], tiles)
         parts = []
         for i in range(items):
             sl = slice(i * f, (i + 1) * f)

@@ -90,10 +90,19 @@ def test_criterion_03_sampler_exactness():
     assert ok
 
 
-def test_criterion_04_multiscale_termination_and_anchors():
+def test_criterion_04_multiscale_termination_and_anchors(monkeypatch):
     t0 = time.time()
     details = []
     ok = True
+    rounds = []  # (keys, output) of each densification round
+    real = gmod._run_segments
+
+    def spy(keys, *args):
+        out = real(keys, *args)
+        rounds.append((tuple(keys), out.copy()))
+        return out
+
+    monkeypatch.setattr(gmod, "_run_segments", spy)
     for frames in (100, 481, 1500):
         data = rng.normals(7, f"case:{frames}", (frames, 64, 64, 1)) * 0.3
         np.clip(data, -1, 1, out=data)
@@ -102,21 +111,18 @@ def test_criterion_04_multiscale_termination_and_anchors():
         vds = VideoTensor(np.where(mask > 0, 0.0, data))
         mds = MaskVideo(mask)
         den = ToyDenoiser(DenoiserConfig())
-        hist = []
-        _, keys = gmod.multiscale_gcg(vds, mds, gmod.select_keyframes(frames, 13),
-                                      20, den, SampleSchedule(4, 2), 7, 13, 5,
-                                      history=hist)
+        rounds.clear()
+        guidance, keys = gmod.multiscale_gcg(vds, mds, gmod.select_keyframes(frames, 13),
+                                             20, den, SampleSchedule(4, 2), 7, 13, 5)
         gap = gmod.max_index_gap(keys)
-        seen = {}
-        immutable = True
-        for ks, merged in hist:
+        first = {}  # each keyframe's output in the round that first made it
+        for ks, out in rounds:
             for pos, k in enumerate(ks):
-                if k in seen:
-                    immutable &= bool(np.array_equal(seen[k], merged[pos]))
-                else:
-                    seen[k] = merged[pos].copy()
+                first.setdefault(k, out[pos])
+        immutable = set(first) == set(keys) and all(
+            guidance.data[pos].tobytes() == first[k].tobytes() for pos, k in enumerate(keys))
         ok &= gap <= 20 and immutable
-        details.append(f"F={frames}: rounds={len(hist)} gap={gap} "
+        details.append(f"F={frames}: rounds={len(rounds)} gap={gap} "
                        f"immutable={immutable}")
     elapsed = time.time() - t0
     ok &= elapsed < 60.0

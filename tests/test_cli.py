@@ -20,7 +20,7 @@ def _no_env_seed(monkeypatch):
 
 
 def _write_scene(path: Path, seed=17, frames=None) -> Path:
-    spec = SceneSpec(seed=seed, world_extent=1024, texture_octaves=2,
+    spec = SceneSpec(seed=seed, texture_octaves=2,
                      texture_base_freq=1.0 / 16.0, sprites=(),
                      camera=(CameraKey(0, 64.0, 64.0),))
     path.write_text(spec.to_json())
@@ -73,6 +73,11 @@ def _usage_error(tmp_path: Path, capsys, config: Path, *flags: str) -> str:
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
     return err
+
+
+# One valid sprite of a scene file.
+_SPRITE = {"shape": "disc", "size": 4.0, "color": [0.1, 0.2, 0.3],
+           "x0": 64.0, "y0": 64.0, "vx": 0.5, "vy": 0.0}
 
 
 def _synth_error(tmp_path: Path, capsys, argv: list) -> str:
@@ -154,8 +159,25 @@ class TestSynth:
         ({}, ("--frames", "0"), "--frames"),
         ({}, ("--full=0,0,4,4",), "not contained"),
         ({}, ("--crop=0,0,0,4",), "empty"),
+        ({"sprites": [_SPRITE | {"size": "big"}]}, (), "scene.sprites[0].size"),
+        ({"texture_base_freq": "x"}, (), "scene.texture_base_freq"),
+        ({"sprites": [_SPRITE | {"shape": "hexagon"}]}, (), "sprite shape"),
+        ({"sprites": [_SPRITE | {"color": [0.1, 0.2]}]}, (), "sprite color"),
+        ({"sprites": [_SPRITE | {"color": [0.1, "red", 0.3]}]}, (), "sprites[0].color"),
+        ({"sprites": [_SPRITE | {"color": [5.0, 0.2, 0.3]}]}, (), "sprite color"),
+        ({"sprites": [_SPRITE | {"size": 0.0}]}, (), "sprite size"),
+        ({"sprites": [_SPRITE | {"visible_from": 9, "visible_until": 2}]}, (), "visible_from"),
+        ({"channels": 2}, (), "channels"),
+        ({"texture_octaves": 0}, (), "texture_octaves"),
+        ({"texture_octaves": 9}, (), "texture_octaves"),
+        ({"texture_base_freq": 0}, (), "texture_base_freq"),
+        ({"camera": []}, (), "camera"),
+        ({"world_extent": 1024}, (), "world_extent"),
     ], ids=["unknown-key", "missing-seed", "negative-seed", "crop-not-int", "zero-frames",
-            "crop-outside-full", "empty-crop"])
+            "crop-outside-full", "empty-crop", "sprite-size-not-number", "freq-not-number",
+            "sprite-shape", "sprite-color-length", "sprite-color-not-number",
+            "sprite-color-range", "sprite-size", "sprite-never-visible", "channels",
+            "no-octaves", "too-many-octaves", "zero-freq", "empty-camera", "world-extent"])
     def test_malformed_scene_input_exit_2(self, tmp_path, capsys, edit, flags, named):
         scene_file = _write_scene(tmp_path / "scene.json")
         doc = json.loads(scene_file.read_text())
@@ -424,6 +446,83 @@ class TestEval:
         expected = metrics.report(read_raw(out), read_raw(f"{prefix}.truth.hlvd"),
                                   read_mask(f"{prefix}.mask.hlvd"))
         assert rep == json.loads(json.dumps(expected))
+
+
+def _scoring_error(capsys, argv: list, written: Path) -> str:
+    """Run `argv` expecting exit 2 with a one-line error and `written` absent."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not written.exists()
+    return err
+
+
+def _small_triplet(tmp_path: Path) -> Path:
+    """An 8-frame 6x6 clip, with a truth and a mask of its shape, and a
+    config that outpaints it onto a 6x6 canvas: frames below the 8x8 SSIM
+    window."""
+    g = np.random.default_rng(0)
+    prefix = tmp_path / "small"
+    write_raw(f"{prefix}.input.hlvd", VideoTensor(g.uniform(-1, 1, (8, 6, 6, 3))))
+    write_raw(f"{prefix}.truth.hlvd", VideoTensor(g.uniform(-1, 1, (8, 6, 6, 3))))
+    write_raw(f"{prefix}.mask.hlvd", VideoTensor(np.zeros((8, 6, 6, 1))))
+    return prefix
+
+
+def _other_shape(tmp_path: Path, prefix: Path, name: str) -> str:
+    """The file `{prefix}.{name}.hlvd` with one frame fewer."""
+    path = tmp_path / f"short.{name}.hlvd"
+    write_raw(path, VideoTensor(read_raw(f"{prefix}.{name}.hlvd").data[1:]))
+    return str(path)
+
+
+class TestScoringFiles:
+    @pytest.mark.parametrize("bad", ["truth", "mask"])
+    def test_eval_shape_mismatch_exit_2(self, tmp_path, capsys, bad):
+        prefix = _synth(tmp_path)
+        files = {name: f"{prefix}.{name}.hlvd" for name in ("truth", "mask")}
+        files[bad] = _other_shape(tmp_path, prefix, bad)
+        report = tmp_path / "report.json"
+        err = _scoring_error(capsys, ["eval", f"{prefix}.truth.hlvd", files["truth"],
+                                      files["mask"], str(report)], report)
+        assert f"{bad} {files[bad]} is (7, 16, 24," in err
+
+    def test_eval_frames_below_ssim_window_exit_2(self, tmp_path, capsys):
+        prefix = _small_triplet(tmp_path)
+        report = tmp_path / "report.json"
+        err = _scoring_error(capsys, ["eval", f"{prefix}.input.hlvd", f"{prefix}.truth.hlvd",
+                                      f"{prefix}.mask.hlvd", str(report)], report)
+        assert "6x6 are smaller than the 8x8 SSIM window" in err
+
+    @pytest.mark.parametrize("bad", ["truth", "mask"])
+    def test_ablate_shape_mismatch_exit_2(self, tmp_path, capsys, bad):
+        prefix = _synth(tmp_path)
+        files = {name: f"{prefix}.{name}.hlvd" for name in ("truth", "mask")}
+        files[bad] = _other_shape(tmp_path, prefix, bad)
+        outdir = tmp_path / "ablation"
+        err = _scoring_error(capsys, ["ablate", str(_config(tmp_path)), f"{prefix}.input.hlvd",
+                                      str(outdir), "--truth", files["truth"],
+                                      "--mask", files["mask"]], outdir)
+        assert f"{bad} {files[bad]} is (7, 16, 24," in err
+
+    def test_ablate_frames_below_ssim_window_exit_2(self, tmp_path, capsys):
+        prefix = _small_triplet(tmp_path)
+        config = _config(tmp_path, pad={"target_height": 6, "target_width": 6})
+        outdir = tmp_path / "ablation"
+        err = _scoring_error(capsys, ["ablate", str(config), f"{prefix}.input.hlvd", str(outdir),
+                                      "--truth", f"{prefix}.truth.hlvd",
+                                      "--mask", f"{prefix}.mask.hlvd"], outdir)
+        assert "SSIM window" in err
+
+    @pytest.mark.parametrize("given", ["truth", "mask"])
+    def test_ablate_needs_truth_and_mask_together(self, tmp_path, capsys, given):
+        prefix = _synth(tmp_path)
+        outdir = tmp_path / "ablation"
+        err = _scoring_error(capsys, ["ablate", str(_config(tmp_path)), f"{prefix}.input.hlvd",
+                                      str(outdir), f"--{given}", f"{prefix}.{given}.hlvd"],
+                             outdir)
+        assert "--truth and --mask together" in err
 
 
 class TestExportPpm:

@@ -223,22 +223,34 @@ class TestRound:
     @pytest.mark.parametrize("swap_steps", [0, 2, 6])
     def test_windows_stop_stepping_after_the_swap(self, monkeypatch, swap_steps):
         cond, mask = _masked_case(33)
-        scheds = _round(33, tuple(range(0, 33, 3)), 5, 1)
-        windows = {w for sched in scheds for w in sched.windows}
-        assert len(windows) < sum(len(sched.windows) for sched in scheds)
-        items = {}  # denoised items per step time
-        real = ToyDenoiser.denoise
-
-        def spy(self, prepared, z, t):
-            items[t] = items.get(t, 0) + prepared.items
-            return real(self, prepared, z, t)
-
-        monkeypatch.setattr(ToyDenoiser, "denoise", spy)
+        keys = tuple(range(0, 33, 3))
+        scheds = _round(33, keys, 5, 1)
+        den = ToyDenoiser(DenoiserConfig(radius=3))
         sample = SampleSchedule(6, swap_steps)
-        construct_gcg(cond, mask, scheds, ToyDenoiser(DenoiserConfig(radius=3)), sample, 3)
-        n = len(scheds)
-        assert [items[float(t)] for t in sample.times[:-1]] == (
-            [n + len(windows)] * swap_steps + [n] * (6 - swap_steps))
+        real = ToyDenoiser.denoise
+        anchored = frozenset(keys[::2])
+        outs = []
+        for anchors in (frozenset(), anchored):
+            # an anchor only conditions the round: its window is not built
+            windows = {w for sched in scheds for k, w in zip(sched.indices, sched.windows)
+                       if k not in anchors}
+            assert len(windows) < sum(len(sched.windows) for sched in scheds)
+            items = {}  # denoised items per step time
+
+            def spy(self, prepared, z, t):
+                items[t] = items.get(t, 0) + prepared.items
+                return real(self, prepared, z, t)
+
+            monkeypatch.setattr(ToyDenoiser, "denoise", spy)
+            outs.append(construct_gcg(cond, mask, scheds, den, sample, 3, anchors=anchors))
+            n = len(scheds)
+            assert [items[float(t)] for t in sample.times[:-1]] == (
+                [n + len(windows)] * swap_steps + [n] * (6 - swap_steps))
+        # a keyframe outside the anchors evolves as it does with no anchors
+        for sched, a, b in zip(scheds, *outs):
+            for pos, k in enumerate(sched.indices):
+                if k not in anchored:
+                    assert a.data[pos].tobytes() == b.data[pos].tobytes()
 
 
 class TestGroupBudget:
@@ -280,6 +292,29 @@ class TestGaps:
         assert midpoints((0, 40, 80), 20) == (20, 60)
 
 
+def _spy_rounds(monkeypatch) -> list:
+    """(keys, output) of each densification round, in order."""
+    rounds = []
+    real = gcg._run_segments
+
+    def spy(keys, *args):
+        out = real(keys, *args)
+        rounds.append((tuple(keys), out.copy()))
+        return out
+
+    monkeypatch.setattr(gcg, "_run_segments", spy)
+    return rounds
+
+
+def _first_outputs(rounds) -> dict:
+    """Each keyframe's frame in the first round whose keys name it."""
+    first = {}
+    for keys, out in rounds:
+        for pos, k in enumerate(keys):
+            first.setdefault(k, out[pos])
+    return first
+
+
 class TestMultiscale:
     def test_no_densification_equals_direct_construction(self):
         video, mask = _observed_case(frames=20, seed=6)
@@ -299,30 +334,32 @@ class TestMultiscale:
         np.testing.assert_array_equal(merged.data,
                                       direct.data.astype(np.float32))
 
-    def test_densifies_to_tau_with_immutable_anchors(self):
+    def test_densifies_to_tau_with_immutable_anchors(self, monkeypatch):
         video, mask = _observed_case(frames=33, seed=7)
         m = np.zeros(mask.data.shape, np.float32)
         m[:, :, 4:] = 1.0
         cond = VideoTensor(video.data * (1 - m))
         mask = MaskVideo(m)
-        hist = []
-        merged, keys = multiscale_gcg(cond, mask, select_keyframes(33, 5), tau=4,
-                                      denoiser=ToyDenoiser(DenoiserConfig(radius=3)),
-                                      sample=SampleSchedule(3, 1), rng_seed=5,
-                                      count=5, delta=2, history=hist)
-        assert max_index_gap(keys) <= 4
-        assert merged.frames == len(keys)
-        assert len(hist) >= 2
-        seen = {}
-        for ks, frames in hist:
-            for pos, k in enumerate(ks):
-                if k in seen:
-                    np.testing.assert_array_equal(seen[k], frames[pos])
-                else:
-                    seen[k] = frames[pos].copy()
-        # final output frames are the recorded anchors
-        for pos, k in enumerate(keys):
-            np.testing.assert_array_equal(merged.data[pos], seen[k])
+        rounds = _spy_rounds(monkeypatch)
+        toy = ToyDenoiser(DenoiserConfig(radius=3))
+        adapter = tiling.SpatiallyTiledDenoiser(toy, tiling.plan((1, 6, 6), 1, 4, 4, 0, 2, 2))
+        for den in (toy, adapter):
+            rounds.clear()
+            merged, keys = multiscale_gcg(cond, mask, select_keyframes(33, 5), tau=4,
+                                          denoiser=den, sample=SampleSchedule(3, 1),
+                                          rng_seed=5, count=5, delta=2)
+            assert max_index_gap(keys) <= 4
+            assert merged.frames == len(keys)
+            assert len(rounds) >= 2
+            # each final keyframe is the output of the round that first made it
+            first = _first_outputs(rounds)
+            assert set(first) == set(keys)
+            for pos, k in enumerate(keys):
+                assert merged.data[pos].tobytes() == first[k].tobytes()
+        # the adapter's blended velocities do not bring an anchor's slot back
+        # to the anchor bit for bit, so a later round's output for it differs
+        assert any(out[pos].tobytes() != first[k].tobytes()
+                   for ks, out in rounds[1:] for pos, k in enumerate(ks) if k in rounds[0][0])
 
     def test_481_reaches_25_keyframes(self):
         video, mask = _observed_case(frames=481, hw=(4, 4), seed=8)

@@ -122,15 +122,20 @@ def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
     pipeline.run(_config(clip, mode), clip.input)
     # a call builds one round, whose stacks share its noise tag, video and
     # mask: a keyframe stack per schedule, conditioned on its own even where
-    # it names a window's frames, and each distinct window once
+    # it names a window's frames, and each distinct window of a keyframe
+    # outside the round's anchors once
     stacks = {}
+    named = 0
     for args, _ in constructs:
+        anchors = args.get("anchors", frozenset())
         for sched in args["scheds"]:
-            for kind, idx in [("keys", sched.indices)] + [("window", w) for w in sched.windows]:
+            windows = [w for k, w in zip(sched.indices, sched.windows) if k not in anchors]
+            named += len(windows)
+            for kind, idx in [("keys", sched.indices)] + [("window", w) for w in windows]:
                 stacks[kind, args["noise_tag"], idx] = (args["mask_ds"].data[list(idx)],
                                                         args["denoiser"])
-    if mode == "full":  # overlapping segments name some windows twice
-        named = sum(len(s.windows) for a, _ in constructs for s in a["scheds"])
+    if mode == "full":  # later rounds have anchors; overlapping segments share windows
+        assert any(args.get("anchors") for args, _ in constructs)
         assert sum(kind == "window" for kind, _, _ in stacks) < named
     expected = 0
     for mask, den in stacks.values():

@@ -138,7 +138,7 @@ class TestSeamEnergy:
 
 
 def _static_case(seed=21, frames=9):
-    spec = SceneSpec(seed=seed, world_extent=1024, texture_octaves=2,
+    spec = SceneSpec(seed=seed, texture_octaves=2,
                      texture_base_freq=1.0 / 16.0, sprites=(),
                      camera=(CameraKey(0, 64.0, 64.0),))
     geometry = CaseGeometry(full=(-8, -8, 16, 16), crop=(-8, -8, 16, 16))

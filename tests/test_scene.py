@@ -8,7 +8,7 @@ from outpainter.scene import (CameraKey, CaseGeometry, GeometryError, SceneSpec,
 
 
 def _spec(seed=11, sprites=(), camera=(CameraKey(0, 64.0, 64.0),), octaves=2):
-    return SceneSpec(seed=seed, world_extent=1024, texture_octaves=octaves,
+    return SceneSpec(seed=seed, texture_octaves=octaves,
                      texture_base_freq=1.0 / 16.0, sprites=sprites, camera=camera)
 
 
@@ -126,7 +126,7 @@ class TestRevisitPairs:
     def test_pairs_reference_same_world_region(self):
         case = preset_case("revisit", seed=2)
         spriteless = make_case(
-            SceneSpec(seed=case.spec.seed, world_extent=case.spec.world_extent,
+            SceneSpec(seed=case.spec.seed,
                       texture_octaves=case.spec.texture_octaves,
                       texture_base_freq=case.spec.texture_base_freq,
                       sprites=(), camera=case.spec.camera),
