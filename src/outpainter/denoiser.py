@@ -36,12 +36,7 @@ class Prepared:
 
     condition: VideoTensor
     mask: MaskVideo
-    mode: str
     items: int
-
-    @property
-    def item_frames(self) -> int:
-        return self.condition.frames // self.items
 
 
 def frames_per_item(condition: VideoTensor, items: int) -> int:
@@ -223,7 +218,7 @@ class ToyDenoiser:
         if carry_mask is None and not -1.0 <= x0.min() <= x0.max() <= 1.0:
             x0 = np.clip(x0, -1.0, 1.0)  # once here, not at every step
         x0.flags.writeable = False
-        return PreparedFill(condition, mask, mode, items, x0, carry_mask)
+        return PreparedFill(condition, mask, items, x0, carry_mask)
 
     def denoise(self, prepared: PreparedFill, z: VideoTensor, t: float) -> VideoTensor:
         """Velocity for one step from `prepared`, which is

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,29 +25,6 @@ from .video import MaskVideo, VideoTensor
 
 class GcgError(RuntimeError):
     """Raised when densification fails to terminate within the round cap."""
-
-
-@dataclass(frozen=True)
-class KeyframeSchedule:
-    indices: tuple[int, ...]
-    K: int
-    windows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ConfigError("keyframe indices must be strictly increasing")
-        if len(self.windows) != len(self.indices):
-            raise ConfigError("one window per keyframe required")
-        for k, win in zip(self.indices, self.windows):
-            if len(win) != self.K:
-                raise ConfigError(f"window for keyframe {k} has {len(win)} != K={self.K} frames")
-            strides = {b - a for a, b in zip(win, win[1:])}
-            if len(win) > 1 and (len(strides) != 1 or min(strides) < 1):
-                raise ConfigError(f"window {win} lacks a constant positive stride")
-            if k not in win:
-                raise ConfigError(f"window {win} does not contain its keyframe {k}")
-            if win[0] < 0:
-                raise ConfigError(f"window {win} has negative indices")
 
 
 def select_keyframes(total_frames: int, count: int) -> tuple[int, ...]:
@@ -72,40 +48,14 @@ def build_window(k: int, count: int, delta: int, total_frames: int) -> tuple[int
     if total_frames < count:
         raise ConfigError(f"cannot fit a {count}-frame window in {total_frames} frames")
     center = count // 2
-    for stride in range(delta, 0, -1):
-        if stride * (count - 1) > total_frames - 1:
-            continue
+    # start at the widest stride whose window spans at most total_frames frames
+    widest = delta if count == 1 else min(delta, (total_frames - 1) // (count - 1))
+    for stride in range(widest, 0, -1):
         for pos in sorted(range(count), key=lambda j: (abs(j - center), j)):
             start = k - stride * pos
             if start >= 0 and start + stride * (count - 1) <= total_frames - 1:
                 return tuple(start + stride * j for j in range(count))
     raise ConfigError(f"no feasible window for k={k}, K={count}, F={total_frames}")
-
-
-def make_schedule(total_frames: int, count: int, delta: int,
-                  indices: tuple[int, ...] | None = None) -> KeyframeSchedule:
-    if indices is None:
-        indices = select_keyframes(total_frames, count)
-    windows = tuple(build_window(k, count, delta, total_frames) for k in indices)
-    return KeyframeSchedule(tuple(indices), count, windows)
-
-
-def swap_globals(latent: np.ndarray, scheds: Sequence[KeyframeSchedule],
-                 windows: tuple[tuple[int, ...], ...], step_index: int,
-                 swap_steps: int) -> None:
-    """During the first swap_steps steps, copy each keyframe's latent from
-    its local window into its keyframe stack, in place; a no-op afterwards.
-    `latent` is the frame concatenation [stack of scheds[0]; ...; stack of
-    scheds[-1]; windows[0]; ...], and `windows` holds each window of `scheds`
-    once; a keyframe whose window is not among them keeps its own latent."""
-    if step_index >= swap_steps:
-        return
-    pairs = [(k, win) for sc in scheds for k, win in zip(sc.indices, sc.windows)]
-    starts = np.cumsum([len(pairs)] + [len(w) for w in windows])
-    start = dict(zip(windows, starts.tolist()))
-    src = [start[win] + win.index(k) if win in start else i
-           for i, (k, win) in enumerate(pairs)]
-    latent[:len(src)] = latent[src]
 
 
 def _init_noise(rng_seed: int, tag: str, idx: tuple[int, ...],
@@ -120,23 +70,28 @@ def _init_noise(rng_seed: int, tag: str, idx: tuple[int, ...],
 
 
 def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
-                  scheds: Sequence[KeyframeSchedule], denoiser,
-                  sample: SampleSchedule, rng_seed: int, noise_tag: str = "gcg",
-                  anchors: frozenset = frozenset()) -> list[VideoTensor]:
-    """Denoise one keyframe stack per schedule and every distinct local
-    window of `scheds` in lockstep as one latent, [stack 1; ...; stack n;
-    window 1; ...], swapping window latents into the stacks for the first
-    swap_steps steps; returns each schedule's stack.  A window evolves the
-    same way in every schedule that names it and the swap never writes it,
-    so one slot serves them all.  Nothing reads a window after the swap
-    budget, so from then on only the keyframe stacks are stepped.  Keyframes
-    in `anchors` only condition the round, so their windows are not built.
-    The stacks and the windows are grouped apart (`group_items`); each group
-    is prepared once and denoised as one array."""
-    windows = tuple(dict.fromkeys(w for sc in scheds for k, w in zip(sc.indices, sc.windows)
-                                  if k not in anchors) if sample.swap_steps else ())
-    stacks = [sc.indices for sc in scheds] + list(windows)
-    n = len(scheds)
+                  segments: Sequence[tuple[int, ...]], windows: dict[int, tuple[int, ...]],
+                  denoiser, sample: SampleSchedule, rng_seed: int,
+                  noise_tag: str = "gcg") -> list[VideoTensor]:
+    """Denoise one keyframe stack per segment and each distinct window of
+    `windows` in lockstep as one latent, [stack 1; ...; stack n; window 1;
+    ...]; for the first swap_steps steps each keyframe's latent is copied
+    from its slot in its window into the stacks.  Returns each segment's
+    stack.  `windows` maps a keyframe to its local window; a keyframe with
+    no window keeps its own latent.  A window evolves the same way for every
+    keyframe that names it and the swap never writes it, so one slot serves
+    them all.  Nothing reads a window after the swap budget, so from then
+    on only the keyframe stacks are stepped.  The stacks and the windows are
+    grouped apart (`group_items`); each group is prepared once and denoised
+    as one array."""
+    distinct = list(dict.fromkeys(windows.values()))
+    stacks = list(segments) + distinct
+    n = len(segments)
+    bounds = np.cumsum([0] + [len(idx) for idx in stacks])
+    # the swap's source slot for each keyframe slot of the stacks
+    slot = dict(zip(distinct, bounds[n:].tolist()))
+    src = [slot[windows[k]] + windows[k].index(k) if k in windows else i
+           for i, k in enumerate(sum(segments, ()))]
     shapes = [(len(idx),) + video_ds.shape[1:3] for idx in stacks]
     key_groups = group_items(shapes[:n])  # first, so zip(key_groups, prepared) pairs them
     groups = key_groups + [slice(n + g.start, n + g.stop) for g in group_items(shapes[n:])]
@@ -146,7 +101,6 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
         prepared.append(denoiser.prepare(VideoTensor(video_ds.data[frames]),
                                          MaskVideo(mask_ds.data[frames]), "sparse",
                                          items=g.stop - g.start))
-    bounds = np.cumsum([0] + [len(idx) for idx in stacks])
     z = _init_noise(rng_seed, noise_tag, sum(stacks, ()), video_ds.shape[1:])
     stepped = np.empty(z.shape, dtype=np.float64)  # Euler steps are float64
     times = sample.times
@@ -158,7 +112,8 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
             z_g = VideoTensor(z[lo:hi])
             stepped[lo:hi] = step(z_g, denoiser.denoise(prep, z_g, t_from), t_from, t_to).data
         z = stepped
-        swap_globals(z, scheds, windows, s, sample.swap_steps)
+        if s < sample.swap_steps:
+            z[:len(src)] = z[src]
     return [VideoTensor(z[bounds[j]:bounds[j + 1]]) for j in range(n)]
 
 
@@ -200,10 +155,12 @@ def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
     h, w = cond_v.shape[1:3]
     seg_size = min(count, len(keys))
     seg_plan = plan((len(keys), h, w), seg_size, h, w, min(2, seg_size - 1))
-    scheds = [make_schedule(cond_v.frames, seg_size, delta, tuple(keys[t.f0:t.f1]))
-              for t in seg_plan.tiles]
-    outputs = construct_gcg(cond_v, msk_v, scheds, denoiser, sample, rng_seed,
-                            noise_tag=tag, anchors=anchors)
+    segments = [tuple(keys[t.f0:t.f1]) for t in seg_plan.tiles]
+    # anchors only condition the round, so their windows are not built
+    windows = {k: build_window(k, seg_size, delta, cond_v.frames)
+               for k in keys if k not in anchors} if sample.swap_steps else {}
+    outputs = construct_gcg(cond_v, msk_v, segments, windows, denoiser, sample, rng_seed,
+                            noise_tag=tag)
     return blend(zip(seg_plan.tiles, outputs), seg_plan).data
 
 

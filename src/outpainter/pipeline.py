@@ -306,21 +306,19 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
     use_refine = config.mode in ("full", "spatial_only")
 
     with _stage(timings, "downsample"):
+        factor = config.codec_factor if use_downsample else 1
         if use_downsample:
             wh, ww = config.working_resolution()
-            video_ds = resize_bicubic(padded, wh, ww)
-            # re-zero surviving mask pixels so conditions stay blank where generated
-            mask_ds = downsample_mask(mask, wh, ww)
+            video_ds = codec_encode(resize_bicubic(padded, wh, ww), factor)
+            mask_ds = codec_encode_mask(downsample_mask(mask, wh, ww), factor)
+            # re-zero surviving mask pixels so conditions stay blank where
+            # generated; a pooled cell is observed only where all its pixels
+            # are, so zeroing once, after the codec, suffices
             video_ds = VideoTensor(np.where(mask_ds.data > 0.0, 0.0, video_ds.data))
+            wh, ww = wh // factor, ww // factor
         else:
             wh, ww = padded.height, padded.width
             video_ds, mask_ds = padded, mask
-        factor = config.codec_factor if use_downsample else 1
-        if factor > 1:
-            mask_ds = codec_encode_mask(mask_ds, factor)
-            video_ds = codec_encode(video_ds, factor)
-            video_ds = VideoTensor(np.where(mask_ds.data > 0.0, 0.0, video_ds.data))
-            wh, ww = wh // factor, ww // factor
 
     keys = None
     guided, guided_mask = video_ds, mask_ds

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .denoiser import Prepared, frames_per_item
+from .denoiser import Prepared
 from .sampler import step
 from .video import MaskVideo, ShapeError, VideoTensor
 
@@ -193,30 +193,29 @@ def _gather(arr: np.ndarray, tiles) -> np.ndarray:
 
 
 def prepare_tiles(denoiser, condition: VideoTensor, mask: MaskVideo,
-                  tile_plan: TilePlan, mode: str = "dense") -> list:
-    """The tiles' conditioning prepared through `denoiser.prepare`, one call
-    per group of `group_items`, in plan order; a stage makes this once and
-    reuses it at every step."""
+                  tile_plan: TilePlan, mode: str = "dense", stacks: int = 1) -> list:
+    """(tiles, prepared) for each group of `group_items`, in plan order: the
+    group's conditioning prepared through one `denoiser.prepare` call.  Each
+    tile box holds `stacks` equal-length stacks, so a group is prepared as
+    `stacks` items per tile.  A stage makes this once and reuses it at every
+    step."""
     if condition.shape[:3] != tile_plan.extent:
         raise ShapeError(f"condition {condition.shape} does not match plan {tile_plan.extent}")
     tiles = tile_plan.tiles
-    return [denoiser.prepare(VideoTensor(_gather(condition.data, tiles[g])),
-                             MaskVideo(_gather(mask.data, tiles[g])), mode,
-                             items=g.stop - g.start)
+    return [(tiles[g], denoiser.prepare(VideoTensor(_gather(condition.data, tiles[g])),
+                                        MaskVideo(_gather(mask.data, tiles[g])), mode,
+                                        items=stacks * (g.stop - g.start)))
             for g in group_items([tile.shape for tile in tiles])]
 
 
-def _tile_outputs(tile_plan: TilePlan, prepared, data: np.ndarray, run):
+def _tile_outputs(prepared, data: np.ndarray, run):
     """(tile, output) in plan order: each prepared group's tiles are gathered
     from `data` as one array and handed to `run(prepared_group, z_group)`."""
-    start = 0
-    for prep in prepared:
-        tiles = tile_plan.tiles[start:start + prep.items]
+    for tiles, prep in prepared:
         out = run(prep, VideoTensor(_gather(data, tiles))).data
         n = out.shape[0] // len(tiles)
         for j, tile in enumerate(tiles):
             yield tile, out[j * n:(j + 1) * n]
-        start += prep.items
 
 
 def tiled_denoise_pass(z: VideoTensor, tile_plan: TilePlan, denoiser, t_from: float,
@@ -231,20 +230,16 @@ def tiled_denoise_pass(z: VideoTensor, tile_plan: TilePlan, denoiser, t_from: fl
     def stepped(prep, z_group):
         return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
 
-    return blend(_tile_outputs(tile_plan, prepared, z.data, stepped), tile_plan)
+    return blend(_tile_outputs(prepared, z.data, stepped), tile_plan)
 
 
 @dataclass(frozen=True)
 class PreparedTiles(Prepared):
-    """The adapter's state: `parts` holds, item by item, the inner prepared
-    groups of `plan`, a plan over one item's frames."""
+    """The adapter's state: `parts` is `prepare_tiles` over `plan`, whose
+    spatial tiles each span every frame of all items."""
 
     plan: TilePlan
     parts: tuple
-
-    def item_parts(self, i: int) -> tuple:
-        per = len(self.parts) // self.items
-        return self.parts[i * per:(i + 1) * per]
 
 
 class SpatiallyTiledDenoiser:
@@ -259,20 +254,18 @@ class SpatiallyTiledDenoiser:
 
     def prepare(self, condition: VideoTensor, mask: MaskVideo, mode: str = "dense",
                 items: int = 1) -> PreparedTiles:
-        """Prepare each item's spatial tiles, over all its frames, through
-        the inner denoiser, in groups of same-shaped tiles."""
+        """Prepare the spatial tiles, each over every frame of all items,
+        through the inner denoiser, in groups of same-shaped tiles.  A tile
+        spans the whole frame axis, so its frame weight is flat and each
+        item blends as it would alone."""
         if self.plan.extent[1:] != condition.shape[1:3]:
             raise ShapeError(
                 f"plan extent {self.plan.extent} does not match request {condition.shape}")
-        f = frames_per_item(condition, items)
-        tiles = tuple(Tile(0, f, t.y0, t.y1, t.x0, t.x1) for t in self.plan.tiles)
-        frame_plan = TilePlan((f,) + self.plan.extent[1:], tiles)
-        parts = []
-        for i in range(items):
-            sl = slice(i * f, (i + 1) * f)
-            parts += prepare_tiles(self.inner, VideoTensor(condition.data[sl]),
-                                   MaskVideo(mask.data[sl]), frame_plan, mode)
-        return PreparedTiles(condition, mask, mode, items, frame_plan, tuple(parts))
+        tiles = tuple(Tile(0, condition.frames, t.y0, t.y1, t.x0, t.x1)
+                      for t in self.plan.tiles)
+        frame_plan = TilePlan(condition.shape[:3], tiles)
+        parts = prepare_tiles(self.inner, condition, mask, frame_plan, mode, stacks=items)
+        return PreparedTiles(condition, mask, items, frame_plan, tuple(parts))
 
     def denoise(self, prepared: PreparedTiles, z: VideoTensor, t: float) -> VideoTensor:
         if z.shape != prepared.condition.shape:
@@ -281,10 +274,4 @@ class SpatiallyTiledDenoiser:
         def velocity(part, z_group):
             return self.inner.denoise(part, z_group, t)
 
-        f = prepared.item_frames
-        out = np.empty(z.shape, dtype=np.float32)
-        for i in range(prepared.items):
-            out[i * f:(i + 1) * f] = blend(_tile_outputs(prepared.plan, prepared.item_parts(i),
-                                                         z.data[i * f:(i + 1) * f], velocity),
-                                           prepared.plan).data
-        return VideoTensor(out)
+        return blend(_tile_outputs(prepared.parts, z.data, velocity), prepared.plan)

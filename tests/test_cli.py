@@ -229,6 +229,17 @@ class TestOutpaint:
             outs[mode] = read_raw(out).data
         assert not np.array_equal(outs["full"], outs["baseline"])
 
+    def test_huge_delta_runs_at_widest_stride(self, tmp_path):
+        # a delta wider than the 8-frame clip runs as delta = F - 1 does
+        prefix = _synth(tmp_path)
+        outs = []
+        for delta in (10**12, 7):
+            config = _config(tmp_path, gcg={"keyframes": 3, "delta": delta, "tau": 5})
+            out = tmp_path / f"delta{delta}.hlvd"
+            assert main(["outpaint", str(config), f"{prefix}.input.hlvd", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_missing_config_field_exit_2(self, tmp_path):
         prefix = _synth(tmp_path)
         bad = tmp_path / "bad.json"

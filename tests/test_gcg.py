@@ -4,9 +4,8 @@ import pytest
 
 from outpainter import gcg, rng, tiling
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
-from outpainter.gcg import (GcgError, KeyframeSchedule, build_window, construct_gcg,
-                            auto_delta, make_schedule, max_index_gap, midpoints,
-                            multiscale_gcg, select_keyframes, swap_globals)
+from outpainter.gcg import (GcgError, build_window, construct_gcg, auto_delta,
+                            max_index_gap, midpoints, multiscale_gcg, select_keyframes)
 from outpainter.sampler import SampleSchedule, step
 from outpainter.tiling import ConfigError
 from outpainter.video import MaskVideo, VideoTensor
@@ -77,56 +76,82 @@ class TestBuildWindow:
         with pytest.raises(ConfigError):
             build_window(0, 5, 1, 4)
 
-
-class TestSchedule:
-    def test_make_schedule_windows(self):
-        sched = make_schedule(48, 5, 2)
-        assert sched.indices == select_keyframes(48, 5)
-        for k, win in zip(sched.indices, sched.windows):
-            assert k in win and len(win) == 5
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            KeyframeSchedule((0, 5, 2), 3, ((0, 1, 2),) * 3)
-        with pytest.raises(ConfigError):
-            KeyframeSchedule((0, 5), 3, ((0, 1, 2),))
+    def test_huge_delta_starts_at_widest_stride(self):
+        # the walk starts at (48 - 1) // (5 - 1) = 11, not at delta
+        for k in (0, 24, 47):
+            assert build_window(k, 5, 10**8, 48) == build_window(k, 5, 11, 48)
+        assert build_window(0, 1, 10**8, 1) == (0,)
 
 
-def _latent(sched, frame_shape=(4, 4, 1), seed=0):
-    """A one-schedule construction's latent, [keyframe stack; window 1; ...;
-    window n], and its windows."""
-    g = np.random.default_rng(seed)
-    frames = len(sched.indices) * (1 + sched.K)
-    return g.standard_normal((frames,) + frame_shape).astype(np.float32), sched.windows
+def _windows(keys, frames, count=5, delta=2, skip=()):
+    """Each keyframe's local window, except for the keyframes in `skip`."""
+    return {k: build_window(k, count, delta, frames) for k in keys if k not in skip}
+
+
+SEGMENT = select_keyframes(24, 5)
+
+
+def _swap_trace(monkeypatch, windows, swap_steps, steps=6):
+    """Per step of a one-segment construction: the keyframe stack as the
+    Euler step left it, as the next step (or the output) reads it, and the
+    stepped windows."""
+    calls = []
+
+    def spy(z, v, t_from, t_to):
+        out = step(z, v, t_from, t_to)
+        calls.append((z.data.copy(), out.data.copy()))
+        return out
+
+    monkeypatch.setattr(gcg, "step", spy)
+    cond, mask = _masked_case(24)
+    # radius > lambda, so a frame's stack neighbours reach its fill and a
+    # window's latent differs from the keyframe stack's
+    den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
+    [out] = construct_gcg(cond, mask, [SEGMENT], windows, den, SampleSchedule(steps, swap_steps),
+                          3)
+    # one keyframe group, then, during the swap, one window group
+    per_step = [[calls.pop(0) for _ in range(1 + (s < swap_steps))] for s in range(steps)]
+    assert not calls
+    stepped = [group[0][1] for group in per_step]
+    read = [group[0][0] for group in per_step[1:]] + [out.data]
+    return stepped, read, [group[1][1] if len(group) > 1 else None for group in per_step]
+
+
+def _window_latent(windows, window_out, k):
+    """Keyframe k's latent in its window, within the stepped windows."""
+    distinct = list(dict.fromkeys(windows.values()))
+    return window_out[distinct.index(windows[k]) * len(windows[k]) + windows[k].index(k)]
 
 
 class TestSwap:
-    def test_early_step_copies_window_latents(self):
-        sched = make_schedule(48, 5, 2)
-        latent, windows = _latent(sched)
-        before = latent.copy()
-        swap_globals(latent, (sched,), windows, step_index=0, swap_steps=8)
-        n = len(sched.indices)
-        for i, (k, win) in enumerate(zip(sched.indices, sched.windows)):
-            np.testing.assert_array_equal(latent[i], before[n + i * sched.K + win.index(k)])
-        np.testing.assert_array_equal(latent[n:], before[n:])
+    def test_early_step_copies_window_latents(self, monkeypatch):
+        windows = _windows(SEGMENT, 24)
+        stepped, read, window_out = _swap_trace(monkeypatch, windows, swap_steps=3)
+        for s in range(3):
+            for i, k in enumerate(SEGMENT):
+                latent = _window_latent(windows, window_out[s], k)
+                np.testing.assert_array_equal(read[s][i], latent)
+                assert not np.array_equal(stepped[s][i], latent)
 
-    def test_late_step_is_identity(self):
-        sched = make_schedule(48, 5, 2)
-        latent, windows = _latent(sched)
-        before = latent.copy()
-        swap_globals(latent, (sched,), windows, step_index=8, swap_steps=8)
-        np.testing.assert_array_equal(latent, before)
+    def test_late_step_is_identity(self, monkeypatch):
+        stepped, read, _ = _swap_trace(monkeypatch, _windows(SEGMENT, 24), swap_steps=3)
+        for s in range(3, 6):
+            np.testing.assert_array_equal(read[s], stepped[s])
 
-    def test_swap_budget_boundary(self):
-        sched = make_schedule(48, 5, 2)
-        before, windows = _latent(sched, seed=1)
-        changed = []
-        for s in range(40):
-            latent = before.copy()
-            swap_globals(latent, (sched,), windows, s, 8)
-            changed.append(not np.array_equal(latent, before))
-        assert all(changed[:8]) and not any(changed[8:])
+    def test_swap_budget_boundary(self, monkeypatch):
+        for swap_steps in (0, 3, 6):
+            stepped, read, _ = _swap_trace(monkeypatch, _windows(SEGMENT, 24), swap_steps)
+            changed = [not np.array_equal(a, b) for a, b in zip(stepped, read)]
+            assert changed == [s < swap_steps for s in range(6)]
+
+    def test_keyframe_without_window_keeps_its_own_latent(self, monkeypatch):
+        windows = _windows(SEGMENT, 24, skip=(SEGMENT[2],))
+        stepped, read, window_out = _swap_trace(monkeypatch, windows, swap_steps=3)
+        for s in range(3):
+            np.testing.assert_array_equal(read[s][2], stepped[s][2])
+            for i in (0, 1, 3, 4):
+                np.testing.assert_array_equal(
+                    read[s][i], _window_latent(windows, window_out[s], SEGMENT[i]))
 
 
 def _observed_case(frames=24, hw=(6, 6), seed=3):
@@ -139,9 +164,9 @@ def _observed_case(frames=24, hw=(6, 6), seed=3):
 class TestConstructGcg:
     def test_all_observed_reaches_input_keyframes(self):
         video, mask = _observed_case()
-        sched = make_schedule(24, 5, 2)
-        [out] = construct_gcg(video, mask, (sched,), ToyDenoiser(), SampleSchedule(4, 2), 7)
-        np.testing.assert_allclose(out.data, video.data[list(sched.indices)],
+        [out] = construct_gcg(video, mask, [SEGMENT], _windows(SEGMENT, 24), ToyDenoiser(),
+                              SampleSchedule(4, 2), 7)
+        np.testing.assert_allclose(out.data, video.data[list(SEGMENT)],
                                    atol=1e-6)
 
     def test_disabled_swap_equals_independent_stack(self):
@@ -151,12 +176,12 @@ class TestConstructGcg:
         m[:, :, 3:] = 1.0
         cond = VideoTensor(video.data * (1 - m))
         mask = MaskVideo(m)
-        sched = make_schedule(24, 5, 2)
         sample = SampleSchedule(4, 0)
         den = ToyDenoiser(DenoiserConfig(radius=3))
-        [out] = construct_gcg(cond, mask, (sched,), den, sample, 11, noise_tag="probe")
+        [out] = construct_gcg(cond, mask, [SEGMENT], _windows(SEGMENT, 24), den, sample, 11,
+                              noise_tag="probe")
         # manual keyframe-stack denoising from the same per-frame noise
-        idx = list(sched.indices)
+        idx = list(SEGMENT)
         cond_g = VideoTensor(cond.data[idx].copy())
         mask_g = MaskVideo(mask.data[idx].copy())
         z = VideoTensor(np.concatenate(
@@ -180,16 +205,16 @@ class TestConstructGcg:
         den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=6))
         outs = {}
         for S in (2, 0):
-            sched = make_schedule(24, 5, 2)
-            [outs[S]] = construct_gcg(cond, mask, (sched,), den,
+            [outs[S]] = construct_gcg(cond, mask, [SEGMENT], _windows(SEGMENT, 24), den,
                                       SampleSchedule(4, S), 13)
         assert not np.array_equal(outs[2].data, outs[0].data)
 
 
 def _round(frames, keys, count, delta):
-    """The schedules of one densification round's overlapping segments."""
+    """One densification round's overlapping segments and its windows."""
     seg_plan = tiling.plan((len(keys), 1, 1), count, 1, 1, min(2, count - 1))
-    return [make_schedule(frames, count, delta, tuple(keys[t.f0:t.f1])) for t in seg_plan.tiles]
+    return ([tuple(keys[t.f0:t.f1]) for t in seg_plan.tiles],
+            _windows(keys, frames, count, delta))
 
 
 def _masked_case(frames, hw=(8, 8), seed=9):
@@ -212,29 +237,31 @@ class TestRound:
         den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
         if adapter:
             den = tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2))
-        scheds = _round(frames, keys, count, delta)
+        segments, windows = _round(frames, keys, count, delta)
         sample = SampleSchedule(4, 2)
-        together = construct_gcg(cond, mask, scheds, den, sample, 3, noise_tag="round")
-        assert len(together) == len(scheds)
-        for sched, out in zip(scheds, together):
-            [alone] = construct_gcg(cond, mask, (sched,), den, sample, 3, noise_tag="round")
+        together = construct_gcg(cond, mask, segments, windows, den, sample, 3,
+                                 noise_tag="round")
+        assert len(together) == len(segments)
+        for seg, out in zip(segments, together):
+            [alone] = construct_gcg(cond, mask, [seg], {k: windows[k] for k in seg}, den,
+                                    sample, 3, noise_tag="round")
             assert out.data.tobytes() == alone.data.tobytes()
 
     @pytest.mark.parametrize("swap_steps", [0, 2, 6])
     def test_windows_stop_stepping_after_the_swap(self, monkeypatch, swap_steps):
         cond, mask = _masked_case(33)
         keys = tuple(range(0, 33, 3))
-        scheds = _round(33, keys, 5, 1)
+        segments, windows = _round(33, keys, 5, 1)
         den = ToyDenoiser(DenoiserConfig(radius=3))
         sample = SampleSchedule(6, swap_steps)
         real = ToyDenoiser.denoise
         anchored = frozenset(keys[::2])
         outs = []
         for anchors in (frozenset(), anchored):
-            # an anchor only conditions the round: its window is not built
-            windows = {w for sched in scheds for k, w in zip(sched.indices, sched.windows)
-                       if k not in anchors}
-            assert len(windows) < sum(len(sched.windows) for sched in scheds)
+            # an anchor only conditions the round: it has no window
+            round_windows = {k: w for k, w in windows.items() if k not in anchors}
+            distinct = set(round_windows.values())
+            assert len(distinct) < sum(k in round_windows for seg in segments for k in seg)
             items = {}  # denoised items per step time
 
             def spy(self, prepared, z, t):
@@ -242,13 +269,13 @@ class TestRound:
                 return real(self, prepared, z, t)
 
             monkeypatch.setattr(ToyDenoiser, "denoise", spy)
-            outs.append(construct_gcg(cond, mask, scheds, den, sample, 3, anchors=anchors))
-            n = len(scheds)
+            outs.append(construct_gcg(cond, mask, segments, round_windows, den, sample, 3))
+            n = len(segments)
             assert [items[float(t)] for t in sample.times[:-1]] == (
-                [n + len(windows)] * swap_steps + [n] * (6 - swap_steps))
+                [n + len(distinct)] * swap_steps + [n] * (6 - swap_steps))
         # a keyframe outside the anchors evolves as it does with no anchors
-        for sched, a, b in zip(scheds, *outs):
-            for pos, k in enumerate(sched.indices):
+        for seg, a, b in zip(segments, *outs):
+            for pos, k in enumerate(seg):
                 if k not in anchored:
                     assert a.data[pos].tobytes() == b.data[pos].tobytes()
 
@@ -268,8 +295,9 @@ class TestGroupBudget:
             merged, keys = multiscale_gcg(cond, mask, select_keyframes(33, 5), tau=4,
                                           denoiser=den, sample=SampleSchedule(3, 2),
                                           rng_seed=5, count=5, delta=2)
-            sched = make_schedule(33, 5, 2)
-            [direct] = construct_gcg(cond, mask, (sched,), den, SampleSchedule(3, 2), 5)
+            seg = select_keyframes(33, 5)
+            [direct] = construct_gcg(cond, mask, [seg], _windows(seg, 33), den,
+                                     SampleSchedule(3, 2), 5)
             outs.append((merged.data.tobytes(), keys, direct.data.tobytes()))
         assert outs[0] == outs[1]
 
@@ -328,8 +356,8 @@ class TestMultiscale:
         merged, keys = multiscale_gcg(cond, mask, initial, tau=5, denoiser=den,
                                       sample=sample, rng_seed=9, count=5, delta=2)
         assert keys == initial  # gaps are 4..5 <= tau, no rounds run
-        sched = make_schedule(20, 5, 2, indices=initial)
-        [direct] = construct_gcg(cond, mask, (sched,), den, sample, 9, noise_tag="gcg:r0")
+        [direct] = construct_gcg(cond, mask, [initial], _windows(initial, 20), den, sample, 9,
+                                 noise_tag="gcg:r0")
         # the single-segment merge is the direct construction rounded to float32
         np.testing.assert_array_equal(merged.data,
                                       direct.data.astype(np.float32))

@@ -1,8 +1,8 @@
 """Golden outputs and fill counts of the pipeline on one small case.
 
 The hashes pin `pipeline.run` bit for bit on a 16-frame `revisit` clip
-(seed 0, the acceptance suite's ablation config), so a change meant to keep
-behaviour must leave them as they are.  The fill counts pin that a stage's
+(seed 0, the acceptance suite's ablation config), and `full` once more with
+the codec, so a change meant to keep behaviour must leave them as they are.  The fill counts pin that a stage's
 conditioning is filled once, before its step loop, and not once per step.
 A fill covers a group of stacks at once, so fills are counted in items.
 """
@@ -26,6 +26,10 @@ GOLDEN = {
     "temporal_only": "026f02cc7dfc23e276c1916cecf1b28b968b15e780469767be0f7b8a9f02d61c",
     "baseline": "837f0f3c16737e9f8a9097d7ace61db725e532d9a1931ba35bc09185e81c64fb",
 }
+
+
+# `full` with the codec pooling the working resolution by 2.
+CODEC_GOLDEN = "f09fd4a1cb7835f96383ef67181dc1eeac28c84cc1591046244889eabfb7ebed"
 
 
 def _case():
@@ -58,6 +62,11 @@ def test_output_hash(case, mode):
     out = pipeline.run(_config(case, mode), case.input).output
     assert out.data.dtype == np.float32
     assert hashlib.sha256(out.data.tobytes()).hexdigest() == GOLDEN[mode]
+
+
+def test_codec_output_hash(case):
+    out = pipeline.run(replace(_config(case, "full"), codec_factor=2), case.input).output
+    assert hashlib.sha256(out.data.tobytes()).hexdigest() == CODEC_GOLDEN
 
 
 @pytest.fixture
@@ -121,21 +130,20 @@ def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
                         lambda self, *a: steps.append(a[0].items) or real_denoise(self, *a))
     pipeline.run(_config(clip, mode), clip.input)
     # a call builds one round, whose stacks share its noise tag, video and
-    # mask: a keyframe stack per schedule, conditioned on its own even where
-    # it names a window's frames, and each distinct window of a keyframe
-    # outside the round's anchors once
+    # mask: a keyframe stack per segment, conditioned on its own even where
+    # it names a window's frames, and each distinct window of `windows` once
     stacks = {}
     named = 0
     for args, _ in constructs:
-        anchors = args.get("anchors", frozenset())
-        for sched in args["scheds"]:
-            windows = [w for k, w in zip(sched.indices, sched.windows) if k not in anchors]
-            named += len(windows)
-            for kind, idx in [("keys", sched.indices)] + [("window", w) for w in windows]:
-                stacks[kind, args["noise_tag"], idx] = (args["mask_ds"].data[list(idx)],
-                                                        args["denoiser"])
-    if mode == "full":  # later rounds have anchors; overlapping segments share windows
-        assert any(args.get("anchors") for args, _ in constructs)
+        windows = args["windows"]
+        named += sum(k in windows for idx in args["segments"] for k in idx)
+        for kind, idx in ([("keys", idx) for idx in args["segments"]]
+                          + [("window", w) for w in windows.values()]):
+            stacks[kind, args["noise_tag"], idx] = (args["mask_ds"].data[list(idx)],
+                                                    args["denoiser"])
+    if mode == "full":  # later rounds' anchors have no window; segments share windows
+        assert any(k not in args["windows"]
+                   for args, _ in constructs[1:] for idx in args["segments"] for k in idx)
         assert sum(kind == "window" for kind, _, _ in stacks) < named
     expected = 0
     for mask, den in stacks.values():
