@@ -117,6 +117,24 @@ def _shifted_slices(n: int, off: int) -> tuple[slice, slice]:
     return slice(-off, n), slice(0, n + off)
 
 
+@functools.lru_cache(maxsize=8)
+def _kernel_spectrum(radius: int, lam: float,
+                     shape: tuple[int, int, int]) -> tuple[np.ndarray, tuple[int, ...], float]:
+    """Read-only rfftn of the ball kernel K[df, dy, dx] = 1/d^2 over an item
+    of `shape` zero-padded by the largest offset on each axis, so that a
+    circular convolution of that size never wraps into the item; with the
+    padded size and the smallest kernel weight."""
+    offsets = _neighbor_offsets(radius, lam, shape)
+    size = tuple(n + max((abs(o[axis]) for o in offsets), default=0)
+                 for axis, n in enumerate(shape))
+    kernel = np.zeros(size)
+    for df, dy, dx, wgt in offsets:
+        kernel[df, dy, dx] = wgt  # negative offsets wrap to the padded end
+    spectrum = np.fft.rfftn(kernel)[..., None]
+    spectrum.flags.writeable = False
+    return spectrum, size, min((o[3] for o in offsets), default=1.0)
+
+
 def inverse_distance_fill(condition: np.ndarray, mask: np.ndarray, lam: float,
                           radius: int, floor: float) -> np.ndarray:
     """Predicted clean stack: observed voxels kept, masked voxels filled by
@@ -124,20 +142,25 @@ def inverse_distance_fill(condition: np.ndarray, mask: np.ndarray, lam: float,
     (metric dx^2 + dy^2 + (lam*df)^2); unreachable voxels get `floor`.
 
     The arrays are (F, H, W, C), or (N, F, H, W, C) for N items filled at
-    once; a fill only reads its own item."""
-    f, h, w = condition.shape[-4:-1]
+    once; a fill only reads its own item.  The weighting is a normalized
+    convolution (Knutsson & Westin, 1993): num = K*(c*obs) and den = K*obs,
+    one FFT product over the (F, H, W) axes for the channels and the
+    weights together.  It deviates from summing the offsets one by one only
+    by float64 rounding, so a covered voxel (den >= the smallest weight) is
+    told from an uncovered one (den ~ 1e-17) at half the smallest weight."""
+    f, h, w, c = condition.shape[-4:]
+    spectrum, size, smallest = _kernel_spectrum(radius, lam, (f, h, w))
     obs = (1.0 - mask).astype(np.float64)
-    val = condition.astype(np.float64) * obs
-    num = np.zeros_like(val)
-    den = np.zeros_like(obs)
-    for df, dy, dx, wgt in _neighbor_offsets(radius, lam, (f, h, w)):
-        fd, fs = _shifted_slices(f, df)
-        yd, ys = _shifted_slices(h, dy)
-        xd, xs = _shifted_slices(w, dx)
-        num[..., fd, yd, xd, :] += wgt * val[..., fs, ys, xs, :]
-        den[..., fd, yd, xd, :] += wgt * obs[..., fs, ys, xs, :]
-    # in place, num becomes the fill and then obs*condition + (1-obs)*fill
-    covered = den > 0.0
+    both = np.empty(condition.shape[:-1] + (c + 1,))
+    val = np.multiply(condition, obs, out=both[..., :c])
+    both[..., c:] = obs
+    axes = (-4, -3, -2)
+    product = np.fft.rfftn(both, s=size, axes=axes)
+    product *= spectrum
+    full = np.fft.irfftn(product, s=size, axes=axes)
+    num, den = full[..., :f, :h, :w, :c], full[..., :f, :h, :w, c:]
+    # num becomes the fill and then obs*condition + (1-obs)*fill
+    covered = den > 0.5 * smallest
     num /= np.where(covered, den, 1.0)
     np.copyto(num, floor, where=~covered)
     num *= 1.0 - obs

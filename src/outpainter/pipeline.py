@@ -348,6 +348,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
                                         sample, config.seed)
         if factor > 1:
             completed = codec_decode(completed, factor)
+    del video_ds, mask_ds, guided, guided_mask  # no later stage reads them
 
     with _stage(timings, "refinement"):
         if use_refine:

@@ -169,6 +169,12 @@ def resize_bicubic(video: VideoTensor, h: int, w: int) -> VideoTensor:
     """Per-frame Catmull-Rom bicubic resampling, clamped to [-1, 1]."""
     if h < 1 or w < 1:
         raise ValueError("target size must be positive")
+    if (h, w) == (video.height, video.width):
+        # both matrices are exactly the identity; adding 0.0 turns -0.0 into
+        # 0.0 as their zero-seeded sums do
+        out = np.clip(video.data, -1.0, 1.0).astype(np.float32, copy=False)
+        out += 0.0
+        return VideoTensor(out)
     my = _resize_matrix(video.height, h)
     mx = _resize_matrix(video.width, w)
     tmp = np.einsum("ih,fhwc->fiwc", my, video.data.astype(np.float64))
@@ -181,6 +187,8 @@ def downsample_mask(mask: MaskVideo, h: int, w: int) -> MaskVideo:
     big_h, big_w = mask.height, mask.width
     if h > big_h or w > big_w:
         raise ShapeError("mask downsampling cannot enlarge")
+    if (h, w) == (big_h, big_w):
+        return mask
     row_starts = np.array([-(-j * big_h // h) for j in range(h)], dtype=np.intp)
     col_starts = np.array([-(-j * big_w // w) for j in range(w)], dtype=np.intp)
     out = np.minimum.reduceat(mask.data, row_starts, axis=1)

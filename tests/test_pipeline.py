@@ -2,6 +2,8 @@
 import copy
 import json
 import re
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -428,3 +430,46 @@ class TestRun:
         observed = np.broadcast_to(mask.data == 0, result.output.shape)
         pad_target, _ = pad_video(case.input, case.geometry.placement)
         assert np.abs(result.output.data - pad_target.data)[observed].max() <= 1e-2
+
+    def test_downsampled_condition_is_zero_where_masked(self, monkeypatch):
+        """A 2x2 observed patch leaves no observed cell once the codec pools
+        the 8x8 working resolution by 2, so every working frame is an anchor
+        whose condition the fill reads as observed: it must be blank, not
+        the bicubic bleed of the patch."""
+        clip = VideoTensor(np.full((3, 2, 2, 3), 0.8, np.float32))
+        cfg = _small_config(mode="spatial_only", pad=PadSpec.centered(2, 2, 16, 16),
+                            working_height=8, working_width=8, codec_factor=2)
+        real = ToyDenoiser.prepare
+        masked = []
+
+        def spy(self, condition, mask, *args, **kwargs):
+            if mask.data.any():
+                masked.append((condition.data, mask.data))
+            return real(self, condition, mask, *args, **kwargs)
+
+        monkeypatch.setattr(ToyDenoiser, "prepare", spy)
+        run(cfg, clip)
+        assert masked  # completion conditions on the working resolution
+        for condition, mask in masked:
+            assert condition.shape[1:3] == (4, 4) and mask.all()
+            assert not condition.any()
+
+
+# The traced peak of `run` below, in MiB, as measured when the stages began
+# to drop the working-resolution arrays (26.95), plus 10%; it read 30.84
+# while they were kept to the end of the run.
+PEAK_MIB = 29.6
+
+
+def test_run_traced_peak_is_pinned():
+    spec, frames, geometry = scene.PRESETS["revisit"](0)
+    camera = tuple(replace(k, frame=k.frame * 95 // (frames - 1)) for k in spec.camera)
+    case = scene.make_case(replace(spec, camera=camera), 96, geometry)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(PipelineConfig(pad=case.geometry.placement), case.input)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / 2 ** 20 <= PEAK_MIB

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from outpainter.video import (FormatError, MaskVideo, PadSpec, ShapeError,
-                              VideoTensor, downsample_mask, pad_video, read_mask,
-                              read_ppm, read_raw, resize_bicubic, write_ppm, write_raw)
+                              VideoTensor, _resize_matrix, downsample_mask, pad_video,
+                              read_mask, read_ppm, read_raw, resize_bicubic, write_ppm,
+                              write_raw)
 
 
 def _video(shape, seed=0, scale=0.8):
@@ -107,6 +108,19 @@ class TestResize:
         out = resize_bicubic(v, 6, 6)
         np.testing.assert_allclose(out.data, v.data, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_size_is_the_clamped_input(self, dtype):
+        data = np.random.default_rng(4).uniform(-1.5, 1.5, (2, 5, 7, 3)).astype(dtype)
+        out = resize_bicubic(VideoTensor(data.copy()), 5, 7)
+        assert out.data.tobytes() == np.clip(data, -1.0, 1.0).astype(np.float32).tobytes()
+        # the bytes the resampling matrices give, -0.0 summed to 0.0 included
+        data[0, 0, :3, 0] = -0.0
+        data[0, 0, 3:, 0] = -0.5
+        tmp = np.einsum("ih,fhwc->fiwc", _resize_matrix(5, 5), data.astype(np.float64))
+        want = np.einsum("jw,fiwc->fijc", _resize_matrix(7, 7), tmp)
+        want = np.clip(want, -1.0, 1.0).astype(np.float32)
+        assert resize_bicubic(VideoTensor(data.copy()), 5, 7).data.tobytes() == want.tobytes()
+
     def test_ramp_upscale_matches_oracle(self):
         ramp = np.linspace(-0.9, 0.9, 16).reshape(4, 4)
         frame = np.stack([ramp, ramp * 0.5, -ramp], axis=2).astype(np.float32)
@@ -138,6 +152,11 @@ class TestMaskDownsample:
         assert out.data[0, 0, 1, 0] == 1.0
         assert out.data[0, 1, 0, 0] == 1.0
         assert out.data[0, 1, 1, 0] == 1.0
+
+    def test_same_size_is_the_input(self):
+        m = MaskVideo((np.random.default_rng(2).uniform(size=(2, 3, 5, 1)) < 0.5)
+                      .astype(np.float32))
+        assert downsample_mask(m, 3, 5) is m
 
     def test_cannot_enlarge(self):
         with pytest.raises(ShapeError):
