@@ -117,22 +117,42 @@ def _shifted_slices(n: int, off: int) -> tuple[slice, slice]:
     return slice(-off, n), slice(0, n + off)
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest length >= n with no prime factor above 5, which the FFT
+    transforms without its slow generic passes for larger primes."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 @functools.lru_cache(maxsize=8)
 def _kernel_spectrum(radius: int, lam: float,
                      shape: tuple[int, int, int]) -> tuple[np.ndarray, tuple[int, ...], float]:
     """Read-only rfftn of the ball kernel K[df, dy, dx] = 1/d^2 over an item
-    of `shape` zero-padded by the largest offset on each axis, so that a
-    circular convolution of that size never wraps into the item; with the
-    padded size and the smallest kernel weight."""
+    of `shape` zero-padded to at least the largest offset on each axis, so
+    that a circular convolution of that size never wraps into the item; with
+    the padded size and the smallest kernel weight.  Each padded length is
+    rounded up to a 5-smooth one."""
     offsets = _neighbor_offsets(radius, lam, shape)
-    size = tuple(n + max((abs(o[axis]) for o in offsets), default=0)
+    size = tuple(_smooth_length(n + max((abs(o[axis]) for o in offsets), default=0))
                  for axis, n in enumerate(shape))
     kernel = np.zeros(size)
     for df, dy, dx, wgt in offsets:
         kernel[df, dy, dx] = wgt  # negative offsets wrap to the padded end
-    spectrum = np.fft.rfftn(kernel)[..., None]
+    spectrum = np.fft.rfftn(kernel)
     spectrum.flags.writeable = False
     return spectrum, size, min((o[3] for o in offsets), default=1.0)
+
+
+# Items are filled in groups whose spectrum stays within this many bytes, so
+# that each FFT works on cache-resident blocks the allocator hands back call
+# after call instead of on fresh pages that fault in on every fill.
+FILL_GROUP_BYTES = 1 << 18
 
 
 def inverse_distance_fill(condition: np.ndarray, mask: np.ndarray, lam: float,
@@ -145,27 +165,47 @@ def inverse_distance_fill(condition: np.ndarray, mask: np.ndarray, lam: float,
     once; a fill only reads its own item.  The weighting is a normalized
     convolution (Knutsson & Westin, 1993): num = K*(c*obs) and den = K*obs,
     one FFT product over the (F, H, W) axes for the channels and the
-    weights together.  It deviates from summing the offsets one by one only
+    weights together, per group of at most FILL_GROUP_BYTES of spectrum.  It deviates from summing the offsets one by one only
     by float64 rounding, so a covered voxel (den >= the smallest weight) is
     told from an uncovered one (den ~ 1e-17) at half the smallest weight."""
     f, h, w, c = condition.shape[-4:]
-    spectrum, size, smallest = _kernel_spectrum(radius, lam, (f, h, w))
+    kernel = _kernel_spectrum(radius, lam, (f, h, w))
+    items = condition.reshape((-1, f, h, w, c))
+    masks = mask.reshape((-1, f, h, w, mask.shape[-1]))
+    out = np.empty(items.shape, dtype=np.float32)
+    group = max(1, FILL_GROUP_BYTES // (kernel[0].nbytes * (c + 1)))
+    for i in range(0, len(items), group):
+        out[i:i + group] = _fill_group(items[i:i + group], masks[i:i + group],
+                                       kernel, floor)
+    return out.reshape(condition.shape)
+
+
+def _fill_group(condition: np.ndarray, mask: np.ndarray,
+                kernel: tuple[np.ndarray, tuple[int, ...], float],
+                floor: float) -> np.ndarray:
+    """`inverse_distance_fill` of (N, F, H, W, C) items with the kernel's
+    spectrum, padded size and smallest weight, in float64."""
+    spectrum, size, smallest = kernel
+    n, f, h, w, c = condition.shape
     obs = (1.0 - mask).astype(np.float64)
-    both = np.empty(condition.shape[:-1] + (c + 1,))
-    val = np.multiply(condition, obs, out=both[..., :c])
-    both[..., c:] = obs
-    axes = (-4, -3, -2)
+    # channels ahead of (F, H, W), so that every transformed line is
+    # contiguous; num, den and val are channel-last views
+    both = np.empty((n, c + 1, f, h, w))
+    val = np.moveaxis(both[:, :c], 1, -1)
+    np.multiply(condition, obs, out=val)
+    both[:, c] = obs[..., 0]
+    axes = (-3, -2, -1)
     product = np.fft.rfftn(both, s=size, axes=axes)
     product *= spectrum
-    full = np.fft.irfftn(product, s=size, axes=axes)
-    num, den = full[..., :f, :h, :w, :c], full[..., :f, :h, :w, c:]
+    full = np.moveaxis(np.fft.irfftn(product, s=size, axes=axes)[..., :f, :h, :w], 1, -1)
+    num, den = full[..., :c], full[..., c:]
     # num becomes the fill and then obs*condition + (1-obs)*fill
     covered = den > 0.5 * smallest
     num /= np.where(covered, den, 1.0)
     np.copyto(num, floor, where=~covered)
     num *= 1.0 - obs
     num += val
-    return num.astype(np.float32)
+    return num
 
 
 def _smooth3(z: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from outpainter import denoiser as dmod
 from outpainter import rng
 from outpainter.denoiser import (MODES, DenoiserConfig, ToyDenoiser, _neighbor_offsets,
                                  _smooth3, fold_anchor_frames, inverse_distance_fill)
@@ -126,6 +127,25 @@ class TestFill:
         for i in range(3):
             assert out[i].tobytes() == inverse_distance_fill(cond[i], mask[i], 2.0, 4,
                                                              -0.5).tobytes()
+
+    def test_item_groups_do_not_change_the_fill(self, monkeypatch):
+        g = np.random.default_rng(11)
+        cond = g.uniform(-0.9, 0.9, (5, 3, 6, 7, 3)).astype(np.float32)
+        mask = (g.uniform(size=(5, 3, 6, 7, 1)) < 0.5).astype(np.float32)
+        monkeypatch.setattr(dmod, "FILL_GROUP_BYTES", 1)  # one item per group
+        alone = inverse_distance_fill(cond, mask, 2.0, 4, -0.5)
+        monkeypatch.setattr(dmod, "FILL_GROUP_BYTES", 1 << 40)  # one group
+        assert alone.tobytes() == inverse_distance_fill(cond, mask, 2.0, 4, -0.5).tobytes()
+
+    def test_smooth_length(self):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+        for n in range(1, 200):
+            m = dmod._smooth_length(n)
+            assert smooth(m) and not any(smooth(k) for k in range(n, m))
 
     def test_offsets_fit_the_item(self):
         # the ball clipped to the item, in the unclipped ball's order
