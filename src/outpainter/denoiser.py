@@ -85,7 +85,6 @@ def fold_anchor_frames(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
 def _neighbor_offsets(radius: int, lam: float,
                       shape: tuple[int, int, int]) -> tuple[tuple[int, int, int, float], ...]:
     """(df, dy, dx, weight) of the ball of `radius` that fit an item of

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng
 from .sampler import SampleSchedule, step
-from .tiling import ConfigError, blend, group_items, plan
+from .tiling import ConfigError, Tile, TilePlan, blend, plan, prepare_tiles, tile_outputs
 from .video import MaskVideo, VideoTensor
 
 
@@ -58,7 +58,7 @@ def build_window(k: int, count: int, delta: int, total_frames: int) -> tuple[int
     raise ConfigError(f"no feasible window for k={k}, K={count}, F={total_frames}")
 
 
-def _init_noise(rng_seed: int, tag: str, idx: tuple[int, ...],
+def _init_noise(rng_seed: int, tag: str, idx: Sequence[int],
                 frame_shape: tuple[int, ...]) -> np.ndarray:
     # Per-frame noise keyed by the original frame index so every keyframe
     # stack and every window slot referring to the same frame start from
@@ -80,41 +80,40 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
     stack.  `windows` maps a keyframe to its local window; a keyframe with
     no window keeps its own latent.  A window evolves the same way for every
     keyframe that names it and the swap never writes it, so one slot serves
-    them all.  Nothing reads a window after the swap budget, so from then
-    on only the keyframe stacks are stepped.  The stacks and the windows are
-    grouped apart (`group_items`); each group is prepared once and denoised
-    as one array."""
+    them all.  Each stack is a whole-frame tile of the latent; the stacks and
+    the windows are prepared as two tile lists, so after the swap budget,
+    when nothing reads the windows, only the stacks step."""
     distinct = list(dict.fromkeys(windows.values()))
     stacks = list(segments) + distinct
     n = len(segments)
-    bounds = np.cumsum([0] + [len(idx) for idx in stacks])
+    bounds = np.cumsum([0] + [len(idx) for idx in stacks]).tolist()
+    tiles = tuple(Tile(a, b, 0, video_ds.height, 0, video_ds.width)
+                  for a, b in zip(bounds, bounds[1:]))
     # the swap's source slot for each keyframe slot of the stacks
-    slot = dict(zip(distinct, bounds[n:].tolist()))
+    slot = dict(zip(distinct, bounds[n:]))
     src = [slot[windows[k]] + windows[k].index(k) if k in windows else i
            for i, k in enumerate(sum(segments, ()))]
-    shapes = [(len(idx),) + video_ds.shape[1:3] for idx in stacks]
-    key_groups = group_items(shapes[:n])  # first, so zip(key_groups, prepared) pairs them
-    groups = key_groups + [slice(n + g.start, n + g.stop) for g in group_items(shapes[n:])]
-    prepared = []
-    for g in groups:
-        frames = [f for idx in stacks[g] for f in idx]
-        prepared.append(denoiser.prepare(VideoTensor(video_ds.data[frames]),
-                                         MaskVideo(mask_ds.data[frames]), "sparse",
-                                         items=g.stop - g.start))
-    z = _init_noise(rng_seed, noise_tag, sum(stacks, ()), video_ds.shape[1:])
+    frames = list(sum(stacks, ()))
+    condition, mask = VideoTensor(video_ds.data[frames]), MaskVideo(mask_ds.data[frames])
+    key_tiles, window_tiles = (prepare_tiles(denoiser, condition, mask,
+                                             TilePlan(condition.shape[:3], part), "sparse")
+                               for part in (tiles[:n], tiles[n:]))
+    z = _init_noise(rng_seed, noise_tag, frames, video_ds.shape[1:])
     stepped = np.empty(z.shape, dtype=np.float64)  # Euler steps are float64
-    times = sample.times
+
+    def step_group(prep, z_group):  # reads the current step's t_from and t_to
+        return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
+
     for s in range(sample.total_steps):
-        t_from, t_to = float(times[s]), float(times[s + 1])
-        live = groups if s < sample.swap_steps else key_groups
-        for g, prep in zip(live, prepared):  # a group is read, then overwritten
-            lo, hi = bounds[g.start], bounds[g.stop]
-            z_g = VideoTensor(z[lo:hi])
-            stepped[lo:hi] = step(z_g, denoiser.denoise(prep, z_g, t_from), t_from, t_to).data
+        t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
+        live = key_tiles + window_tiles if s < sample.swap_steps else key_tiles
+        for tile, out in tile_outputs(live, z, step_group):  # a group is read, then overwritten
+            stepped[tile.f0:tile.f1] = out
+            del out  # the next group is stepped without this one's output
         z = stepped
         if s < sample.swap_steps:
             z[:len(src)] = z[src]
-    return [VideoTensor(z[bounds[j]:bounds[j + 1]]) for j in range(n)]
+    return [VideoTensor(z[tile.f0:tile.f1]) for tile in tiles[:n]]
 
 
 def max_index_gap(indices) -> int:

@@ -302,8 +302,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
         padded, mask = pad_video(video, config.pad)
 
     use_gcg = config.mode in ("full", "temporal_only")
-    use_downsample = config.mode in ("full", "spatial_only")
-    use_refine = config.mode in ("full", "spatial_only")
+    use_downsample = config.mode in ("full", "spatial_only")  # and refine back up
 
     with _stage(timings, "downsample"):
         factor = config.codec_factor if use_downsample else 1
@@ -351,7 +350,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
     del video_ds, mask_ds, guided, guided_mask  # no later stage reads them
 
     with _stage(timings, "refinement"):
-        if use_refine:
+        if use_downsample:
             plan_st = plan(padded.shape[:3], til.tile_t, til.tile_y, til.tile_x,
                            til.overlap_t, til.overlap_y, til.overlap_x)
             output = spatial_refinement(completed, padded, mask, denoiser, plan_st,

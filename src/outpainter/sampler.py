@@ -19,7 +19,7 @@ class SampleSchedule:
 
     total_steps: int
     swap_steps: int = 0
-    times: np.ndarray = field(init=False, repr=False)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.total_steps < 1:

@@ -145,16 +145,16 @@ def _box(tile: Tile) -> tuple[slice, slice, slice]:
     return slice(tile.f0, tile.f1), slice(tile.y0, tile.y1), slice(tile.x0, tile.x1)
 
 
-def blend(tile_outputs, tile_plan: TilePlan) -> VideoTensor:
+def blend(outputs, tile_plan: TilePlan) -> VideoTensor:
     """Per-voxel weighted average of one output per plan tile, accumulated in
-    double precision with the plan's weights.  `tile_outputs` is an iterable
+    double precision with the plan's weights.  `outputs` is an iterable
     of (tile, VideoTensor or array) pairs in plan order, consumed one output
     at a time and never held whole."""
     tiles = tile_plan.tiles
     weights, den = tile_plan.weights
     num = None
     count = 0
-    for i, (tile, out) in enumerate(tile_outputs):
+    for i, (tile, out) in enumerate(outputs):
         if i >= len(tiles) or tile != tiles[i]:
             raise CoverageError(f"output {i} is for tile {tile}, not the plan's tile")
         data = out.data if isinstance(out, VideoTensor) else out
@@ -187,9 +187,11 @@ def group_items(shapes: list[tuple[int, int, int]]) -> list[slice]:
 
 
 def _gather(arr: np.ndarray, tiles) -> np.ndarray:
-    """The frame concatenation of the tiles' boxes of `arr`."""
-    parts = [arr[_box(tile)] for tile in tiles]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """The frame concatenation of the tiles' boxes of `arr`; a view if they abut in frames."""
+    t = tiles[0]
+    if all(a.f1 == b.f0 and _box(b)[1:] == _box(t)[1:] for a, b in zip(tiles, tiles[1:])):
+        return arr[t.f0:tiles[-1].f1, t.y0:t.y1, t.x0:t.x1]
+    return np.concatenate([arr[_box(tile)] for tile in tiles])
 
 
 def prepare_tiles(denoiser, condition: VideoTensor, mask: MaskVideo,
@@ -208,7 +210,7 @@ def prepare_tiles(denoiser, condition: VideoTensor, mask: MaskVideo,
             for g in group_items([tile.shape for tile in tiles])]
 
 
-def _tile_outputs(prepared, data: np.ndarray, run):
+def tile_outputs(prepared, data: np.ndarray, run):
     """(tile, output) in plan order: each prepared group's tiles are gathered
     from `data` as one array and handed to `run(prepared_group, z_group)`."""
     for tiles, prep in prepared:
@@ -216,6 +218,7 @@ def _tile_outputs(prepared, data: np.ndarray, run):
         n = out.shape[0] // len(tiles)
         for j, tile in enumerate(tiles):
             yield tile, out[j * n:(j + 1) * n]
+        del out  # so it is freed before the next group runs, if the caller holds no part
 
 
 def tiled_denoise_pass(z: VideoTensor, tile_plan: TilePlan, denoiser, t_from: float,
@@ -230,7 +233,7 @@ def tiled_denoise_pass(z: VideoTensor, tile_plan: TilePlan, denoiser, t_from: fl
     def stepped(prep, z_group):
         return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
 
-    return blend(_tile_outputs(prepared, z.data, stepped), tile_plan)
+    return blend(tile_outputs(prepared, z.data, stepped), tile_plan)
 
 
 @dataclass(frozen=True)
@@ -274,4 +277,4 @@ class SpatiallyTiledDenoiser:
         def velocity(part, z_group):
             return self.inner.denoise(part, z_group, t)
 
-        return blend(_tile_outputs(prepared.parts, z.data, velocity), prepared.plan)
+        return blend(tile_outputs(prepared.parts, z.data, velocity), prepared.plan)

@@ -1,7 +1,37 @@
-"""Shared test hooks: collects acceptance scorecard lines and prints them in
-the terminal summary, where output capture cannot swallow them."""
+"""Shared test hooks and helpers: collects acceptance scorecard lines and
+prints them in the terminal summary, where output capture cannot swallow
+them, and builds the small ablation config and the golden case that several
+test modules run."""
+from dataclasses import replace
+
+from outpainter import pipeline, scene
+from outpainter.denoiser import DenoiserConfig
+
+FRAMES = 16  # frames of the golden case
 
 _scorecard: list[str] = []
+
+
+def golden_case():
+    """Preset `revisit`, seed 0, its camera path re-timed to FRAMES frames."""
+    spec, frames, geometry = scene.PRESETS["revisit"](0)
+    camera = tuple(replace(k, frame=k.frame * (FRAMES - 1) // (frames - 1))
+                   for k in spec.camera)
+    return scene.make_case(replace(spec, camera=camera), FRAMES, geometry)
+
+
+def ablation_config(case, mode, seed=0):
+    """A fast config on a scene case: 16x24 working resolution, 10 steps,
+    5 keyframes and 12x12 spatial tiles."""
+    return pipeline.PipelineConfig(
+        pad=case.geometry.placement, mode=mode, seed=seed,
+        working_height=16, working_width=24,
+        sampler=pipeline.SamplerParams(total_steps=10, swap_steps=3),
+        gcg=pipeline.GcgParams(keyframes=5, delta=1, tau=4),
+        tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
+                                     tile_x=12, overlap_y=4, overlap_x=4),
+        denoiser=DenoiserConfig(lambda_sparse=2.5, lambda_dense=2.0,
+                                radius=5))
 
 
 def record_scorecard(text: str) -> None:

@@ -163,18 +163,6 @@ def test_criterion_05_swap_ablation_direction():
     assert ok
 
 
-def _ablation_config(case, seed, mode):
-    return pipeline.PipelineConfig(
-        pad=case.geometry.placement, mode=mode, seed=seed,
-        working_height=16, working_width=24,
-        sampler=pipeline.SamplerParams(total_steps=10, swap_steps=3),
-        gcg=pipeline.GcgParams(keyframes=5, delta=1, tau=4),
-        tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
-                                     tile_x=12, overlap_y=4, overlap_x=4),
-        denoiser=DenoiserConfig(lambda_sparse=2.5, lambda_dense=2.0,
-                                radius=5))
-
-
 def test_criterion_06_compression_ablation_ordering():
     t0 = time.time()
     pool_psnr = {m: [] for m in pipeline.MODES}
@@ -185,7 +173,7 @@ def test_criterion_06_compression_ablation_ordering():
             mask = scene.case_mask(case)
             sel = metrics.RegionSelector("outpainted", mask)
             for mode in pipeline.MODES:
-                result = pipeline.run(_ablation_config(case, seed, mode), case.input)
+                result = pipeline.run(conftest.ablation_config(case, mode, seed), case.input)
                 pool_psnr[mode].append(metrics.psnr(result.output,
                                                     case.ground_truth, sel))
                 if mode in pool_seam:
@@ -211,7 +199,7 @@ def test_criterion_07_observed_region_fidelity():
     worst = 0.0
     for preset in ("late-reveal", "revisit", "textured", "drift"):
         case = scene.preset_case(preset, seed=0)
-        result = pipeline.run(_ablation_config(case, 0, "full"), case.input)
+        result = pipeline.run(conftest.ablation_config(case, "full"), case.input)
         padded, mask = pad_video(case.input, case.geometry.placement)
         observed = np.broadcast_to(mask.data == 0, result.output.shape)
         worst = max(worst, float(np.abs(result.output.data

@@ -1,8 +1,9 @@
-"""The bindings the benchmark's traced run patches still exist by name.
+"""The bindings the benchmark's traced run patches still exist by name and
+are still called.
 
 `perfbench/spans.py` wraps functions where their callers look them up and
-reads some arguments by name; a refactor that renames one would otherwise
-only show up when `perfbench/run.py --trace 1` runs.
+reads some arguments by name; a refactor that renames one, or stops calling
+it, would otherwise only show up when `perfbench/run.py --trace 1` runs.
 """
 import importlib.util
 import inspect
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from outpainter import gcg, tiling
+from conftest import ablation_config, golden_case
+from outpainter import gcg, pipeline, tiling
 from outpainter.denoiser import ToyDenoiser
 from outpainter.video import MaskVideo, VideoTensor
 
@@ -44,3 +46,21 @@ def test_zero_mask_hook_reads_prepared_mask():
     mask = MaskVideo(np.zeros((1, 2, 2, 1), np.float32))
     prepared = ToyDenoiser().prepare(VideoTensor(np.zeros((1, 2, 2, 3), np.float32)), mask)
     assert prepared.mask is mask
+
+
+def test_every_traced_binding_is_called(spans):
+    """The golden case in `full` (working resolution, refinement) and in
+    `temporal_only` (guidance through the spatial adapter) together call
+    every traced binding."""
+    case = golden_case()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for clip, mode in enumerate(("full", "temporal_only")):
+            tracer.begin(clip)
+            pipeline.run(ablation_config(case, mode), case.input)
+            tracer.end()
+    finally:
+        tracer.uninstall()
+    traced = {spans.binding(owner, attr) for owner, attr, _ in spans.TRACED}
+    assert traced - set(tracer.fired) == set()

@@ -1,8 +1,9 @@
 """Golden outputs and fill counts of the pipeline on one small case.
 
 The hashes pin `pipeline.run` bit for bit on a 16-frame `revisit` clip
-(seed 0, the acceptance suite's ablation config), and `full` once more with
-the codec, so a change meant to keep behaviour must leave them as they are.  The fill counts pin that a stage's
+(seed 0, `conftest.ablation_config`, which the acceptance suite runs too),
+and `full` once more with the codec, so a change meant to keep behaviour
+must leave them as they are.  The fill counts pin that a stage's
 conditioning is filled once, before its step loop, and not once per step.
 A fill covers a group of stacks at once, so fills are counted in items.
 """
@@ -13,13 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import FRAMES, ablation_config, golden_case
 from outpainter import denoiser as dmod
 from outpainter import gcg as gmod
 from outpainter import pipeline, scene
 from outpainter import tiling as tmod
-from outpainter.denoiser import DenoiserConfig, fold_anchor_frames
+from outpainter.denoiser import fold_anchor_frames
 
-FRAMES = 16
 GOLDEN = {
     "full": "697cbee36dab408bc9001e355ebd3dbdf1a4559313bf7e4a1f963291c6a64d27",
     "spatial_only": "c4364dc3279e0a1f2a8d8edb0c854b66928975778e3096e0ce6a8546f0c9c908",
@@ -32,40 +33,20 @@ GOLDEN = {
 CODEC_GOLDEN = "f09fd4a1cb7835f96383ef67181dc1eeac28c84cc1591046244889eabfb7ebed"
 
 
-def _case():
-    """Preset `revisit`, seed 0, its camera path re-timed to FRAMES frames."""
-    spec, frames, geometry = scene.PRESETS["revisit"](0)
-    camera = tuple(replace(k, frame=k.frame * (FRAMES - 1) // (frames - 1))
-                   for k in spec.camera)
-    return scene.make_case(replace(spec, camera=camera), FRAMES, geometry)
-
-
-def _config(case, mode):
-    return pipeline.PipelineConfig(
-        pad=case.geometry.placement, mode=mode, seed=0,
-        working_height=16, working_width=24,
-        sampler=pipeline.SamplerParams(total_steps=10, swap_steps=3),
-        gcg=pipeline.GcgParams(keyframes=5, delta=1, tau=4),
-        tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
-                                     tile_x=12, overlap_y=4, overlap_x=4),
-        denoiser=DenoiserConfig(lambda_sparse=2.5, lambda_dense=2.0,
-                                radius=5))
-
-
 @pytest.fixture(scope="module")
 def case():
-    return _case()
+    return golden_case()
 
 
 @pytest.mark.parametrize("mode", pipeline.MODES)
 def test_output_hash(case, mode):
-    out = pipeline.run(_config(case, mode), case.input).output
+    out = pipeline.run(ablation_config(case, mode), case.input).output
     assert out.data.dtype == np.float32
     assert hashlib.sha256(out.data.tobytes()).hexdigest() == GOLDEN[mode]
 
 
 def test_codec_output_hash(case):
-    out = pipeline.run(replace(_config(case, "full"), codec_factor=2), case.input).output
+    out = pipeline.run(replace(ablation_config(case, "full"), codec_factor=2), case.input).output
     assert hashlib.sha256(out.data.tobytes()).hexdigest() == CODEC_GOLDEN
 
 
@@ -108,7 +89,7 @@ def _masked(mask: np.ndarray) -> bool:
 def test_stage_fills(case, fills, monkeypatch, mode):
     completion = _spy(monkeypatch, pipeline, "temporal_completion", fills)
     refinement = _spy(monkeypatch, pipeline, "spatial_refinement", fills)
-    pipeline.run(_config(case, mode), case.input)
+    pipeline.run(ablation_config(case, mode), case.input)
     [(args, made)] = completion
     assert 0 < made <= len(args["plan_t"].tiles)
     for args, made in refinement:
@@ -128,7 +109,7 @@ def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
     real_denoise = dmod.ToyDenoiser.denoise
     monkeypatch.setattr(dmod.ToyDenoiser, "denoise",
                         lambda self, *a: steps.append(a[0].items) or real_denoise(self, *a))
-    pipeline.run(_config(clip, mode), clip.input)
+    pipeline.run(ablation_config(clip, mode), clip.input)
     # a call builds one round, whose stacks share its noise tag, video and
     # mask: a keyframe stack per segment, conditioned on its own even where
     # it names a window's frames, and each distinct window of `windows` once

@@ -399,6 +399,27 @@ class TestRun:
         assert np.abs(result.output.data - padded.data)[observed].max() <= 1e-6
         np.testing.assert_array_equal(run(cfg, clip).output.data, result.output.data)
 
+    @pytest.mark.parametrize("motion, stride", [("static", 5), ("dynamic", 1)])
+    def test_delta_auto_sets_the_window_stride(self, monkeypatch, motion, stride):
+        """`gcg.delta_auto: true` builds the windows at `auto_delta`'s stride
+        for the clip, not at the configured `delta`."""
+        g = np.random.default_rng(3)
+        frames = (np.full((32, 12, 16, 3), 0.2, np.float32) if motion == "static"
+                  else g.uniform(-1, 1, (32, 12, 16, 3)).astype(np.float32))
+        doc = _small_config(gcg=GcgParams(keyframes=5, delta=3, tau=8)).to_dict()
+        doc["gcg"]["delta_auto"] = True
+        real = gcg.construct_gcg
+        windows = []
+
+        def spy(*args, **kwargs):
+            windows.extend(args[3].values())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gcg, "construct_gcg", spy)
+        run(PipelineConfig.from_dict(doc), VideoTensor(frames))
+        assert windows
+        assert {b - a for w in windows for a, b in zip(w, w[1:])} == {stride}
+
     def test_stage_error_names_stage(self):
         clip = _input_clip(8, 32, 32)  # larger than the 16x24 pad target
         with pytest.raises(StageError) as err:

@@ -25,6 +25,12 @@ class TestSchedule:
         sched = SampleSchedule(40, 8)
         assert (np.diff(sched.times) < 0).all()
 
+    def test_equal_schedules_compare_and_hash_equal(self):
+        assert SampleSchedule(2) == SampleSchedule(2)
+        assert hash(SampleSchedule(2)) == hash(SampleSchedule(2))
+        assert SampleSchedule(4, 1) != SampleSchedule(4, 2)
+        assert len({SampleSchedule(3, 1), SampleSchedule(3, 1), SampleSchedule(3)}) == 2
+
     def test_invalid_params(self):
         with pytest.raises(ScheduleError):
             SampleSchedule(0)

@@ -155,6 +155,30 @@ class TestGroups:
         assert group_items([(16, 12, 12)] * 5) == [slice(0, 5)]
         assert group_items([]) == []
 
+    @pytest.mark.parametrize("tiles, view", [
+        ((Tile(0, 2, 0, 2, 0, 3), Tile(2, 4, 0, 2, 0, 3)), True),
+        ((Tile(0, 2, 0, 2, 0, 3), Tile(1, 3, 0, 2, 0, 3)), False),
+        ((Tile(0, 2, 0, 2, 0, 2), Tile(2, 4, 0, 2, 0, 2)), False),  # VideoTensor copies it
+    ], ids=["abutting-whole-frames", "overlapping", "part-frames"])
+    def test_group_is_gathered_as_the_concatenation_of_its_tiles(self, tiles, view):
+        """A group's tiles reach `run` as one array; abutting whole frames as a
+        view, so a stacked layout is neither copied nor duplicated."""
+        data = np.arange(5 * 2 * 3, dtype=np.float64).reshape(5, 2, 3, 1)
+        seen = []
+
+        def run(prep, z_group):
+            seen.append(z_group.data)
+            return z_group
+
+        outputs = list(tiling.tile_outputs([(tiles, None)], data, run))
+        [group] = seen
+        np.testing.assert_array_equal(
+            group, np.concatenate([data[t.f0:t.f1, t.y0:t.y1, t.x0:t.x1] for t in tiles]))
+        assert np.shares_memory(group, data) == view
+        for tile, out in outputs:
+            np.testing.assert_array_equal(out, data[tile.f0:tile.f1, tile.y0:tile.y1,
+                                                    tile.x0:tile.x1])
+
     def test_streamed_outputs_must_follow_the_plan(self):
         p = plan((1, 10, 1), 1, 4, 1, 0, 2, 0)
         outputs = [(t, VideoTensor(np.zeros(t.shape + (1,), np.float32))) for t in p.tiles]
