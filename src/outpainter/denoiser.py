@@ -230,12 +230,13 @@ def _smooth3(z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PreparedFill(Prepared):
     """The toy backend's per-stage state: `x0` is the read-only fill of the
-    condition, `carry_mask` the anchor-folded mask on which steps blend in
-    the latent average, or None when nothing is masked or carryover is off;
-    then `x0` is already clamped to [-1, 1]."""
+    condition, `carry` the read-only weight with which steps blend in the
+    latent average (latent_carryover times the anchor-folded mask), or None
+    when nothing is masked or carryover is off; then `x0` is already clamped
+    to [-1, 1]."""
 
     x0: np.ndarray
-    carry_mask: np.ndarray | None
+    carry: np.ndarray | None
 
 
 class ToyDenoiser:
@@ -267,7 +268,6 @@ class ToyDenoiser:
             raise ShapeError(f"mask {mask.data.shape} does not match {condition.shape}")
         shape = (items, frames_per_item(condition, items)) + condition.shape[1:]
         folded = fold_anchor_frames(mask.data)
-        folded.flags.writeable = False
         masked = folded.reshape(items, -1).any(axis=1)
         if masked.any():
             x0 = condition.data.astype(np.float32)
@@ -276,11 +276,14 @@ class ToyDenoiser:
                 self.config.temporal_scale(mode), self.config.radius, self.config.fill_floor)
         else:
             x0 = np.asarray(condition.data, dtype=np.float32)
-        carry_mask = folded if masked.any() and self.config.latent_carryover > 0.0 else None
-        if carry_mask is None and not -1.0 <= x0.min() <= x0.max() <= 1.0:
+        carry = None
+        if masked.any() and self.config.latent_carryover > 0.0:
+            carry = self.config.latent_carryover * folded
+            carry.flags.writeable = False
+        elif not -1.0 <= x0.min() <= x0.max() <= 1.0:
             x0 = np.clip(x0, -1.0, 1.0)  # once here, not at every step
         x0.flags.writeable = False
-        return PreparedFill(condition, mask, items, x0, carry_mask)
+        return PreparedFill(condition, mask, items, x0, carry)
 
     def denoise(self, prepared: PreparedFill, z: VideoTensor, t: float) -> VideoTensor:
         """Velocity for one step from `prepared`, which is
@@ -292,11 +295,11 @@ class ToyDenoiser:
         if z.shape != prepared.condition.shape:
             raise ShapeError(f"z {z.shape} vs condition {prepared.condition.shape}")
         x0 = prepared.x0
-        if prepared.carry_mask is not None:
-            # in place: x0 + carryover * carry_mask * (_smooth3(z) - x0), clamped
+        if prepared.carry is not None:
+            # in place: x0 + carry * (_smooth3(z) - x0), clamped
             blended = _smooth3(z.data)
             blended -= x0
-            blended *= self.config.latent_carryover * prepared.carry_mask
+            blended *= prepared.carry
             blended += x0
             x0 = np.clip(blended, -1.0, 1.0, out=blended)
         v = z.data - x0

@@ -245,10 +245,12 @@ class RunResult:
 def _sample_tiles(condition: VideoTensor, mask: MaskVideo, denoiser, tile_plan: TilePlan,
                   sample: SampleSchedule, strength: float, rng_seed: int,
                   label: str) -> VideoTensor:
-    """SDEdit from `condition` over a tile plan with per-step blending: noise
-    it to `strength`, prepare each tile's conditioning once, then step."""
-    z, steps = sdedit_start(condition, strength, sample, rng_seed, label)
+    """SDEdit from `condition` over a tile plan with per-step blending:
+    prepare each tile's conditioning once, noise the condition to `strength`
+    (after the fills, so their temporaries and the latent are not held at
+    once), then step."""
     prepared = prepare_tiles(denoiser, condition, mask, tile_plan, "dense")
+    z, steps = sdedit_start(condition, strength, sample, rng_seed, label)
     times = sample.times
     for s in range(sample.total_steps - steps, sample.total_steps):
         z = tiled_denoise_pass(z, tile_plan, denoiser, float(times[s]), float(times[s + 1]),
@@ -273,6 +275,7 @@ def spatial_refinement(completed_ds: VideoTensor, padded: VideoTensor,
     over spatio-temporal tiles anchored on the composite."""
     target = VideoTensor(resize_bicubic(completed_ds, padded.height, padded.width).data)
     composite = VideoTensor(np.where(mask.data > 0.0, target.data, padded.data))
+    del target
     zero_mask = MaskVideo(np.zeros(mask.data.shape, dtype=np.float32))
     return _sample_tiles(composite, zero_mask, denoiser, plan_st, sample, strength, rng_seed,
                          "refine")
@@ -336,6 +339,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
                 video_ds, mask_ds, initial, g.tau, stage1, sample,
                 config.seed, kcount, delta)
             guided, guided_mask = gcg_mod.insert_guidance(video_ds, mask_ds, guidance, keys)
+    del video_ds, mask_ds  # completion reads only the guided copies
 
     with _stage(timings, "completion"):
         if use_downsample:
@@ -347,7 +351,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
                                         sample, config.seed)
         if factor > 1:
             completed = codec_decode(completed, factor)
-    del video_ds, mask_ds, guided, guided_mask  # no later stage reads them
+    del guided, guided_mask, plan_t  # no later stage reads them
 
     with _stage(timings, "refinement"):
         if use_downsample:

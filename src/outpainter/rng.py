@@ -34,26 +34,38 @@ def stream_key(seed: int, label: str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _raw64(seed: int, label: str, n: int) -> np.ndarray:
+# Box-Muller pairs drawn per block, so a draw's float64 temporaries stay a
+# few MiB however large the field is.
+NORMAL_BLOCK = 1 << 15
+
+
+def _raw64(seed: int, label: str, n: int, start: int = 0) -> np.ndarray:
     key = np.uint64(stream_key(seed, label))
-    counters = np.arange(n, dtype=np.uint64)
+    counters = np.arange(start, start + n, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return _mix64(_mix64(counters ^ key) + key)
 
 
-def uniforms(seed: int, label: str, n: int) -> np.ndarray:
-    """n uniform doubles in (0, 1]."""
-    bits = _raw64(seed, label, n) >> np.uint64(11)
+def uniforms(seed: int, label: str, n: int, start: int = 0) -> np.ndarray:
+    """n uniform doubles in (0, 1], from counters start, ..., start + n - 1."""
+    bits = _raw64(seed, label, n, start) >> np.uint64(11)
     return (bits.astype(np.float64) + 1.0) * (2.0 ** -53)
 
 
 def normals(seed: int, label: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normal field of the given shape via Box-Muller, float32."""
+    """Standard normal field of the given shape via Box-Muller, float32.
+
+    Pair i gives element i (cosine) and element pairs + i (sine) of the
+    flattened field; pairs are drawn NORMAL_BLOCK at a time, straight into
+    the float32 result."""
     n = int(np.prod(shape)) if shape else 1
     pairs = (n + 1) // 2
-    u1 = uniforms(seed, label + "/u1", pairs)
-    u2 = uniforms(seed, label + "/u2", pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-    return z.reshape(shape).astype(np.float32)
+    out = np.empty(n, dtype=np.float32)
+    for a in range(0, pairs, NORMAL_BLOCK):
+        m = min(NORMAL_BLOCK, pairs - a)
+        r = np.sqrt(-2.0 * np.log(uniforms(seed, label + "/u1", m, a)))
+        theta = 2.0 * np.pi * uniforms(seed, label + "/u2", m, a)
+        out[a:a + m] = r * np.cos(theta)
+        k = min(m, n - pairs - a)  # an odd n drops the last pair's sine
+        out[pairs + a:pairs + a + k] = r[:k] * np.sin(theta[:k])
+    return out.reshape(shape)

@@ -82,6 +82,29 @@ class TilePlan:
             raise CoverageError("blend leaves uncovered voxels")
         return tuple(weights), den
 
+    @cached_property
+    def closes(self) -> tuple[int, ...]:
+        """For each tile, the first frame a later tile reaches (the extent's
+        frame count after the last tile): once a blend has added the tile,
+        every earlier frame is final."""
+        later = self.extent[0]
+        closes = []
+        for tile in reversed(self.tiles):
+            closes.append(later)
+            later = min(later, tile.f0)
+        return tuple(reversed(closes))
+
+    @cached_property
+    def open_frames(self) -> int:
+        """Most frames a blend holds unfinished at once: from the last
+        closed frame to the furthest frame reached so far."""
+        most = lo = hi = 0
+        for tile, close in zip(self.tiles, self.closes):
+            hi = max(hi, tile.f1)
+            most = max(most, hi - lo)
+            lo = close
+        return most
+
 
 def _axis_starts(extent: int, size: int, overlap: int) -> list[int]:
     """Tile start offsets along one axis: stride size-overlap, last tile
@@ -149,24 +172,34 @@ def blend(outputs, tile_plan: TilePlan) -> VideoTensor:
     """Per-voxel weighted average of one output per plan tile, accumulated in
     double precision with the plan's weights.  `outputs` is an iterable
     of (tile, VideoTensor or array) pairs in plan order, consumed one output
-    at a time and never held whole."""
+    at a time and never held whole.  The double-precision sums span only the
+    plan's open frames: a frame is divided out into the float32 result as
+    soon as no later tile reaches it."""
     tiles = tile_plan.tiles
     weights, den = tile_plan.weights
-    num = None
-    count = 0
-    for i, (tile, out) in enumerate(outputs):
+    out = num = None
+    lo = hi = count = 0  # num[i] sums frame lo + i; frames before lo are final
+    for i, (tile, data) in enumerate(outputs):
         if i >= len(tiles) or tile != tiles[i]:
             raise CoverageError(f"output {i} is for tile {tile}, not the plan's tile")
-        data = out.data if isinstance(out, VideoTensor) else out
+        data = data.data if isinstance(data, VideoTensor) else data
         if data.shape[:3] != tile.shape:
             raise ShapeError(f"output {data.shape} does not match tile {tile}")
         if num is None:
-            num = np.zeros(tile_plan.extent + data.shape[3:], dtype=np.float64)
-        num[_box(tile)] += weights[i] * data
+            out = np.empty(tile_plan.extent + data.shape[3:], dtype=np.float32)
+            num = np.zeros((tile_plan.open_frames,) + out.shape[1:], dtype=np.float64)
+        num[tile.f0 - lo:tile.f1 - lo, tile.y0:tile.y1, tile.x0:tile.x1] += weights[i] * data
+        hi = max(hi, tile.f1)
+        close = tile_plan.closes[i]
+        if close > lo:
+            np.divide(num[:close - lo], den[lo:close], out=out[lo:close], casting="same_kind")
+            num[:hi - close] = num[close - lo:hi - lo]
+            num[hi - close:hi - lo] = 0.0
+            lo = close
         count = i + 1
     if count != len(tiles):
         raise CoverageError(f"{count} outputs for {len(tiles)} plan tiles")
-    return VideoTensor((num / den).astype(np.float32))
+    return VideoTensor(out)
 
 
 def group_items(shapes: list[tuple[int, int, int]]) -> list[slice]:

@@ -205,6 +205,7 @@ class TestOutpaint:
         assert manifest["keyframes"]
         assert set(manifest["stage_seconds"]) == {"pad", "downsample", "guidance",
                                                   "completion", "refinement"}
+        assert manifest["peak_rss_mb"] > 0
 
     def test_manifest_rerun_is_bit_identical(self, tmp_path):
         prefix = _synth(tmp_path)

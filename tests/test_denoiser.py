@@ -358,7 +358,7 @@ class TestToyDenoiser:
         mask = np.zeros((1, 4, 4, 1), np.float32)
         mask[0, 1, 1, 0] = 1.0
         prepared = ToyDenoiser().prepare(VideoTensor(cond), MaskVideo(mask))
-        for arr in (prepared.x0, prepared.carry_mask):
+        for arr in (prepared.x0, prepared.carry):
             with pytest.raises(ValueError):
                 arr[0, 0, 0, 0] = 1.0
 
@@ -366,7 +366,7 @@ class TestToyDenoiser:
         cond = np.random.default_rng(11).uniform(-0.5, 0.5, (2, 4, 4, 3))
         prepared = ToyDenoiser().prepare(VideoTensor(cond),
                                          MaskVideo(np.ones((2, 4, 4, 1), np.float32)))
-        assert prepared.carry_mask is None
+        assert prepared.carry is None
         assert prepared.x0.dtype == np.float32
         np.testing.assert_array_equal(prepared.x0, cond.astype(np.float32))
 

@@ -146,6 +146,27 @@ class TestRngStreams:
         u = rng.uniforms(1, "u", 1000)
         assert u.min() > 0.0 and u.max() <= 1.0
 
+    @pytest.mark.parametrize("n", [1, 7, 2 * rng.NORMAL_BLOCK - 1, 2 * rng.NORMAL_BLOCK,
+                                   2 * rng.NORMAL_BLOCK + 1])
+    def test_blocked_normals_equal_one_shot_box_muller(self, n):
+        # the whole field's Box-Muller pairs drawn at once: cosines, then sines
+        pairs = (n + 1) // 2
+        r = np.sqrt(-2.0 * np.log(rng.uniforms(8, "blk/u1", pairs)))
+        theta = 2.0 * np.pi * rng.uniforms(8, "blk/u2", pairs)
+        want = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].astype(np.float32)
+        got = rng.normals(8, "blk", (n,))
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    def test_small_blocks_keep_the_field(self, monkeypatch):
+        want = {n: rng.normals(6, "s", (n,)) for n in range(1, 30)}
+        monkeypatch.setattr(rng, "NORMAL_BLOCK", 3)
+        for n, field in want.items():
+            assert rng.normals(6, "s", (n,)).tobytes() == field.tobytes()
+
+    def test_uniforms_from_an_offset_continue_the_stream(self):
+        whole = rng.uniforms(2, "o", 50)
+        assert rng.uniforms(2, "o", 20, start=30).tobytes() == whole[30:].tobytes()
+
     def test_normals_moments(self):
         z = rng.normals(2, "m", (20000,))
         assert abs(float(z.mean())) < 0.05

@@ -142,6 +142,58 @@ class TestBlend:
         np.testing.assert_allclose(blend(outputs, p).data, c, atol=1e-6)
 
 
+def _whole_clip_blend(outputs, tile_plan):
+    """The blend before it streamed: one float64 sum over the whole extent,
+    divided once and rounded to float32."""
+    weights, den = tile_plan.weights
+    num = np.zeros(tile_plan.extent + outputs[0].shape[3:])
+    for t, w, out in zip(tile_plan.tiles, weights, outputs):
+        num[t.f0:t.f1, t.y0:t.y1, t.x0:t.x1] += w * out
+    return (num / den).astype(np.float32)
+
+
+def _adapter_plan(frames, height, width):
+    """The all-frames plan the spatial adapter prepares for a clip."""
+    adapter = SpatiallyTiledDenoiser(ToyDenoiser(), plan((1, height, width), 1, 5, 6, 0, 2, 2))
+    shape = (frames, height, width)
+    return adapter.prepare(VideoTensor(np.zeros(shape + (3,), np.float32)),
+                           MaskVideo(np.zeros(shape + (1,), np.float32))).plan
+
+
+class TestStreamingBlend:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tile_plan", [
+        plan((30, 7, 9), 10, 4, 5, 3, 1, 2),
+        TilePlan((20, 3, 4), (Tile(12, 20, 0, 3, 0, 4), Tile(0, 8, 0, 3, 0, 4),
+                              Tile(6, 14, 0, 3, 0, 4), Tile(3, 9, 0, 3, 0, 4))),
+        _adapter_plan(6, 11, 13),
+    ], ids=["temporal-overlap", "out-of-frame-order", "adapter-all-frames"])
+    def test_equals_whole_clip_float64_blend(self, tile_plan, dtype):
+        g = np.random.default_rng(4)
+        outputs = [g.uniform(-1.5, 1.5, t.shape + (3,)).astype(dtype) for t in tile_plan.tiles]
+        got = blend(zip(tile_plan.tiles, outputs), tile_plan).data
+        want = _whole_clip_blend(outputs, tile_plan)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    def test_frame_ordered_plan_closes_frames_early(self):
+        p = plan((30, 4, 4), 10, 4, 4, 3)
+        assert [t.f0 for t in p.tiles] == [0, 7, 14, 20]
+        assert p.closes == (7, 14, 20, 30)
+        assert p.open_frames == 10
+
+    def test_out_of_order_plan_closes_nothing_early(self):
+        p = TilePlan((20, 1, 1), (Tile(12, 20, 0, 1, 0, 1), Tile(0, 12, 0, 1, 0, 1)))
+        assert p.closes == (0, 20)
+        assert p.open_frames == 20
+        assert _adapter_plan(6, 11, 13).open_frames == 6
+
+    def test_long_clip_completion_holds_one_tile_open(self):
+        # the default config's completion plan on a 192-frame clip
+        p = plan((192, 32, 48), 49, 32, 48, 12)
+        assert len(p.tiles) == 5
+        assert p.open_frames <= 49
+
+
 class TestGroups:
     def test_budget_splits_runs_of_one_shape(self, monkeypatch):
         monkeypatch.setattr(tiling, "GROUP_VOXELS", 10)
