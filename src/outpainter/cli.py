@@ -270,10 +270,7 @@ def main(argv=None) -> int:
     except (pipeline.ConfigError, video.FormatError, scene.GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except pipeline.StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # RuntimeError includes StageError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,7 @@ Ablation modes selectively disable the guidance and refinement stages.
 """
 from __future__ import annotations
 
+import contextlib
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -29,7 +30,7 @@ MODES = ("full", "spatial_only", "temporal_only", "baseline")
 class StageError(RuntimeError):
     """Wraps a failure with the pipeline stage where it occurred."""
 
-    def __init__(self, stage: str, cause: BaseException):
+    def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
@@ -281,18 +282,17 @@ def spatial_refinement(completed_ds: VideoTensor, padded: VideoTensor,
                          "refine")
 
 
+@contextlib.contextmanager
 def _stage(timings: dict, name: str):
-    class _Timer:
-        def __enter__(self):
-            self.t0 = time.perf_counter()
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            timings[name] = time.perf_counter() - self.t0
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-    return _Timer()
+    """Record the stage's seconds in `timings` and wrap an error raised in it,
+    but not an interrupt or exit, in StageError."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    finally:
+        timings[name] = time.perf_counter() - t0
 
 
 def run(config: PipelineConfig, video: VideoTensor) -> RunResult:

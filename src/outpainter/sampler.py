@@ -71,7 +71,12 @@ def sdedit_start(x_init: VideoTensor, strength: float, schedule: SampleSchedule,
     if not 0.0 < strength <= 1.0:
         raise ScheduleError(f"strength={strength} outside (0, 1]")
     start_step = max(1, int(round(strength * schedule.total_steps)))
-    t_s = schedule.times[schedule.total_steps - start_step]
-    eps = VideoTensor(rng.normals(rng_seed, label, x_init.shape))
-    return add_noise(x_init, eps, float(t_s)), start_step
+    t = float(schedule.times[schedule.total_steps - start_step])
+    # add_noise's (1-t)*x + t*eps, mixed into the draw itself so that only
+    # the draw and one clip-size temporary are held at once; a float64 x_init
+    # widens the sum as it does there
+    z = rng.normals(rng_seed, label, x_init.shape)
+    z *= t
+    z = np.add(z, (1.0 - t) * x_init.data, out=z if x_init.data.dtype == z.dtype else None)
+    return VideoTensor(z), start_step
 

@@ -220,10 +220,10 @@ class SceneCase:
 
 
 def make_case(spec: SceneSpec, frames: int, geometry: CaseGeometry) -> SceneCase:
-    """Render the camera-tracked crop (input) and full window (ground truth)."""
+    """Render the camera-tracked full window (ground truth) and slice the crop
+    (input) from it.  Both windows sample one world pixel per pixel at integer
+    + 0.5 world coordinates, so the crop's own render is exactly this slice."""
     fy, fx, fh, fw = geometry.full
-    cy, cx, ch, cw = geometry.crop
-    inputs = []
     truths = []
     origins = []
     for f in range(frames):
@@ -231,12 +231,15 @@ def make_case(spec: SceneSpec, frames: int, geometry: CaseGeometry) -> SceneCase
         oy, ox = ccy + fy, ccx + fx
         origins.append((oy, ox))
         truths.append(render(spec, f, (oy, ox, fh, fw), fh, fw).data[0])
-        inputs.append(render(spec, f, (ccy + cy, ccx + cx, ch, cw), ch, cw).data[0])
+    truth = np.stack(truths)
+    place = geometry.placement
+    ch, cw = geometry.crop[2:]
     return SceneCase(
         spec=spec,
         geometry=geometry,
-        input=VideoTensor(np.stack(inputs)),
-        ground_truth=VideoTensor(np.stack(truths)),
+        input=VideoTensor(truth[:, place.offset_y:place.offset_y + ch,
+                                place.offset_x:place.offset_x + cw]),
+        ground_truth=VideoTensor(truth),
         full_origins=tuple(origins),
     )
 

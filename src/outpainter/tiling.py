@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .denoiser import Prepared
 from .sampler import step
 from .video import MaskVideo, ShapeError, VideoTensor
 
@@ -270,7 +269,7 @@ def tiled_denoise_pass(z: VideoTensor, tile_plan: TilePlan, denoiser, t_from: fl
 
 
 @dataclass(frozen=True)
-class PreparedTiles(Prepared):
+class PreparedTiles:
     """The adapter's state: `parts` is `prepare_tiles` over `plan`, whose
     spatial tiles each span every frame of all items."""
 
@@ -301,11 +300,12 @@ class SpatiallyTiledDenoiser:
                       for t in self.plan.tiles)
         frame_plan = TilePlan(condition.shape[:3], tiles)
         parts = prepare_tiles(self.inner, condition, mask, frame_plan, mode, stacks=items)
-        return PreparedTiles(condition, mask, items, frame_plan, tuple(parts))
+        return PreparedTiles(frame_plan, tuple(parts))
 
     def denoise(self, prepared: PreparedTiles, z: VideoTensor, t: float) -> VideoTensor:
-        if z.shape != prepared.condition.shape:
-            raise ShapeError(f"z {z.shape} vs condition {prepared.condition.shape}")
+        # the inner denoiser rejects a channel count that differs from the condition's
+        if z.shape[:3] != prepared.plan.extent:
+            raise ShapeError(f"z {z.shape} does not match prepared extent {prepared.plan.extent}")
 
         def velocity(part, z_group):
             return self.inner.denoise(part, z_group, t)

@@ -206,7 +206,10 @@ def write_raw(path: str | Path, video: VideoTensor | MaskVideo) -> None:
 
 
 def _read_raw_array(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:  # a missing file or a directory is an input error
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     if len(raw) < 20 or raw[:4] != HLVD_MAGIC:
         raise FormatError(f"{path}: bad magic, not an HLVD file")
     f, h, w, c = struct.unpack("<IIII", raw[4:20])

@@ -592,3 +592,37 @@ class TestAblate:
             assert "psnr_outpainted" in row and "ssim" in row
         for mode in table:
             assert (outdir / f"{mode}.hlvd").exists()
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["outpaint", "eval", "export-ppm", "ablate --truth"])
+    def test_exit_2(self, tmp_path, capsys, command, kind):
+        prefix = _synth(tmp_path)
+        bad = tmp_path / "bad.hlvd"
+        if kind == "directory":
+            bad.mkdir()
+        truth, mask = f"{prefix}.truth.hlvd", f"{prefix}.mask.hlvd"
+        out = tmp_path / "out"
+        argv = {"outpaint": ["outpaint", str(_config(tmp_path)), str(bad), str(out / "o.hlvd")],
+                "eval": ["eval", str(bad), truth, mask, str(out / "report.json")],
+                "export-ppm": ["export-ppm", str(bad), str(out)],
+                "ablate --truth": ["ablate", str(_config(tmp_path)), f"{prefix}.input.hlvd",
+                                   str(out), "--truth", str(bad), "--mask", mask]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+        assert not out.exists()
+
+
+def test_interrupt_is_not_a_stage_error(tmp_path, monkeypatch):
+    prefix = _synth(tmp_path)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "temporal_completion", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["outpaint", str(_config(tmp_path)), f"{prefix}.input.hlvd",
+              str(tmp_path / "o.hlvd")])

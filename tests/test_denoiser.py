@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from outpainter import denoiser as dmod
 from outpainter import rng
-from outpainter.denoiser import (MODES, DenoiserConfig, ToyDenoiser, _neighbor_offsets,
+from outpainter.denoiser import (MODES, DenoiserConfig, ToyDenoiser, _kernel_spectrum,
                                  _smooth3, fold_anchor_frames, inverse_distance_fill)
 from outpainter.sampler import SampleSchedule, ScheduleError, step, velocity_target
 from outpainter.video import MaskVideo, ShapeError, VideoTensor
@@ -148,13 +148,34 @@ class TestFill:
             assert smooth(m) and not any(smooth(k) for k in range(n, m))
 
     def test_offsets_fit_the_item(self):
-        # the ball clipped to the item, in the unclipped ball's order
-        ball = _neighbor_offsets(6, 2.0, (99, 99, 99))
-        fitting = [o for o in ball if abs(o[0]) < 3 and abs(o[1]) < 4 and abs(o[2]) < 5]
-        assert list(_neighbor_offsets(6, 2.0, (3, 4, 5))) == fitting
+        # the kernel's non-zero entries are the ball clipped to the item,
+        # each weighted 1/d^2, read back from its spectrum (an index past the
+        # half of its padded axis is a negative offset)
+        def kernel_weights(radius, lam, shape):
+            spectrum, size, smallest = _kernel_spectrum(radius, lam, shape)
+            kernel = np.fft.irfftn(spectrum, s=size, axes=(0, 1, 2))
+            return {tuple(int(i) if i <= n // 2 else int(i) - n for i, n in zip(idx, size)):
+                    kernel[idx] for idx in zip(*np.nonzero(np.abs(kernel) > 1e-9))}, smallest
+
+        for radius, lam, shape in [(6, 2.0, (3, 4, 5)), (6, 2.0, (9, 13, 13)),
+                                   (4, 0.5, (6, 3, 7)), (3, 8.0, (5, 9, 9)),
+                                   (1, 1.0, (1, 1, 1)), (16, 15.9, (2, 2, 3))]:
+            f, h, w = shape
+            want = {}
+            for df in range(-f + 1, f):
+                for dy in range(-h + 1, h):
+                    for dx in range(-w + 1, w):
+                        d2 = (lam * df) ** 2 + dy * dy + dx * dx
+                        if 0.0 < d2 <= radius ** 2:
+                            want[df, dy, dx] = 1.0 / d2
+            got, smallest = kernel_weights(radius, lam, shape)
+            assert got.keys() == want.keys()
+            np.testing.assert_allclose([got[k] for k in want], list(want.values()), rtol=1e-9)
+            assert smallest == min(want.values(), default=1.0)
         # a radius far beyond the item enumerates only what fits
-        huge = _neighbor_offsets(10 ** 9, 0.5, (2, 2, 3))
-        assert len(huge) == 3 * 3 * 5 - 1
+        got, _ = kernel_weights(10 ** 9, 0.5, (2, 2, 3))
+        assert len(got) == 3 * 3 * 5 - 1
+        assert _kernel_spectrum(10 ** 9, 0.5, (2, 2, 3))[1] == (3, 3, 5)
 
     @given(items=st.integers(1, 2), frames=st.integers(1, 6), height=st.integers(1, 7),
            width=st.integers(1, 7), channels=st.integers(1, 3), radius=st.integers(1, 16),
@@ -300,7 +321,7 @@ class TestToyDenoiser:
             got = den.denoise(prepared, z, t_from)
             # the pinned formula: fill, latent carryover, clamp
             folded = fold_anchor_frames(prepared.mask.data)
-            x0 = inverse_distance_fill(prepared.condition.data, folded,
+            x0 = inverse_distance_fill(cond, folded,
                                        cfg.temporal_scale(mode), cfg.radius, cfg.fill_floor)
             if carryover > 0.0:
                 x0 = x0 + carryover * folded * (_smooth3(z.data) - x0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from outpainter import gcg, rng, scene
+from outpainter import gcg, pipeline, rng, scene
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.gcg import GcgError, insert_guidance
 from outpainter.pipeline import (MODES, GcgParams, PipelineConfig, SamplerParams,
@@ -425,6 +425,14 @@ class TestRun:
         with pytest.raises(StageError) as err:
             run(_small_config(), clip)
         assert err.value.stage == "pad"
+
+    def test_interrupt_is_not_a_stage_error(self, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "temporal_completion", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(_small_config(), _input_clip())
 
     def test_stalled_densification_is_guidance_error(self, monkeypatch):
         monkeypatch.setattr(gcg, "midpoints", lambda indices, tau: ())

@@ -1,4 +1,6 @@
 """Flow schedule, noise injection, Euler stepping, and partial-noising entry."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,29 @@ class TestSdeditStart:
         assert start == 20
         eps = rng.normals(2, "probe", x0.shape)
         np.testing.assert_allclose(z.data, 0.5 * x0.data + 0.5 * eps, atol=1e-6)
+
+    @pytest.mark.parametrize("strength", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_add_noise_on_the_same_draw(self, strength, dtype):
+        x0 = VideoTensor(_pair(seed=5, shape=(3, 5, 7, 3))[0].data.astype(dtype))
+        sched = SampleSchedule(12)
+        z, start = sdedit_start(x0, strength, sched, rng_seed=4, label="probe")
+        eps = VideoTensor(rng.normals(4, "probe", x0.shape))
+        want = add_noise(x0, eps, float(sched.times[sched.total_steps - start]))
+        assert z.data.dtype == want.data.dtype
+        assert z.data.tobytes() == want.data.tobytes()
+
+    def test_traced_peak_is_the_draw_and_one_temporary(self):
+        # a 192-frame 32x48 clip, as refinement noises at the default config
+        x0 = VideoTensor(np.zeros((192, 32, 48, 3), np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            z, _ = sdedit_start(x0, 0.5, SampleSchedule(40), rng_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.2 * x0.data.nbytes
 
     def test_minimum_one_step(self):
         x0, _ = _pair()

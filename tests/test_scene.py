@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from outpainter.scene import (CameraKey, CaseGeometry, GeometryError, SceneSpec,
-                              Sprite, camera_center, case_mask, make_case,
+from outpainter.scene import (PRESETS, CameraKey, CaseGeometry, GeometryError,
+                              SceneSpec, Sprite, camera_center, case_mask, make_case,
                               preset_case, render, revisit_pairs, texture_at)
 
 
@@ -71,6 +71,20 @@ class TestCase:
         case = make_case(_spec(), 4, geometry)
         np.testing.assert_array_equal(case.input.data, case.ground_truth.data)
         assert not case_mask(case).data.any()
+
+    def test_input_is_the_crop_render(self):
+        # the input sliced from the truth equals a render of the crop window
+        sprite = Sprite("arrow", 9.0, (0.5, -0.2, 0.8), 70.0, 52.0, 0.7, -0.3)
+        spec = _spec(3, sprites=(sprite,),
+                     camera=(CameraKey(0, 40.0, 60.0), CameraKey(5, 47.5, 71.2)))
+        cases = [make_case(spec, 6, CaseGeometry(full=(-21, 7, 19, 33), crop=(-15, 12, 9, 5)))]
+        cases += [preset_case(name, seed) for name in sorted(PRESETS) for seed in (0, 5)]
+        for case in cases:
+            cy, cx, ch, cw = case.geometry.crop
+            for f in range(case.input.frames):
+                ccy, ccx = camera_center(case.spec, f)
+                crop = render(case.spec, f, (ccy + cy, ccx + cx, ch, cw), ch, cw)
+                assert case.input.data[f].tobytes() == crop.data[0].tobytes()
 
     def test_static_spriteless_truth_constant(self):
         geometry = CaseGeometry(full=(-8, -8, 16, 24), crop=(-8, -8, 16, 16))
