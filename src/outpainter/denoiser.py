@@ -27,13 +27,6 @@ RADIUS_MAX = 16
 LAMBDA_MIN = 0.5
 
 
-def frames_per_item(condition: VideoTensor, items: int) -> int:
-    """Frames per item of a concatenation of `items` equal-length stacks."""
-    if items < 1 or condition.frames % items:
-        raise ShapeError(f"{condition.frames} frames do not split into {items} equal stacks")
-    return condition.frames // items
-
-
 @dataclass(frozen=True)
 class DenoiserConfig:
     """Toy denoiser knobs; lambda_* convert frame distance to pixel distance."""
@@ -240,7 +233,9 @@ class ToyDenoiser:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if not mask.matches(condition):
             raise ShapeError(f"mask {mask.data.shape} does not match {condition.shape}")
-        shape = (items, frames_per_item(condition, items)) + condition.shape[1:]
+        if items < 1 or condition.frames % items:
+            raise ShapeError(f"{condition.frames} frames do not split into {items} equal stacks")
+        shape = (items, condition.frames // items) + condition.shape[1:]
         folded = fold_anchor_frames(mask.data)
         masked = folded.reshape(items, -1).any(axis=1)
         if masked.any():
@@ -259,7 +254,7 @@ class ToyDenoiser:
         x0.flags.writeable = False
         return PreparedFill(mask, items, x0, carry)
 
-    def denoise(self, prepared: PreparedFill, z: VideoTensor, t: float) -> VideoTensor:
+    def denoise(self, prepared: PreparedFill, z: np.ndarray, t: float) -> np.ndarray:
         """Velocity for one step from `prepared`, which is
         `self.prepare(condition, mask, mode, items)`, made once for every
         step of a stage.  Every operation is per frame, so one call on a
@@ -271,11 +266,11 @@ class ToyDenoiser:
         x0 = prepared.x0
         if prepared.carry is not None:
             # in place: x0 + carry * (_smooth3(z) - x0), clamped
-            blended = _smooth3(z.data)
+            blended = _smooth3(z)
             blended -= x0
             blended *= prepared.carry
             blended += x0
             x0 = np.clip(blended, -1.0, 1.0, out=blended)
-        v = z.data - x0
+        v = z - x0
         v /= t
-        return VideoTensor(v)
+        return v

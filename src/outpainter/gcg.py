@@ -72,7 +72,7 @@ def _init_noise(rng_seed: int, tag: str, idx: Sequence[int],
 def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
                   segments: Sequence[tuple[int, ...]], windows: dict[int, tuple[int, ...]],
                   denoiser, sample: SampleSchedule, rng_seed: int,
-                  noise_tag: str = "gcg") -> list[VideoTensor]:
+                  noise_tag: str = "gcg") -> list[np.ndarray]:
     """Denoise one keyframe stack per segment and each distinct window of
     `windows` in lockstep as one latent, [stack 1; ...; stack n; window 1;
     ...]; for the first swap_steps steps each keyframe's latent is copied
@@ -113,7 +113,7 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
         z = stepped
         if s < sample.swap_steps:
             z[:len(src)] = z[src]
-    return [VideoTensor(z[tile.f0:tile.f1]) for tile in tiles[:n]]
+    return [z[tile.f0:tile.f1] for tile in tiles[:n]]
 
 
 def max_index_gap(indices) -> int:
@@ -160,7 +160,7 @@ def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
                for k in keys if k not in anchors} if sample.swap_steps else {}
     outputs = construct_gcg(cond_v, msk_v, segments, windows, denoiser, sample, rng_seed,
                             noise_tag=tag)
-    return blend(zip(seg_plan.tiles, outputs), seg_plan).data
+    return blend(zip(seg_plan.tiles, outputs), seg_plan)
 
 
 def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,

@@ -251,12 +251,12 @@ def _sample_tiles(condition: VideoTensor, mask: MaskVideo, denoiser, tile_plan: 
     (after the fills, so their temporaries and the latent are not held at
     once), then step."""
     prepared = prepare_tiles(denoiser, condition, mask, tile_plan, "dense")
-    z, steps = sdedit_start(condition, strength, sample, rng_seed, label)
+    z, steps = sdedit_start(condition.data, strength, sample, rng_seed, label)
     times = sample.times
     for s in range(sample.total_steps - steps, sample.total_steps):
         z = tiled_denoise_pass(z, tile_plan, denoiser, float(times[s]), float(times[s + 1]),
                                prepared)
-    return z
+    return VideoTensor(z)
 
 
 def temporal_completion(guided: VideoTensor, guided_mask: MaskVideo, denoiser,
@@ -274,7 +274,7 @@ def spatial_refinement(completed_ds: VideoTensor, padded: VideoTensor,
     """Upsample the completed working-resolution video to target resolution,
     composite observed pixels back in, inject moderate noise, and re-denoise
     over spatio-temporal tiles anchored on the composite."""
-    target = VideoTensor(resize_bicubic(completed_ds, padded.height, padded.width).data)
+    target = resize_bicubic(completed_ds, padded.height, padded.width)
     composite = VideoTensor(np.where(mask.data > 0.0, target.data, padded.data))
     del target
     zero_mask = MaskVideo(np.zeros(mask.data.shape, dtype=np.float32))

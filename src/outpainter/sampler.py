@@ -31,7 +31,7 @@ class SampleSchedule:
         object.__setattr__(self, "times", times)
 
 
-def _check_shapes(a: VideoTensor, b: VideoTensor) -> None:
+def _check_shapes(a, b) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
 
@@ -50,19 +50,19 @@ def velocity_target(x0: VideoTensor, eps: VideoTensor) -> VideoTensor:
     return VideoTensor(eps.data - x0.data)
 
 
-def step(z: VideoTensor, v_hat: VideoTensor, t_from: float, t_to: float) -> VideoTensor:
+def step(z: np.ndarray, v_hat: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
     """Euler update z + (t_to - t_from) * v_hat, computed in double precision
     so multi-step descents telescope without accumulating rounding error."""
     _check_shapes(z, v_hat)
     if t_to >= t_from:
         raise ScheduleError(f"t_to={t_to} must be < t_from={t_from}")
-    out = (t_to - t_from) * np.asarray(v_hat.data, dtype=np.float64)
-    out += z.data
-    return VideoTensor(out)
+    out = (t_to - t_from) * np.asarray(v_hat, dtype=np.float64)
+    out += z
+    return out
 
 
-def sdedit_start(x_init: VideoTensor, strength: float, schedule: SampleSchedule,
-                 rng_seed: int, label: str = "sdedit") -> tuple[VideoTensor, int]:
+def sdedit_start(x_init: np.ndarray, strength: float, schedule: SampleSchedule,
+                 rng_seed: int, label: str = "sdedit") -> tuple[np.ndarray, int]:
     """Partially noise x_init; returns (z, start_step).
 
     start_step counts remaining denoising steps; the start time is
@@ -77,6 +77,6 @@ def sdedit_start(x_init: VideoTensor, strength: float, schedule: SampleSchedule,
     # widens the sum as it does there
     z = rng.normals(rng_seed, label, x_init.shape)
     z *= t
-    z = np.add(z, (1.0 - t) * x_init.data, out=z if x_init.data.dtype == z.dtype else None)
-    return VideoTensor(z), start_step
+    z = np.add(z, (1.0 - t) * x_init, out=z if x_init.dtype == z.dtype else None)
+    return z, start_step
 

@@ -167,11 +167,11 @@ def _box(tile: Tile) -> tuple[slice, slice, slice]:
     return slice(tile.f0, tile.f1), slice(tile.y0, tile.y1), slice(tile.x0, tile.x1)
 
 
-def blend(outputs, tile_plan: TilePlan) -> VideoTensor:
+def blend(outputs, tile_plan: TilePlan) -> np.ndarray:
     """Per-voxel weighted average of one output per plan tile, accumulated in
     double precision with the plan's weights.  `outputs` is an iterable
-    of (tile, VideoTensor or array) pairs in plan order, consumed one output
-    at a time and never held whole.  The double-precision sums span only the
+    of (tile, array) pairs in plan order, consumed one output at a time
+    and never held whole.  The double-precision sums span only the
     plan's open frames: a frame is divided out into the float32 result as
     soon as no later tile reaches it."""
     tiles = tile_plan.tiles
@@ -181,7 +181,6 @@ def blend(outputs, tile_plan: TilePlan) -> VideoTensor:
     for i, (tile, data) in enumerate(outputs):
         if i >= len(tiles) or tile != tiles[i]:
             raise CoverageError(f"output {i} is for tile {tile}, not the plan's tile")
-        data = data.data if isinstance(data, VideoTensor) else data
         if data.shape[:3] != tile.shape:
             raise ShapeError(f"output {data.shape} does not match tile {tile}")
         if num is None:
@@ -198,7 +197,7 @@ def blend(outputs, tile_plan: TilePlan) -> VideoTensor:
         count = i + 1
     if count != len(tiles):
         raise CoverageError(f"{count} outputs for {len(tiles)} plan tiles")
-    return VideoTensor(out)
+    return out
 
 
 def group_items(shapes: list[tuple[int, int, int]]) -> list[slice]:
@@ -219,11 +218,15 @@ def group_items(shapes: list[tuple[int, int, int]]) -> list[slice]:
 
 
 def _gather(arr: np.ndarray, tiles) -> np.ndarray:
-    """The frame concatenation of the tiles' boxes of `arr`; a view if they abut in frames."""
+    """The frame concatenation of the tiles' boxes of `arr`, read-only; a view
+    if they abut in frames (the flag is the view's: `arr` stays writable)."""
     t = tiles[0]
     if all(a.f1 == b.f0 and _box(b)[1:] == _box(t)[1:] for a, b in zip(tiles, tiles[1:])):
-        return arr[t.f0:tiles[-1].f1, t.y0:t.y1, t.x0:t.x1]
-    return np.concatenate([arr[_box(tile)] for tile in tiles])
+        out = arr[t.f0:tiles[-1].f1, t.y0:t.y1, t.x0:t.x1]
+    else:
+        out = np.concatenate([arr[_box(tile)] for tile in tiles])
+    out.flags.writeable = False
+    return out
 
 
 def prepare_tiles(denoiser, condition: VideoTensor, mask: MaskVideo,
@@ -244,17 +247,17 @@ def prepare_tiles(denoiser, condition: VideoTensor, mask: MaskVideo,
 
 def tile_outputs(prepared, data: np.ndarray, run):
     """(tile, output) in plan order: each prepared group's tiles are gathered
-    from `data` as one array and handed to `run(prepared_group, z_group)`."""
+    from `data` as one read-only array and handed to `run(prepared_group, z_group)`."""
     for tiles, prep in prepared:
-        out = run(prep, VideoTensor(_gather(data, tiles))).data
+        out = run(prep, _gather(data, tiles))
         n = out.shape[0] // len(tiles)
         for j, tile in enumerate(tiles):
             yield tile, out[j * n:(j + 1) * n]
         del out  # so it is freed before the next group runs, if the caller holds no part
 
 
-def tiled_denoise_pass(z: VideoTensor, tile_plan: TilePlan, denoiser, t_from: float,
-                       t_to: float, prepared: list) -> VideoTensor:
+def tiled_denoise_pass(z: np.ndarray, tile_plan: TilePlan, denoiser, t_from: float,
+                       t_to: float, prepared: list) -> np.ndarray:
     """One diffusion step over a tile plan: denoise and step each group of
     tiles as one array, then blend the stepped tiles into the next global
     latent.  `prepared` is `prepare_tiles(denoiser, condition, mask,
@@ -265,7 +268,7 @@ def tiled_denoise_pass(z: VideoTensor, tile_plan: TilePlan, denoiser, t_from: fl
     def stepped(prep, z_group):
         return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
 
-    return blend(tile_outputs(prepared, z.data, stepped), tile_plan)
+    return blend(tile_outputs(prepared, z, stepped), tile_plan)
 
 
 @dataclass(frozen=True)
@@ -302,7 +305,7 @@ class SpatiallyTiledDenoiser:
         parts = prepare_tiles(self.inner, condition, mask, frame_plan, mode, stacks=items)
         return PreparedTiles(frame_plan, tuple(parts))
 
-    def denoise(self, prepared: PreparedTiles, z: VideoTensor, t: float) -> VideoTensor:
+    def denoise(self, prepared: PreparedTiles, z: np.ndarray, t: float) -> np.ndarray:
         # the inner denoiser rejects a channel count that differs from the condition's
         if z.shape[:3] != prepared.plan.extent:
             raise ShapeError(f"z {z.shape} does not match prepared extent {prepared.plan.extent}")
@@ -310,4 +313,4 @@ class SpatiallyTiledDenoiser:
         def velocity(part, z_group):
             return self.inner.denoise(part, z_group, t)
 
-        return blend(tile_outputs(prepared.parts, z.data, velocity), prepared.plan)
+        return blend(tile_outputs(prepared.parts, z, velocity), prepared.plan)

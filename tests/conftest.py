@@ -1,11 +1,14 @@
 """Shared test hooks and helpers: collects acceptance scorecard lines and
 prints them in the terminal summary, where output capture cannot swallow
-them, and builds the small ablation config and the golden case that several
-test modules run."""
+them, and builds the small ablation config, the golden case and the
+NaN-velocity patch that several test modules use."""
 from dataclasses import replace
 
+import numpy as np
+
 from outpainter import pipeline, scene
-from outpainter.denoiser import DenoiserConfig
+from outpainter.denoiser import DenoiserConfig, ToyDenoiser
+from outpainter.sampler import SampleSchedule
 
 FRAMES = 16  # frames of the golden case
 
@@ -43,3 +46,30 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance scorecard")
         for line in _scorecard:
             terminalreporter.write_line(line)
+
+
+def nan_velocity_in(monkeypatch, owner, name: str, total_steps: int) -> list:
+    """Patch `ToyDenoiser.denoise` so that, while `owner.name` runs, its first
+    call at the last step of a `total_steps` schedule returns a velocity with
+    one NaN.  Returns the list the patch appends each poisoned call's t to."""
+    real_stage, real_denoise = getattr(owner, name), ToyDenoiser.denoise
+    last_t = float(SampleSchedule(total_steps).times[-2])
+    armed, poisoned = [], []
+
+    def stage(*args, **kwargs):
+        armed.append(True)
+        try:
+            return real_stage(*args, **kwargs)
+        finally:
+            armed.pop()
+
+    def denoise(self, prepared, z, t):
+        v = real_denoise(self, prepared, z, t)
+        if armed and t == last_t and not poisoned:
+            poisoned.append(t)
+            v.flat[0] = np.nan
+        return v
+
+    monkeypatch.setattr(owner, name, stage)
+    monkeypatch.setattr(ToyDenoiser, "denoise", denoise)
+    return poisoned

@@ -37,10 +37,9 @@ def test_criterion_01_blend_partition_of_unity():
         overlaps = [int(g.integers(0, s)) for s in sizes]
         p = tmod.plan(extent, sizes[0], sizes[1], sizes[2], *overlaps)
         c = float(g.uniform(-1, 1))
-        outputs = [(t, VideoTensor(np.full(t.shape + (1,), c, np.float32)))
-                   for t in p.tiles]
+        outputs = [(t, np.full(t.shape + (1,), c, np.float32)) for t in p.tiles]
         out = tmod.blend(outputs, p)
-        worst = max(worst, float(np.abs(out.data - c).max()))
+        worst = max(worst, float(np.abs(out - c).max()))
     ok = worst <= 1e-6
     _line(1, "blend partition of unity", ok,
           f"100 plans, max deviation {worst:.2e}, {time.time() - t0:.1f}s")
@@ -57,14 +56,14 @@ def test_criterion_02_single_tile_equivalence():
         cond = g.uniform(-0.8, 0.8, shape).astype(np.float32)
         mask = (g.uniform(size=shape[:3] + (1,)) < 0.3).astype(np.float32)
         cond = cond * (1.0 - mask)
-        z = VideoTensor(g.standard_normal(shape).astype(np.float32))
+        z = g.standard_normal(shape).astype(np.float32)
         condition, maskv = VideoTensor(cond), MaskVideo(mask)
         p = tmod.plan(shape[:3], shape[0], shape[1], shape[2])
         prepared = tmod.prepare_tiles(den, condition, maskv, p)
         tiled = tmod.tiled_denoise_pass(z, p, den, 1.0, 0.75, prepared)
         v = den.denoise(den.prepare(condition, maskv, "dense"), z, 1.0)
         untiled = step(z, v, 1.0, 0.75)
-        worst = max(worst, float(np.abs(tiled.data - untiled.data).max()))
+        worst = max(worst, float(np.abs(tiled - untiled).max()))
     ok = worst <= 1e-6
     _line(2, "single-tile equivalence", ok,
           f"10 inputs, max deviation {worst:.2e}, {time.time() - t0:.1f}s")
@@ -80,10 +79,10 @@ def test_criterion_03_sampler_exactness():
         eps = VideoTensor(g.standard_normal((2, 6, 6, 3)).astype(np.float32))
         v = velocity_target(x0, eps)
         sched = SampleSchedule(total)
-        z = eps
+        z = eps.data
         for s in range(total):
-            z = step(z, v, float(sched.times[s]), float(sched.times[s + 1]))
-        worst = max(worst, float(np.abs(z.data - x0.data).max()))
+            z = step(z, v.data, float(sched.times[s]), float(sched.times[s + 1]))
+        worst = max(worst, float(np.abs(z - x0.data).max()))
     ok = worst <= 1e-6
     _line(3, "sampler exactness", ok,
           f"T in (1,4,40), max deviation {worst:.2e}, {time.time() - t0:.1f}s")
@@ -276,7 +275,7 @@ def test_criterion_09_per_step_blending_reduces_seams():
         for tile in p.tiles:
             sl = (slice(tile.f0, tile.f1), slice(tile.y0, tile.y1),
                   slice(tile.x0, tile.x1))
-            z = VideoTensor(z0[sl].copy())
+            z = z0[sl].copy()
             c = VideoTensor(cond.data[sl].copy())
             m = MaskVideo(mask.data[sl].copy())
             prepared = den.prepare(c, m, "dense")
@@ -285,7 +284,7 @@ def test_criterion_09_per_step_blending_reduces_seams():
                 v = den.denoise(prepared, z, t_from)
                 z = step(z, v, t_from, t_to)
             outputs.append((tile, z))
-        final_merge = tmod.blend(outputs, p)
+        final_merge = VideoTensor(tmod.blend(outputs, p))
         s_per_step = metrics.seam_energy(per_step, p)
         s_final = metrics.seam_energy(final_merge, p)
         pairs.append((s_per_step, s_final))

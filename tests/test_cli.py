@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import nan_velocity_in
 from outpainter import metrics, pipeline
 from outpainter.cli import main
 from outpainter.scene import CameraKey, SceneSpec
@@ -446,6 +447,13 @@ class TestEval:
         assert rep["psnr"]["all"] == "+inf"
         assert rep["ssim"] == 1.0
 
+    def test_report_into_a_missing_directory(self, tmp_path):
+        prefix = _synth(tmp_path)
+        report_path = tmp_path / "nodir" / "r.json"
+        assert main(["eval", f"{prefix}.truth.hlvd", f"{prefix}.truth.hlvd",
+                     f"{prefix}.mask.hlvd", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["ssim"] == 1.0
+
     def test_values_match_library(self, tmp_path):
         prefix = _synth(tmp_path)
         config = _config(tmp_path)
@@ -626,3 +634,18 @@ def test_interrupt_is_not_a_stage_error(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         main(["outpaint", str(_config(tmp_path)), f"{prefix}.input.hlvd",
               str(tmp_path / "o.hlvd")])
+
+
+def test_nan_made_while_sampling_exits_1(tmp_path, capsys, monkeypatch):
+    prefix = _synth(tmp_path)
+    config = _config(tmp_path)
+    steps = json.loads(config.read_text())["sampler"]["total_steps"]
+    poisoned = nan_velocity_in(monkeypatch, pipeline, "temporal_completion", steps)
+    out = tmp_path / "o.hlvd"
+    capsys.readouterr()
+    assert main(["outpaint", str(config), f"{prefix}.input.hlvd", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(poisoned) == 1
+    assert err.startswith("error: stage 'completion' failed: ") and err.count("\n") == 1
+    assert "non-finite" in err
+    assert not out.exists()

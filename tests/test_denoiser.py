@@ -42,7 +42,7 @@ def _denoise(den, condition, mask, z=None, t=0.5, mode="dense"):
     if z is None:
         z = np.zeros_like(condition)
     prepared = den.prepare(VideoTensor(condition), MaskVideo(mask), mode)
-    return den.denoise(prepared, VideoTensor(z), t)
+    return den.denoise(prepared, z, t)
 
 
 class TestRequest:
@@ -51,8 +51,7 @@ class TestRequest:
         prepared = ToyDenoiser().prepare(VideoTensor(cond),
                                          MaskVideo(np.zeros((1, 4, 4, 1), np.float32)))
         with pytest.raises(ShapeError):
-            ToyDenoiser().denoise(prepared, VideoTensor(np.zeros((1, 4, 5, 3), np.float32)),
-                                  0.5)
+            ToyDenoiser().denoise(prepared, np.zeros((1, 4, 5, 3), np.float32), 0.5)
         with pytest.raises(ShapeError):
             ToyDenoiser().prepare(VideoTensor(cond),
                                   MaskVideo(np.zeros((1, 4, 5, 1), np.float32)))
@@ -225,9 +224,9 @@ class TestToyPrediction:
         z = g.standard_normal((2, 4, 4, 3)).astype(np.float32)
         mask = np.zeros((2, 4, 4, 1), np.float32)
         v = _denoise(ToyDenoiser(PURE_FILL), cond, mask, z=z, t=0.5)
-        np.testing.assert_allclose(v.data, (z - cond) / 0.5, atol=1e-6)
-        landed = step(VideoTensor(z), v, 0.5, 0.0)  # half-size step over remaining time
-        np.testing.assert_allclose(landed.data, cond, atol=1e-6)
+        np.testing.assert_allclose(v, (z - cond) / 0.5, atol=1e-6)
+        landed = step(z, v, 0.5, 0.0)  # half-size step over remaining time
+        np.testing.assert_allclose(landed, cond, atol=1e-6)
 
     def test_masked_pixel_predicts_surrounding_constant(self):
         cond = np.full((1, 5, 5, 3), 0.3, np.float32)
@@ -236,7 +235,7 @@ class TestToyPrediction:
         cond[0, 2, 2] = 0.0
         z = np.random.default_rng(2).standard_normal((1, 5, 5, 3)).astype(np.float32)
         v = _denoise(ToyDenoiser(PURE_FILL), cond, mask, z=z, t=0.8)
-        x0_hat = z - 0.8 * v.data
+        x0_hat = z - 0.8 * v
         np.testing.assert_allclose(x0_hat[0, 2, 2], 0.3, atol=1e-5)
 
     def test_t_zero_rejected(self):
@@ -251,14 +250,14 @@ class TestToyDenoiser:
         cond = g.uniform(-0.9, 0.9, (2, 6, 6, 3)).astype(np.float32)
         mask = np.zeros((2, 6, 6, 1), np.float32)
         den = ToyDenoiser()
-        z = VideoTensor(g.standard_normal((2, 6, 6, 3)).astype(np.float32))
+        z = g.standard_normal((2, 6, 6, 3)).astype(np.float32)
         prepared = den.prepare(VideoTensor(cond), MaskVideo(mask))
         sched = SampleSchedule(6)
         for s in range(6):
             t_from, t_to = float(sched.times[s]), float(sched.times[s + 1])
             v = den.denoise(prepared, z, t_from)
             z = step(z, v, t_from, t_to)
-        np.testing.assert_allclose(z.data, cond, atol=1e-6)
+        np.testing.assert_allclose(z, cond, atol=1e-6)
 
     def test_zero_carryover_matches_pinned_formula(self):
         g = np.random.default_rng(6)
@@ -271,7 +270,7 @@ class TestToyDenoiser:
         x0 = inverse_distance_fill(cond, mask, PURE_FILL.lambda_dense,
                                    PURE_FILL.radius, PURE_FILL.fill_floor)
         expected = (z - np.clip(x0, -1.0, 1.0)) / 0.7
-        np.testing.assert_allclose(got.data, expected, atol=1e-6)
+        np.testing.assert_allclose(got, expected, atol=1e-6)
 
     def test_carryover_keeps_latent_information(self):
         # two latents that differ only on masked voxels must produce
@@ -287,8 +286,8 @@ class TestToyDenoiser:
         den = ToyDenoiser(DenoiserConfig(latent_carryover=0.5))
         v_a = _denoise(den, cond, mask, z=z_a, t=0.5)
         v_b = _denoise(den, cond, mask, z=z_b, t=0.5)
-        x0_a = z_a - 0.5 * v_a.data
-        x0_b = z_b - 0.5 * v_b.data
+        x0_a = z_a - 0.5 * v_a
+        x0_b = z_b - 0.5 * v_b
         assert np.abs(x0_a - x0_b).max() > 1e-3
 
     @given(frames=st.integers(1, 4), height=st.integers(1, 7), width=st.integers(1, 7),
@@ -314,7 +313,7 @@ class TestToyDenoiser:
         cfg = DenoiserConfig(radius=3, latent_carryover=carryover)
         den = ToyDenoiser(cfg)
         prepared = den.prepare(VideoTensor(cond), MaskVideo(mask), mode)
-        z = VideoTensor(g.standard_normal(shape).astype(z_dtype))
+        z = g.standard_normal(shape).astype(z_dtype)
         sched = SampleSchedule(3)
         for s in range(3):
             t_from, t_to = float(sched.times[s]), float(sched.times[s + 1])
@@ -324,10 +323,10 @@ class TestToyDenoiser:
             x0 = inverse_distance_fill(cond, folded,
                                        cfg.temporal_scale(mode), cfg.radius, cfg.fill_floor)
             if carryover > 0.0:
-                x0 = x0 + carryover * folded * (_smooth3(z.data) - x0)
-            expected = (z.data - np.clip(x0, -1.0, 1.0)) / t_from
-            assert got.data.dtype == expected.dtype
-            assert got.data.tobytes() == expected.tobytes()
+                x0 = x0 + carryover * folded * (_smooth3(z) - x0)
+            expected = (z - np.clip(x0, -1.0, 1.0)) / t_from
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
             z = step(z, got, t_from, t_to)
 
     @given(items=st.integers(1, 4), frames=st.integers(1, 3), height=st.integers(1, 6),
@@ -358,13 +357,13 @@ class TestToyDenoiser:
         batched = den.prepare(VideoTensor(cond), MaskVideo(mask), mode, items=items)
         singles = [den.prepare(VideoTensor(cond[sl]), MaskVideo(mask[sl]), mode)
                    for sl in slices]
-        z = VideoTensor(g.standard_normal(shape).astype(z_dtype))
+        z = g.standard_normal(shape).astype(z_dtype)
         sched = SampleSchedule(2)
         for s in range(2):
             t_from, t_to = float(sched.times[s]), float(sched.times[s + 1])
-            want = np.concatenate([den.denoise(p, VideoTensor(z.data[sl]), t_from).data
+            want = np.concatenate([den.denoise(p, z[sl], t_from)
                                    for p, sl in zip(singles, slices)])
-            got = den.denoise(batched, z, t_from).data
+            got = den.denoise(batched, z, t_from)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             z = step(z, den.denoise(batched, z, t_from), t_from, t_to)
 
@@ -410,11 +409,10 @@ class TestToyDenoiser:
         z = g.standard_normal((1, 6, 6, 1)).astype(np.float32)
         first = _denoise(den, cond, mask, z=z, t=0.5)
         second = _denoise(den, cond, mask, z=z, t=0.5)
-        np.testing.assert_array_equal(first.data, second.data)
+        np.testing.assert_array_equal(first, second)
         prepared = den.prepare(VideoTensor(cond), MaskVideo(mask))
         for _ in range(2):
-            np.testing.assert_array_equal(den.denoise(prepared, VideoTensor(z), 0.5).data,
-                                          first.data)
+            np.testing.assert_array_equal(den.denoise(prepared, z, 0.5), first)
 
 
 class TestAnchorFolding:
@@ -444,7 +442,7 @@ class TestAnchorFolding:
                                          latent_carryover=0.0))
         z = np.zeros((2, 3, 3, 1), np.float32)
         v = _denoise(den, cond, mask, z=z, t=1.0)
-        x0 = z - 1.0 * v.data
+        x0 = z - 1.0 * v
         assert x0[0, 1, 1, 0] > 0.0  # pulled toward the trusted frame's 0.6
 
 
@@ -459,6 +457,6 @@ class TestTrainingLoss:
             mask = MaskVideo(np.zeros((2, 6, 6, 1), np.float32))
             v_star = velocity_target(x0, eps).data.astype(np.float64)
             den = ToyDenoiser()
-            v_hat = den.denoise(den.prepare(x0, mask), z, t).data.astype(np.float64)
+            v_hat = den.denoise(den.prepare(x0, mask), z.data, t).astype(np.float64)
             # mean squared velocity error, against predicting zero velocity
             assert np.mean((v_hat - v_star) ** 2) < np.mean(v_star ** 2)

@@ -99,7 +99,7 @@ def _swap_trace(monkeypatch, windows, swap_steps, steps=6):
 
     def spy(z, v, t_from, t_to):
         out = step(z, v, t_from, t_to)
-        calls.append((z.data.copy(), out.data.copy()))
+        calls.append((z.copy(), out.copy()))
         return out
 
     monkeypatch.setattr(gcg, "step", spy)
@@ -113,7 +113,7 @@ def _swap_trace(monkeypatch, windows, swap_steps, steps=6):
     per_step = [[calls.pop(0) for _ in range(1 + (s < swap_steps))] for s in range(steps)]
     assert not calls
     stepped = [group[0][1] for group in per_step]
-    read = [group[0][0] for group in per_step[1:]] + [out.data]
+    read = [group[0][0] for group in per_step[1:]] + [out]
     return stepped, read, [group[1][1] if len(group) > 1 else None for group in per_step]
 
 
@@ -166,8 +166,7 @@ class TestConstructGcg:
         video, mask = _observed_case()
         [out] = construct_gcg(video, mask, [SEGMENT], _windows(SEGMENT, 24), ToyDenoiser(),
                               SampleSchedule(4, 2), 7)
-        np.testing.assert_allclose(out.data, video.data[list(SEGMENT)],
-                                   atol=1e-6)
+        np.testing.assert_allclose(out, video.data[list(SEGMENT)], atol=1e-6)
 
     def test_disabled_swap_equals_independent_stack(self):
         video, mask = _observed_case(seed=4)
@@ -184,14 +183,14 @@ class TestConstructGcg:
         idx = list(SEGMENT)
         cond_g = VideoTensor(cond.data[idx].copy())
         mask_g = MaskVideo(mask.data[idx].copy())
-        z = VideoTensor(np.concatenate(
-            [rng.normals(11, f"probe:init:{f}", (1,) + cond.shape[1:]) for f in idx]))
+        z = np.concatenate(
+            [rng.normals(11, f"probe:init:{f}", (1,) + cond.shape[1:]) for f in idx])
         prepared = den.prepare(cond_g, mask_g, "sparse")
         for s in range(4):
             t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
             v = den.denoise(prepared, z, t_from)
             z = step(z, v, t_from, t_to)
-        np.testing.assert_array_equal(out.data, z.data)
+        np.testing.assert_array_equal(out, z)
 
     def test_swap_changes_output_on_masked_content(self):
         video, mask = _observed_case(seed=5)
@@ -207,7 +206,7 @@ class TestConstructGcg:
         for S in (2, 0):
             [outs[S]] = construct_gcg(cond, mask, [SEGMENT], _windows(SEGMENT, 24), den,
                                       SampleSchedule(4, S), 13)
-        assert not np.array_equal(outs[2].data, outs[0].data)
+        assert not np.array_equal(outs[2], outs[0])
 
 
 def _round(frames, keys, count, delta):
@@ -245,7 +244,7 @@ class TestRound:
         for seg, out in zip(segments, together):
             [alone] = construct_gcg(cond, mask, [seg], {k: windows[k] for k in seg}, den,
                                     sample, 3, noise_tag="round")
-            assert out.data.tobytes() == alone.data.tobytes()
+            assert out.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("swap_steps", [0, 2, 6])
     def test_windows_stop_stepping_after_the_swap(self, monkeypatch, swap_steps):
@@ -277,7 +276,7 @@ class TestRound:
         for seg, a, b in zip(segments, *outs):
             for pos, k in enumerate(seg):
                 if k not in anchored:
-                    assert a.data[pos].tobytes() == b.data[pos].tobytes()
+                    assert a[pos].tobytes() == b[pos].tobytes()
 
 
 class TestGroupBudget:
@@ -298,7 +297,7 @@ class TestGroupBudget:
             seg = select_keyframes(33, 5)
             [direct] = construct_gcg(cond, mask, [seg], _windows(seg, 33), den,
                                      SampleSchedule(3, 2), 5)
-            outs.append((merged.data.tobytes(), keys, direct.data.tobytes()))
+            outs.append((merged.data.tobytes(), keys, direct.tobytes()))
         assert outs[0] == outs[1]
 
 
@@ -359,8 +358,7 @@ class TestMultiscale:
         [direct] = construct_gcg(cond, mask, [initial], _windows(initial, 20), den, sample, 9,
                                  noise_tag="gcg:r0")
         # the single-segment merge is the direct construction rounded to float32
-        np.testing.assert_array_equal(merged.data,
-                                      direct.data.astype(np.float32))
+        np.testing.assert_array_equal(merged.data, direct.astype(np.float32))
 
     def test_densifies_to_tau_with_immutable_anchors(self, monkeypatch):
         video, mask = _observed_case(frames=33, seed=7)

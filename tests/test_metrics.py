@@ -127,13 +127,12 @@ class TestSeamEnergy:
         for seed in range(5):
             g = np.random.default_rng(seed)
             p = plan((1, 16, 16), 1, 10, 10, 0, 4, 4)
-            outputs = [(t, VideoTensor(np.full(t.shape + (1,),
-                                               float(g.uniform(-0.8, 0.8)),
-                                               np.float32))) for t in p.tiles]
-            blended = blend(outputs, p)
+            outputs = [(t, np.full(t.shape + (1,), float(g.uniform(-0.8, 0.8)), np.float32))
+                       for t in p.tiles]
+            blended = VideoTensor(blend(outputs, p))
             pasted = np.zeros((1, 16, 16, 1), np.float32)
             for t, out in outputs:
-                pasted[:, t.y0:t.y1, t.x0:t.x1] = out.data
+                pasted[:, t.y0:t.y1, t.x0:t.x1] = out
             assert seam_energy(blended, p) < seam_energy(VideoTensor(pasted), p)
 
 

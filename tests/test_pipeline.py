@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from outpainter import gcg, pipeline, rng, scene
+from conftest import ablation_config, golden_case, nan_velocity_in
+from outpainter import gcg, pipeline, rng, scene, video
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.gcg import GcgError, insert_guidance
 from outpainter.pipeline import (MODES, GcgParams, PipelineConfig, SamplerParams,
@@ -482,6 +483,60 @@ class TestRun:
         for condition, mask in masked:
             assert condition.shape[1:3] == (4, 4) and mask.all()
             assert not condition.any()
+
+
+class TestStageBoundaryChecks:
+    """`VideoTensor` and `MaskVideo` are built where data enters or leaves a
+    stage; the sampling loop runs on plain arrays."""
+
+    @pytest.mark.parametrize("mode, owner, name, stage", [
+        ("full", pipeline, "temporal_completion", "completion"),
+        ("temporal_only", gcg, "multiscale_gcg", "guidance"),
+    ], ids=["full", "temporal_only"])
+    def test_nan_made_inside_a_loop_fails_its_stage(self, monkeypatch, mode, owner, name,
+                                                    stage):
+        case = golden_case()
+        config = ablation_config(case, mode)
+        poisoned = nan_velocity_in(monkeypatch, owner, name, config.sampler.total_steps)
+        with pytest.raises(StageError) as err:
+            run(config, case.input)
+        assert len(poisoned) == 1
+        assert err.value.stage == stage
+        assert "non-finite" in str(err.value.cause)
+
+    @pytest.mark.parametrize("mode", ["full", "temporal_only"])
+    def test_denoiser_cannot_write_into_z(self, monkeypatch, mode):
+        """GCG (`full`) and the spatial adapter (`temporal_only`) hand the
+        denoiser a read-only latent."""
+        def writes(self, prepared, z, t):
+            z[...] = 0.0
+
+        monkeypatch.setattr(ToyDenoiser, "denoise", writes)
+        case = golden_case()
+        with pytest.raises(StageError) as err:
+            run(ablation_config(case, mode), case.input)
+        assert err.value.stage == "guidance"
+        assert "read-only" in str(err.value.cause)
+
+    @pytest.mark.parametrize("mode", ["full", "temporal_only"])
+    def test_checks_do_not_scale_with_steps(self, monkeypatch, mode):
+        case = golden_case()
+        real = video._check_array
+        checks = []
+
+        def counted(data, channels):
+            checks.append(channels)
+            return real(data, channels)
+
+        monkeypatch.setattr(video, "_check_array", counted)
+        counts = []
+        for total in (8, 16):
+            checks.clear()
+            config = replace(ablation_config(case, mode),
+                             sampler=SamplerParams(total_steps=total, swap_steps=2))
+            run(config, case.input)
+            counts.append(len(checks))
+        assert counts[0] == counts[1]
 
 
 def _traced_peak_mib(frames: int) -> float:

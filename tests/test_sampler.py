@@ -81,57 +81,57 @@ class TestStep:
     def test_single_exact_step(self):
         x0, eps = _pair(seed=1)
         v = velocity_target(x0, eps)
-        z0 = step(eps, v, 1.0, 0.0)
-        np.testing.assert_allclose(z0.data, x0.data, atol=1e-6)
+        z0 = step(eps.data, v.data, 1.0, 0.0)
+        np.testing.assert_allclose(z0, x0.data, atol=1e-6)
 
     @pytest.mark.parametrize("total", [1, 4, 40])
     def test_multi_step_descent(self, total):
         x0, eps = _pair(seed=total)
         v = velocity_target(x0, eps)
         sched = SampleSchedule(total)
-        z = eps
+        z = eps.data
         for s in range(total):
-            z = step(z, v, float(sched.times[s]), float(sched.times[s + 1]))
-        np.testing.assert_allclose(z.data, x0.data, atol=1e-6)
+            z = step(z, v.data, float(sched.times[s]), float(sched.times[s + 1]))
+        np.testing.assert_allclose(z, x0.data, atol=1e-6)
 
     def test_zero_velocity_identity(self):
         _, eps = _pair()
-        zero = VideoTensor(np.zeros(eps.shape, np.float32))
-        np.testing.assert_array_equal(step(eps, zero, 1.0, 0.5).data, eps.data)
+        zero = np.zeros(eps.shape, np.float32)
+        np.testing.assert_array_equal(step(eps.data, zero, 1.0, 0.5), eps.data)
 
     def test_wrong_direction_rejected(self):
         x0, eps = _pair()
         with pytest.raises(ScheduleError):
-            step(eps, x0, 0.5, 0.5)
+            step(eps.data, x0.data, 0.5, 0.5)
 
 
 class TestSdeditStart:
     def test_full_strength_is_pure_noise(self):
         x0, _ = _pair(seed=7)
         sched = SampleSchedule(8)
-        z, start = sdedit_start(x0, 1.0, sched, rng_seed=9, label="probe")
+        z, start = sdedit_start(x0.data, 1.0, sched, rng_seed=9, label="probe")
         assert start == 8
         expected = rng.normals(9, "probe", x0.shape)
-        np.testing.assert_allclose(z.data, expected, atol=1e-6)
+        np.testing.assert_allclose(z, expected, atol=1e-6)
 
     def test_half_strength_midpoint(self):
         x0, _ = _pair(seed=8)
         sched = SampleSchedule(40)
-        z, start = sdedit_start(x0, 0.5, sched, rng_seed=2, label="probe")
+        z, start = sdedit_start(x0.data, 0.5, sched, rng_seed=2, label="probe")
         assert start == 20
         eps = rng.normals(2, "probe", x0.shape)
-        np.testing.assert_allclose(z.data, 0.5 * x0.data + 0.5 * eps, atol=1e-6)
+        np.testing.assert_allclose(z, 0.5 * x0.data + 0.5 * eps, atol=1e-6)
 
     @pytest.mark.parametrize("strength", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_add_noise_on_the_same_draw(self, strength, dtype):
         x0 = VideoTensor(_pair(seed=5, shape=(3, 5, 7, 3))[0].data.astype(dtype))
         sched = SampleSchedule(12)
-        z, start = sdedit_start(x0, strength, sched, rng_seed=4, label="probe")
+        z, start = sdedit_start(x0.data, strength, sched, rng_seed=4, label="probe")
         eps = VideoTensor(rng.normals(4, "probe", x0.shape))
         want = add_noise(x0, eps, float(sched.times[sched.total_steps - start]))
-        assert z.data.dtype == want.data.dtype
-        assert z.data.tobytes() == want.data.tobytes()
+        assert z.dtype == want.data.dtype
+        assert z.tobytes() == want.data.tobytes()
 
     def test_traced_peak_is_the_draw_and_one_temporary(self):
         # a 192-frame 32x48 clip, as refinement noises at the default config
@@ -139,7 +139,7 @@ class TestSdeditStart:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            z, _ = sdedit_start(x0, 0.5, SampleSchedule(40), rng_seed=0)
+            z, _ = sdedit_start(x0.data, 0.5, SampleSchedule(40), rng_seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -148,13 +148,13 @@ class TestSdeditStart:
     def test_minimum_one_step(self):
         x0, _ = _pair()
         sched = SampleSchedule(40)
-        _, start = sdedit_start(x0, 1e-9, sched, rng_seed=0)
+        _, start = sdedit_start(x0.data, 1e-9, sched, rng_seed=0)
         assert start == 1
 
     def test_zero_strength_rejected(self):
         x0, _ = _pair()
         with pytest.raises(ScheduleError):
-            sdedit_start(x0, 0.0, SampleSchedule(4), rng_seed=0)
+            sdedit_start(x0.data, 0.0, SampleSchedule(4), rng_seed=0)
 
 
 class TestRngStreams:

@@ -105,17 +105,16 @@ class TestWeights:
 class TestBlend:
     def test_constant_partition_of_unity(self):
         p = plan((6, 20, 20), 4, 8, 8, 2, 3, 3)
-        outputs = [(t, VideoTensor(np.full(t.shape + (3,), 0.25, np.float32)))
-                   for t in p.tiles]
+        outputs = [(t, np.full(t.shape + (3,), 0.25, np.float32)) for t in p.tiles]
         out = blend(outputs, p)
-        np.testing.assert_allclose(out.data, 0.25, atol=1e-6)
+        np.testing.assert_allclose(out, 0.25, atol=1e-6)
 
     def test_single_tile_identity(self):
         p = plan((4, 6, 6), 4, 6, 6)
         g = np.random.default_rng(0)
-        content = VideoTensor(g.uniform(-0.9, 0.9, (4, 6, 6, 3)).astype(np.float32))
+        content = g.uniform(-0.9, 0.9, (4, 6, 6, 3)).astype(np.float32)
         out = blend([(p.tiles[0], content)], p)
-        np.testing.assert_array_equal(out.data, content.data)
+        np.testing.assert_array_equal(out, content)
 
     def test_symmetric_overlap_point_is_average(self):
         # extent 25 with 16-wide tiles at 0 and 9: local indices 12 and 3
@@ -123,16 +122,15 @@ class TestBlend:
         p = plan((1, 25, 1), 1, 16, 1, 0, 7, 0)
         assert _tiles_on_axis(p, 1) == [(0, 16), (9, 25)]
         a, b = 0.5, -0.3
-        outputs = [(t, VideoTensor(np.full(t.shape + (1,),
-                                           a if t.y0 == 0 else b, np.float32)))
+        outputs = [(t, np.full(t.shape + (1,), a if t.y0 == 0 else b, np.float32))
                    for t in p.tiles]
         out = blend(outputs, p)
         # blend rounds the float64 average to float32 on output
-        assert out.data[0, 12, 0, 0] == pytest.approx((a + b) / 2, abs=1e-6)
+        assert out[0, 12, 0, 0] == pytest.approx((a + b) / 2, abs=1e-6)
 
     def test_uncovered_voxels_rejected(self):
         p = TilePlan((1, 8, 1), (Tile(0, 1, 0, 4, 0, 1),))
-        outputs = [(p.tiles[0], VideoTensor(np.zeros((1, 4, 1, 1), np.float32)))]
+        outputs = [(p.tiles[0], np.zeros((1, 4, 1, 1), np.float32))]
         with pytest.raises(CoverageError):
             blend(outputs, p)
 
@@ -149,9 +147,8 @@ class TestBlend:
         overlaps = [int(g.integers(0, s)) for s in sizes]
         p = plan(extent, sizes[0], sizes[1], sizes[2], *overlaps)
         c = float(g.uniform(-1, 1))
-        outputs = [(t, VideoTensor(np.full(t.shape + (1,), c, np.float32)))
-                   for t in p.tiles]
-        np.testing.assert_allclose(blend(outputs, p).data, c, atol=1e-6)
+        outputs = [(t, np.full(t.shape + (1,), c, np.float32)) for t in p.tiles]
+        np.testing.assert_allclose(blend(outputs, p), c, atol=1e-6)
 
 
 def _whole_clip_blend(outputs, tile_plan):
@@ -183,7 +180,7 @@ class TestStreamingBlend:
     def test_equals_whole_clip_float64_blend(self, tile_plan, dtype):
         g = np.random.default_rng(4)
         outputs = [g.uniform(-1.5, 1.5, t.shape + (3,)).astype(dtype) for t in tile_plan.tiles]
-        got = blend(zip(tile_plan.tiles, outputs), tile_plan).data
+        got = blend(zip(tile_plan.tiles, outputs), tile_plan)
         want = _whole_clip_blend(outputs, tile_plan)
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
@@ -222,16 +219,17 @@ class TestGroups:
     @pytest.mark.parametrize("tiles, view", [
         ((Tile(0, 2, 0, 2, 0, 3), Tile(2, 4, 0, 2, 0, 3)), True),
         ((Tile(0, 2, 0, 2, 0, 3), Tile(1, 3, 0, 2, 0, 3)), False),
-        ((Tile(0, 2, 0, 2, 0, 2), Tile(2, 4, 0, 2, 0, 2)), False),  # VideoTensor copies it
+        ((Tile(0, 2, 0, 2, 0, 2), Tile(2, 4, 0, 2, 0, 2)), True),
     ], ids=["abutting-whole-frames", "overlapping", "part-frames"])
     def test_group_is_gathered_as_the_concatenation_of_its_tiles(self, tiles, view):
-        """A group's tiles reach `run` as one array; abutting whole frames as a
-        view, so a stacked layout is neither copied nor duplicated."""
+        """A group's tiles reach `run` as one read-only array; tiles that abut
+        in frames as a view, so a stacked layout is neither copied nor
+        duplicated, and the latent itself stays writable."""
         data = np.arange(5 * 2 * 3, dtype=np.float64).reshape(5, 2, 3, 1)
         seen = []
 
         def run(prep, z_group):
-            seen.append(z_group.data)
+            seen.append(z_group)
             return z_group
 
         outputs = list(tiling.tile_outputs([(tiles, None)], data, run))
@@ -239,14 +237,15 @@ class TestGroups:
         np.testing.assert_array_equal(
             group, np.concatenate([data[t.f0:t.f1, t.y0:t.y1, t.x0:t.x1] for t in tiles]))
         assert np.shares_memory(group, data) == view
+        assert not group.flags.writeable and data.flags.writeable
         for tile, out in outputs:
             np.testing.assert_array_equal(out, data[tile.f0:tile.f1, tile.y0:tile.y1,
                                                     tile.x0:tile.x1])
 
     def test_streamed_outputs_must_follow_the_plan(self):
         p = plan((1, 10, 1), 1, 4, 1, 0, 2, 0)
-        outputs = [(t, VideoTensor(np.zeros(t.shape + (1,), np.float32))) for t in p.tiles]
-        assert blend(iter(outputs), p).data.shape == (1, 10, 1, 1)
+        outputs = [(t, np.zeros(t.shape + (1,), np.float32)) for t in p.tiles]
+        assert blend(iter(outputs), p).shape == (1, 10, 1, 1)
         with pytest.raises(CoverageError):
             blend(iter(outputs[::-1]), p)
         with pytest.raises(CoverageError):
@@ -267,25 +266,25 @@ class TestTiledPass:
         for seed in range(3):
             z, cond, mask = self._problem(seed)
             p = plan(z.shape[:3], z.frames, z.height, z.width)
-            tiled = tiled_denoise_pass(z, p, den, 1.0, 0.75,
+            tiled = tiled_denoise_pass(z.data, p, den, 1.0, 0.75,
                                        prepare_tiles(den, cond, mask, p))
-            v = den.denoise(den.prepare(cond, mask), z, 1.0)
-            untiled = step(z, v, 1.0, 0.75)
-            np.testing.assert_allclose(tiled.data, untiled.data, atol=1e-6)
+            v = den.denoise(den.prepare(cond, mask), z.data, 1.0)
+            untiled = step(z.data, v, 1.0, 0.75)
+            np.testing.assert_allclose(tiled, untiled, atol=1e-6)
 
     def test_all_observed_converges_to_condition(self):
         den = ToyDenoiser(DenoiserConfig(radius=3))
         g = np.random.default_rng(2)
         cond = VideoTensor(g.uniform(-0.8, 0.8, (6, 12, 12, 3)).astype(np.float32))
         mask = MaskVideo(np.zeros((6, 12, 12, 1), np.float32))
-        z = VideoTensor(g.standard_normal((6, 12, 12, 3)).astype(np.float32))
+        z = g.standard_normal((6, 12, 12, 3)).astype(np.float32)
         sched = SampleSchedule(5)
         p = plan((6, 12, 12), 4, 6, 6, 2, 2, 2)
         prepared = prepare_tiles(den, cond, mask, p)
         for s in range(5):
             z = tiled_denoise_pass(z, p, den, float(sched.times[s]),
                                    float(sched.times[s + 1]), prepared)
-        np.testing.assert_allclose(z.data, cond.data, atol=1e-6)
+        np.testing.assert_allclose(z, cond.data, atol=1e-6)
 
     def test_one_tile_groups_equal_default_groups(self, monkeypatch):
         den = ToyDenoiser(DenoiserConfig(radius=3))
@@ -297,11 +296,11 @@ class TestTiledPass:
             monkeypatch.setattr(tiling, "GROUP_VOXELS", budget)
             prepared = prepare_tiles(den, cond, mask, p)
             assert len(prepared) == (1 if budget > 1 else len(p.tiles))
-            z = z0
+            z = z0.data
             for s in range(3):
                 z = tiled_denoise_pass(z, p, den, float(sched.times[s]),
                                        float(sched.times[s + 1]), prepared)
-            outs.append(z.data.tobytes())
+            outs.append(z.tobytes())
         assert outs[0] == outs[1]
 
     def test_extent_mismatch_rejected(self):
@@ -312,7 +311,7 @@ class TestTiledPass:
             prepare_tiles(den, cond, mask, p)
         prepared = prepare_tiles(den, VideoTensor(cond.data[:5]), MaskVideo(mask.data[:5]), p)
         with pytest.raises(ShapeError):
-            tiled_denoise_pass(z, p, den, 1.0, 0.5, prepared)
+            tiled_denoise_pass(z.data, p, den, 1.0, 0.5, prepared)
 
 
 class TestSpatialAdapter:
@@ -323,7 +322,7 @@ class TestSpatialAdapter:
         cond = g.uniform(-0.8, 0.8, shape).astype(np.float32)
         mask = (g.uniform(size=shape[:3] + (1,)) < 0.3).astype(np.float32)
         cond = cond * (1.0 - mask)
-        z = VideoTensor(g.standard_normal(shape).astype(np.float32))
+        z = g.standard_normal(shape).astype(np.float32)
         spatial = plan((1, 16, 16), 1, 8, 8, 0, 4, 4)
         adapter = SpatiallyTiledDenoiser(den, spatial)
         v = adapter.denoise(adapter.prepare(VideoTensor(cond), MaskVideo(mask)), z, 1.0)
@@ -331,8 +330,7 @@ class TestSpatialAdapter:
         full_plan = plan(shape[:3], shape[0], 8, 8, 0, 4, 4)
         prepared = prepare_tiles(den, VideoTensor(cond), MaskVideo(mask), full_plan)
         stepped_via_pass = tiled_denoise_pass(z, full_plan, den, 1.0, 0.75, prepared)
-        np.testing.assert_allclose(stepped_via_adapter.data,
-                                   stepped_via_pass.data, atol=1e-6)
+        np.testing.assert_allclose(stepped_via_adapter, stepped_via_pass, atol=1e-6)
 
     def test_items_and_groups_match_one_call_per_item(self, monkeypatch):
         den = ToyDenoiser(DenoiserConfig(radius=3))
@@ -341,17 +339,17 @@ class TestSpatialAdapter:
         cond = g.uniform(-0.8, 0.8, shape).astype(np.float32)
         mask = (g.uniform(size=shape[:3] + (1,)) < 0.3).astype(np.float32)
         mask[4:8] = 0.0  # an item with nothing masked
-        z = VideoTensor(g.standard_normal(shape))
+        z = g.standard_normal(shape)
         adapter = SpatiallyTiledDenoiser(den, plan((1, 16, 16), 1, 8, 8, 0, 4, 4))
         per_item = np.concatenate([
             adapter.denoise(adapter.prepare(VideoTensor(cond[i:i + 4]),
                                             MaskVideo(mask[i:i + 4])),
-                            VideoTensor(z.data[i:i + 4]), 0.5).data
+                            z[i:i + 4], 0.5)
             for i in (0, 4, 8)])
         for budget in (tiling.GROUP_VOXELS, 1):
             monkeypatch.setattr(tiling, "GROUP_VOXELS", budget)
             prepared = adapter.prepare(VideoTensor(cond), MaskVideo(mask), items=3)
-            assert adapter.denoise(prepared, z, 0.5).data.tobytes() == per_item.tobytes()
+            assert adapter.denoise(prepared, z, 0.5).tobytes() == per_item.tobytes()
 
     def test_extent_mismatch_rejected(self):
         adapter = SpatiallyTiledDenoiser(ToyDenoiser(), plan((1, 8, 8), 1, 8, 8))
@@ -361,4 +359,4 @@ class TestSpatialAdapter:
         cond = VideoTensor(np.zeros((1, 8, 8, 1), np.float32))
         prepared = adapter.prepare(cond, MaskVideo(np.zeros((1, 8, 8, 1), np.float32)))
         with pytest.raises(ShapeError):
-            adapter.denoise(prepared, VideoTensor(np.zeros((2, 8, 8, 1), np.float32)), 0.5)
+            adapter.denoise(prepared, np.zeros((2, 8, 8, 1), np.float32), 0.5)
