@@ -56,7 +56,7 @@ def step(z: np.ndarray, v_hat: np.ndarray, t_from: float, t_to: float) -> np.nda
     _check_shapes(z, v_hat)
     if t_to >= t_from:
         raise ScheduleError(f"t_to={t_to} must be < t_from={t_from}")
-    out = (t_to - t_from) * np.asarray(v_hat, dtype=np.float64)
+    out = np.multiply(v_hat, t_to - t_from, dtype=np.float64)
     out += z
     return out
 

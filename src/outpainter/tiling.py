@@ -20,6 +20,9 @@ WEIGHT_EPS = 1e-3
 # Most voxels (F*H*W) one group of tiles or stacks holds; an item larger than
 # this is a group of its own.
 GROUP_VOXELS = 1 << 14
+# `blend` weighs an output in blocks of frames of at most this many bytes of
+# float64, so that each product stays in cache.
+BLOCK_BYTES = 1 << 17
 
 
 class ConfigError(ValueError):
@@ -66,10 +69,13 @@ class TilePlan:
     @cached_property
     def weights(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Each tile's blend weight, in plan order, and their per-voxel sum,
-        built once per plan; tiles with equal weights share one array."""
+        built once per plan; tiles with equal weights share one array.  The
+        sum has length 1 on an axis that every tile spans whole, as each
+        weight has on an axis its tile spans whole."""
         shared: dict = {}
         weights = []
-        den = np.zeros(self.extent + (1,), dtype=np.float64)
+        den = np.zeros(tuple(n if any(t.shape[a] < n for t in self.tiles) else 1
+                             for a, n in enumerate(self.extent)) + (1,))
         for tile in self.tiles:
             key = (tile.shape,) + _touches(tile, self.extent)
             if key not in shared:
@@ -154,11 +160,12 @@ def _touches(tile: Tile, extent: tuple[int, int, int]) -> tuple[bool, ...]:
 def tile_weight(tile: Tile, tile_plan: TilePlan) -> np.ndarray:
     """Separable Hann blend weights, with a flat 1.0 plateau on tile halves
     that touch the full-extent boundary (true video borders are never
-    down-weighted against nothing)."""
+    down-weighted against nothing).  On an axis the tile spans whole the
+    factor is all 1.0, so it is kept at length 1 and broadcasts: the
+    product is unchanged, bit for bit."""
     f0, f1, y0, y1, x0, x1 = _touches(tile, tile_plan.extent)
-    wf = _axis_weights(tile.f1 - tile.f0, f0, f1)
-    wy = _axis_weights(tile.y1 - tile.y0, y0, y1)
-    wx = _axis_weights(tile.x1 - tile.x0, x0, x1)
+    wf, wy, wx = (_axis_weights(n, lo, hi)[:1 if lo and hi else n]
+                  for n, lo, hi in zip(tile.shape, (f0, y0, x0), (f1, y1, x1)))
     return (wf[:, None, None, None] * wy[None, :, None, None]
             * wx[None, None, :, None])
 
@@ -186,10 +193,15 @@ def blend(outputs, tile_plan: TilePlan) -> np.ndarray:
         if num is None:
             out = np.empty(tile_plan.extent + data.shape[3:], dtype=np.float32)
             num = np.zeros((tile_plan.open_frames,) + out.shape[1:], dtype=np.float64)
-        num[tile.f0 - lo:tile.f1 - lo, tile.y0:tile.y1, tile.x0:tile.x1] += weights[i] * data
+        # weight * data is made and added into num a block of frames at a time
+        w, box = weights[i], num[tile.f0 - lo:tile.f1 - lo, tile.y0:tile.y1, tile.x0:tile.x1]
+        rows = max(1, BLOCK_BYTES // (8 * data[0].size))
+        for a in range(0, len(data), rows):
+            block = box[a:a + rows]
+            block += (w[a:a + rows] if len(w) > 1 else w) * data[a:a + rows]
         hi = max(hi, tile.f1)
         close = tile_plan.closes[i]
-        if close > lo:
+        if close > lo:  # lo is 0 here if den has one frame
             np.divide(num[:close - lo], den[lo:close], out=out[lo:close], casting="same_kind")
             num[:hi - close] = num[close - lo:hi - lo]
             num[hi - close:hi - lo] = 0.0

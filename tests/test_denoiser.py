@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from outpainter import denoiser as dmod
 from outpainter import rng
 from outpainter.denoiser import (MODES, DenoiserConfig, ToyDenoiser, _kernel_spectrum,
-                                 _smooth3, fold_anchor_frames, inverse_distance_fill)
+                                 fold_anchor_frames, inverse_distance_fill)
 from outpainter.sampler import SampleSchedule, ScheduleError, step, velocity_target
 from outpainter.video import MaskVideo, ShapeError, VideoTensor
 
@@ -35,6 +35,45 @@ def _fill_oracle(condition, mask, lam, radius, floor):
                             den += 1.0 / d2
                 out[fi, yi, xi] = num / den if den > 0 else floor
     return out
+
+
+def _shifted_slices(n, off):
+    # destination and source slices so that dst[i] reads src[i + off]
+    if off >= 0:
+        return slice(0, n - off), slice(off, n)
+    return slice(-off, n), slice(0, n + off)
+
+
+def _smooth3(z):
+    """The pinned latent average: an edge-aware 3x3 within-frame mean, as
+    nine shifted-slice adds in (dy, dx) order over a float64 neighbour
+    count, rounded to z's dtype."""
+    f, h, w, c = z.shape
+    acc = np.zeros(z.shape, dtype=np.float64)
+    cnt = np.zeros((1, h, w, 1), dtype=np.float64)
+    ones = np.ones((1, h, w, 1), dtype=np.float64)
+    for dy in (-1, 0, 1):
+        if abs(dy) >= h:
+            continue
+        yd, ys = _shifted_slices(h, dy)
+        for dx in (-1, 0, 1):
+            if abs(dx) >= w:
+                continue
+            xd, xs = _shifted_slices(w, dx)
+            acc[:, yd, xd] += z[:, ys, xs]
+            cnt[:, yd, xd] += ones[:, ys, xs]
+    acc /= cnt
+    return acc.astype(z.dtype, copy=False)
+
+
+def _pinned_velocity(cond, mask, z, t, cfg, mode):
+    """The pinned formula: fill, latent carryover, clamp, (z - x0) / t."""
+    folded = fold_anchor_frames(mask)
+    x0 = inverse_distance_fill(cond, folded, cfg.temporal_scale(mode), cfg.radius,
+                               cfg.fill_floor)
+    if cfg.latent_carryover > 0.0:
+        x0 = x0 + cfg.latent_carryover * folded * (_smooth3(z) - x0)
+    return (z - np.clip(x0, -1.0, 1.0)) / t
 
 
 def _denoise(den, condition, mask, z=None, t=0.5, mode="dense"):
@@ -318,16 +357,43 @@ class TestToyDenoiser:
         for s in range(3):
             t_from, t_to = float(sched.times[s]), float(sched.times[s + 1])
             got = den.denoise(prepared, z, t_from)
-            # the pinned formula: fill, latent carryover, clamp
-            folded = fold_anchor_frames(prepared.mask.data)
-            x0 = inverse_distance_fill(cond, folded,
-                                       cfg.temporal_scale(mode), cfg.radius, cfg.fill_floor)
-            if carryover > 0.0:
-                x0 = x0 + carryover * folded * (_smooth3(z) - x0)
-            expected = (z - np.clip(x0, -1.0, 1.0)) / t_from
+            expected = _pinned_velocity(cond, prepared.mask.data, z, t_from, cfg, mode)
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
             z = step(z, got, t_from, t_to)
+
+    @given(rows=st.integers(2, 4), blocks=st.integers(1, 3), rest=st.integers(1, 3),
+           slack=st.floats(0.0, 0.99), height=st.integers(1, 6), width=st.integers(1, 6),
+           channels=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1),
+           z_dtype=st.sampled_from([np.float32, np.float64]), zero_frames=st.booleans())
+    @example(rows=3, blocks=2, rest=1, slack=0.5, height=1, width=5, channels=3, seed=0,
+             z_dtype=np.float32, zero_frames=True)
+    @example(rows=2, blocks=1, rest=1, slack=0.0, height=4, width=1, channels=1, seed=1,
+             z_dtype=np.float64, zero_frames=False)
+    @settings(max_examples=60, deadline=None)
+    def test_frame_blocks_match_pinned_formula(self, rows, blocks, rest, slack, height, width,
+                                               channels, seed, z_dtype, zero_frames):
+        """A call that spans several frame blocks, the last one partial,
+        equals the pinned formula byte for byte."""
+        frames = rows * blocks + min(rest, rows - 1)
+        g = np.random.default_rng(seed)
+        shape = (frames, height, width, channels)
+        cond = g.uniform(-1.2, 1.2, shape).astype(np.float32)
+        mask = (g.uniform(size=shape[:3] + (1,)) < 0.6).astype(np.float32)
+        cfg = DenoiserConfig(radius=3)
+        den = ToyDenoiser(cfg)
+        prepared = den.prepare(VideoTensor(cond), MaskVideo(mask))
+        z = g.standard_normal(shape).astype(z_dtype)
+        if zero_frames:
+            z[::2] = -0.0  # frames of negative zeros keep their sign as in the formula
+        plane = 8 * (height + 2) * (width + 2) * channels  # bytes of one padded frame
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dmod, "BLOCK_BYTES", int(plane * (rows + slack)))
+            got = den.denoise(prepared, z, 0.8)
+        expected = _pinned_velocity(cond, mask, z, 0.8, cfg, "dense")
+        assert got.dtype == expected.dtype == z_dtype
+        assert got.tobytes() == expected.tobytes()
+        assert den.denoise(prepared, z, 0.8).tobytes() == got.tobytes()
 
     @given(items=st.integers(1, 4), frames=st.integers(1, 3), height=st.integers(1, 6),
            width=st.integers(1, 6), channels=st.sampled_from([1, 3]),

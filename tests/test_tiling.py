@@ -151,13 +151,24 @@ class TestBlend:
         np.testing.assert_allclose(blend(outputs, p), c, atol=1e-6)
 
 
+def _full_weight(tile, tile_plan):
+    """The tile's separable Hann product over its whole box, built from the
+    axis factors: a flat half on each side that touches the extent."""
+    wf, wy, wx = (tiling._axis_weights(b - a, a == 0, b == n)
+                  for a, b, n in zip((tile.f0, tile.y0, tile.x0), (tile.f1, tile.y1, tile.x1),
+                                     tile_plan.extent))
+    return wf[:, None, None, None] * wy[None, :, None, None] * wx[None, None, :, None]
+
+
 def _whole_clip_blend(outputs, tile_plan):
-    """The blend before it streamed: one float64 sum over the whole extent,
-    divided once and rounded to float32."""
-    weights, den = tile_plan.weights
+    """The blend before it streamed: one float64 sum over the whole extent
+    with each tile's full weight, divided once and rounded to float32."""
     num = np.zeros(tile_plan.extent + outputs[0].shape[3:])
-    for t, w, out in zip(tile_plan.tiles, weights, outputs):
+    den = np.zeros(tile_plan.extent + (1,))
+    for t, out in zip(tile_plan.tiles, outputs):
+        w = _full_weight(t, tile_plan)
         num[t.f0:t.f1, t.y0:t.y1, t.x0:t.x1] += w * out
+        den[t.f0:t.f1, t.y0:t.y1, t.x0:t.x1] += w
     return (num / den).astype(np.float32)
 
 
@@ -183,6 +194,39 @@ class TestStreamingBlend:
         got = blend(zip(tile_plan.tiles, outputs), tile_plan)
         want = _whole_clip_blend(outputs, tile_plan)
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), channels=st.sampled_from([1, 3]),
+           dtype=st.sampled_from([np.float32, np.float64]), block_frames=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_random_plans_equal_full_weight_blend(self, seed, channels, dtype, block_frames):
+        """The stored weights, broadcast to each tile, are the full separable
+        product byte for byte, and so is their sum; the blend, in blocks of
+        frames or not, equals the whole-clip reference."""
+        g = np.random.default_rng(seed)
+        extent = tuple(int(g.integers(1, n)) for n in (12, 14, 14))
+        sizes = [int(g.integers(1, e + 4)) for e in extent]
+        p = plan(extent, *sizes, *(int(g.integers(0, s)) for s in sizes))
+        weights, den = p.weights
+        full = np.zeros(extent + (1,))
+        for t, w in zip(p.tiles, weights):
+            want = _full_weight(t, p)
+            assert np.broadcast_to(w, want.shape).tobytes() == want.tobytes()
+            full[t.f0:t.f1, t.y0:t.y1, t.x0:t.x1] += want
+        assert np.broadcast_to(den, full.shape).tobytes() == full.tobytes()
+        outputs = [g.uniform(-1.5, 1.5, t.shape + (channels,)).astype(dtype) for t in p.tiles]
+        with pytest.MonkeyPatch.context() as mp:
+            if block_frames:  # a budget of that many whole-extent frames, and a few bytes
+                mp.setattr(tiling, "BLOCK_BYTES", 8 * extent[1] * extent[2] * channels
+                           * block_frames + 4)
+            got = blend(zip(p.tiles, outputs), p)
+        assert got.tobytes() == _whole_clip_blend(outputs, p).tobytes()
+
+    def test_spanned_axes_are_stored_at_length_one(self):
+        # the default config's completion plan: tiles span each frame whole
+        weights, den = plan((192, 32, 48), 49, 32, 48, 12).weights
+        assert den.shape == (192, 1, 1, 1)
+        assert {w.shape for w in weights} == {(49, 1, 1, 1)}
+        assert _adapter_plan(6, 11, 13).weights[1].shape == (1, 11, 13, 1)
 
     def test_frame_ordered_plan_closes_frames_early(self):
         p = plan((30, 4, 4), 10, 4, 4, 3)
