@@ -51,21 +51,6 @@ class DenoiserConfig:
         return self.lambda_sparse if mode == "sparse" else self.lambda_dense
 
 
-def fold_anchor_frames(mask: np.ndarray) -> np.ndarray:
-    """Treat frames whose mask is entirely 1 as fully observed anchors.
-
-    Guidance insertion marks trusted frames with an all-ones mask while
-    keeping their full content in the condition; for the fill they act as
-    observed sources.
-    """
-    full = mask.reshape(mask.shape[0], -1).min(axis=1) >= 1.0
-    if not full.any():
-        return mask
-    out = mask.copy()
-    out[full] = 0.0
-    return out
-
-
 def _smooth_length(n: int) -> int:
     """The smallest length >= n with no prime factor above 5, which the FFT
     transforms without its slow generic passes for larger primes."""
@@ -174,9 +159,9 @@ class PreparedFill:
     """The toy backend's per-stage state for the frame concatenation of
     `items` equal-length stacks: `x0` is the read-only fill of the
     condition, `carry` the read-only weight with which steps blend in the
-    latent average (latent_carryover times the anchor-folded mask), or None
-    when nothing is masked or carryover is off; then `x0` is already clamped
-    to [-1, 1]."""
+    latent average (latent_carryover times the mask), or None when nothing
+    is masked or carryover is off; then `x0` is already clamped to
+    [-1, 1]."""
 
     mask: MaskVideo  # unused by `denoise`; the benchmark's zero-mask counter reads it
     items: int
@@ -203,10 +188,12 @@ class ToyDenoiser:
 
     def prepare(self, condition: VideoTensor, mask: MaskVideo, mode: str = "dense",
                 items: int = 1) -> PreparedFill:
-        """Fold anchor frames and fill the condition, once per stage.  The
-        condition is the frame concatenation of `items` equal-length stacks;
-        one `inverse_distance_fill` covers every item with a masked voxel,
-        and an item with none keeps its condition as its fill."""
+        """Fill the condition, once per stage.  The condition is the frame
+        concatenation of `items` equal-length stacks; one
+        `inverse_distance_fill` covers every item with a masked and an
+        observed voxel.  An item with nothing observed is `fill_floor`
+        throughout, as that fill would leave it, without the transform; an
+        item with nothing masked keeps its condition as its fill."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if not mask.matches(condition):
@@ -214,18 +201,22 @@ class ToyDenoiser:
         if items < 1 or condition.frames % items:
             raise ShapeError(f"{condition.frames} frames do not split into {items} equal stacks")
         shape = (items, condition.frames // items) + condition.shape[1:]
-        folded = fold_anchor_frames(mask.data)
-        masked = folded.reshape(items, -1).any(axis=1)
+        per_item = mask.data.reshape(items, -1)
+        masked, blank = per_item.any(axis=1), per_item.all(axis=1)  # blank: nothing observed
         if masked.any():
             x0 = condition.data.astype(np.float32)
-            x0.reshape(shape)[masked] = inverse_distance_fill(
-                condition.data.reshape(shape)[masked], folded.reshape(shape[:4] + (1,))[masked],
-                self.config.temporal_scale(mode), self.config.radius, self.config.fill_floor)
+            filled = masked & ~blank
+            if filled.any():
+                x0.reshape(shape)[filled] = inverse_distance_fill(
+                    condition.data.reshape(shape)[filled],
+                    mask.data.reshape(shape[:4] + (1,))[filled],
+                    self.config.temporal_scale(mode), self.config.radius, self.config.fill_floor)
+            x0.reshape(shape)[blank] = self.config.fill_floor
         else:
             x0 = np.asarray(condition.data, dtype=np.float32)
         carry = None
         if masked.any() and self.config.latent_carryover > 0.0:
-            carry = self.config.latent_carryover * folded
+            carry = self.config.latent_carryover * mask.data
             carry.flags.writeable = False
         elif not -1.0 <= x0.min() <= x0.max() <= 1.0:
             x0 = np.clip(x0, -1.0, 1.0)  # once here, not at every step

@@ -82,7 +82,8 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
     keyframe that names it and the swap never writes it, so one slot serves
     them all.  Each stack is a whole-frame tile of the latent; the stacks and
     the windows are prepared as two tile lists, so after the swap budget,
-    when nothing reads the windows, only the stacks step."""
+    when nothing reads the windows, only the stacks step.  Within it, a group
+    of stacks whose every slot the swap overwrites does not step."""
     distinct = list(dict.fromkeys(windows.values()))
     stacks = list(segments) + distinct
     n = len(segments)
@@ -98,6 +99,9 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
     key_tiles, window_tiles = (prepare_tiles(denoiser, condition, mask,
                                              TilePlan(condition.shape[:3], part), "sparse")
                                for part in (tiles[:n], tiles[n:]))
+    # the stack groups that keep a slot through the swap; only they step while it runs
+    keeping = [(group, prep) for group, prep in key_tiles
+               if any(src[i] == i for tile in group for i in range(tile.f0, tile.f1))]
     z = _init_noise(rng_seed, noise_tag, frames, video_ds.shape[1:])
     stepped = np.empty(z.shape, dtype=np.float64)  # Euler steps are float64
 
@@ -106,7 +110,7 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
 
     for s in range(sample.total_steps):
         t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
-        live = key_tiles + window_tiles if s < sample.swap_steps else key_tiles
+        live = keeping + window_tiles if s < sample.swap_steps else key_tiles
         for tile, out in tile_outputs(live, z, step_group):  # a group is read, then overwritten
             stepped[tile.f0:tile.f1] = out
             del out  # the next group is stepped without this one's output
@@ -133,7 +137,8 @@ def midpoints(indices, tau: int) -> tuple[int, ...]:
 def insert_guidance(video_ds: VideoTensor, mask_ds: MaskVideo, guidance: VideoTensor,
                     keys: tuple[int, ...]) -> tuple[VideoTensor, MaskVideo]:
     """Replace keyframe frames with their guidance content and mark them as
-    fully trusted (all-ones mask); every other frame is untouched."""
+    observed (all-zero mask), so that they condition like the clip's own
+    pixels; every other frame is untouched."""
     if guidance.frames != len(keys):
         raise ConfigError(f"{guidance.frames} guidance frames for {len(keys)} keyframes")
     cond = video_ds.data.copy()
@@ -142,7 +147,7 @@ def insert_guidance(video_ds: VideoTensor, mask_ds: MaskVideo, guidance: VideoTe
         if not 0 <= k < video_ds.frames:
             raise IndexError(f"keyframe {k} out of range [0, {video_ds.frames})")
         cond[k] = guidance.data[i]
-        msk[k] = 1.0
+        msk[k] = 0.0
     return VideoTensor(cond), MaskVideo(msk)
 
 

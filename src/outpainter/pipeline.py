@@ -313,9 +313,10 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
             wh, ww = config.working_resolution()
             video_ds = codec_encode(resize_bicubic(padded, wh, ww), factor)
             mask_ds = codec_encode_mask(downsample_mask(mask, wh, ww), factor)
-            # re-zero surviving mask pixels so conditions stay blank where
-            # generated; a pooled cell is observed only where all its pixels
-            # are, so zeroing once, after the codec, suffices
+            # re-zero surviving mask pixels so the clip is blank where generated:
+            # the denoiser reads no masked voxel's condition, but auto_delta
+            # reads every voxel; a pooled cell is observed only where all its
+            # pixels are, so zeroing once, after the codec, suffices
             video_ds = VideoTensor(np.where(mask_ds.data > 0.0, 0.0, video_ds.data))
             wh, ww = wh // factor, ww // factor
         else:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from outpainter import denoiser as dmod
 from outpainter import rng
 from outpainter.denoiser import (MODES, DenoiserConfig, ToyDenoiser, _kernel_spectrum,
-                                 fold_anchor_frames, inverse_distance_fill)
+                                 inverse_distance_fill)
 from outpainter.sampler import SampleSchedule, ScheduleError, step, velocity_target
 from outpainter.video import MaskVideo, ShapeError, VideoTensor
 
@@ -68,11 +68,10 @@ def _smooth3(z):
 
 def _pinned_velocity(cond, mask, z, t, cfg, mode):
     """The pinned formula: fill, latent carryover, clamp, (z - x0) / t."""
-    folded = fold_anchor_frames(mask)
-    x0 = inverse_distance_fill(cond, folded, cfg.temporal_scale(mode), cfg.radius,
+    x0 = inverse_distance_fill(cond, mask, cfg.temporal_scale(mode), cfg.radius,
                                cfg.fill_floor)
     if cfg.latent_carryover > 0.0:
-        x0 = x0 + cfg.latent_carryover * folded * (_smooth3(z) - x0)
+        x0 = x0 + cfg.latent_carryover * mask * (_smooth3(z) - x0)
     return (z - np.clip(x0, -1.0, 1.0)) / t
 
 
@@ -331,7 +330,7 @@ class TestToyDenoiser:
 
     @given(frames=st.integers(1, 4), height=st.integers(1, 7), width=st.integers(1, 7),
            channels=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1),
-           masking=st.sampled_from(["random", "none", "anchor frames", "all anchors"]),
+           masking=st.sampled_from(["random", "none", "blank frames", "all blank"]),
            cond_dtype=st.sampled_from([np.float32, np.float64]),
            z_dtype=st.sampled_from([np.float32, np.float64]),
            carryover=st.sampled_from([0.0, 0.5]), mode=st.sampled_from(MODES))
@@ -345,9 +344,9 @@ class TestToyDenoiser:
         mask = (g.uniform(size=shape[:3] + (1,)) < 0.4).astype(np.float32)
         if masking == "none":
             mask[:] = 0.0
-        elif masking == "anchor frames":
+        elif masking == "blank frames":
             mask[g.uniform(size=frames) < 0.5] = 1.0
-        elif masking == "all anchors":
+        elif masking == "all blank":
             mask[:] = 1.0
         cfg = DenoiserConfig(radius=3, latent_carryover=carryover)
         den = ToyDenoiser(cfg)
@@ -398,8 +397,8 @@ class TestToyDenoiser:
     @given(items=st.integers(1, 4), frames=st.integers(1, 3), height=st.integers(1, 6),
            width=st.integers(1, 6), channels=st.sampled_from([1, 3]),
            seed=st.integers(0, 2**32 - 1),
-           maskings=st.lists(st.sampled_from(["random", "none", "anchor frames",
-                                              "all anchors"]), min_size=4, max_size=4),
+           maskings=st.lists(st.sampled_from(["random", "none", "blank frames",
+                                              "all blank"]), min_size=4, max_size=4),
            cond_dtype=st.sampled_from([np.float32, np.float64]),
            z_dtype=st.sampled_from([np.float32, np.float64]),
            carryover=st.sampled_from([0.0, 0.5]), mode=st.sampled_from(MODES))
@@ -415,9 +414,9 @@ class TestToyDenoiser:
         for sl, masking in zip(slices, maskings):
             if masking == "none":
                 mask[sl] = 0.0
-            elif masking == "anchor frames":
+            elif masking == "blank frames":
                 mask[sl][g.uniform(size=frames) < 0.5] = 1.0
-            elif masking == "all anchors":
+            elif masking == "all blank":
                 mask[sl] = 1.0
         den = ToyDenoiser(DenoiserConfig(radius=3, latent_carryover=carryover))
         batched = den.prepare(VideoTensor(cond), MaskVideo(mask), mode, items=items)
@@ -451,10 +450,47 @@ class TestToyDenoiser:
     def test_nothing_masked_skips_fill_and_average(self):
         cond = np.random.default_rng(11).uniform(-0.5, 0.5, (2, 4, 4, 3))
         prepared = ToyDenoiser().prepare(VideoTensor(cond),
-                                         MaskVideo(np.ones((2, 4, 4, 1), np.float32)))
+                                         MaskVideo(np.zeros((2, 4, 4, 1), np.float32)))
         assert prepared.carry is None
         assert prepared.x0.dtype == np.float32
         np.testing.assert_array_equal(prepared.x0, cond.astype(np.float32))
+
+    def test_blank_frame_is_filled(self):
+        """A wholly masked frame of a partly observed item is generated: its
+        clean estimate is the fill from the observed frames, not its blank
+        condition, and steps carry the latent over on it."""
+        g = np.random.default_rng(12)
+        cond = g.uniform(0.5, 0.7, (3, 4, 4, 3)).astype(np.float32)
+        cond[1] = 0.0
+        mask = np.zeros((3, 4, 4, 1), np.float32)
+        mask[1] = 1.0
+        cfg = DenoiserConfig(lambda_dense=1.0, radius=3)
+        prepared = ToyDenoiser(cfg).prepare(VideoTensor(cond), MaskVideo(mask))
+        fill = inverse_distance_fill(cond, mask, 1.0, 3, cfg.fill_floor)
+        assert prepared.x0.tobytes() == fill.tobytes()
+        assert (prepared.x0[1] >= 0.5).all()
+        assert (prepared.carry[1] == cfg.latent_carryover).all() and not prepared.carry[0].any()
+
+    @pytest.mark.parametrize("floor", [-0.75, 0.0, 0.5])
+    def test_unobserved_item_is_its_fill_without_a_transform(self, monkeypatch, floor):
+        """An item with no observed voxel gets what `inverse_distance_fill`
+        makes of it, byte for byte, without handing it to the fill."""
+        g = np.random.default_rng(13)
+        cond = g.uniform(-0.9, 0.9, (2 * 3, 4, 5, 3)).astype(np.float32)
+        mask = np.ones((2 * 3, 4, 5, 1), np.float32)
+        mask[0, 1:3, 1:4] = 0.0  # the first item is partly observed
+        cfg = DenoiserConfig(radius=3, fill_floor=floor)
+        filled = []
+        real = dmod.inverse_distance_fill
+        monkeypatch.setattr(dmod, "inverse_distance_fill",
+                            lambda c, *a: filled.append(len(c)) or real(c, *a))
+        prepared = ToyDenoiser(cfg).prepare(VideoTensor(cond), MaskVideo(mask), items=2)
+        assert filled == [1]
+        for item in (slice(0, 3), slice(3, 6)):
+            want = real(cond[item], mask[item], cfg.lambda_dense, cfg.radius, floor)
+            assert prepared.x0[item].tobytes() == want.tobytes()
+        assert (prepared.x0[3:] == np.float32(floor)).all()
+        assert (prepared.carry == cfg.latent_carryover * mask).all()
 
     def test_prepare_validates(self):
         cond = VideoTensor(np.zeros((1, 4, 4, 3), np.float32))
@@ -479,37 +515,6 @@ class TestToyDenoiser:
         prepared = den.prepare(VideoTensor(cond), MaskVideo(mask))
         for _ in range(2):
             np.testing.assert_array_equal(den.denoise(prepared, z, 0.5), first)
-
-
-class TestAnchorFolding:
-    def test_full_frames_become_observed(self):
-        mask = np.zeros((3, 4, 4, 1), np.float32)
-        mask[1] = 1.0
-        mask[2, 0, 0, 0] = 1.0
-        out = fold_anchor_frames(mask)
-        assert not out[1].any()
-        assert out[2, 0, 0, 0] == 1.0
-        assert not out[0].any()
-
-    def test_no_full_frames_is_identity(self):
-        mask = np.zeros((2, 4, 4, 1), np.float32)
-        mask[0, 0, 0, 0] = 1.0
-        assert fold_anchor_frames(mask) is mask
-
-    def test_trusted_frame_content_used(self):
-        # a frame marked all-ones with content in the condition acts as an
-        # observed source for neighboring masked voxels
-        cond = np.zeros((2, 3, 3, 1), np.float32)
-        cond[1] = 0.6
-        mask = np.zeros((2, 3, 3, 1), np.float32)
-        mask[0, 1, 1, 0] = 1.0
-        mask[1] = 1.0
-        den = ToyDenoiser(DenoiserConfig(lambda_dense=1.0, radius=3,
-                                         latent_carryover=0.0))
-        z = np.zeros((2, 3, 3, 1), np.float32)
-        v = _denoise(den, cond, mask, z=z, t=1.0)
-        x0 = z - 1.0 * v
-        assert x0[0, 1, 1, 0] > 0.0  # pulled toward the trusted frame's 0.6
 
 
 class TestTrainingLoss:

@@ -93,28 +93,27 @@ SEGMENT = select_keyframes(24, 5)
 
 def _swap_trace(monkeypatch, windows, swap_steps, steps=6):
     """Per step of a one-segment construction: the keyframe stack as the
-    Euler step left it, as the next step (or the output) reads it, and the
-    stepped windows."""
-    calls = []
+    Euler step left it (None if it did not step), as the next step (or the
+    output) reads it, and the stepped windows (None if they did not step)."""
+    read, stepped, window_out = [], [], []
 
-    def spy(z, v, t_from, t_to):
-        out = step(z, v, t_from, t_to)
-        calls.append((z.copy(), out.copy()))
-        return out
+    def spy(live, z, run):
+        read.append(z[:len(SEGMENT)].copy())
+        outs = [(tile, out.copy()) for tile, out in tiling.tile_outputs(live, z, run)]
+        stepped.append(next((out for tile, out in outs if tile.f0 == 0), None))
+        windows_out = [out for tile, out in outs if tile.f0 > 0]
+        window_out.append(np.concatenate(windows_out) if windows_out else None)
+        return outs
 
-    monkeypatch.setattr(gcg, "step", spy)
+    monkeypatch.setattr(gcg, "tile_outputs", spy)
     cond, mask = _masked_case(24)
     # radius > lambda, so a frame's stack neighbours reach its fill and a
     # window's latent differs from the keyframe stack's
     den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
     [out] = construct_gcg(cond, mask, [SEGMENT], windows, den, SampleSchedule(steps, swap_steps),
                           3)
-    # one keyframe group, then, during the swap, one window group
-    per_step = [[calls.pop(0) for _ in range(1 + (s < swap_steps))] for s in range(steps)]
-    assert not calls
-    stepped = [group[0][1] for group in per_step]
-    read = [group[0][0] for group in per_step[1:]] + [out]
-    return stepped, read, [group[1][1] if len(group) > 1 else None for group in per_step]
+    assert len(read) == steps
+    return stepped, read[1:] + [out], window_out
 
 
 def _window_latent(windows, window_out, k):
@@ -128,10 +127,10 @@ class TestSwap:
         windows = _windows(SEGMENT, 24)
         stepped, read, window_out = _swap_trace(monkeypatch, windows, swap_steps=3)
         for s in range(3):
+            assert stepped[s] is None  # the swap overwrites every slot of the stack
             for i, k in enumerate(SEGMENT):
                 latent = _window_latent(windows, window_out[s], k)
                 np.testing.assert_array_equal(read[s][i], latent)
-                assert not np.array_equal(stepped[s][i], latent)
 
     def test_late_step_is_identity(self, monkeypatch):
         stepped, read, _ = _swap_trace(monkeypatch, _windows(SEGMENT, 24), swap_steps=3)
@@ -140,9 +139,13 @@ class TestSwap:
 
     def test_swap_budget_boundary(self, monkeypatch):
         for swap_steps in (0, 3, 6):
-            stepped, read, _ = _swap_trace(monkeypatch, _windows(SEGMENT, 24), swap_steps)
+            # a keyframe without a window keeps the stack stepping in the swap
+            windows = _windows(SEGMENT, 24, skip=(SEGMENT[2],))
+            stepped, read, _ = _swap_trace(monkeypatch, windows, swap_steps)
             changed = [not np.array_equal(a, b) for a, b in zip(stepped, read)]
             assert changed == [s < swap_steps for s in range(6)]
+            stepped, _, _ = _swap_trace(monkeypatch, _windows(SEGMENT, 24), swap_steps)
+            assert [a is None for a in stepped] == [s < swap_steps for s in range(6)]
 
     def test_keyframe_without_window_keeps_its_own_latent(self, monkeypatch):
         windows = _windows(SEGMENT, 24, skip=(SEGMENT[2],))
@@ -150,8 +153,9 @@ class TestSwap:
         for s in range(3):
             np.testing.assert_array_equal(read[s][2], stepped[s][2])
             for i in (0, 1, 3, 4):
-                np.testing.assert_array_equal(
-                    read[s][i], _window_latent(windows, window_out[s], SEGMENT[i]))
+                latent = _window_latent(windows, window_out[s], SEGMENT[i])
+                np.testing.assert_array_equal(read[s][i], latent)
+                assert not np.array_equal(stepped[s][i], latent)
 
 
 def _observed_case(frames=24, hw=(6, 6), seed=3):
@@ -269,9 +273,14 @@ class TestRound:
 
             monkeypatch.setattr(ToyDenoiser, "denoise", spy)
             outs.append(construct_gcg(cond, mask, segments, round_windows, den, sample, 3))
+            # the stacks are one group, which steps in the swap only if a
+            # keyframe in it has no window: here, if the round has anchors
             n = len(segments)
+            assert len(tiling.group_items([(5, 8, 8)] * n)) == 1
+            assert all(any(k in anchored for k in seg) for seg in segments)
+            keeping = n if anchors else 0
             assert [items[float(t)] for t in sample.times[:-1]] == (
-                [n + len(distinct)] * swap_steps + [n] * (6 - swap_steps))
+                [keeping + len(distinct)] * swap_steps + [n] * (6 - swap_steps))
         # a keyframe outside the anchors evolves as it does with no anchors
         for seg, a, b in zip(segments, *outs):
             for pos, k in enumerate(seg):

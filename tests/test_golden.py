@@ -19,13 +19,12 @@ from outpainter import denoiser as dmod
 from outpainter import gcg as gmod
 from outpainter import pipeline, scene
 from outpainter import tiling as tmod
-from outpainter.denoiser import fold_anchor_frames
 
 GOLDEN = {
     "full": "697cbee36dab408bc9001e355ebd3dbdf1a4559313bf7e4a1f963291c6a64d27",
     "spatial_only": "c4364dc3279e0a1f2a8d8edb0c854b66928975778e3096e0ce6a8546f0c9c908",
-    "temporal_only": "026f02cc7dfc23e276c1916cecf1b28b968b15e780469767be0f7b8a9f02d61c",
-    "baseline": "837f0f3c16737e9f8a9097d7ace61db725e532d9a1931ba35bc09185e81c64fb",
+    "temporal_only": "1ad9a7571652e2511dea6f2e339dd99fb257d7f7e8c2cd629ee83420f7e3e28e",
+    "baseline": "e4f37d8be359dc3269337eaab930c8e8bd2ddcc62c213bb166bf8e1a6abd2b08",
 }
 
 
@@ -81,8 +80,10 @@ def _spy(monkeypatch, module, name, fills):
     return seen
 
 
-def _masked(mask: np.ndarray) -> bool:
-    return bool(fold_anchor_frames(mask).any())
+def _filled(mask: np.ndarray) -> bool:
+    """A conditioning is filled if it has a masked and an observed voxel;
+    one with no observed voxel takes the fill's floor without a fill."""
+    return bool(mask.any() and not mask.all())
 
 
 @pytest.mark.parametrize("mode", pipeline.MODES)
@@ -99,29 +100,43 @@ def test_stage_fills(case, fills, monkeypatch, mode):
 @pytest.mark.parametrize("mode, frames", [("temporal_only", FRAMES), ("full", 48)])
 def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
     """Filled items equal the distinct (stack, spatial tile) conditionings
-    with a masked voxel, not the steps times that: `temporal_only` guides at target
-    resolution through the spatial adapter; `full` at the preset's 48 frames
-    densifies over several rounds of overlapping segments."""
+    with a masked and an observed voxel, and denoised items equal what the
+    schedule steps, so no step fills again: `temporal_only` guides at
+    target resolution through the spatial adapter; `full` at the preset's
+    48 frames densifies over several rounds of overlapping segments."""
     clip = case if frames == FRAMES else scene.preset_case("revisit", 0)
     constructs = _spy(monkeypatch, gmod, "construct_gcg", fills)
     completion = _spy(monkeypatch, pipeline, "temporal_completion", fills)
+    refinement = _spy(monkeypatch, pipeline, "spatial_refinement", fills)
     steps = []  # items denoised per call
     real_denoise = dmod.ToyDenoiser.denoise
     monkeypatch.setattr(dmod.ToyDenoiser, "denoise",
                         lambda self, *a: steps.append(a[0].items) or real_denoise(self, *a))
-    pipeline.run(ablation_config(clip, mode), clip.input)
+    config = ablation_config(clip, mode)
+    pipeline.run(config, clip.input)
+    total, swap = config.sampler.total_steps, config.sampler.swap_steps
     # a call builds one round, whose stacks share its noise tag, video and
     # mask: a keyframe stack per segment, conditioned on its own even where
     # it names a window's frames, and each distinct window of `windows` once
     stacks = {}
     named = 0
+    expected_steps = 0
     for args, _ in constructs:
-        windows = args["windows"]
-        named += sum(k in windows for idx in args["segments"] for k in idx)
-        for kind, idx in ([("keys", idx) for idx in args["segments"]]
+        segments, windows, den = args["segments"], args["windows"], args["denoiser"]
+        named += sum(k in windows for idx in segments for k in idx)
+        for kind, idx in ([("keys", idx) for idx in segments]
                           + [("window", w) for w in windows.values()]):
-            stacks[kind, args["noise_tag"], idx] = (args["mask_ds"].data[list(idx)],
-                                                    args["denoiser"])
+            stacks[kind, args["noise_tag"], idx] = args["mask_ds"].data[list(idx)], den
+        # stacks step at every step and windows during the swap, except that
+        # a group of stacks whose every keyframe has a window (and so is
+        # overwritten by the swap) does not step during it
+        shape = args["mask_ds"].data.shape[1:3]
+        groups = tmod.group_items([(len(idx),) + shape for idx in segments])
+        swapped = sum(g.stop - g.start for g in groups
+                      if all(k in windows for idx in segments[g] for k in idx))
+        spatial = len(den.plan.tiles) if isinstance(den, tmod.SpatiallyTiledDenoiser) else 1
+        expected_steps += spatial * (total * len(segments) - swap * swapped
+                                     + swap * len(set(windows.values())))
     if mode == "full":  # later rounds' anchors have no window; segments share windows
         assert any(k not in args["windows"]
                    for args, _ in constructs[1:] for idx in args["segments"] for k in idx)
@@ -129,11 +144,15 @@ def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
     expected = 0
     for mask, den in stacks.values():
         tiles = den.plan.tiles if isinstance(den, tmod.SpatiallyTiledDenoiser) else [None]
-        expected += sum(_masked(mask if t is None else mask[:, t.y0:t.y1, t.x0:t.x1])
+        expected += sum(_filled(mask if t is None else mask[:, t.y0:t.y1, t.x0:t.x1])
                         for t in tiles)
     [(args, _)] = completion
     guided_mask = args["guided_mask"].data
-    expected += sum(_masked(guided_mask[t.f0:t.f1, t.y0:t.y1, t.x0:t.x1])
+    expected += sum(_filled(guided_mask[t.f0:t.f1, t.y0:t.y1, t.x0:t.x1])
                     for t in args["plan_t"].tiles)
+    expected_steps += total * len(args["plan_t"].tiles)  # completion starts from noise
+    for args, _ in refinement:  # SDEdit takes round(strength * total) steps, at least 1
+        expected_steps += (max(1, round(args["strength"] * total))
+                           * len(args["plan_st"].tiles))
     assert sum(fills) == expected
-    assert sum(steps) >= 10 * expected  # steps reuse the prepared fills
+    assert sum(steps) == expected_steps

@@ -241,9 +241,21 @@ class TestGuidanceInsertion:
         m = MaskVideo(np.zeros((4, 8, 8, 1), np.float32))
         out_v, out_m = insert_guidance(v, m, VideoTensor(v.data[:1].copy()), (2,))
         np.testing.assert_array_equal(out_v.data[2], v.data[0])
-        assert (out_m.data[2] == 1).all()
+        assert not out_m.data[2].any()  # trusted: observed
         np.testing.assert_array_equal(out_v.data[0], v.data[0])
         assert not out_m.data[0].any()
+
+    def test_inserted_keyframe_conditions_the_fill(self):
+        """An inserted keyframe conditions as an observed frame: its content
+        reaches the prepared clean estimate unchanged, and the fill of the
+        unobserved frames around it reads it."""
+        key = np.random.default_rng(14).uniform(0.5, 0.7, (1, 4, 4, 3)).astype(np.float32)
+        cond, mask = insert_guidance(VideoTensor(np.zeros((3, 4, 4, 3), np.float32)),
+                                     MaskVideo(np.ones((3, 4, 4, 1), np.float32)),
+                                     VideoTensor(key), (1,))
+        prepared = ToyDenoiser(DenoiserConfig(lambda_dense=1.0, radius=3)).prepare(cond, mask)
+        assert prepared.x0[1].tobytes() == key[0].tobytes()
+        assert (prepared.x0[[0, 2]] >= 0.5).all()  # pulled toward the keyframe, not blank
 
     def test_count_mismatch(self):
         v = _input_clip(4, 8, 8)
@@ -259,14 +271,6 @@ class TestGuidanceInsertion:
 
 
 class TestTemporalCompletion:
-    def test_fully_trusted_input_is_returned(self):
-        guided = _input_clip(8, 8, 8, seed=2)
-        mask = MaskVideo(np.ones((8, 8, 8, 1), np.float32))
-        p = plan((8, 8, 8), 6, 8, 8, 2, 0, 0)
-        out = temporal_completion(guided, mask, ToyDenoiser(DenoiserConfig(radius=3)),
-                                  p, SampleSchedule(4), rng_seed=1)
-        np.testing.assert_allclose(out.data, guided.data, atol=1e-6)
-
     def test_observed_input_is_returned(self):
         guided = _input_clip(6, 8, 8, seed=3)
         mask = MaskVideo(np.zeros((6, 8, 8, 1), np.float32))
@@ -463,9 +467,10 @@ class TestRun:
 
     def test_downsampled_condition_is_zero_where_masked(self, monkeypatch):
         """A 2x2 observed patch leaves no observed cell once the codec pools
-        the 8x8 working resolution by 2, so every working frame is an anchor
-        whose condition the fill reads as observed: it must be blank, not
-        the bicubic bleed of the patch."""
+        the 8x8 working resolution by 2.  The denoiser reads no masked
+        voxel's condition, but `gcg.auto_delta` reads the whole working
+        clip, so the condition must be blank there, not the bicubic bleed of
+        the patch."""
         clip = VideoTensor(np.full((3, 2, 2, 3), 0.8, np.float32))
         cfg = _small_config(mode="spatial_only", pad=PadSpec.centered(2, 2, 16, 16),
                             working_height=8, working_width=8, codec_factor=2)
