@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import resource
 import sys
 import tempfile
@@ -43,16 +44,28 @@ def _parse_rect(text: str) -> tuple[int, int, int, int]:
     return y, x, h, w
 
 
-def _resolve_seed(config_seed: int, flag_seed: int | None) -> int:
+def _parse_int(name: str, text: str, seed: bool = False) -> int:
+    """`text` as a count >= 1 or, for a `seed`, as an integer in [0, 2**64),
+    written in ASCII digits alone: int() would also take a sign, spaces,
+    underscores and other scripts' digits (and no more digits than it
+    converts by default)."""
+    value = int(text) if re.fullmatch("[0-9]{1,4300}", text) else -1
+    if seed and not 0 <= value < 2 ** 64:
+        raise pipeline.ConfigError(f"{name}: seed must be an integer in [0, 2**64), "
+                                   f"got {text!r}")
+    if not seed and value < 1:
+        raise pipeline.ConfigError(f"{name} must be >= 1, got {text}")
+    return value
+
+
+def _resolve_seed(config_seed: int, flag: str | None) -> int:
+    """HLOP_SEED, else the --seed flag, else the config's seed; the flag is
+    checked even when HLOP_SEED overrides it."""
+    flag_seed = None if flag is None else _parse_int("--seed", flag, seed=True)
     env = os.environ.get("HLOP_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise pipeline.ConfigError(f"HLOP_SEED={env!r} is not an integer") from exc
-    if flag_seed is not None:
-        return flag_seed
-    return config_seed
+        return _parse_int("HLOP_SEED", env, seed=True)
+    return config_seed if flag_seed is None else flag_seed
 
 
 def cmd_synth(args) -> int:
@@ -60,7 +73,7 @@ def cmd_synth(args) -> int:
         given = [f"--{k}" for k in ("scene", "frames", "crop", "full") if vars(args)[k] is not None]
         if given:
             raise pipeline.ConfigError(f"--preset does not take {', '.join(given)}")
-        case = scene.preset_case(args.preset, pipeline.check_seed(_resolve_seed(0, args.seed)))
+        case = scene.preset_case(args.preset, _resolve_seed(0, args.seed))
     else:
         if not args.scene:
             raise pipeline.ConfigError("synth needs --preset or --scene")
@@ -71,12 +84,10 @@ def cmd_synth(args) -> int:
             raise pipeline.ConfigError(f"bad scene file {args.scene}: {exc}") from exc
         if args.crop is None or args.full is None:
             raise pipeline.ConfigError("--scene requires --crop and --full")
-        frames = 48 if args.frames is None else args.frames
-        if frames < 1:
-            raise pipeline.ConfigError(f"--frames must be >= 1, got {frames}")
+        frames = 48 if args.frames is None else _parse_int("--frames", args.frames)
         geometry = scene.CaseGeometry(full=_parse_rect(args.full),
                                       crop=_parse_rect(args.crop))
-        seed = pipeline.check_seed(_resolve_seed(spec.seed, args.seed))
+        seed = _resolve_seed(spec.seed, args.seed)
         case = scene.make_case(dataclasses.replace(spec, seed=seed), frames, geometry)
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -88,7 +99,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_config(path: str, mode: str | None, seed: int | None) -> pipeline.PipelineConfig:
+def _load_config(path: str, mode: str | None, seed: str | None) -> pipeline.PipelineConfig:
+    """The config file at `path`, its mode and seed then replaced by the
+    flags and HLOP_SEED; the file's own values are checked either way."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -98,10 +111,9 @@ def _load_config(path: str, mode: str | None, seed: int | None) -> pipeline.Pipe
     if not isinstance(raw, dict):
         raise pipeline.ConfigError(f"config {path} must be a JSON object, "
                                    f"got {type(raw).__name__}")
-    if mode is not None:
-        raw["mode"] = mode
-    raw["seed"] = _resolve_seed(raw.get("seed", 0), seed)
-    return pipeline.PipelineConfig.from_dict(raw)
+    config = pipeline.PipelineConfig.from_dict(raw)
+    return dataclasses.replace(config, mode=mode or config.mode,
+                               seed=_resolve_seed(config.seed, seed))
 
 
 def _load_clip(config: pipeline.PipelineConfig, in_path: str) -> video.VideoTensor:
@@ -177,13 +189,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_ppm(args) -> int:
-    if args.every < 1:
-        raise pipeline.ConfigError(f"--every must be >= 1, got {args.every}")
+    every = _parse_int("--every", args.every)
     clip = video.read_raw(args.input)
     outdir = Path(args.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     count = 0
-    for f in range(0, clip.frames, args.every):
+    for f in range(0, clip.frames, every):
         video.write_ppm(outdir / f"frame_{f:05d}.ppm", clip, f)
         count += 1
     print(f"export-ppm: wrote {count} frames to {outdir}")
@@ -224,10 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="render a synthetic scene to HLVD files")
     p.add_argument("--preset", choices=sorted(scene.PRESETS))
     p.add_argument("--scene", help="scene spec JSON file")
-    p.add_argument("--frames", type=int, help="frames to render with --scene (default 48)")
+    p.add_argument("--frames", help="frames to render with --scene (default 48)")
     p.add_argument("--crop", help="crop rect 'y,x,h,w' relative to camera")
     p.add_argument("--full", help="full rect 'y,x,h,w' relative to camera")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -236,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="input HLVD video")
     p.add_argument("output", help="output HLVD video")
     p.add_argument("--mode", choices=pipeline.MODES)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_outpaint)
 
     p = sub.add_parser("eval", help="compute metrics against ground truth")
@@ -249,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-ppm", help="export frames as P6 PPM previews")
     p.add_argument("input", help="HLVD video")
     p.add_argument("dir", help="output directory")
-    p.add_argument("--every", type=int, default=1)
+    p.add_argument("--every", default="1")
     p.set_defaults(func=cmd_export_ppm)
 
     p = sub.add_parser("ablate", help="run all ablation modes and compare")
@@ -258,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir", help="output directory")
     p.add_argument("--truth")
     p.add_argument("--mask")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_ablate)
     return parser
 

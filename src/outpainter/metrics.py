@@ -5,7 +5,6 @@ All metrics assume the nominal [-1, 1] value range (R = 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,43 +19,23 @@ SSIM_C2 = (0.03 * DATA_RANGE) ** 2
 
 
 class RegionError(ValueError):
-    """Raised when a region selector matches no voxels."""
+    """Raised when a selection holds no voxels."""
 
 
-@dataclass(frozen=True)
-class RegionSelector:
-    """Selects all, observed (mask 0), or outpainted (mask 1) voxels."""
-
-    which: str = "all"
-    mask: MaskVideo | None = None
-
-    def __post_init__(self):
-        if self.which not in ("all", "observed", "outpainted"):
-            raise ValueError(f"unknown region {self.which!r}")
-        if self.which != "all" and self.mask is None:
-            raise ValueError(f"region {self.which!r} requires a mask")
-
-    def select(self, video: VideoTensor) -> np.ndarray:
-        if self.which == "all":
-            return video.data.reshape(-1)
-        if not self.mask.matches(video):
-            raise ShapeError("mask does not match video")
-        keep = self.mask.data > 0.0 if self.which == "outpainted" else self.mask.data == 0.0
-        keep = np.broadcast_to(keep, video.shape)
-        flat = video.data[keep]
-        if flat.size == 0:
-            raise RegionError(f"region {self.which!r} selects no voxels")
-        return flat
-
-
-def psnr(a: VideoTensor, b: VideoTensor, region: RegionSelector | None = None) -> float:
-    """10*log10(R^2 / MSE) over the selected voxels; +inf for identical input."""
+def psnr(a: VideoTensor, b: VideoTensor, where: np.ndarray | None = None) -> float:
+    """10*log10(R^2 / MSE) over the voxels the boolean array `where` selects
+    (it broadcasts to the videos' shape; all voxels by default); +inf for
+    identical input."""
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    region = region or RegionSelector()
-    va = region.select(a).astype(np.float64)
-    vb = region.select(b).astype(np.float64)
-    mse = float(np.mean((va - vb) ** 2))
+    if where is None:
+        va, vb = a.data.reshape(-1), b.data.reshape(-1)
+    else:
+        where = np.broadcast_to(where, a.shape)
+        va, vb = a.data[where], b.data[where]
+        if va.size == 0:
+            raise RegionError("the selection holds no voxels")
+    mse = float(np.mean((va.astype(np.float64) - vb.astype(np.float64)) ** 2))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(DATA_RANGE ** 2 / mse)
@@ -155,10 +134,10 @@ def report(output: VideoTensor, reference: VideoTensor, mask: MaskVideo) -> dict
         return "+inf" if math.isinf(v) else v
 
     out = {"data_range": DATA_RANGE, "psnr": {}, "ssim": fmt(ssim(output, reference))}
-    for which in ("all", "observed", "outpainted"):
+    regions = {"all": None, "observed": mask.data == 0.0, "outpainted": mask.data > 0.0}
+    for which, where in regions.items():
         try:
-            sel = RegionSelector(which, None if which == "all" else mask)
-            out["psnr"][which] = fmt(psnr(output, reference, sel))
+            out["psnr"][which] = fmt(psnr(output, reference, where))
         except RegionError:
             out["psnr"][which] = None
     return out

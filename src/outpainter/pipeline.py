@@ -11,8 +11,9 @@ from __future__ import annotations
 import contextlib
 import sys
 import time
-from dataclasses import asdict, dataclass, field
-from typing import get_type_hints
+from dataclasses import asdict, dataclass, field, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -95,72 +96,102 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false
 
 def _typed(name: str, value, hint):
     """`value` if it is exactly of type `hint`, nothing coerced: an int takes
-    no bool, a float any finite number (as a float), `object` anything."""
+    no bool, a float any finite number (as a float)."""
     if hint is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)  # NaN and infinities fail the comparison
-    if hint is object or hint is not float and type(value) is hint:
+    if hint is not float and type(value) is hint:
         return value
     raise ConfigError(f"config field {name} must be {_TYPE_NAMES[hint]}, got {value!r}")
 
 
-def _load(make, value, name: str, hints: dict | None = None, **fixed):
-    """`make(**value)` for the JSON object `value` of config field `name`, whose
-    keys and types are `hints` (by default the annotations of the dataclass
-    `make`) and whose `fixed` keys may hold only their given value.  Any error,
-    from a type to `make`'s own checks, becomes a one-line ConfigError."""
+def _load(hint, value, name: str):
+    """The JSON value `value` of config field `name` as type `hint`: a
+    dataclass from an object of its fields, a tuple from a list whose items
+    all load as its first type argument (its length is the dataclass's own
+    check), `X | None` as X (JSON null is never a value; None is only a
+    field's default), and a scalar as `_typed` takes it.  Any error, from a
+    type to a dataclass's own checks, becomes a one-line ConfigError naming
+    the field's dotted path."""
+    if isinstance(hint, UnionType):
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    if get_origin(hint) is tuple:
+        items = _typed(name, value, list)
+        return tuple(_load(get_args(hint)[0], v, f"{name}[{i}]") for i, v in enumerate(items))
+    if not is_dataclass(hint):
+        return _typed(name, value, hint)
     prefix = f"{name}." if name else ""
     if not isinstance(value, dict):
         raise ConfigError(f"config field {name} must be an object, got {type(value).__name__}")
-    hints = get_type_hints(make) if hints is None else hints
-    unknown = [prefix + k for k in value if k not in hints and k not in fixed]
+    hints = get_type_hints(hint)
+    unknown = [prefix + k for k in value if k not in hints]
     if unknown:
         raise ConfigError(f"unknown config field {', '.join(unknown)}")
-    for key, only in fixed.items():
-        if value.get(key, only) != only:
-            raise ConfigError(f"config field {prefix}{key} must be {only!r}, got {value[key]!r}")
-    kwargs = {k: _typed(prefix + k, v, hints[k]) for k, v in value.items() if k not in fixed}
+    kwargs = {k: _load(hints[k], v, prefix + k) for k, v in value.items()}
     try:
-        return make(**kwargs)
+        return hint(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field {name}: {exc}") from exc
+        raise ConfigError(f"config field {name}: {exc}" if name else str(exc)) from exc
 
 
-def _codec_kind(factor: int) -> str:
-    return "identity" if factor == 1 else "avgpool"
+@dataclass(frozen=True)
+class WorkingSize:
+    """The working resolution; None (both sides) derives it from the target."""
+
+    height: int | None = None
+    width: int | None = None
+
+    def __post_init__(self):
+        if (self.height is None) != (self.width is None):
+            raise ConfigError("working height and width must be set together")
+
+
+@dataclass(frozen=True)
+class CodecParams:
+    """Block-average codec; `kind` is derived from `factor` and, if given,
+    must equal it."""
+
+    factor: int = 1
+    kind: str | None = None
+
+    def __post_init__(self):
+        if not (type(self.factor) is int and self.factor >= 1):
+            raise ConfigError(f"codec.factor must be an integer >= 1, got {self.factor!r}")
+        kind = "identity" if self.factor == 1 else "avgpool"
+        if self.kind not in (None, kind):
+            raise ConfigError(f"codec.kind must be {kind!r} for factor {self.factor}")
+        object.__setattr__(self, "kind", kind)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The run's knobs; each field is one section of the JSON config."""
+
     pad: PadSpec
     mode: str = "full"
     seed: int = 0
-    working_height: int | None = None
-    working_width: int | None = None
+    working: WorkingSize = field(default_factory=WorkingSize)
     sampler: SamplerParams = field(default_factory=SamplerParams)
     gcg: GcgParams = field(default_factory=GcgParams)
     tiling: TilingParams = field(default_factory=TilingParams)
     denoiser: DenoiserConfig = field(default_factory=DenoiserConfig)
-    codec_factor: int = 1
+    codec: CodecParams = field(default_factory=CodecParams)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         check_seed(self.seed)
-        if not (type(self.codec_factor) is int and self.codec_factor >= 1):
-            raise ConfigError(f"codec factor must be an integer >= 1, got {self.codec_factor!r}")
-        if (self.working_height is None) != (self.working_width is None):
-            raise ConfigError("working height and width must be set together")
         wh, ww = self.working_resolution()
         if not (0 < wh <= self.pad.target_height and 0 < ww <= self.pad.target_width):
             raise ConfigError(f"working resolution {wh}x{ww} is not within [1, target]")
-        if self.codec_factor > 1 and (wh % self.codec_factor or ww % self.codec_factor):
-            raise ConfigError("working resolution must be divisible by codec_factor")
+        factor = self.codec.factor
+        if factor > 1 and (wh % factor or ww % factor):
+            raise ConfigError("working resolution must be divisible by codec.factor")
 
     def working_resolution(self) -> tuple[int, int]:
         """Configured working size, else longest target side mapped to 768."""
         th, tw = self.pad.target_height, self.pad.target_width
-        if self.working_height is not None and self.working_width is not None:
-            return self.working_height, self.working_width
+        if self.working.height is not None:
+            return self.working.height, self.working.width
         longest = max(th, tw)
         if longest <= 768:
             return th, tw
@@ -170,61 +201,35 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         """The config a JSON object describes, laid out as `to_dict` writes it."""
-        d = _load(dict, d, "", dict.fromkeys(("pad", "mode", "seed", "working", "sampler", "gcg",
-                                              "tiling", "denoiser", "codec"), object))
-        working = _load(dict, d.get("working", {}), "working", {"height": int, "width": int})
-        codec = _load(dict, d.get("codec", {}), "codec", {"kind": object, "factor": object})
-        config = cls(
-            pad=_load(PadSpec, d.get("pad", {}), "pad"),
-            mode=d.get("mode", "full"),
-            seed=d.get("seed", 0),
-            working_height=working.get("height"),
-            working_width=working.get("width"),
-            sampler=_load(SamplerParams, d.get("sampler", {}), "sampler"),
-            gcg=_load(GcgParams, d.get("gcg", {}), "gcg"),
-            tiling=_load(TilingParams, d.get("tiling", {}), "tiling"),
-            denoiser=_load(DenoiserConfig, d.get("denoiser", {}), "denoiser", kind="toy"),
-            codec_factor=codec.get("factor", 1))
-        kind = _codec_kind(config.codec_factor)
-        if codec.get("kind", kind) != kind:
-            raise ConfigError(f"codec.kind must be {kind!r} for factor {config.codec_factor}")
-        return config
+        return _load(cls, d, "")
 
     def to_dict(self) -> dict:
         wh, ww = self.working_resolution()
-        return {
-            "pad": asdict(self.pad),
-            "mode": self.mode,
-            "seed": self.seed,
-            "working": {"height": wh, "width": ww},
-            "sampler": asdict(self.sampler),
-            "gcg": asdict(self.gcg),
-            "tiling": asdict(self.tiling),
-            "denoiser": {"kind": "toy", **asdict(self.denoiser)},
-            "codec": {"kind": _codec_kind(self.codec_factor), "factor": self.codec_factor},
-        }
+        return {**asdict(self), "working": {"height": wh, "width": ww}}
+
+
+def _blocks(data: np.ndarray, factor: int) -> np.ndarray:
+    """(F, H, W, C) `data` viewed as factor x factor pixel blocks, which
+    axes 2 and 4 of the view run over."""
+    f, h, w, c = data.shape
+    if h % factor or w % factor:
+        raise ConfigError(f"({h}, {w}) not divisible by codec factor {factor}")
+    return data.reshape(f, h // factor, factor, w // factor, factor, c)
 
 
 def codec_encode(video: VideoTensor, factor: int) -> VideoTensor:
     """Average-pool each frame by `factor` along both spatial axes."""
     if factor == 1:
         return video
-    f, h, w, c = video.shape
-    if h % factor or w % factor:
-        raise ConfigError(f"({h}, {w}) not divisible by codec factor {factor}")
-    blocks = video.data.reshape(f, h // factor, factor, w // factor, factor, c)
-    return VideoTensor(blocks.mean(axis=(2, 4), dtype=np.float64).astype(np.float32))
+    return VideoTensor(_blocks(video.data, factor).mean(axis=(2, 4), dtype=np.float64)
+                       .astype(np.float32))
 
 
 def codec_encode_mask(mask: MaskVideo, factor: int) -> MaskVideo:
     """A pooled cell counts as observed only if every source pixel is observed."""
     if factor == 1:
         return mask
-    f, h, w, c = mask.data.shape
-    if h % factor or w % factor:
-        raise ConfigError(f"({h}, {w}) not divisible by codec factor {factor}")
-    blocks = mask.data.reshape(f, h // factor, factor, w // factor, factor, c)
-    return MaskVideo(blocks.max(axis=(2, 4)))
+    return MaskVideo(_blocks(mask.data, factor).max(axis=(2, 4)))
 
 
 def codec_decode(video: VideoTensor, factor: int) -> VideoTensor:
@@ -308,7 +313,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
     use_downsample = config.mode in ("full", "spatial_only")  # and refine back up
 
     with _stage(timings, "downsample"):
-        factor = config.codec_factor if use_downsample else 1
+        factor = config.codec.factor if use_downsample else 1
         if use_downsample:
             wh, ww = config.working_resolution()
             video_ds = codec_encode(resize_bicubic(padded, wh, ww), factor)

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
-from typing import get_type_hints
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .pipeline import _load, _typed
+from .pipeline import _load
 from .rng import stream_key
 from .video import MaskVideo, PadSpec, VideoTensor, pad_video
 
@@ -84,23 +82,7 @@ class SceneSpec:
     def from_json(cls, text: str) -> "SceneSpec":
         """The spec a JSON object describes, laid out as `to_json` writes it;
         each object's keys and value types are checked by the config loader."""
-        doc = _load(dict, json.loads(text), "scene",
-                    {**get_type_hints(cls), "sprites": list, "camera": list})
-        if "sprites" in doc:
-            doc["sprites"] = tuple(_sprite(f"scene.sprites[{i}]", s)
-                                   for i, s in enumerate(doc["sprites"]))
-        if "camera" in doc:
-            doc["camera"] = tuple(_load(CameraKey, k, f"scene.camera[{i}]")
-                                  for i, k in enumerate(doc["camera"]))
-        return cls(**doc)
-
-
-def _sprite(name: str, value) -> Sprite:
-    """The sprite the JSON object `value` describes; `name` prefixes errors."""
-    doc = _load(dict, value, name, {**get_type_hints(Sprite), "color": list})
-    if "color" in doc:
-        doc["color"] = tuple(_typed(f"{name}.color", c, float) for c in doc["color"])
-    return Sprite(**doc)
+        return _load(cls, json.loads(text), "scene")
 
 
 _M1 = np.uint64(0xFF51AFD7ED558CCD)

@@ -123,11 +123,6 @@ class PadSpec:
                 f"offset_x {self.offset_x} + W {width} exceeds target {self.target_width}"
             )
 
-    @classmethod
-    def centered(cls, height: int, width: int, target_height: int, target_width: int) -> "PadSpec":
-        return cls(target_height, target_width,
-                   (target_height - height) // 2, (target_width - width) // 2)
-
 
 def pad_video(video: VideoTensor, spec: PadSpec) -> tuple[VideoTensor, MaskVideo]:
     """Place the video on a zero canvas; the appended region is masked 1."""

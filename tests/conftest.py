@@ -28,13 +28,35 @@ def ablation_config(case, mode, seed=0):
     5 keyframes and 12x12 spatial tiles."""
     return pipeline.PipelineConfig(
         pad=case.geometry.placement, mode=mode, seed=seed,
-        working_height=16, working_width=24,
+        working=pipeline.WorkingSize(16, 24),
         sampler=pipeline.SamplerParams(total_steps=10, swap_steps=3),
         gcg=pipeline.GcgParams(keyframes=5, delta=1, tau=4),
         tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
                                      tile_x=12, overlap_y=4, overlap_x=4),
         denoiser=DenoiserConfig(lambda_sparse=2.5, lambda_dense=2.0,
                                 radius=5))
+
+
+# JSON values the config loader refuses in place of a value of each type: no
+# other type is coerced to a bool, an int or a string, and a float field takes
+# only numbers.
+WRONG_TYPES = {bool: (0, "true", None), int: (1.5, True, "1", None),
+               float: ("1.0", True, None), str: (1, None, False)}
+
+
+def json_leaves(doc, name: str = ""):
+    """(dotted path, container, key) of every scalar inside the JSON value
+    `doc`, its path spelled as the config loader names fields."""
+    items = enumerate(doc) if isinstance(doc, list) else doc.items()
+    for key, value in items:
+        if isinstance(doc, list):
+            path = f"{name}[{key}]"
+        else:
+            path = f"{name}.{key}" if name else key
+        if isinstance(value, (dict, list)):
+            yield from json_leaves(value, path)
+        else:
+            yield path, doc, key
 
 
 def record_scorecard(text: str) -> None:

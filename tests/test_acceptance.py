@@ -150,7 +150,7 @@ def test_criterion_05_swap_ablation_direction():
             gt_k = VideoTensor(case.ground_truth.data[list(keys)].copy())
             m_k = MaskVideo(mds.data[list(keys)].copy())
             vals[swap_steps] = metrics.psnr(
-                guidance, gt_k, metrics.RegionSelector("outpainted", m_k))
+                guidance, gt_k, m_k.data > 0.0)
         diff = vals[8] - vals[0]
         diffs.append(diff)
         wins += diff > 0
@@ -170,7 +170,7 @@ def test_criterion_06_compression_ablation_ordering():
         for seed in range(5):
             case = scene.preset_case(preset, seed)
             mask = scene.case_mask(case)
-            sel = metrics.RegionSelector("outpainted", mask)
+            sel = mask.data > 0.0
             for mode in pipeline.MODES:
                 result = pipeline.run(conftest.ablation_config(case, mode, seed), case.input)
                 pool_psnr[mode].append(metrics.psnr(result.output,
@@ -302,7 +302,7 @@ def test_criterion_10_determinism_and_io(tmp_path):
     case = scene.preset_case("drift", seed=2)
     cfg = pipeline.PipelineConfig(
         pad=case.geometry.placement, mode="full", seed=2,
-        working_height=16, working_width=24,
+        working=pipeline.WorkingSize(16, 24),
         sampler=pipeline.SamplerParams(total_steps=4, swap_steps=2),
         gcg=pipeline.GcgParams(keyframes=3, delta=1, tau=16),
         tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,

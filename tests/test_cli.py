@@ -194,6 +194,28 @@ class TestSynth:
         assert "--frames" in _synth_error(tmp_path, capsys, argv)
 
 
+# Strings int() reads as 5, 50 or 0 that are not ASCII digits alone.
+@pytest.mark.parametrize("text", ["\u0665", "5_0", " 5", "5 ", "+5", "-0", ""],
+                         ids=["arabic-indic-5", "underscore", "leading-space",
+                              "trailing-space", "plus", "minus-zero", "empty"])
+@pytest.mark.parametrize("source", ["--seed", "HLOP_SEED", "--frames", "--every"])
+def test_integer_inputs_take_ascii_digits_only(tmp_path, capsys, monkeypatch, source, text):
+    """Each integer a flag or HLOP_SEED gives exits 2 with one error line
+    unless it is ASCII digits alone, as the config's JSON integers are."""
+    synth = ["synth", "--scene", str(_write_scene(tmp_path / "scene.json")), "--crop=-8,-12,16,16",
+             "--full=-8,-12,16,24", "--out-prefix", str(tmp_path / "x")]
+    if source == "HLOP_SEED":
+        monkeypatch.setenv("HLOP_SEED", text)
+    argv = {"--seed": synth + [f"--seed={text}"], "HLOP_SEED": synth,
+            "--frames": synth + [f"--frames={text}"],
+            "--every": ["export-ppm", str(tmp_path / "in.hlvd"), str(tmp_path / "x"),
+                        f"--every={text}"]}[source]
+    err = _synth_error(tmp_path, capsys, argv)
+    assert source in err
+    assert ("seed must be an integer" if source in ("--seed", "HLOP_SEED")
+            else "must be >= 1") in err
+
+
 class TestOutpaint:
     def test_run_writes_output_and_manifest(self, tmp_path):
         prefix = _synth(tmp_path)

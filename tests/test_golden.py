@@ -45,7 +45,8 @@ def test_output_hash(case, mode):
 
 
 def test_codec_output_hash(case):
-    out = pipeline.run(replace(ablation_config(case, "full"), codec_factor=2), case.input).output
+    config = replace(ablation_config(case, "full"), codec=pipeline.CodecParams(2))
+    out = pipeline.run(config, case.input).output
     assert hashlib.sha256(out.data.tobytes()).hexdigest() == CODEC_GOLDEN
 
 

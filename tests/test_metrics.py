@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from outpainter.metrics import (RegionError, RegionSelector, psnr, report,
+from outpainter.metrics import (RegionError, psnr, report,
                                 revisit_consistency, seam_energy, ssim)
 from outpainter.scene import CameraKey, CaseGeometry, SceneSpec, make_case
 from outpainter.tiling import plan, blend
@@ -74,14 +75,14 @@ class TestPsnr:
         data[0, :, 2:] += 0.5
         b = VideoTensor(np.clip(data, -1, 1))
         m = MaskVideo(mask)
-        assert psnr(a, b, RegionSelector("observed", m)) == math.inf
-        assert math.isfinite(psnr(a, b, RegionSelector("outpainted", m)))
+        assert psnr(a, b, m.data == 0.0) == math.inf
+        assert math.isfinite(psnr(a, b, m.data > 0.0))
 
     def test_empty_region_rejected(self):
         a = _video((1, 4, 4, 1), 2)
         m = MaskVideo(np.zeros((1, 4, 4, 1), np.float32))
         with pytest.raises(RegionError):
-            psnr(a, a, RegionSelector("outpainted", m))
+            psnr(a, a, m.data > 0.0)
 
 
 class TestSsim:
@@ -183,5 +184,38 @@ class TestReport:
         rep = report(a, b, m)
         assert rep["psnr"]["all"] == pytest.approx(psnr(a, b))
         assert rep["psnr"]["outpainted"] == pytest.approx(
-            psnr(a, b, RegionSelector("outpainted", m)))
+            psnr(a, b, m.data > 0.0))
         assert rep["ssim"] == pytest.approx(ssim(a, b))
+
+
+def _report_psnr_oracle(out, ref, mask):
+    """Report's PSNR per region: an f64 mean of squared errors over the
+    selected voxels, None where a region selects none."""
+    sq = (out.astype(np.float64) - ref.astype(np.float64)) ** 2
+    observed = np.broadcast_to(mask == 0.0, sq.shape)
+    regions = {"all": np.ones(sq.shape, bool), "observed": observed, "outpainted": ~observed}
+    result = {}
+    for which, keep in regions.items():
+        if not keep.any():
+            result[which] = None
+            continue
+        mse = sq[keep].mean()
+        result[which] = "+inf" if mse == 0.0 else 10.0 * math.log10(4.0 / mse)
+    return result
+
+
+@given(shape=st.tuples(st.integers(1, 3), st.integers(8, 11), st.integers(8, 11),
+                       st.sampled_from((1, 3))),
+       masks=st.sampled_from(("none", "all", "random")), same=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_report_psnr_matches_oracle(shape, masks, same, seed):
+    g = np.random.default_rng(seed)
+    out = g.uniform(-1, 1, shape).astype(np.float32)
+    ref = out.copy() if same else g.uniform(-1, 1, shape).astype(np.float32)
+    if masks == "random":
+        mask = g.integers(0, 2, shape[:3] + (1,)).astype(np.float32)
+    else:
+        mask = np.full(shape[:3] + (1,), float(masks == "all"), np.float32)
+    rep = report(VideoTensor(out), VideoTensor(ref), MaskVideo(mask))
+    assert rep["psnr"] == _report_psnr_oracle(out, ref, mask)

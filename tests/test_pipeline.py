@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ablation_config, golden_case, nan_velocity_in
+from conftest import WRONG_TYPES, ablation_config, golden_case, json_leaves, nan_velocity_in
 from outpainter import gcg, pipeline, rng, scene, video
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.gcg import GcgError, insert_guidance
-from outpainter.pipeline import (MODES, GcgParams, PipelineConfig, SamplerParams,
-                                 StageError, TilingParams, codec_decode,
-                                 codec_encode, codec_encode_mask, run,
+from outpainter.pipeline import (MODES, CodecParams, GcgParams, PipelineConfig,
+                                 SamplerParams, StageError, TilingParams, WorkingSize,
+                                 codec_decode, codec_encode, codec_encode_mask, run,
                                  spatial_refinement, temporal_completion)
 from outpainter.sampler import SampleSchedule
 from outpainter.tiling import ConfigError, plan
@@ -89,6 +89,34 @@ def _load_or_config_error(edits) -> None:
     assert PipelineConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
+@st.composite
+def _configs(draw):
+    """A valid config: every section drawn in range, the working size (or the
+    target it defaults to) divisible by the codec factor."""
+    def ints(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    factor = ints(1, 3)
+    th, tw = factor * ints(1, 16), factor * ints(1, 16)
+    working = draw(st.sampled_from((WorkingSize(), WorkingSize(factor * ints(1, th // factor),
+                                                               factor * ints(1, tw // factor)))))
+    steps = ints(1, 50)
+    tiles = [ints(1, 100) for _ in range(3)]
+    return PipelineConfig(
+        pad=PadSpec(th, tw, ints(0, 8), ints(0, 8)),
+        mode=draw(st.sampled_from(MODES)), seed=ints(0, 2 ** 64 - 1), working=working,
+        sampler=SamplerParams(steps, ints(0, steps),
+                              draw(st.floats(0.0, 1.0, exclude_min=True))),
+        gcg=GcgParams(ints(1, 20), ints(1, 10), draw(st.booleans()), ints(1, 30)),
+        tiling=TilingParams(tiles[0], ints(0, tiles[0] - 1), tiles[1], tiles[2],
+                            ints(0, tiles[1] - 1), ints(0, tiles[2] - 1)),
+        denoiser=DenoiserConfig(lambda_sparse=draw(st.floats(0.5, 20.0)),
+                                lambda_dense=draw(st.floats(0.5, 20.0)), radius=ints(1, 16),
+                                fill_floor=draw(st.floats(-1.0, 1.0)),
+                                latent_carryover=draw(st.floats(0.0, 1.0, exclude_max=True))),
+        codec=CodecParams(factor))
+
+
 def _input_clip(frames=8, h=16, w=16, seed=0):
     data = rng.normals(seed, "pipe-input", (frames, h, w, 3)) * 0.4
     return VideoTensor(np.clip(data, -1, 1))
@@ -96,8 +124,7 @@ def _input_clip(frames=8, h=16, w=16, seed=0):
 
 class TestConfig:
     def test_dict_round_trip(self):
-        cfg = _small_config(codec_factor=2,
-                            working_height=8, working_width=12)
+        cfg = _small_config(codec=CodecParams(2), working=WorkingSize(8, 12))
         back = PipelineConfig.from_dict(cfg.to_dict())
         assert back.to_dict() == cfg.to_dict()
 
@@ -144,16 +171,16 @@ class TestConfig:
     @pytest.mark.parametrize("kind, factor", [
         ("avgpool", 1), ("identity", 2), ("jpeg", 1)])
     def test_codec_kind_must_match_factor(self, kind, factor):
-        doc = _small_config(working_height=8, working_width=12).to_dict()
+        doc = _small_config(working=WorkingSize(8, 12)).to_dict()
         doc["codec"] = {"kind": kind, "factor": factor}
         with pytest.raises(ConfigError, match="codec.kind"):
             PipelineConfig.from_dict(doc)
         del doc["codec"]["kind"]
-        assert PipelineConfig.from_dict(doc).codec_factor == factor
+        assert PipelineConfig.from_dict(doc).codec.factor == factor
 
     def test_working_needs_both_sides(self):
         with pytest.raises(ConfigError, match="together"):
-            _small_config(working_height=8)
+            _small_config(working=WorkingSize(8))
         with pytest.raises(ConfigError, match="together"):
             PipelineConfig.from_dict({"pad": {"target_height": 16, "target_width": 24},
                                       "working": {"width": 8}})
@@ -166,17 +193,17 @@ class TestConfig:
 
     def test_working_cannot_exceed_target(self):
         with pytest.raises(ConfigError):
-            _small_config(working_height=32, working_width=24)
+            _small_config(working=WorkingSize(32, 24))
 
     def test_codec_divisibility(self):
         with pytest.raises(ConfigError):
-            _small_config(codec_factor=5)
+            _small_config(codec=CodecParams(5))
 
     @pytest.mark.parametrize("factor", [0, 2.0, "2", True, None])
     def test_codec_factor_must_be_positive_int(self, factor):
-        doc = _small_config(working_height=8, working_width=12).to_dict()
+        doc = _small_config(working=WorkingSize(8, 12)).to_dict()
         doc["codec"] = {"factor": factor}
-        with pytest.raises(ConfigError, match="codec factor must be an integer"):
+        with pytest.raises(ConfigError, match=r"codec\.factor must be an integer"):
             PipelineConfig.from_dict(doc)
 
     def test_unknown_denoiser_kind(self):
@@ -228,6 +255,23 @@ class TestConfig:
     @settings(max_examples=200, deadline=None)
     def test_accepted_configs_round_trip(self, edits):
         _load_or_config_error(edits)
+
+    @given(cfg=_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_random_configs_round_trip(self, cfg):
+        doc = json.loads(json.dumps(cfg.to_dict()))
+        back = PipelineConfig.from_dict(doc)
+        assert back == replace(cfg, working=WorkingSize(*cfg.working_resolution()))
+        assert back.to_dict() == doc
+
+    @given(cfg=_configs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_wrong_typed_leaf_named_by_its_path(self, cfg, data):
+        doc = cfg.to_dict()
+        path, parent, key = data.draw(st.sampled_from(list(json_leaves(doc))))
+        parent[key] = data.draw(st.sampled_from(WRONG_TYPES[type(parent[key])]))
+        with pytest.raises(ConfigError, match=rf"^config field {re.escape(path)} must be "):
+            PipelineConfig.from_dict(doc)
 
     def test_readme_schema_block_is_the_default_config(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -373,7 +417,7 @@ class TestRun:
 
     def test_codec_run(self):
         clip = _input_clip()
-        cfg = _small_config(codec_factor=2, working_height=16, working_width=24)
+        cfg = _small_config(codec=CodecParams(2), working=WorkingSize(16, 24))
         result = run(cfg, clip)
         assert result.output.shape == (8, 16, 24, 3)
         again = run(cfg, clip)
@@ -452,7 +496,7 @@ class TestRun:
         case = scene.preset_case("drift", seed=1)
         cfg = PipelineConfig(
             pad=case.geometry.placement, mode="full", seed=1,
-            working_height=16, working_width=24,
+            working=WorkingSize(16, 24),
             sampler=SamplerParams(total_steps=2, swap_steps=1),
             gcg=GcgParams(keyframes=3, delta=1, tau=16),
             tiling=TilingParams(tile_t=16, overlap_t=4, tile_y=12, tile_x=12,
@@ -472,8 +516,8 @@ class TestRun:
         clip, so the condition must be blank there, not the bicubic bleed of
         the patch."""
         clip = VideoTensor(np.full((3, 2, 2, 3), 0.8, np.float32))
-        cfg = _small_config(mode="spatial_only", pad=PadSpec.centered(2, 2, 16, 16),
-                            working_height=8, working_width=8, codec_factor=2)
+        cfg = _small_config(mode="spatial_only", pad=PadSpec(16, 16, 7, 7),
+                            working=WorkingSize(8, 8), codec=CodecParams(2))
         real = ToyDenoiser.prepare
         masked = []
 

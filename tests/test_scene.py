@@ -1,10 +1,16 @@
 """Procedural scene oracle: determinism, consistency, presets."""
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from outpainter.scene import (PRESETS, CameraKey, CaseGeometry, GeometryError,
+from conftest import WRONG_TYPES, json_leaves
+from outpainter.scene import (PRESETS, SPRITE_SHAPES, CameraKey, CaseGeometry, GeometryError,
                               SceneSpec, Sprite, camera_center, case_mask, make_case,
                               preset_case, render, revisit_pairs, texture_at)
+from outpainter.tiling import ConfigError
 
 
 def _spec(seed=11, sprites=(), camera=(CameraKey(0, 64.0, 64.0),), octaves=2):
@@ -153,11 +159,45 @@ class TestRevisitPairs:
                 spriteless.ground_truth.data[fb, yb:yb + h, xb:xb + w])
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _sprites(draw):
+    visible = sorted(draw(st.lists(st.integers(0, 10 ** 9), min_size=2, max_size=2)))
+    return Sprite(draw(st.sampled_from(SPRITE_SHAPES)), draw(_POSITIVE),
+                  draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)),
+                  *(draw(_FINITE) for _ in range(4)), *visible)
+
+
+SCENES = st.builds(
+    SceneSpec, seed=st.integers(0, 2 ** 64 - 1), texture_octaves=st.integers(1, 8),
+    texture_base_freq=_POSITIVE, sprites=st.lists(_sprites(), max_size=3).map(tuple),
+    camera=st.lists(st.builds(CameraKey, st.integers(-10 ** 6, 10 ** 6), _FINITE, _FINITE),
+                    min_size=1, max_size=3).map(tuple),
+    channels=st.sampled_from((1, 3)))
+
+
 class TestSpecJson:
     def test_round_trip(self):
         spec = _spec(sprites=(Sprite("disc", 4.0, (0.1, 0.2, 0.3), 1.0, 2.0, 0.5, -0.5),),
                      camera=(CameraKey(0, 1.0, 2.0), CameraKey(9, 3.0, 4.0)))
         assert SceneSpec.from_json(spec.to_json()) == spec
+
+    @given(spec=SCENES)
+    @settings(max_examples=200, deadline=None)
+    def test_random_specs_round_trip(self, spec):
+        assert SceneSpec.from_json(spec.to_json()) == spec
+
+    @given(spec=SCENES, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_wrong_typed_leaf_named_by_its_path(self, spec, data):
+        doc = json.loads(spec.to_json())
+        path, parent, key = data.draw(st.sampled_from(list(json_leaves(doc, "scene"))))
+        parent[key] = data.draw(st.sampled_from(WRONG_TYPES[type(parent[key])]))
+        with pytest.raises(ConfigError, match=rf"^config field {re.escape(path)} must be "):
+            SceneSpec.from_json(json.dumps(doc))
 
     def test_presets_deterministic(self):
         for name in ("late-reveal", "revisit", "textured", "drift"):

