@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,22 @@ from .video import MaskVideo, VideoTensor
 
 class GcgError(RuntimeError):
     """Raised when densification fails to terminate within the round cap."""
+
+
+@dataclass(frozen=True)
+class GcgParams:
+    """The config's `gcg` section: `keyframes` initial keyframes (at most the
+    clip's frames), local windows at stride `delta` (or `auto_delta`'s, if
+    `delta_auto`), and densification until no keyframe gap exceeds `tau`."""
+
+    keyframes: int = 13
+    delta: int = 5
+    delta_auto: bool = False
+    tau: int = 20
+
+    def __post_init__(self):
+        if self.keyframes < 1 or self.delta < 1 or self.tau < 1:
+            raise ConfigError("keyframes, delta and tau must be positive")
 
 
 def select_keyframes(total_frames: int, count: int) -> tuple[int, ...]:
@@ -168,18 +185,20 @@ def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
     return blend(zip(seg_plan.tiles, outputs), seg_plan)
 
 
-def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
-                   initial: tuple[int, ...], tau: int, denoiser,
-                   sample: SampleSchedule, rng_seed: int, count: int,
-                   delta: int) -> tuple[VideoTensor, tuple[int, ...]]:
-    """Iteratively densify keyframes via midpoints until the maximum gap is at
-    most tau.  Round 0 conditions on the clip; each later round conditions on
-    it with every known keyframe inserted as a trusted anchor, and keeps only
-    its new keyframes, so earlier ones stay bit-identical."""
-    keys = sorted(set(initial))
+def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo, params: GcgParams,
+                   denoiser, sample: SampleSchedule,
+                   rng_seed: int) -> tuple[VideoTensor, tuple[int, ...]]:
+    """From `params.keyframes` evenly spaced keyframes, iteratively densify
+    via midpoints until the maximum gap is at most tau.  Round 0 conditions
+    on the clip; each later round conditions on it with every known keyframe
+    inserted as a trusted anchor, and keeps only its new keyframes, so
+    earlier ones stay bit-identical."""
+    count, tau = min(params.keyframes, video_ds.frames), params.tau
+    delta = auto_delta(video_ds, params.delta) if params.delta_auto else params.delta
+    keys = list(select_keyframes(video_ds.frames, count))
     cond_v, msk_v = video_ds, mask_ds
     known: dict[int, np.ndarray] = {}
-    cap = math.ceil(math.log2(max(video_ds.frames / max(tau, 1), 1.0))) + 2
+    cap = math.ceil(math.log2(max(video_ds.frames / tau, 1.0))) + 2
     for r in range(cap + 1):
         merged = _run_segments(keys, cond_v, msk_v, denoiser, sample, rng_seed, count,
                                delta, f"gcg:r{r}", frozenset(known))
@@ -194,10 +213,10 @@ def multiscale_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
     raise GcgError(f"densification did not converge within {cap} rounds")
 
 
-def auto_delta(video_ds: VideoTensor, threshold: float = 0.05,
-               sparse_delta: int = 5, dense_delta: int = 1) -> int:
-    """Motion proxy: stride 1 for dynamic content, a wider stride otherwise."""
+def auto_delta(video_ds: VideoTensor, delta: int) -> int:
+    """Motion proxy: stride 1 for dynamic content (a mean absolute
+    frame-to-frame difference above 0.05), else the configured `delta`."""
     if video_ds.frames < 2:
-        return sparse_delta
+        return delta
     diff = np.abs(np.diff(video_ds.data.astype(np.float64), axis=0))
-    return dense_delta if float(diff.mean()) > threshold else sparse_delta
+    return 1 if float(diff.mean()) > 0.05 else delta

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import gcg as gcg_mod
 from .denoiser import DenoiserConfig, ToyDenoiser
+from .gcg import GcgParams
 from .sampler import SampleSchedule, sdedit_start
 from .tiling import (ConfigError, SpatiallyTiledDenoiser, TilePlan, plan, prepare_tiles,
                      tiled_denoise_pass)
@@ -35,33 +36,6 @@ class StageError(RuntimeError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
-
-
-@dataclass(frozen=True)
-class SamplerParams:
-    total_steps: int = 40
-    swap_steps: int = 8
-    refine_strength: float = 0.5
-
-    def __post_init__(self):
-        if self.total_steps < 1:
-            raise ConfigError("total_steps must be >= 1")
-        if not 0 <= self.swap_steps <= self.total_steps:
-            raise ConfigError("swap_steps must be in [0, total_steps]")
-        if not 0.0 < self.refine_strength <= 1.0:
-            raise ConfigError("refine_strength must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class GcgParams:
-    keyframes: int = 13
-    delta: int = 5
-    delta_auto: bool = False
-    tau: int = 20
-
-    def __post_init__(self):
-        if self.keyframes < 1 or self.delta < 1 or self.tau < 1:
-            raise ConfigError("keyframes, delta and tau must be positive")
 
 
 @dataclass(frozen=True)
@@ -170,7 +144,7 @@ class PipelineConfig:
     mode: str = "full"
     seed: int = 0
     working: WorkingSize = field(default_factory=WorkingSize)
-    sampler: SamplerParams = field(default_factory=SamplerParams)
+    sampler: SampleSchedule = field(default_factory=SampleSchedule)
     gcg: GcgParams = field(default_factory=GcgParams)
     tiling: TilingParams = field(default_factory=TilingParams)
     denoiser: DenoiserConfig = field(default_factory=DenoiserConfig)
@@ -302,7 +276,6 @@ def _stage(timings: dict, name: str):
 
 def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
     timings: dict[str, float] = {}
-    sample = SampleSchedule(config.sampler.total_steps, config.sampler.swap_steps)
     til = config.tiling
     denoiser = ToyDenoiser(config.denoiser)
 
@@ -332,18 +305,13 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
     guided, guided_mask = video_ds, mask_ds
     with _stage(timings, "guidance"):
         if use_gcg:
-            g = config.gcg
-            delta = gcg_mod.auto_delta(video_ds) if g.delta_auto else g.delta
-            kcount = min(g.keyframes, video_ds.frames)
-            initial = gcg_mod.select_keyframes(video_ds.frames, kcount)
             stage1 = denoiser
             if not use_downsample and (wh > til.tile_y or ww > til.tile_x):
                 spatial = plan((1, wh, ww), 1, til.tile_y, til.tile_x,
                                0, til.overlap_y, til.overlap_x)
                 stage1 = SpatiallyTiledDenoiser(denoiser, spatial)
-            guidance, keys = gcg_mod.multiscale_gcg(
-                video_ds, mask_ds, initial, g.tau, stage1, sample,
-                config.seed, kcount, delta)
+            guidance, keys = gcg_mod.multiscale_gcg(video_ds, mask_ds, config.gcg, stage1,
+                                                    config.sampler, config.seed)
             guided, guided_mask = gcg_mod.insert_guidance(video_ds, mask_ds, guidance, keys)
     del video_ds, mask_ds  # completion reads only the guided copies
 
@@ -354,7 +322,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
             plan_t = plan((guided.frames, wh, ww), til.tile_t, til.tile_y, til.tile_x,
                           til.overlap_t, til.overlap_y, til.overlap_x)
         completed = temporal_completion(guided, guided_mask, denoiser, plan_t,
-                                        sample, config.seed)
+                                        config.sampler, config.seed)
         if factor > 1:
             completed = codec_decode(completed, factor)
     del guided, guided_mask, plan_t  # no later stage reads them
@@ -364,7 +332,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
             plan_st = plan(padded.shape[:3], til.tile_t, til.tile_y, til.tile_x,
                            til.overlap_t, til.overlap_y, til.overlap_x)
             output = spatial_refinement(completed, padded, mask, denoiser, plan_st,
-                                        sample, config.sampler.refine_strength,
+                                        config.sampler, config.sampler.refine_strength,
                                         config.seed)
         else:
             output = completed

@@ -1,7 +1,8 @@
 """Rectified-flow schedule, noise injection, Euler stepping, and SDEdit entry."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,20 +16,27 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class SampleSchedule:
-    """Linear time grid t_T=1 > ... > t_0=0 with an early swap-step budget."""
+    """Linear time grid t_T=1 > ... > t_0=0 with an early swap-step budget,
+    and the SDEdit strength refinement starts from; the config's `sampler`
+    section."""
 
-    total_steps: int
-    swap_steps: int = 0
-    times: np.ndarray = field(init=False, repr=False, compare=False)
+    total_steps: int = 40
+    swap_steps: int = 8
+    refine_strength: float = 0.5
 
     def __post_init__(self):
         if self.total_steps < 1:
             raise ScheduleError("total_steps must be >= 1")
         if not 0 <= self.swap_steps <= self.total_steps:
             raise ScheduleError("swap_steps must be in [0, total_steps]")
+        if not 0.0 < self.refine_strength <= 1.0:
+            raise ScheduleError("refine_strength must be in (0, 1]")
+
+    @cached_property
+    def times(self) -> np.ndarray:
         times = np.linspace(1.0, 0.0, self.total_steps + 1)
         times.flags.writeable = False
-        object.__setattr__(self, "times", times)
+        return times
 
 
 def _check_shapes(a, b) -> None:

@@ -29,7 +29,7 @@ def ablation_config(case, mode, seed=0):
     return pipeline.PipelineConfig(
         pad=case.geometry.placement, mode=mode, seed=seed,
         working=pipeline.WorkingSize(16, 24),
-        sampler=pipeline.SamplerParams(total_steps=10, swap_steps=3),
+        sampler=SampleSchedule(total_steps=10, swap_steps=3),
         gcg=pipeline.GcgParams(keyframes=5, delta=1, tau=4),
         tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
                                      tile_x=12, overlap_y=4, overlap_x=4),
@@ -75,7 +75,7 @@ def nan_velocity_in(monkeypatch, owner, name: str, total_steps: int) -> list:
     call at the last step of a `total_steps` schedule returns a velocity with
     one NaN.  Returns the list the patch appends each poisoned call's t to."""
     real_stage, real_denoise = getattr(owner, name), ToyDenoiser.denoise
-    last_t = float(SampleSchedule(total_steps).times[-2])
+    last_t = float(SampleSchedule(total_steps, 0).times[-2])
     armed, poisoned = [], []
 
     def stage(*args, **kwargs):

@@ -78,7 +78,7 @@ def test_criterion_03_sampler_exactness():
         x0 = VideoTensor(g.uniform(-0.9, 0.9, (2, 6, 6, 3)).astype(np.float32))
         eps = VideoTensor(g.standard_normal((2, 6, 6, 3)).astype(np.float32))
         v = velocity_target(x0, eps)
-        sched = SampleSchedule(total)
+        sched = SampleSchedule(total, 0)
         z = eps.data
         for s in range(total):
             z = step(z, v.data, float(sched.times[s]), float(sched.times[s + 1]))
@@ -111,8 +111,9 @@ def test_criterion_04_multiscale_termination_and_anchors(monkeypatch):
         mds = MaskVideo(mask)
         den = ToyDenoiser(DenoiserConfig())
         rounds.clear()
-        guidance, keys = gmod.multiscale_gcg(vds, mds, gmod.select_keyframes(frames, 13),
-                                             20, den, SampleSchedule(4, 2), 7, 13, 5)
+        guidance, keys = gmod.multiscale_gcg(vds, mds,
+                                             gmod.GcgParams(keyframes=13, delta=5, tau=20),
+                                             den, SampleSchedule(4, 2), 7)
         gap = gmod.max_index_gap(keys)
         first = {}  # each keyframe's output in the round that first made it
         for ks, out in rounds:
@@ -144,9 +145,9 @@ def test_criterion_05_swap_ablation_direction():
         vals = {}
         for swap_steps in (8, 0):
             sample = SampleSchedule(40, swap_steps)
-            initial = gmod.select_keyframes(vds.frames, 5)
-            guidance, keys = gmod.multiscale_gcg(vds, mds, initial, 12, den,
-                                                 sample, seed, 5, 5)
+            guidance, keys = gmod.multiscale_gcg(vds, mds,
+                                                 gmod.GcgParams(keyframes=5, delta=5, tau=12),
+                                                 den, sample, seed)
             gt_k = VideoTensor(case.ground_truth.data[list(keys)].copy())
             m_k = MaskVideo(mds.data[list(keys)].copy())
             vals[swap_steps] = metrics.psnr(
@@ -267,7 +268,7 @@ def test_criterion_09_per_step_blending_reduces_seams():
         case = scene.preset_case("textured", seed)
         cond, mask = pad_video(case.input, case.geometry.placement)
         den = ToyDenoiser(DenoiserConfig(lambda_dense=2.0, radius=4))
-        sample = SampleSchedule(8)
+        sample = SampleSchedule(8, 0)
         p = tmod.plan(cond.shape[:3], 16, 12, 12, 4, 4, 4)
         per_step = pipeline.temporal_completion(cond, mask, den, p, sample, seed)
         z0 = rng.normals(seed, "completion:init", cond.shape)
@@ -303,7 +304,7 @@ def test_criterion_10_determinism_and_io(tmp_path):
     cfg = pipeline.PipelineConfig(
         pad=case.geometry.placement, mode="full", seed=2,
         working=pipeline.WorkingSize(16, 24),
-        sampler=pipeline.SamplerParams(total_steps=4, swap_steps=2),
+        sampler=SampleSchedule(total_steps=4, swap_steps=2),
         gcg=pipeline.GcgParams(keyframes=3, delta=1, tau=16),
         tiling=pipeline.TilingParams(tile_t=16, overlap_t=4, tile_y=12,
                                      tile_x=12, overlap_y=4, overlap_x=4),

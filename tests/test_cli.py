@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import nan_velocity_in
 from outpainter import metrics, pipeline
-from outpainter.cli import main
+from outpainter.cli import _atomic_write_json, main
 from outpainter.scene import CameraKey, SceneSpec
 from outpainter.video import read_mask, read_ppm, read_raw, write_raw, VideoTensor
 
@@ -537,6 +537,15 @@ class TestScoringFiles:
                                       f"{prefix}.mask.hlvd", str(report)], report)
         assert "6x6 are smaller than the 8x8 SSIM window" in err
 
+    def test_eval_three_channel_mask_exit_2(self, tmp_path, capsys):
+        prefix = _synth(tmp_path)
+        mask = tmp_path / "rgb.mask.hlvd"
+        write_raw(mask, read_raw(f"{prefix}.truth.hlvd"))
+        report = tmp_path / "report.json"
+        err = _scoring_error(capsys, ["eval", f"{prefix}.truth.hlvd", f"{prefix}.truth.hlvd",
+                                      str(mask), str(report)], report)
+        assert f"{mask}: channel count 3 not in (1,)" in err
+
     @pytest.mark.parametrize("bad", ["truth", "mask"])
     def test_ablate_shape_mismatch_exit_2(self, tmp_path, capsys, bad):
         prefix = _synth(tmp_path)
@@ -644,6 +653,13 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
         assert not out.exists()
+
+
+def test_failed_json_write_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        _atomic_write_json(path, {"a": 1, "b": object()})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_interrupt_is_not_a_stage_error(tmp_path, monkeypatch):

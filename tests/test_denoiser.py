@@ -290,7 +290,7 @@ class TestToyDenoiser:
         den = ToyDenoiser()
         z = g.standard_normal((2, 6, 6, 3)).astype(np.float32)
         prepared = den.prepare(VideoTensor(cond), MaskVideo(mask))
-        sched = SampleSchedule(6)
+        sched = SampleSchedule(6, 0)
         for s in range(6):
             t_from, t_to = float(sched.times[s]), float(sched.times[s + 1])
             v = den.denoise(prepared, z, t_from)
@@ -352,7 +352,7 @@ class TestToyDenoiser:
         den = ToyDenoiser(cfg)
         prepared = den.prepare(VideoTensor(cond), MaskVideo(mask), mode)
         z = g.standard_normal(shape).astype(z_dtype)
-        sched = SampleSchedule(3)
+        sched = SampleSchedule(3, 0)
         for s in range(3):
             t_from, t_to = float(sched.times[s]), float(sched.times[s + 1])
             got = den.denoise(prepared, z, t_from)
@@ -423,7 +423,7 @@ class TestToyDenoiser:
         singles = [den.prepare(VideoTensor(cond[sl]), MaskVideo(mask[sl]), mode)
                    for sl in slices]
         z = g.standard_normal(shape).astype(z_dtype)
-        sched = SampleSchedule(2)
+        sched = SampleSchedule(2, 0)
         for s in range(2):
             t_from, t_to = float(sched.times[s]), float(sched.times[s + 1])
             want = np.concatenate([den.denoise(p, z[sl], t_from)

@@ -4,7 +4,7 @@ import pytest
 
 from outpainter import gcg, rng, tiling
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
-from outpainter.gcg import (GcgError, build_window, construct_gcg, auto_delta,
+from outpainter.gcg import (GcgError, GcgParams, build_window, construct_gcg, auto_delta,
                             max_index_gap, midpoints, multiscale_gcg, select_keyframes)
 from outpainter.sampler import SampleSchedule, step
 from outpainter.tiling import ConfigError
@@ -300,9 +300,8 @@ class TestGroupBudget:
         outs = []
         for budget in (tiling.GROUP_VOXELS, 1):
             monkeypatch.setattr(tiling, "GROUP_VOXELS", budget)
-            merged, keys = multiscale_gcg(cond, mask, select_keyframes(33, 5), tau=4,
-                                          denoiser=den, sample=SampleSchedule(3, 2),
-                                          rng_seed=5, count=5, delta=2)
+            merged, keys = multiscale_gcg(cond, mask, GcgParams(keyframes=5, delta=2, tau=4),
+                                          denoiser=den, sample=SampleSchedule(3, 2), rng_seed=5)
             seg = select_keyframes(33, 5)
             [direct] = construct_gcg(cond, mask, [seg], _windows(seg, 33), den,
                                      SampleSchedule(3, 2), 5)
@@ -361,8 +360,8 @@ class TestMultiscale:
         sample = SampleSchedule(3, 1)
         den = ToyDenoiser(DenoiserConfig(radius=3))
         initial = select_keyframes(20, 5)
-        merged, keys = multiscale_gcg(cond, mask, initial, tau=5, denoiser=den,
-                                      sample=sample, rng_seed=9, count=5, delta=2)
+        merged, keys = multiscale_gcg(cond, mask, GcgParams(keyframes=5, delta=2, tau=5),
+                                      denoiser=den, sample=sample, rng_seed=9)
         assert keys == initial  # gaps are 4..5 <= tau, no rounds run
         [direct] = construct_gcg(cond, mask, [initial], _windows(initial, 20), den, sample, 9,
                                  noise_tag="gcg:r0")
@@ -380,9 +379,8 @@ class TestMultiscale:
         adapter = tiling.SpatiallyTiledDenoiser(toy, tiling.plan((1, 6, 6), 1, 4, 4, 0, 2, 2))
         for den in (toy, adapter):
             rounds.clear()
-            merged, keys = multiscale_gcg(cond, mask, select_keyframes(33, 5), tau=4,
-                                          denoiser=den, sample=SampleSchedule(3, 1),
-                                          rng_seed=5, count=5, delta=2)
+            merged, keys = multiscale_gcg(cond, mask, GcgParams(keyframes=5, delta=2, tau=4),
+                                          denoiser=den, sample=SampleSchedule(3, 1), rng_seed=5)
             assert max_index_gap(keys) <= 4
             assert merged.frames == len(keys)
             assert len(rounds) >= 2
@@ -402,10 +400,9 @@ class TestMultiscale:
         m[:, :, 2:] = 1.0
         cond = VideoTensor(video.data * (1 - m))
         mask = MaskVideo(m)
-        merged, keys = multiscale_gcg(cond, mask, select_keyframes(481, 13), tau=20,
+        merged, keys = multiscale_gcg(cond, mask, GcgParams(keyframes=13, delta=5, tau=20),
                                       denoiser=ToyDenoiser(DenoiserConfig(radius=2)),
-                                      sample=SampleSchedule(2, 1), rng_seed=3,
-                                      count=13, delta=5)
+                                      sample=SampleSchedule(2, 1), rng_seed=3)
         assert len(keys) == 25
         assert max_index_gap(keys) == 20
 
@@ -418,17 +415,22 @@ class TestMultiscale:
         m[:, :, 4:] = 1.0
         with pytest.raises(GcgError, match="within 6 rounds"):
             multiscale_gcg(VideoTensor(video.data * (1 - m)), MaskVideo(m),
-                           select_keyframes(33, 5), tau=4,
+                           GcgParams(keyframes=5, delta=2, tau=4),
                            denoiser=ToyDenoiser(DenoiserConfig(radius=3)),
-                           sample=SampleSchedule(1), rng_seed=5, count=5, delta=2)
+                           sample=SampleSchedule(1, 0), rng_seed=5)
 
 
 class TestAutoDelta:
     def test_static_content_gets_sparse_stride(self):
         video = VideoTensor(np.full((6, 4, 4, 1), 0.2, np.float32))
-        assert auto_delta(video) == 5
+        assert auto_delta(video, 3) == 3
 
     def test_dynamic_content_gets_dense_stride(self):
         g = np.random.default_rng(0)
         video = VideoTensor(g.uniform(-1, 1, (6, 4, 4, 1)).astype(np.float32))
-        assert auto_delta(video) == 1
+        assert auto_delta(video, 3) == 1
+
+    def test_one_frame_has_no_motion(self):
+        g = np.random.default_rng(0)
+        video = VideoTensor(g.uniform(-1, 1, (1, 4, 4, 1)).astype(np.float32))
+        assert auto_delta(video, 3) == 3

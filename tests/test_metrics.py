@@ -118,6 +118,10 @@ class TestSeamEnergy:
         p = plan((4, 16, 16), 4, 8, 8, 0, 2, 2)
         assert seam_energy(v, p) == pytest.approx(0.0, abs=1e-12)
 
+    def test_single_tile_has_no_seam(self):
+        p = plan((2, 8, 8), 2, 8, 8, 0, 0, 0)
+        assert seam_energy(_video((2, 8, 8, 3), seed=1), p) == 0.0
+
     def test_distinct_tile_constants_positive(self):
         p = plan((1, 16, 16), 1, 8, 8, 0, 0, 0)
         data = np.zeros((1, 16, 16, 1), np.float32)

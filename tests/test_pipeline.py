@@ -15,7 +15,7 @@ from outpainter import gcg, pipeline, rng, scene, video
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.gcg import GcgError, insert_guidance
 from outpainter.pipeline import (MODES, CodecParams, GcgParams, PipelineConfig,
-                                 SamplerParams, StageError, TilingParams, WorkingSize,
+                                 StageError, TilingParams, WorkingSize,
                                  codec_decode, codec_encode, codec_encode_mask, run,
                                  spatial_refinement, temporal_completion)
 from outpainter.sampler import SampleSchedule
@@ -28,7 +28,7 @@ def _small_config(mode="full", seed=0, **overrides):
         pad=PadSpec(16, 24, 0, 0),
         mode=mode,
         seed=seed,
-        sampler=SamplerParams(total_steps=3, swap_steps=1),
+        sampler=SampleSchedule(total_steps=3, swap_steps=1),
         gcg=GcgParams(keyframes=3, delta=1, tau=4),
         tiling=TilingParams(tile_t=8, overlap_t=2, tile_y=16, tile_x=24,
                             overlap_y=4, overlap_x=6),
@@ -105,8 +105,8 @@ def _configs(draw):
     return PipelineConfig(
         pad=PadSpec(th, tw, ints(0, 8), ints(0, 8)),
         mode=draw(st.sampled_from(MODES)), seed=ints(0, 2 ** 64 - 1), working=working,
-        sampler=SamplerParams(steps, ints(0, steps),
-                              draw(st.floats(0.0, 1.0, exclude_min=True))),
+        sampler=SampleSchedule(steps, ints(0, steps),
+                               draw(st.floats(0.0, 1.0, exclude_min=True))),
         gcg=GcgParams(ints(1, 20), ints(1, 10), draw(st.booleans()), ints(1, 30)),
         tiling=TilingParams(tiles[0], ints(0, tiles[0] - 1), tiles[1], tiles[2],
                             ints(0, tiles[1] - 1), ints(0, tiles[2] - 1)),
@@ -320,7 +320,7 @@ class TestTemporalCompletion:
         mask = MaskVideo(np.zeros((6, 8, 8, 1), np.float32))
         p = plan((6, 8, 8), 6, 8, 8)
         out = temporal_completion(guided, mask, ToyDenoiser(), p,
-                                  SampleSchedule(4), rng_seed=1)
+                                  SampleSchedule(4, 0), rng_seed=1)
         np.testing.assert_allclose(out.data, guided.data, atol=1e-6)
 
 
@@ -332,7 +332,7 @@ class TestSpatialRefinement:
         p = plan((4, 8, 12), 4, 8, 12)
         out = spatial_refinement(completed, padded, mask,
                                  ToyDenoiser(DenoiserConfig(radius=3)), p,
-                                 SampleSchedule(10), strength=0.01, rng_seed=2)
+                                 SampleSchedule(10, 0), strength=0.01, rng_seed=2)
         # the upsampling stage clamps to the valid data range before compositing
         composite = np.where(mask.data > 0,
                              np.clip(completed.data, -1.0, 1.0), padded.data)
@@ -346,7 +346,7 @@ class TestSpatialRefinement:
         completed = VideoTensor(rng.normals(4, "completed", (4, 8, 12, 3)) * 0.3)
         p = plan((4, 8, 12), 4, 8, 12)
         out = spatial_refinement(completed, padded, mask, ToyDenoiser(), p,
-                                 SampleSchedule(6), strength=1.0, rng_seed=2)
+                                 SampleSchedule(6, 0), strength=1.0, rng_seed=2)
         observed = np.broadcast_to(mask.data == 0, out.shape)
         assert np.abs(out.data - padded.data)[observed].max() <= 1e-2
 
@@ -448,10 +448,10 @@ class TestRun:
         assert np.abs(result.output.data - padded.data)[observed].max() <= 1e-6
         np.testing.assert_array_equal(run(cfg, clip).output.data, result.output.data)
 
-    @pytest.mark.parametrize("motion, stride", [("static", 5), ("dynamic", 1)])
+    @pytest.mark.parametrize("motion, stride", [("static", 3), ("dynamic", 1)])
     def test_delta_auto_sets_the_window_stride(self, monkeypatch, motion, stride):
-        """`gcg.delta_auto: true` builds the windows at `auto_delta`'s stride
-        for the clip, not at the configured `delta`."""
+        """`gcg.delta_auto: true` builds the windows at stride 1 for a dynamic
+        clip and at the configured `delta` for a static one."""
         g = np.random.default_rng(3)
         frames = (np.full((32, 12, 16, 3), 0.2, np.float32) if motion == "static"
                   else g.uniform(-1, 1, (32, 12, 16, 3)).astype(np.float32))
@@ -497,7 +497,7 @@ class TestRun:
         cfg = PipelineConfig(
             pad=case.geometry.placement, mode="full", seed=1,
             working=WorkingSize(16, 24),
-            sampler=SamplerParams(total_steps=2, swap_steps=1),
+            sampler=SampleSchedule(total_steps=2, swap_steps=1),
             gcg=GcgParams(keyframes=3, delta=1, tau=16),
             tiling=TilingParams(tile_t=16, overlap_t=4, tile_y=12, tile_x=12,
                                 overlap_y=4, overlap_x=4),
@@ -582,7 +582,7 @@ class TestStageBoundaryChecks:
         for total in (8, 16):
             checks.clear()
             config = replace(ablation_config(case, mode),
-                             sampler=SamplerParams(total_steps=total, swap_steps=2))
+                             sampler=SampleSchedule(total_steps=total, swap_steps=2))
             run(config, case.input)
             counts.append(len(checks))
         assert counts[0] == counts[1]

@@ -19,7 +19,7 @@ def _pair(seed=0, shape=(2, 4, 4, 3)):
 
 class TestSchedule:
     def test_times_grid(self):
-        sched = SampleSchedule(4)
+        sched = SampleSchedule(4, 0)
         np.testing.assert_allclose(sched.times, [1.0, 0.75, 0.5, 0.25, 0.0])
         assert sched.times[0] == 1.0 and sched.times[-1] == 0.0
 
@@ -28,14 +28,14 @@ class TestSchedule:
         assert (np.diff(sched.times) < 0).all()
 
     def test_equal_schedules_compare_and_hash_equal(self):
-        assert SampleSchedule(2) == SampleSchedule(2)
-        assert hash(SampleSchedule(2)) == hash(SampleSchedule(2))
+        assert SampleSchedule(2, 0) == SampleSchedule(2, 0)
+        assert hash(SampleSchedule(2, 0)) == hash(SampleSchedule(2, 0))
         assert SampleSchedule(4, 1) != SampleSchedule(4, 2)
-        assert len({SampleSchedule(3, 1), SampleSchedule(3, 1), SampleSchedule(3)}) == 2
+        assert len({SampleSchedule(3, 1), SampleSchedule(3, 1), SampleSchedule(3, 0)}) == 2
 
     def test_invalid_params(self):
         with pytest.raises(ScheduleError):
-            SampleSchedule(0)
+            SampleSchedule(0, 0)
         with pytest.raises(ScheduleError):
             SampleSchedule(4, 5)
         with pytest.raises(ScheduleError):
@@ -88,7 +88,7 @@ class TestStep:
     def test_multi_step_descent(self, total):
         x0, eps = _pair(seed=total)
         v = velocity_target(x0, eps)
-        sched = SampleSchedule(total)
+        sched = SampleSchedule(total, 0)
         z = eps.data
         for s in range(total):
             z = step(z, v.data, float(sched.times[s]), float(sched.times[s + 1]))
@@ -108,7 +108,7 @@ class TestStep:
 class TestSdeditStart:
     def test_full_strength_is_pure_noise(self):
         x0, _ = _pair(seed=7)
-        sched = SampleSchedule(8)
+        sched = SampleSchedule(8, 0)
         z, start = sdedit_start(x0.data, 1.0, sched, rng_seed=9, label="probe")
         assert start == 8
         expected = rng.normals(9, "probe", x0.shape)
@@ -116,7 +116,7 @@ class TestSdeditStart:
 
     def test_half_strength_midpoint(self):
         x0, _ = _pair(seed=8)
-        sched = SampleSchedule(40)
+        sched = SampleSchedule(40, 0)
         z, start = sdedit_start(x0.data, 0.5, sched, rng_seed=2, label="probe")
         assert start == 20
         eps = rng.normals(2, "probe", x0.shape)
@@ -126,7 +126,7 @@ class TestSdeditStart:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_add_noise_on_the_same_draw(self, strength, dtype):
         x0 = VideoTensor(_pair(seed=5, shape=(3, 5, 7, 3))[0].data.astype(dtype))
-        sched = SampleSchedule(12)
+        sched = SampleSchedule(12, 0)
         z, start = sdedit_start(x0.data, strength, sched, rng_seed=4, label="probe")
         eps = VideoTensor(rng.normals(4, "probe", x0.shape))
         want = add_noise(x0, eps, float(sched.times[sched.total_steps - start]))
@@ -139,7 +139,7 @@ class TestSdeditStart:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            z, _ = sdedit_start(x0.data, 0.5, SampleSchedule(40), rng_seed=0)
+            z, _ = sdedit_start(x0.data, 0.5, SampleSchedule(40, 0), rng_seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -147,14 +147,14 @@ class TestSdeditStart:
 
     def test_minimum_one_step(self):
         x0, _ = _pair()
-        sched = SampleSchedule(40)
+        sched = SampleSchedule(40, 0)
         _, start = sdedit_start(x0.data, 1e-9, sched, rng_seed=0)
         assert start == 1
 
     def test_zero_strength_rejected(self):
         x0, _ = _pair()
         with pytest.raises(ScheduleError):
-            sdedit_start(x0.data, 0.0, SampleSchedule(4), rng_seed=0)
+            sdedit_start(x0.data, 0.0, SampleSchedule(4, 0), rng_seed=0)
 
 
 class TestRngStreams:

@@ -58,6 +58,16 @@ class TestRender:
         assert not np.array_equal(frames[0], frames[1])
         assert not np.array_equal(frames[1], frames[2])
 
+    @pytest.mark.parametrize("frame", [2, 9])
+    def test_sprite_outside_its_visible_frames_is_not_drawn(self, frame):
+        window = (96.0, 96.0, 64.0, 64.0)
+        sprite = Sprite("disc", 20.0, (1.0, 1.0, 1.0), 128.0, 128.0, 0.0, 0.0,
+                        visible_from=5, visible_until=8)
+        spec = _spec(sprites=(sprite,))
+        background = render(_spec(), frame, window, 64, 64).data
+        np.testing.assert_array_equal(render(spec, frame, window, 64, 64).data, background)
+        assert not np.array_equal(render(spec, 5, window, 64, 64).data, background)
+
     def test_negative_frame_rejected(self):
         with pytest.raises(ValueError):
             render(_spec(), -1, (0.0, 0.0, 8.0, 8.0), 8, 8)

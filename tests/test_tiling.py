@@ -322,7 +322,7 @@ class TestTiledPass:
         cond = VideoTensor(g.uniform(-0.8, 0.8, (6, 12, 12, 3)).astype(np.float32))
         mask = MaskVideo(np.zeros((6, 12, 12, 1), np.float32))
         z = g.standard_normal((6, 12, 12, 3)).astype(np.float32)
-        sched = SampleSchedule(5)
+        sched = SampleSchedule(5, 0)
         p = plan((6, 12, 12), 4, 6, 6, 2, 2, 2)
         prepared = prepare_tiles(den, cond, mask, p)
         for s in range(5):
@@ -334,7 +334,7 @@ class TestTiledPass:
         den = ToyDenoiser(DenoiserConfig(radius=3))
         z0, cond, mask = self._problem(seed=4, shape=(8, 20, 20, 3))
         p = plan((8, 20, 20), 4, 8, 8, 2, 3, 3)
-        sched = SampleSchedule(3)
+        sched = SampleSchedule(3, 0)
         outs = []
         for budget in (tiling.GROUP_VOXELS, 1):
             monkeypatch.setattr(tiling, "GROUP_VOXELS", budget)

@@ -24,6 +24,13 @@ class TestTypes:
         with pytest.raises(ShapeError):
             VideoTensor(bad)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.bool_])
+    def test_non_float_data_becomes_float32(self, dtype):
+        data = np.arange(12).reshape(1, 2, 2, 3).astype(dtype) % 2
+        v = VideoTensor(data)
+        assert v.data.dtype == np.float32
+        np.testing.assert_array_equal(v.data, data.astype(np.float32))
+
     def test_video_rejects_bad_channels(self):
         with pytest.raises(ShapeError):
             VideoTensor(np.zeros((1, 2, 2, 2), np.float32))
@@ -222,3 +229,20 @@ class TestPpm:
         path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
         with pytest.raises(FormatError):
             read_ppm(path)
+
+    @pytest.mark.parametrize("header", [b"P6\n1 x\n255\n", b"P6\n1\n255\n",
+                                        b"P6\n1 1 1\n255\n", b"P6\n1 1\nff\n"])
+    def test_rejects_bad_header(self, tmp_path, header):
+        path = tmp_path / "x.ppm"
+        path.write_bytes(header + bytes(3))
+        with pytest.raises(FormatError, match="bad PPM header"):
+            read_ppm(path)
+
+    def test_one_channel_exports_gray(self, tmp_path):
+        v = _video((1, 4, 5, 1), seed=6, scale=1.0)
+        path = tmp_path / "g.ppm"
+        write_ppm(path, v, 0)
+        back = read_ppm(path).data
+        assert back.shape == (1, 4, 5, 3)
+        assert (back == back[..., :1]).all()
+        assert np.abs(back[..., :1] - v.data).max() <= 1.0 / 127.5
