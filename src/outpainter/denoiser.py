@@ -139,22 +139,31 @@ def _fill_group(condition: np.ndarray, mask: np.ndarray,
     n, f, h, w, c = condition.shape
     obs = (1.0 - mask).astype(np.float64)
     # channels ahead of (F, H, W), so that every transformed line is
-    # contiguous; num, den and val are channel-last views
+    # contiguous; num and den are channel-last views
     both = np.empty((n, c + 1, f, h, w))
-    val = np.moveaxis(both[:, :c], 1, -1)
-    np.multiply(condition, obs, out=val)
+    np.multiply(condition, obs, out=np.moveaxis(both[:, :c], 1, -1))
     both[:, c] = obs[..., 0]
-    axes = (-3, -2, -1)
-    product = np.fft.rfftn(both, s=size, axes=axes)
+    # rfftn and irfftn of `both` zero-padded to `size`, one axis pass at a
+    # time in one zeroed buffer: a line that is all zeros, inside the padding,
+    # is transformed only where a later pass reads it
+    product = np.zeros((n, c + 1, size[0], size[1], size[2] // 2 + 1), dtype=complex)
+    np.fft.rfft(both, size[2], axis=-1, out=product[:, :, :f, :h])
+    del both
+    np.fft.fft(product[:, :, :f], axis=-2, out=product[:, :, :f])
+    np.fft.fft(product, axis=-3, out=product)
     product *= spectrum
-    full = np.moveaxis(np.fft.irfftn(product, s=size, axes=axes)[..., :f, :h, :w], 1, -1)
+    np.fft.ifft(product, axis=-3, out=product)
+    np.fft.ifft(product[:, :, :f], axis=-2, out=product[:, :, :f])
+    inverse = np.fft.irfft(product[:, :, :f, :h], size[2], axis=-1)
+    del product
+    full = np.moveaxis(inverse[..., :w], 1, -1)
     num, den = full[..., :c], full[..., c:]
     # num becomes the fill and then obs*condition + (1-obs)*fill
     covered = den > 0.5 * smallest
     num /= np.where(covered, den, 1.0)
     np.copyto(num, floor, where=~covered)
     num *= 1.0 - obs
-    num += val
+    num += condition * obs
     return num
 
 

@@ -116,6 +116,7 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
     key_tiles, window_tiles = (prepare_tiles(denoiser, condition, mask,
                                              TilePlan(condition.shape[:3], part), "sparse")
                                for part in (tiles[:n], tiles[n:]))
+    del condition, mask  # the prepared fills keep what the steps read
     # the stack groups that keep a slot through the swap; only they step while it runs
     keeping = [(group, prep) for group, prep in key_tiles
                if any(src[i] == i for tile in group for i in range(tile.f0, tile.f1))]

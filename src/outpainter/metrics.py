@@ -35,14 +35,17 @@ def psnr(a: VideoTensor, b: VideoTensor, where: np.ndarray | None = None) -> flo
         va, vb = a.data[where], b.data[where]
         if va.size == 0:
             raise RegionError("the selection holds no voxels")
-    mse = float(np.mean((va.astype(np.float64) - vb.astype(np.float64)) ** 2))
+    # one float64 temporary: the difference of the exact float64 casts, squared in place
+    err = np.subtract(va, vb, dtype=np.float64)
+    err *= err
+    mse = float(np.mean(err))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(DATA_RANGE ** 2 / mse)
 
 
 def _grayscale(video: VideoTensor) -> np.ndarray:
-    return video.data.astype(np.float64).mean(axis=3)
+    return video.data.mean(axis=3, dtype=np.float64)
 
 
 def _window_sums(frame: np.ndarray, n: int) -> np.ndarray:

@@ -231,10 +231,12 @@ def _sample_tiles(condition: VideoTensor, mask: MaskVideo, denoiser, tile_plan: 
     once), then step."""
     prepared = prepare_tiles(denoiser, condition, mask, tile_plan, "dense")
     z, steps = sdedit_start(condition.data, strength, sample, rng_seed, label)
+    # each pass blends into z itself; a float64 condition noises into a
+    # float64 latent, which the first pass's float32 result replaces
     times = sample.times
     for s in range(sample.total_steps - steps, sample.total_steps):
         z = tiled_denoise_pass(z, tile_plan, denoiser, float(times[s]), float(times[s + 1]),
-                               prepared)
+                               prepared, out=z if z.dtype == np.float32 else None)
     return VideoTensor(z)
 
 
@@ -300,6 +302,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
         else:
             wh, ww = padded.height, padded.width
             video_ds, mask_ds = padded, mask
+    del padded, mask  # refinement pads the clip again; no other later stage reads them
 
     keys = None
     guided, guided_mask = video_ds, mask_ds
@@ -329,6 +332,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
 
     with _stage(timings, "refinement"):
         if use_downsample:
+            padded, mask = pad_video(video, config.pad)
             plan_st = plan(padded.shape[:3], til.tile_t, til.tile_y, til.tile_x,
                            til.overlap_t, til.overlap_y, til.overlap_x)
             output = spatial_refinement(completed, padded, mask, denoiser, plan_st,

@@ -174,25 +174,31 @@ def _box(tile: Tile) -> tuple[slice, slice, slice]:
     return slice(tile.f0, tile.f1), slice(tile.y0, tile.y1), slice(tile.x0, tile.x1)
 
 
-def blend(outputs, tile_plan: TilePlan) -> np.ndarray:
+def blend(outputs, tile_plan: TilePlan, out: np.ndarray | None = None) -> np.ndarray:
     """Per-voxel weighted average of one output per plan tile, accumulated in
     double precision with the plan's weights.  `outputs` is an iterable
     of (tile, array) pairs in plan order, consumed one output at a time
-    and never held whole.  The double-precision sums span only the
-    plan's open frames: a frame is divided out into the float32 result as
-    soon as no later tile reaches it."""
+    and never held whole: each is dropped before the next is pulled.  The
+    double-precision sums span only the plan's open frames: a frame is
+    divided out into the float32 result as soon as no later tile reaches
+    it.  The result is `out` if given, which may be the array the outputs
+    are made from, as long as each output is complete when it is yielded."""
     tiles = tile_plan.tiles
     weights, den = tile_plan.weights
-    out = num = None
-    lo = hi = count = 0  # num[i] sums frame lo + i; frames before lo are final
-    for i, (tile, data) in enumerate(outputs):
+    num = None
+    lo = hi = i = 0  # num[j] sums frame lo + j; frames before lo are final
+    for tile, data in outputs:
         if i >= len(tiles) or tile != tiles[i]:
             raise CoverageError(f"output {i} is for tile {tile}, not the plan's tile")
         if data.shape[:3] != tile.shape:
             raise ShapeError(f"output {data.shape} does not match tile {tile}")
         if num is None:
-            out = np.empty(tile_plan.extent + data.shape[3:], dtype=np.float32)
-            num = np.zeros((tile_plan.open_frames,) + out.shape[1:], dtype=np.float64)
+            shape = tile_plan.extent + data.shape[3:]
+            if out is None:
+                out = np.empty(shape, dtype=np.float32)
+            elif out.shape != shape or out.dtype != np.float32:
+                raise ShapeError(f"out {out.shape} {out.dtype} is not float32 {shape}")
+            num = np.zeros((tile_plan.open_frames,) + shape[1:], dtype=np.float64)
         # weight * data is made and added into num a block of frames at a time
         w, box = weights[i], num[tile.f0 - lo:tile.f1 - lo, tile.y0:tile.y1, tile.x0:tile.x1]
         rows = max(1, BLOCK_BYTES // (8 * data[0].size))
@@ -206,9 +212,10 @@ def blend(outputs, tile_plan: TilePlan) -> np.ndarray:
             num[:hi - close] = num[close - lo:hi - lo]
             num[hi - close:hi - lo] = 0.0
             lo = close
-        count = i + 1
-    if count != len(tiles):
-        raise CoverageError(f"{count} outputs for {len(tiles)} plan tiles")
+        i += 1
+        del data  # so that it is freed while the next output is made
+    if i != len(tiles):
+        raise CoverageError(f"{i} outputs for {len(tiles)} plan tiles")
     return out
 
 
@@ -269,18 +276,20 @@ def tile_outputs(prepared, data: np.ndarray, run):
 
 
 def tiled_denoise_pass(z: np.ndarray, tile_plan: TilePlan, denoiser, t_from: float,
-                       t_to: float, prepared: list) -> np.ndarray:
+                       t_to: float, prepared: list, out: np.ndarray | None = None) -> np.ndarray:
     """One diffusion step over a tile plan: denoise and step each group of
     tiles as one array, then blend the stepped tiles into the next global
-    latent.  `prepared` is `prepare_tiles(denoiser, condition, mask,
-    tile_plan, mode)`, made once per stage."""
+    latent, `out` if given (which may be `z` itself: the blend finishes a
+    frame only once no later tile reads it).  `prepared` is
+    `prepare_tiles(denoiser, condition, mask, tile_plan, mode)`, made once
+    per stage."""
     if z.shape[:3] != tile_plan.extent:
         raise ShapeError(f"latent {z.shape} does not match plan extent {tile_plan.extent}")
 
     def stepped(prep, z_group):
         return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
 
-    return blend(tile_outputs(prepared, z, stepped), tile_plan)
+    return blend(tile_outputs(prepared, z, stepped), tile_plan, out)
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,28 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     return mat
 
 
+def _resample(data: np.ndarray, axis: int, n_out: int) -> np.ndarray:
+    """`data` resampled to `n_out` along `axis` by `_resize_matrix`, in
+    float64.  Each output row sums its band of (at most 4) consecutive input
+    rows, which holds every nonzero weight of its matrix row, in ascending
+    order into a zeroed sum.  A skipped weight is 0.0, and adding +-0.0
+    never changes a zero-seeded sum, so this is the dense matrix product
+    summed in order, bit for bit."""
+    n_in = data.shape[axis]
+    mat = _resize_matrix(n_in, n_out)
+    width = min(4, n_in)
+    lo = np.minimum((mat != 0.0).argmax(axis=1), n_in - width)
+    rows = np.arange(n_out)
+    weight_shape = [1] * data.ndim
+    weight_shape[axis] = n_out
+    out = np.zeros(data.shape[:axis] + (n_out,) + data.shape[axis + 1:])
+    for k in range(width):
+        term = np.take(data, lo + k, axis=axis).astype(np.float64, copy=False)
+        term *= mat[rows, lo + k].reshape(weight_shape)
+        out += term
+    return out
+
+
 def resize_bicubic(video: VideoTensor, h: int, w: int) -> VideoTensor:
     """Per-frame Catmull-Rom bicubic resampling, clamped to [-1, 1]."""
     if h < 1 or w < 1:
@@ -170,11 +192,9 @@ def resize_bicubic(video: VideoTensor, h: int, w: int) -> VideoTensor:
         out = np.clip(video.data, -1.0, 1.0).astype(np.float32, copy=False)
         out += 0.0
         return VideoTensor(out)
-    my = _resize_matrix(video.height, h)
-    mx = _resize_matrix(video.width, w)
-    tmp = np.einsum("ih,fhwc->fiwc", my, video.data.astype(np.float64))
-    out = np.einsum("jw,fiwc->fijc", mx, tmp)
-    return VideoTensor(np.clip(out, -1.0, 1.0).astype(np.float32))
+    out = _resample(_resample(video.data, 1, h), 2, w)
+    np.clip(out, -1.0, 1.0, out=out)
+    return VideoTensor(out.astype(np.float32))
 
 
 def downsample_mask(mask: MaskVideo, h: int, w: int) -> MaskVideo:

@@ -1,6 +1,7 @@
 """PSNR/SSIM oracles, seam energy, revisit consistency, report schema."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,25 @@ class TestReport:
         assert rep["psnr"]["outpainted"] == pytest.approx(
             psnr(a, b, m.data > 0.0))
         assert rep["ssim"] == pytest.approx(ssim(a, b))
+
+
+    def test_traced_peak_is_one_float64_copy_of_the_clip(self):
+        """Scoring a 48-frame 32x48 clip (0.84 MiB of float32) holds one
+        float64 copy of it and its selections at once: 2.00 MiB measured,
+        pinned here plus 10%.  It read 3.56 MiB while PSNR cast both clips
+        to float64 before it subtracted them."""
+        g = np.random.default_rng(0)
+        shape = (48, 32, 48, 3)
+        a, b = (VideoTensor(g.uniform(-1, 1, shape).astype(np.float32)) for _ in range(2))
+        m = MaskVideo((g.random(shape[:3] + (1,)) < 0.5).astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report(a, b, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / 2 ** 20 <= 2.2
 
 
 def _report_psnr_oracle(out, ref, mask):

@@ -1,5 +1,7 @@
 """End-to-end orchestration: config, stages, codec, ablation modes."""
+import contextlib
 import copy
+import functools
 import json
 import re
 import tracemalloc
@@ -588,38 +590,63 @@ class TestStageBoundaryChecks:
         assert counts[0] == counts[1]
 
 
-def _traced_peak_mib(frames: int) -> float:
-    """Traced peak of a default-config `run` on the `revisit` scene retimed
-    to `frames` frames, in MiB above the memory traced before it."""
+@functools.cache
+def _traced_peaks_mib(frames: int) -> dict[str, float]:
+    """Traced peaks of a default-config `run` on the `revisit` scene retimed
+    to `frames` frames, in MiB above the memory traced before it: each
+    stage's under its name, and the whole run's under "run"."""
     spec, preset_frames, geometry = scene.PRESETS["revisit"](0)
     camera = tuple(replace(k, frame=k.frame * (frames - 1) // (preset_frames - 1))
                    for k in spec.camera)
     case = scene.make_case(replace(spec, camera=camera), frames, geometry)
+    real_stage, peaks = pipeline._stage, {"run": 0}
+
+    @contextlib.contextmanager
+    def stage(timings, name):
+        peaks["run"] = max(peaks["run"], tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        with real_stage(timings, name):
+            yield
+        peaks[name] = tracemalloc.get_traced_memory()[1]
+
+    pipeline._stage = stage
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         run(PipelineConfig(pad=case.geometry.placement), case.input)
-        peak = tracemalloc.get_traced_memory()[1]
+        peaks["run"] = max(peaks["run"], tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    return (peak - base) / 2 ** 20
+        pipeline._stage = real_stage
+    return {name: (peak - base) / 2 ** 20 for name, peak in peaks.items()}
 
 
-# The traced peak of `run` below, in MiB, as measured when the stages began
-# to drop the working-resolution arrays (26.95), plus 10%; it read 30.84
-# while they were kept to the end of the run.
-PEAK_MIB = 29.6
+# The traced peak of `run` below, in MiB, as measured when each stage began
+# to drop what it no longer reads (18.35), plus 10%; it read 25.17 while the
+# padded clip, the gathered GCG conditions, the fill's per-axis transforms
+# and the last step output of each pass outlived their readers.
+PEAK_MIB = 20.2
 
 
 def test_run_traced_peak_is_pinned():
-    assert _traced_peak_mib(96) <= PEAK_MIB
+    assert _traced_peaks_mib(96)["run"] <= PEAK_MIB
 
 
-# The traced peak at 192 frames, in MiB, as measured when the noise was
-# drawn in blocks and the blend held only its open frames (33.30), plus 10%;
-# it read 48.31 while both spanned the whole clip in float64.
-PEAK_MIB_192 = 36.6
+# The traced peak at 192 frames, in MiB, as measured when each stage began to
+# drop what it no longer reads (20.37, 6.0x the 3.38 MiB output), plus 10%;
+# it read 30.66 before.
+PEAK_MIB_192 = 22.4
+
+# Each stage's traced peak at 192 frames, measured with PEAK_MIB_192, plus
+# 10%, so that no stage grows into the run's peak unseen.
+STAGE_PEAK_MIB_192 = {"pad": 5.9, "downsample": 13.3, "guidance": 22.2,
+                      "completion": 21.0, "refinement": 22.4}
 
 
 def test_run_traced_peak_at_192_frames_is_pinned():
-    assert _traced_peak_mib(192) <= PEAK_MIB_192
+    assert _traced_peaks_mib(192)["run"] <= PEAK_MIB_192
+
+
+@pytest.mark.parametrize("stage", list(STAGE_PEAK_MIB_192))
+def test_stage_traced_peak_at_192_frames_is_pinned(stage):
+    assert _traced_peaks_mib(192)[stage] <= STAGE_PEAK_MIB_192[stage]

@@ -1,5 +1,6 @@
 """Tile planning, blend weights, per-step blended denoising."""
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,24 @@ class TestStreamingBlend:
             got = blend(zip(p.tiles, outputs), p)
         assert got.tobytes() == _whole_clip_blend(outputs, p).tobytes()
 
+    def test_each_output_is_dropped_before_the_next_is_pulled(self):
+        """Once the blend pulls output i+1 it holds no reference to output
+        i, so a pass frees each group's step output before the next group
+        runs."""
+        p = plan((12, 4, 4), 4, 4, 4, 1)
+        refs, held = [], []
+
+        def outputs():
+            for tile in p.tiles:
+                held.append(sum(ref() is not None for ref in refs))
+                data = np.ones(tile.shape + (1,), np.float32)
+                refs.append(weakref.ref(data))
+                yield tile, data
+                del data
+
+        blend(outputs(), p)
+        assert held == [0] * len(p.tiles)
+
     def test_spanned_axes_are_stored_at_length_one(self):
         # the default config's completion plan: tiles span each frame whole
         weights, den = plan((192, 32, 48), 49, 32, 48, 12).weights
@@ -346,6 +365,37 @@ class TestTiledPass:
                                        float(sched.times[s + 1]), prepared)
             outs.append(z.tobytes())
         assert outs[0] == outs[1]
+
+    @given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from(["plan", "reversed", "shuffled"]),
+           one_tile_groups=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_pass_into_its_own_latent_equals_a_new_latent(self, seed, order, one_tile_groups):
+        """`out=z` writes each step into the latent it reads, and gives the
+        bytes of a pass into a new array, on plans whose tiles are out of
+        frame order too: a frame is written only once no later tile reads
+        it."""
+        g = np.random.default_rng(seed)
+        extent = tuple(int(g.integers(1, n)) for n in (14, 9, 9))
+        sizes = [int(g.integers(1, e + 3)) for e in extent]
+        tiles = plan(extent, *sizes, *(int(g.integers(0, s)) for s in sizes)).tiles
+        if order == "reversed":
+            tiles = tiles[::-1]
+        elif order == "shuffled":
+            tiles = tuple(tiles[i] for i in g.permutation(len(tiles)))
+        p = TilePlan(extent, tiles)
+        z, cond, mask = self._problem(seed, extent + (3,))
+        den = ToyDenoiser(DenoiserConfig(radius=2))
+        sched = SampleSchedule(3, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            if one_tile_groups:
+                mp.setattr(tiling, "GROUP_VOXELS", 1)
+            prepared = prepare_tiles(den, cond, mask, p)
+            z, latent = z.data, z.data.copy()
+            for s in range(3):
+                t_from, t_to = float(sched.times[s]), float(sched.times[s + 1])
+                z = tiled_denoise_pass(z, p, den, t_from, t_to, prepared)
+                out = tiled_denoise_pass(latent, p, den, t_from, t_to, prepared, out=latent)
+                assert out is latent and latent.tobytes() == z.tobytes()
 
     def test_extent_mismatch_rejected(self):
         den = ToyDenoiser()

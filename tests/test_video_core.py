@@ -1,6 +1,7 @@
 """Tensor types, padding, resampling, mask reduction, and file formats."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from outpainter.video import (FormatError, MaskVideo, PadSpec, ShapeError,
                               VideoTensor, _resize_matrix, downsample_mask, pad_video,
@@ -126,6 +127,23 @@ class TestResize:
         want = np.einsum("jw,fiwc->fijc", _resize_matrix(7, 7), tmp)
         want = np.clip(want, -1.0, 1.0).astype(np.float32)
         assert resize_bicubic(VideoTensor(data.copy()), 5, 7).data.tobytes() == want.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]),
+           sizes=st.tuples(*[st.integers(1, 12)] * 4).filter(lambda s: s[:2] != s[2:]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_dense_matrix_products(self, seed, dtype, sizes):
+        """Each output row sums only its band of input rows, yet the bytes
+        are those of the two `_resize_matrix` products that `einsum` sums
+        over every input row, +-0.0 inputs and 1-pixel sides included."""
+        h_in, w_in, h, w = sizes
+        g = np.random.default_rng(seed)
+        data = g.uniform(-1.5, 1.5, (2, h_in, w_in, 3)).astype(dtype)
+        data[g.random(data.shape) < 0.2] = -0.0
+        data[g.random(data.shape) < 0.1] = 0.0
+        tmp = np.einsum("ih,fhwc->fiwc", _resize_matrix(h_in, h), data.astype(np.float64))
+        want = np.einsum("jw,fiwc->fijc", _resize_matrix(w_in, w), tmp)
+        want = np.clip(want, -1.0, 1.0).astype(np.float32)
+        assert resize_bicubic(VideoTensor(data), h, w).data.tobytes() == want.tobytes()
 
     def test_ramp_upscale_matches_oracle(self):
         ramp = np.linspace(-0.9, 0.9, 16).reshape(4, 4)
