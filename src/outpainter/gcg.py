@@ -1,26 +1,29 @@
 """Global coarse guidance: keyframe selection, local temporal windows,
 global-local frame swapping during sampling, and multi-scale densification.
 
-Stage 1 denoises a sparse keyframe stack together with one short-stride local
-window per keyframe; during the first ``swap_steps`` denoising steps the
-keyframe stack's latent for frame k_i is overwritten by the latent of the same
-frame inside its local window, injecting short-range temporal cues into the
-global trajectory.  Midpoint keyframes are then inserted until the largest
+Stage 1 denoises a sparse keyframe stack with one short-stride local window
+per keyframe; during the first ``swap_steps`` denoising steps the keyframe
+stack's latent for frame k_i is overwritten by the latent of the same frame
+inside its local window, injecting short-range temporal cues into the global
+trajectory.  Midpoint keyframes are then inserted until the largest
 inter-keyframe gap falls below tau, with previously generated keyframes kept
-bit-identical as trusted anchors that only condition later rounds.  A round's
-overlapping keyframe segments are constructed together, in one latent.
+bit-identical as trusted anchors that only condition later rounds.  The
+exchange is one-way, from window to stack, so a round's windows run first,
+one group at a time, keeping only the latents the swap reads; the round's
+overlapping keyframe segments are then constructed together, in one latent.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .sampler import SampleSchedule, step
-from .tiling import ConfigError, Tile, TilePlan, blend, plan, prepare_tiles, tile_outputs
+from .tiling import (ConfigError, Tile, TilePlan, blend, group_items, plan, prepare_tiles,
+                     tile_outputs)
 from .video import MaskVideo, VideoTensor
 
 
@@ -75,67 +78,119 @@ def build_window(k: int, count: int, delta: int, total_frames: int) -> tuple[int
     raise ConfigError(f"no feasible window for k={k}, K={count}, F={total_frames}")
 
 
-def _init_noise(rng_seed: int, tag: str, idx: Sequence[int],
-                frame_shape: tuple[int, ...]) -> np.ndarray:
-    # Per-frame noise keyed by the original frame index so every keyframe
-    # stack and every window slot referring to the same frame start from
-    # identical latents; this makes the swap ablation a controlled comparison.
-    # Each distinct frame's noise is drawn once.
-    noise = {f: rng.normals(rng_seed, f"{tag}:init:{f}", (1,) + frame_shape)
-             for f in dict.fromkeys(idx)}
-    return np.concatenate([noise[f] for f in idx], axis=0)
+def _init_noise(rng_seed: int, tag: str, draws: Sequence[Sequence[int]],
+                frame_shape: tuple[int, ...]) -> Callable[[], np.ndarray]:
+    """A function that returns the initial latent of the next frame list of
+    `draws` at each call.  Noise is keyed by the original frame index, so
+    every keyframe stack and every window slot that names a frame starts from
+    the same latent; this makes the swap ablation a controlled comparison.
+    Each frame's noise is drawn once and held until the last list naming it
+    is taken."""
+    last = {f: i for i, idx in enumerate(draws) for f in idx}
+    held: dict[int, np.ndarray] = {}
+    lists = iter(enumerate(draws))
+
+    def take() -> np.ndarray:
+        i, idx = next(lists)
+        for f in idx:
+            if f not in held:
+                held[f] = rng.normals(rng_seed, f"{tag}:init:{f}", (1,) + frame_shape)
+        z = np.concatenate([held[f] for f in idx], axis=0)
+        for f in set(idx):
+            if last[f] == i:
+                del held[f]
+        return z
+
+    return take
+
+
+def _prepare_stacks(video_ds: VideoTensor, mask_ds: MaskVideo,
+                    stacks: Sequence[tuple[int, ...]],
+                    denoiser) -> tuple[tuple[Tile, ...], list]:
+    """Whole-frame tiles, one per stack, over the frame concatenation of
+    `stacks`, and their groups prepared "sparse" by `prepare_tiles`; the
+    gathered condition is dropped once they are."""
+    frames = list(sum(stacks, ()))
+    bounds = np.cumsum([0] + [len(idx) for idx in stacks]).tolist()
+    extent = (len(frames), video_ds.height, video_ds.width)
+    tiles = tuple(Tile(a, b, 0, extent[1], 0, extent[2]) for a, b in zip(bounds, bounds[1:]))
+    prepared = prepare_tiles(denoiser, VideoTensor(video_ds.data[frames]),
+                             MaskVideo(mask_ds.data[frames]), TilePlan(extent, tiles), "sparse")
+    return tiles, prepared
 
 
 def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
                   segments: Sequence[tuple[int, ...]], windows: dict[int, tuple[int, ...]],
                   denoiser, sample: SampleSchedule, rng_seed: int,
                   noise_tag: str = "gcg") -> list[np.ndarray]:
-    """Denoise one keyframe stack per segment and each distinct window of
-    `windows` in lockstep as one latent, [stack 1; ...; stack n; window 1;
-    ...]; for the first swap_steps steps each keyframe's latent is copied
-    from its slot in its window into the stacks.  Returns each segment's
-    stack.  `windows` maps a keyframe to its local window; a keyframe with
-    no window keeps its own latent.  A window evolves the same way for every
-    keyframe that names it and the swap never writes it, so one slot serves
-    them all.  Each stack is a whole-frame tile of the latent; the stacks and
-    the windows are prepared as two tile lists, so after the swap budget,
-    when nothing reads the windows, only the stacks step.  Within it, a group
-    of stacks whose every slot the swap overwrites does not step."""
+    """Denoise one keyframe stack per segment and return each.  `windows`
+    maps a keyframe to its local window; for the first swap_steps steps
+    each keyframe's latent in the stacks is overwritten by its latent in its
+    window, and a keyframe with no window keeps its own.
+
+    The exchange is one-way, from window to stack: no window reads a stack,
+    and a window evolves the same way for every keyframe that names it, so
+    each distinct window runs once, and the windows run first.  They run one
+    group of `group_items` at a time: a group is prepared, stepped for the
+    swap budget and dropped, and after each step only the latents that the
+    swap reads are kept.  Then the stacks are prepared and step at every
+    step, whole-frame tiles of one latent; at a swap step the kept latents
+    are written into their slots, and a group of stacks whose every slot
+    they overwrite does not step."""
+    swap = sample.swap_steps
+    windows = windows if swap else {}  # with no swap, nothing reads a window
+    keys = list(sum(segments, ()))
+    # the stack slots the swap writes, the keyframes they read (a keyframe
+    # that segments share is read once), and which one each slot reads
+    swapped = [i for i, k in enumerate(keys) if k in windows]
+    read = list(dict.fromkeys(keys[i] for i in swapped))
+    which = [read.index(keys[i]) for i in swapped]
+    own = sorted(set(range(len(keys))) - set(swapped))
     distinct = list(dict.fromkeys(windows.values()))
-    stacks = list(segments) + distinct
-    n = len(segments)
-    bounds = np.cumsum([0] + [len(idx) for idx in stacks]).tolist()
-    tiles = tuple(Tile(a, b, 0, video_ds.height, 0, video_ds.width)
-                  for a, b in zip(bounds, bounds[1:]))
-    # the swap's source slot for each keyframe slot of the stacks
-    slot = dict(zip(distinct, bounds[n:]))
-    src = [slot[windows[k]] + windows[k].index(k) if k in windows else i
-           for i, k in enumerate(sum(segments, ()))]
-    frames = list(sum(stacks, ()))
-    condition, mask = VideoTensor(video_ds.data[frames]), MaskVideo(mask_ds.data[frames])
-    key_tiles, window_tiles = (prepare_tiles(denoiser, condition, mask,
-                                             TilePlan(condition.shape[:3], part), "sparse")
-                               for part in (tiles[:n], tiles[n:]))
-    del condition, mask  # the prepared fills keep what the steps read
-    # the stack groups that keep a slot through the swap; only they step while it runs
-    keeping = [(group, prep) for group, prep in key_tiles
-               if any(src[i] == i for tile in group for i in range(tile.f0, tile.f1))]
-    z = _init_noise(rng_seed, noise_tag, frames, video_ds.shape[1:])
-    stepped = np.empty(z.shape, dtype=np.float64)  # Euler steps are float64
+    groups = group_items([(len(idx), video_ds.height, video_ds.width) for idx in distinct])
+    noise = _init_noise(rng_seed, noise_tag,
+                        [sum(distinct[g], ()) for g in groups] + [[keys[i] for i in own]],
+                        video_ds.shape[1:])
+    kept = np.empty((swap, len(read)) + video_ds.shape[1:])  # Euler steps are float64
 
     def step_group(prep, z_group):  # reads the current step's t_from and t_to
         return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
 
+    for g in groups:
+        tiles, [(_, prep)] = _prepare_stacks(video_ds, mask_ds, distinct[g], denoiser)
+        origin = {idx: tile.f0 for idx, tile in zip(distinct[g], tiles)}
+        reads = [(j, origin[windows[k]] + windows[k].index(k))
+                 for j, k in enumerate(read) if windows[k] in origin]
+        dest, src = [j for j, _ in reads], [p for _, p in reads]
+        z = noise()
+        for s in range(swap):
+            t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
+            z.flags.writeable = False  # as a gathered group is
+            z = step_group(prep, z)
+            kept[s, dest] = z[src]
+        del prep, z  # the next group is prepared without this one
+
+    tiles, key_tiles = _prepare_stacks(video_ds, mask_ds, segments, denoiser)
+    # the stack groups that keep a slot through the swap; only they step while it runs
+    keeping = [(group, prep) for group, prep in key_tiles
+               if any(group[0].f0 <= i < group[-1].f1 for i in own)]
+    # a slot the swap writes starts at 0, not from noise: its group does not
+    # step before the swap overwrites it, or steps it alone, since every
+    # denoise operation is per frame
+    z = np.zeros((len(keys),) + video_ds.shape[1:], dtype=np.float32)
+    if own:
+        z[own] = noise()
+    stepped = np.empty(z.shape, dtype=np.float64)
     for s in range(sample.total_steps):
         t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
-        live = keeping + window_tiles if s < sample.swap_steps else key_tiles
+        live = keeping if s < swap else key_tiles
         for tile, out in tile_outputs(live, z, step_group):  # a group is read, then overwritten
             stepped[tile.f0:tile.f1] = out
             del out  # the next group is stepped without this one's output
         z = stepped
-        if s < sample.swap_steps:
-            z[:len(src)] = z[src]
-    return [z[tile.f0:tile.f1] for tile in tiles[:n]]
+        if s < swap:
+            z[swapped] = kept[s, which]
+    return [z[tile.f0:tile.f1] for tile in tiles]
 
 
 def max_index_gap(indices) -> int:

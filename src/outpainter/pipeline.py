@@ -9,6 +9,7 @@ Ablation modes selectively disable the guidance and refinement stages.
 from __future__ import annotations
 
 import contextlib
+import functools
 import sys
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -78,6 +79,13 @@ def _typed(name: str, value, hint):
     raise ConfigError(f"config field {name} must be {_TYPE_NAMES[hint]}, got {value!r}")
 
 
+@functools.cache
+def _field_hints(cls) -> dict:
+    """A dataclass's field types, its string annotations evaluated once:
+    `typing.get_type_hints` evaluates them anew on every call.  Read only."""
+    return get_type_hints(cls)
+
+
 def _load(hint, value, name: str):
     """The JSON value `value` of config field `name` as type `hint`: a
     dataclass from an object of its fields, a tuple from a list whose items
@@ -96,7 +104,7 @@ def _load(hint, value, name: str):
     prefix = f"{name}." if name else ""
     if not isinstance(value, dict):
         raise ConfigError(f"config field {name} must be an object, got {type(value).__name__}")
-    hints = get_type_hints(hint)
+    hints = _field_hints(hint)
     unknown = [prefix + k for k in value if k not in hints]
     if unknown:
         raise ConfigError(f"unknown config field {', '.join(unknown)}")
@@ -249,16 +257,26 @@ def temporal_completion(guided: VideoTensor, guided_mask: MaskVideo, denoiser,
                          "completion:init")
 
 
-def spatial_refinement(completed_ds: VideoTensor, padded: VideoTensor,
-                       mask: MaskVideo, denoiser, plan_st: TilePlan,
+def refinement_composite(completed: VideoTensor, video: VideoTensor,
+                         pad: PadSpec) -> VideoTensor:
+    """The completed video upsampled to the target canvas, with the input
+    clip pasted at the pad offsets.  On observed voxels the padded clip is
+    the input, so this equals `np.where(mask > 0, upsampled, padded)` of
+    `pad_video(video, pad)` byte for byte, without the padded clip or its
+    mask."""
+    pad.validate(video.height, video.width)
+    data = resize_bicubic(completed, pad.target_height, pad.target_width).data
+    data.flags.writeable = True  # the resize's own new array, which nothing else holds
+    ys, xs = pad.offset_y, pad.offset_x
+    data[:, ys:ys + video.height, xs:xs + video.width] = video.data
+    return VideoTensor(data)
+
+
+def spatial_refinement(composite: VideoTensor, denoiser, plan_st: TilePlan,
                        sample: SampleSchedule, strength: float, rng_seed: int) -> VideoTensor:
-    """Upsample the completed working-resolution video to target resolution,
-    composite observed pixels back in, inject moderate noise, and re-denoise
-    over spatio-temporal tiles anchored on the composite."""
-    target = resize_bicubic(completed_ds, padded.height, padded.width)
-    composite = VideoTensor(np.where(mask.data > 0.0, target.data, padded.data))
-    del target
-    zero_mask = MaskVideo(np.zeros(mask.data.shape, dtype=np.float32))
+    """Inject moderate noise into the target-resolution composite and
+    re-denoise it over spatio-temporal tiles anchored on it."""
+    zero_mask = MaskVideo(np.zeros(composite.shape[:3] + (1,), dtype=np.float32))
     return _sample_tiles(composite, zero_mask, denoiser, plan_st, sample, strength, rng_seed,
                          "refine")
 
@@ -302,7 +320,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
         else:
             wh, ww = padded.height, padded.width
             video_ds, mask_ds = padded, mask
-    del padded, mask  # refinement pads the clip again; no other later stage reads them
+    del padded, mask  # refinement pastes the clip again; no other later stage reads them
 
     keys = None
     guided, guided_mask = video_ds, mask_ds
@@ -315,6 +333,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
                 stage1 = SpatiallyTiledDenoiser(denoiser, spatial)
             guidance, keys = gcg_mod.multiscale_gcg(video_ds, mask_ds, config.gcg, stage1,
                                                     config.sampler, config.seed)
+            del stage1  # an adapter holds its frame plans' blend sums
             guided, guided_mask = gcg_mod.insert_guidance(video_ds, mask_ds, guidance, keys)
     del video_ds, mask_ds  # completion reads only the guided copies
 
@@ -332,12 +351,12 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
 
     with _stage(timings, "refinement"):
         if use_downsample:
-            padded, mask = pad_video(video, config.pad)
-            plan_st = plan(padded.shape[:3], til.tile_t, til.tile_y, til.tile_x,
+            composite = refinement_composite(completed, video, config.pad)
+            del completed  # refinement samples from the composite alone
+            plan_st = plan(composite.shape[:3], til.tile_t, til.tile_y, til.tile_x,
                            til.overlap_t, til.overlap_y, til.overlap_x)
-            output = spatial_refinement(completed, padded, mask, denoiser, plan_st,
-                                        config.sampler, config.sampler.refine_strength,
-                                        config.seed)
+            output = spatial_refinement(composite, denoiser, plan_st, config.sampler,
+                                        config.sampler.refine_strength, config.seed)
         else:
             output = completed
     return RunResult(output, config.mode, config.seed, timings, keys)

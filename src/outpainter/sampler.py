@@ -80,11 +80,13 @@ def sdedit_start(x_init: np.ndarray, strength: float, schedule: SampleSchedule,
         raise ScheduleError(f"strength={strength} outside (0, 1]")
     start_step = max(1, int(round(strength * schedule.total_steps)))
     t = float(schedule.times[schedule.total_steps - start_step])
-    # add_noise's (1-t)*x + t*eps, mixed into the draw itself so that only
-    # the draw and one clip-size temporary are held at once; a float64 x_init
-    # widens the sum as it does there
+    # add_noise's (1-t)*x + t*eps, mixed into the draw itself one frame at a
+    # time, so that only the draw and one frame's temporary are held at
+    # once; a float64 x_init widens the sum as it does there
     z = rng.normals(rng_seed, label, x_init.shape)
     z *= t
-    z = np.add(z, (1.0 - t) * x_init, out=z if x_init.dtype == z.dtype else None)
+    if x_init.dtype != z.dtype:
+        z = z.astype(x_init.dtype)
+    for f in range(len(z)):
+        z[f] += (1.0 - t) * x_init[f]
     return z, start_step
-

@@ -88,6 +88,14 @@ class TilePlan:
         return tuple(weights), den
 
     @cached_property
+    def sums(self) -> dict:
+        """`blend`'s zeroed float64 sums of the plan's open frames, by
+        trailing shape: a blend takes one out and returns it zeroed, so
+        every pass of a stage sums into one array instead of mapping a
+        new one."""
+        return {}
+
+    @cached_property
     def closes(self) -> tuple[int, ...]:
         """For each tile, the first frame a later tile reaches (the extent's
         frame count after the last tile): once a blend has added the tile,
@@ -198,7 +206,10 @@ def blend(outputs, tile_plan: TilePlan, out: np.ndarray | None = None) -> np.nda
                 out = np.empty(shape, dtype=np.float32)
             elif out.shape != shape or out.dtype != np.float32:
                 raise ShapeError(f"out {out.shape} {out.dtype} is not float32 {shape}")
-            num = np.zeros((tile_plan.open_frames,) + shape[1:], dtype=np.float64)
+            # taken, not shared, so that a blend that fails leaves it out
+            num = tile_plan.sums.pop(shape[1:], None)
+            if num is None:
+                num = np.zeros((tile_plan.open_frames,) + shape[1:], dtype=np.float64)
         # weight * data is made and added into num a block of frames at a time
         w, box = weights[i], num[tile.f0 - lo:tile.f1 - lo, tile.y0:tile.y1, tile.x0:tile.x1]
         rows = max(1, BLOCK_BYTES // (8 * data[0].size))
@@ -216,6 +227,7 @@ def blend(outputs, tile_plan: TilePlan, out: np.ndarray | None = None) -> np.nda
         del data  # so that it is freed while the next output is made
     if i != len(tiles):
         raise CoverageError(f"{i} outputs for {len(tiles)} plan tiles")
+    tile_plan.sums[shape[1:]] = num  # the last close divided out and zeroed every frame
     return out
 
 
@@ -310,6 +322,9 @@ class SpatiallyTiledDenoiser:
     def __init__(self, inner, spatial_plan: TilePlan):
         self.inner = inner
         self.plan = spatial_plan
+        # the frame plan of each stack length, so that conditions of one
+        # length share its weights and blend sums
+        self.frame_plans: dict[int, TilePlan] = {}
 
     def prepare(self, condition: VideoTensor, mask: MaskVideo, mode: str = "dense",
                 items: int = 1) -> PreparedTiles:
@@ -320,9 +335,12 @@ class SpatiallyTiledDenoiser:
         if self.plan.extent[1:] != condition.shape[1:3]:
             raise ShapeError(
                 f"plan extent {self.plan.extent} does not match request {condition.shape}")
-        tiles = tuple(Tile(0, condition.frames, t.y0, t.y1, t.x0, t.x1)
-                      for t in self.plan.tiles)
-        frame_plan = TilePlan(condition.shape[:3], tiles)
+        frames = condition.frames
+        if frames not in self.frame_plans:
+            self.frame_plans[frames] = TilePlan(
+                condition.shape[:3],
+                tuple(Tile(0, frames, t.y0, t.y1, t.x0, t.x1) for t in self.plan.tiles))
+        frame_plan = self.frame_plans[frames]
         parts = prepare_tiles(self.inner, condition, mask, frame_plan, mode, stacks=items)
         return PreparedTiles(frame_plan, tuple(parts))
 

@@ -1,13 +1,17 @@
 """Keyframe selection, local windows, swapping, and multi-scale densification."""
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from outpainter import gcg, rng, tiling
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.gcg import (GcgError, GcgParams, build_window, construct_gcg, auto_delta,
                             max_index_gap, midpoints, multiscale_gcg, select_keyframes)
 from outpainter.sampler import SampleSchedule, step
-from outpainter.tiling import ConfigError
+from outpainter.tiling import ConfigError, Tile, TilePlan
 from outpainter.video import MaskVideo, VideoTensor
 
 
@@ -94,17 +98,25 @@ SEGMENT = select_keyframes(24, 5)
 def _swap_trace(monkeypatch, windows, swap_steps, steps=6):
     """Per step of a one-segment construction: the keyframe stack as the
     Euler step left it (None if it did not step), as the next step (or the
-    output) reads it, and the stepped windows (None if they did not step)."""
-    read, stepped, window_out = [], [], []
+    output) reads it, and the stepped windows (None if they did not step).
+    The windows run first, each group for the whole swap budget; every step
+    taken before the stacks' first one steps a window group."""
+    read, stepped, window_steps = [], [], []
+    real_step = gcg.step
+
+    def spy_step(z, v, t_from, t_to):
+        out = real_step(z, v, t_from, t_to)
+        if not read:
+            window_steps.append(out.copy())
+        return out
 
     def spy(live, z, run):
         read.append(z[:len(SEGMENT)].copy())
         outs = [(tile, out.copy()) for tile, out in tiling.tile_outputs(live, z, run)]
         stepped.append(next((out for tile, out in outs if tile.f0 == 0), None))
-        windows_out = [out for tile, out in outs if tile.f0 > 0]
-        window_out.append(np.concatenate(windows_out) if windows_out else None)
         return outs
 
+    monkeypatch.setattr(gcg, "step", spy_step)
     monkeypatch.setattr(gcg, "tile_outputs", spy)
     cond, mask = _masked_case(24)
     # radius > lambda, so a frame's stack neighbours reach its fill and a
@@ -113,6 +125,10 @@ def _swap_trace(monkeypatch, windows, swap_steps, steps=6):
     [out] = construct_gcg(cond, mask, [SEGMENT], windows, den, SampleSchedule(steps, swap_steps),
                           3)
     assert len(read) == steps
+    # group g's step s is call g * swap_steps + s; the groups concatenate in window order
+    groups = len(window_steps) // swap_steps if swap_steps else 0
+    window_out = [np.concatenate(window_steps[s::swap_steps]) if s < swap_steps and groups
+                  else None for s in range(steps)]
     return stepped, read[1:] + [out], window_out
 
 
@@ -286,6 +302,116 @@ class TestRound:
             for pos, k in enumerate(seg):
                 if k not in anchored:
                     assert a[pos].tobytes() == b[pos].tobytes()
+
+
+def _lockstep_construct_gcg(video_ds, mask_ds, segments, windows, denoiser, sample, rng_seed,
+                            noise_tag="gcg"):
+    """`construct_gcg` as it ran before the windows ran first, kept as its
+    oracle: the stacks and each distinct window are one latent, [stack 1;
+    ...; stack n; window 1; ...], stepped in lockstep, and the swap copies
+    slots within it.  Every window is prepared and held for the whole
+    round."""
+    distinct = list(dict.fromkeys(windows.values()))
+    stacks = list(segments) + distinct
+    n = len(segments)
+    bounds = np.cumsum([0] + [len(idx) for idx in stacks]).tolist()
+    tiles = tuple(Tile(a, b, 0, video_ds.height, 0, video_ds.width)
+                  for a, b in zip(bounds, bounds[1:]))
+    slot = dict(zip(distinct, bounds[n:]))
+    src = [slot[windows[k]] + windows[k].index(k) if k in windows else i
+           for i, k in enumerate(sum(segments, ()))]
+    frames = list(sum(stacks, ()))
+    condition, mask = VideoTensor(video_ds.data[frames]), MaskVideo(mask_ds.data[frames])
+    key_tiles, window_tiles = (tiling.prepare_tiles(denoiser, condition, mask,
+                                                    TilePlan(condition.shape[:3], part), "sparse")
+                               for part in (tiles[:n], tiles[n:]))
+    keeping = [(group, prep) for group, prep in key_tiles
+               if any(src[i] == i for tile in group for i in range(tile.f0, tile.f1))]
+    z = np.concatenate([rng.normals(rng_seed, f"{noise_tag}:init:{f}", (1,) + video_ds.shape[1:])
+                        for f in frames])
+    stepped = np.empty(z.shape, dtype=np.float64)
+    for s in range(sample.total_steps):
+        t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
+
+        def step_group(prep, z_group):
+            return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
+
+        live = keeping + window_tiles if s < sample.swap_steps else key_tiles
+        for tile, out in tiling.tile_outputs(live, z, step_group):
+            stepped[tile.f0:tile.f1] = out
+        z = stepped
+        if s < sample.swap_steps:
+            z[:len(src)] = z[src]
+    return [z[tile.f0:tile.f1] for tile in tiles[:n]]
+
+
+@contextlib.contextmanager
+def _group_budget(voxels):
+    saved, tiling.GROUP_VOXELS = tiling.GROUP_VOXELS, voxels
+    try:
+        yield
+    finally:
+        tiling.GROUP_VOXELS = saved
+
+
+@st.composite
+def _constructions(draw):
+    """A round's segments and windows as `_run_segments` lays them out, some
+    keyframes taken as anchors (no window), a schedule, a seed, and whether
+    the denoiser runs through the spatial adapter."""
+    frames = draw(st.integers(1, 24))
+    keys = sorted(draw(st.sets(st.integers(0, frames - 1), min_size=1, max_size=9)))
+    count = draw(st.integers(1, min(5, len(keys))))
+    segments, windows = _round(frames, tuple(keys), count, draw(st.integers(1, 3)))
+    anchors = draw(st.sets(st.sampled_from(keys)))
+    total = draw(st.integers(1, 4))
+    sample = SampleSchedule(total, draw(st.integers(0, total)))
+    return (frames, segments, {k: w for k, w in windows.items() if k not in anchors}, sample,
+            draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
+
+
+class TestWindowsFirst:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_constructions(), budget=st.sampled_from([1, tiling.GROUP_VOXELS]))
+    def test_equals_the_lockstep_construction(self, case, budget):
+        frames, segments, windows, sample, seed, adapter = case
+        cond, mask = _masked_case(frames)
+        den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
+        if adapter:
+            den = tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2))
+        with _group_budget(budget):
+            got = construct_gcg(cond, mask, segments, windows, den, sample, seed)
+            want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_windows_add_only_the_kept_latents_to_the_peak(self):
+        """With one stack or window per group, a window group holds what the
+        stack group holds, and it is dropped before the stacks are prepared.
+        So adding windows raises the traced peak only by the latents the swap
+        keeps, a float64 frame per keyframe and swap step (and a little
+        bookkeeping), where holding every window raised it by far more."""
+        frames, hw = 41, (32, 48)
+        cond, mask = _masked_case(frames, hw)
+        keys = select_keyframes(frames, 5)
+        windows = _windows(keys, frames, delta=1)  # five disjoint windows
+        assert len(set(sum(windows.values(), ()))) == 25
+        den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
+        sample = SampleSchedule(6, 2)
+        kept = sample.swap_steps * len(keys) * np.prod(hw) * 3 * 8
+
+        def growth(construct):
+            peaks = []
+            for w in ({}, windows) * 2:  # the second pair runs with warm caches
+                tracemalloc.start()
+                base = tracemalloc.get_traced_memory()[0]
+                construct(cond, mask, [keys], w, den, sample, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                tracemalloc.stop()
+            return peaks[3] - peaks[2]
+
+        with _group_budget(1):
+            assert growth(construct_gcg) <= kept + 16 * 1024
+            assert growth(_lockstep_construct_gcg) > 2 * kept
 
 
 class TestGroupBudget:

@@ -140,11 +140,13 @@ def _observed_run(monkeypatch, config):
             seen.refine_masks.append(bool(args["mask"].data.any()))
 
     with monkeypatch.context() as patch:
-        _spy(patch, gcg, "construct_gcg", lambda args: seen.windows.append(args["windows"]))
-        _spy(patch, gcg, "prepare_tiles", lambda args: seen.modes.append(args["mode"]))
+        _spy(patch, gcg, "construct_gcg",
+             lambda args: (seen.windows.append(args["windows"]), seen.modes.append([])))
+        _spy(patch, gcg, "prepare_tiles", lambda args: seen.modes[-1].append(args["mode"]))
         _spy(patch, pipeline, "_sample_tiles", sampled)
         result = pipeline.run(config, CLIP)
-    seen.window_modes = seen.modes[1::2]  # construct_gcg prepares stacks, then windows
+    # construct_gcg prepares each group of windows, then the stacks
+    seen.window_modes = [mode for modes in seen.modes for mode in modes[:-1]]
     seen.keys = result.keyframes
     return result.output.data, seen
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import WRONG_TYPES, ablation_config, golden_case, json_leaves, nan_velocity_in
 from outpainter import gcg, pipeline, rng, scene, video
@@ -18,11 +19,12 @@ from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.gcg import GcgError, insert_guidance
 from outpainter.pipeline import (MODES, CodecParams, GcgParams, PipelineConfig,
                                  StageError, TilingParams, WorkingSize,
-                                 codec_decode, codec_encode, codec_encode_mask, run,
-                                 spatial_refinement, temporal_completion)
+                                 codec_decode, codec_encode, codec_encode_mask,
+                                 refinement_composite, run, spatial_refinement,
+                                 temporal_completion)
 from outpainter.sampler import SampleSchedule
 from outpainter.tiling import ConfigError, plan
-from outpainter.video import MaskVideo, PadSpec, VideoTensor, pad_video
+from outpainter.video import MaskVideo, PadSpec, VideoTensor, pad_video, resize_bicubic
 
 
 def _small_config(mode="full", seed=0, **overrides):
@@ -332,7 +334,7 @@ class TestSpatialRefinement:
         padded, mask = pad_video(clip, PadSpec(8, 12, 0, 0))
         completed = VideoTensor(rng.normals(3, "completed", (4, 8, 12, 3)) * 0.3)
         p = plan((4, 8, 12), 4, 8, 12)
-        out = spatial_refinement(completed, padded, mask,
+        out = spatial_refinement(refinement_composite(completed, clip, PadSpec(8, 12, 0, 0)),
                                  ToyDenoiser(DenoiserConfig(radius=3)), p,
                                  SampleSchedule(10, 0), strength=0.01, rng_seed=2)
         # the upsampling stage clamps to the valid data range before compositing
@@ -347,10 +349,46 @@ class TestSpatialRefinement:
         padded, mask = pad_video(clip, PadSpec(8, 12, 0, 0))
         completed = VideoTensor(rng.normals(4, "completed", (4, 8, 12, 3)) * 0.3)
         p = plan((4, 8, 12), 4, 8, 12)
-        out = spatial_refinement(completed, padded, mask, ToyDenoiser(), p,
-                                 SampleSchedule(6, 0), strength=1.0, rng_seed=2)
+        out = spatial_refinement(refinement_composite(completed, clip, PadSpec(8, 12, 0, 0)),
+                                 ToyDenoiser(), p, SampleSchedule(6, 0), strength=1.0,
+                                 rng_seed=2)
         observed = np.broadcast_to(mask.data == 0, out.shape)
         assert np.abs(out.data - padded.data)[observed].max() <= 1e-2
+
+
+# finite float32 values, signed zeros among them
+_VALUES = st.floats(-2.0, 2.0, width=32) | st.sampled_from([-0.0, 0.0, -1.0, 1.0])
+
+
+@st.composite
+def _pasted(draw):
+    """A clip on a canvas at any offsets that fit it, edges included, and a
+    completed video at a working size of at most the canvas."""
+    frames, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    th, tw = h + draw(st.integers(0, 5)), w + draw(st.integers(0, 5))
+    pad = PadSpec(th, tw, draw(st.integers(0, th - h)), draw(st.integers(0, tw - w)))
+    clip = draw(arrays(np.float32, (frames, h, w, 3), elements=_VALUES))
+    completed = draw(arrays(np.float32, (frames, draw(st.integers(1, th)),
+                                         draw(st.integers(1, tw)), 3), elements=_VALUES))
+    return VideoTensor(completed), VideoTensor(clip), pad
+
+
+class TestRefinementComposite:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_pasted())
+    def test_equals_the_masked_select_of_the_padded_clip(self, case):
+        completed, clip, pad = case
+        padded, mask = pad_video(clip, pad)
+        target = resize_bicubic(completed, pad.target_height, pad.target_width)
+        expected = np.where(mask.data > 0, target.data, padded.data)
+        got = refinement_composite(completed, clip, pad).data
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_clip_off_the_canvas_is_rejected(self):
+        clip = VideoTensor(np.zeros((1, 4, 4, 3), np.float32))
+        completed = VideoTensor(np.zeros((1, 6, 6, 3), np.float32))
+        with pytest.raises(video.ShapeError, match="offset_x 3 \\+ W 4 exceeds target 6"):
+            refinement_composite(completed, clip, PadSpec(6, 6, 0, 3))
 
 
 class TestCodec:
@@ -621,26 +659,31 @@ def _traced_peaks_mib(frames: int) -> dict[str, float]:
     return {name: (peak - base) / 2 ** 20 for name, peak in peaks.items()}
 
 
-# The traced peak of `run` below, in MiB, as measured when each stage began
-# to drop what it no longer reads (18.35), plus 10%; it read 25.17 while the
-# padded clip, the gathered GCG conditions, the fill's per-axis transforms
-# and the last step output of each pass outlived their readers.
-PEAK_MIB = 20.2
+# The traced peak of `run` below, in MiB, as measured when GCG's windows
+# began to run one group at a time and refinement to sample from its
+# composite alone (15.82), plus 10%; it read 18.35 before, and 25.17 while
+# the padded clip, the gathered GCG conditions, the fill's per-axis
+# transforms and the last step output of each pass outlived their readers.
+PEAK_MIB = 17.4
 
 
 def test_run_traced_peak_is_pinned():
     assert _traced_peaks_mib(96)["run"] <= PEAK_MIB
 
 
-# The traced peak at 192 frames, in MiB, as measured when each stage began to
-# drop what it no longer reads (20.37, 6.0x the 3.38 MiB output), plus 10%;
-# it read 30.66 before.
-PEAK_MIB_192 = 22.4
+# The traced peak at 192 frames, in MiB, as measured with PEAK_MIB (19.07,
+# 5.6x the 3.38 MiB output, set by completion), plus 10%; it read 20.37
+# before, and 30.66 before each stage dropped what it no longer reads.
+PEAK_MIB_192 = 21.0
 
 # Each stage's traced peak at 192 frames, measured with PEAK_MIB_192, plus
-# 10%, so that no stage grows into the run's peak unseen.
-STAGE_PEAK_MIB_192 = {"pad": 5.9, "downsample": 13.3, "guidance": 22.2,
-                      "completion": 21.0, "refinement": 22.4}
+# 10%, so that no stage grows into the run's peak unseen: pad 5.35,
+# downsample 12.10, guidance 11.29 (20.21 before), completion 19.07 and
+# refinement 12.50 (20.37 before).  Refinement's is 13.9, not 13.75: run
+# alone, without the 96-frame run before it, it reads 13.81 with the fill
+# kernels it builds and caches.
+STAGE_PEAK_MIB_192 = {"pad": 5.9, "downsample": 13.3, "guidance": 12.4,
+                      "completion": 21.0, "refinement": 13.9}
 
 
 def test_run_traced_peak_at_192_frames_is_pinned():

@@ -240,6 +240,29 @@ class TestStreamingBlend:
         blend(outputs(), p)
         assert held == [0] * len(p.tiles)
 
+    @pytest.mark.parametrize("tile_plan", [
+        plan((30, 7, 9), 10, 4, 5, 3, 1, 2),
+        TilePlan((20, 3, 4), (Tile(12, 20, 0, 3, 0, 4), Tile(0, 8, 0, 3, 0, 4),
+                              Tile(6, 14, 0, 3, 0, 4), Tile(3, 9, 0, 3, 0, 4))),
+        _adapter_plan(6, 11, 13),
+    ], ids=["temporal-overlap", "out-of-frame-order", "adapter-all-frames"])
+    def test_sums_are_reused_zeroed_and_never_shared(self, tile_plan):
+        """A complete blend returns its float64 sums to the plan zeroed, the
+        next blend takes them back, and a blend that fails keeps them."""
+        g = np.random.default_rng(5)
+        passes = [[g.uniform(-1.5, 1.5, t.shape + (3,)).astype(np.float32)
+                   for t in tile_plan.tiles] for _ in range(2)]
+        for outputs in passes:
+            got = blend(zip(tile_plan.tiles, outputs), tile_plan)
+            assert got.tobytes() == _whole_clip_blend(outputs, tile_plan).tobytes()
+            [sums] = tile_plan.sums.values()
+            assert sums.dtype == np.float64 and not sums.any()
+        assert blend(zip(tile_plan.tiles, passes[0]), tile_plan) is not None
+        assert tile_plan.sums[(tile_plan.extent[1], tile_plan.extent[2], 3)] is sums
+        with pytest.raises(CoverageError):
+            blend(zip(tile_plan.tiles, passes[1][:-1]), tile_plan)
+        assert not tile_plan.sums
+
     def test_spanned_axes_are_stored_at_length_one(self):
         # the default config's completion plan: tiles span each frame whole
         weights, den = plan((192, 32, 48), 49, 32, 48, 12).weights
@@ -444,6 +467,8 @@ class TestSpatialAdapter:
             monkeypatch.setattr(tiling, "GROUP_VOXELS", budget)
             prepared = adapter.prepare(VideoTensor(cond), MaskVideo(mask), items=3)
             assert adapter.denoise(prepared, z, 0.5).tobytes() == per_item.tobytes()
+        # the three 4-frame items shared one frame plan, and its blend sums
+        assert sorted(adapter.frame_plans) == [4, 12]
 
     def test_extent_mismatch_rejected(self):
         adapter = SpatiallyTiledDenoiser(ToyDenoiser(), plan((1, 8, 8), 1, 8, 8))
