@@ -29,10 +29,8 @@ LAMBDA_MIN = 0.5
 
 @dataclass(frozen=True)
 class DenoiserConfig:
-    """Toy denoiser knobs; lambda_* convert frame distance to pixel distance.
-    `kind` names the backend, and the toy is the only one."""
+    """Toy denoiser knobs; lambda_* convert frame distance to pixel distance."""
 
-    kind: str = "toy"
     lambda_sparse: float = 8.0
     lambda_dense: float = 2.0
     radius: int = 6
@@ -40,8 +38,6 @@ class DenoiserConfig:
     latent_carryover: float = 0.5
 
     def __post_init__(self):
-        if self.kind != "toy":
-            raise ValueError(f"kind must be 'toy', got {self.kind!r}")
         if not (self.lambda_sparse >= LAMBDA_MIN and self.lambda_dense >= LAMBDA_MIN):
             raise ValueError(f"lambda_sparse and lambda_dense must be >= {LAMBDA_MIN}")
         if not 1 <= self.radius <= RADIUS_MAX:

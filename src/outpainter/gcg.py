@@ -9,7 +9,7 @@ trajectory.  Midpoint keyframes are then inserted until the largest
 inter-keyframe gap falls below tau, with previously generated keyframes kept
 bit-identical as trusted anchors that only condition later rounds.  The
 exchange is one-way, from window to stack, so a round's windows run first,
-one group at a time, keeping only the latents the swap reads; the round's
+one group at a time, keeping one latent per swapped stack slot; the round's
 overlapping keyframe segments are then constructed together, in one latent.
 """
 from __future__ import annotations
@@ -132,26 +132,22 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
     and a window evolves the same way for every keyframe that names it, so
     each distinct window runs once, and the windows run first.  They run one
     group of `group_items` at a time: a group is prepared, stepped for the
-    swap budget and dropped, and after each step only the latents that the
-    swap reads are kept.  Then the stacks are prepared and step at every
-    step, whole-frame tiles of one latent; at a swap step the kept latents
-    are written into their slots, and a group of stacks whose every slot
-    they overwrite does not step."""
+    swap budget and dropped, and after each step one latent is kept per
+    stack slot the swap writes.  Then the stacks are prepared and step at
+    every step, whole-frame tiles of one latent; at a swap step the kept
+    latents are written into their slots, and a group of stacks whose every
+    slot they overwrite does not step."""
     swap = sample.swap_steps
     windows = windows if swap else {}  # with no swap, nothing reads a window
     keys = list(sum(segments, ()))
-    # the stack slots the swap writes, the keyframes they read (a keyframe
-    # that segments share is read once), and which one each slot reads
-    swapped = [i for i, k in enumerate(keys) if k in windows]
-    read = list(dict.fromkeys(keys[i] for i in swapped))
-    which = [read.index(keys[i]) for i in swapped]
+    swapped = [i for i, k in enumerate(keys) if k in windows]  # the stack slots the swap writes
     own = sorted(set(range(len(keys))) - set(swapped))
     distinct = list(dict.fromkeys(windows.values()))
     groups = group_items([(len(idx), video_ds.height, video_ds.width) for idx in distinct])
     noise = _init_noise(rng_seed, noise_tag,
                         [sum(distinct[g], ()) for g in groups] + [[keys[i] for i in own]],
                         video_ds.shape[1:])
-    kept = np.empty((swap, len(read)) + video_ds.shape[1:])  # Euler steps are float64
+    kept = np.empty((swap, len(swapped)) + video_ds.shape[1:])  # Euler steps are float64
 
     def step_group(prep, z_group):  # reads the current step's t_from and t_to
         return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
@@ -160,7 +156,7 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
         tiles, [(_, prep)] = _prepare_stacks(video_ds, mask_ds, distinct[g], denoiser)
         origin = {idx: tile.f0 for idx, tile in zip(distinct[g], tiles)}
         reads = [(j, origin[windows[k]] + windows[k].index(k))
-                 for j, k in enumerate(read) if windows[k] in origin]
+                 for j, k in enumerate(keys[i] for i in swapped) if windows[k] in origin]
         dest, src = [j for j, _ in reads], [p for _, p in reads]
         z = noise()
         for s in range(swap):
@@ -189,7 +185,7 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
             del out  # the next group is stepped without this one's output
         z = stepped
         if s < swap:
-            z[swapped] = kept[s, which]
+            z[swapped] = kept[s]
     return [z[tile.f0:tile.f1] for tile in tiles]
 
 

@@ -129,19 +129,13 @@ class WorkingSize:
 
 @dataclass(frozen=True)
 class CodecParams:
-    """Block-average codec; `kind` is derived from `factor` and, if given,
-    must equal it."""
+    """Block-average codec over `factor` x `factor` pixels; 1 is the identity."""
 
     factor: int = 1
-    kind: str | None = None
 
     def __post_init__(self):
         if not (type(self.factor) is int and self.factor >= 1):
             raise ConfigError(f"codec.factor must be an integer >= 1, got {self.factor!r}")
-        kind = "identity" if self.factor == 1 else "avgpool"
-        if self.kind not in (None, kind):
-            raise ConfigError(f"codec.kind must be {kind!r} for factor {self.factor}")
-        object.__setattr__(self, "kind", kind)
 
 
 @dataclass(frozen=True)

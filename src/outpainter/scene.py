@@ -259,11 +259,8 @@ def revisit_pairs(case: SceneCase, min_gap: int | None = None,
     return pairs
 
 
-def _base_spec(seed: int, sprites: tuple[Sprite, ...] = (),
-               camera: tuple[CameraKey, ...] = (CameraKey(0, 128.0, 128.0),),
-               octaves: int = 3) -> SceneSpec:
-    return SceneSpec(seed=seed, texture_octaves=octaves,
-                     texture_base_freq=1.0 / 24.0, sprites=sprites, camera=camera)
+# A still camera at the centre of the presets' world.
+_CENTERED = (CameraKey(0, 128.0, 128.0),)
 
 
 def _late_reveal(seed: int) -> tuple[SceneSpec, int, CaseGeometry]:
@@ -283,7 +280,7 @@ def _late_reveal(seed: int) -> tuple[SceneSpec, int, CaseGeometry]:
                    x0=x_start, y0=128.0, vx=vx, vy=0.0)
     disc = Sprite(shape="disc", size=7.0, color=(-0.7, 0.7, 0.2),
                   x0=118.0, y0=120.0, vx=0.3, vy=0.2)
-    return _base_spec(seed, sprites=(arrow, disc)), frames, geometry
+    return SceneSpec(seed, sprites=(arrow, disc), camera=_CENTERED), frames, geometry
 
 
 def _revisit(seed: int) -> tuple[SceneSpec, int, CaseGeometry]:
@@ -298,14 +295,13 @@ def _revisit(seed: int) -> tuple[SceneSpec, int, CaseGeometry]:
                   x0=150.0, y0=138.0, vx=-0.55, vy=0.25)
     rect = Sprite(shape="rect", size=7.0, color=(-0.6, 0.8, 0.6),
                   x0=124.0, y0=150.0, vx=0.5, vy=0.0)
-    return (_base_spec(seed, sprites=(disc, rect), camera=camera, octaves=1),
-            frames, geometry)
+    return SceneSpec(seed, texture_octaves=1, sprites=(disc, rect), camera=camera), frames, geometry
 
 
 def _textured(seed: int) -> tuple[SceneSpec, int, CaseGeometry]:
     frames = 32
     geometry = CaseGeometry(full=(-16, -20, 32, 40), crop=(-10, -10, 20, 20))
-    return _base_spec(seed, octaves=4), frames, geometry
+    return SceneSpec(seed, texture_octaves=4, camera=_CENTERED), frames, geometry
 
 
 def _drift(seed: int) -> tuple[SceneSpec, int, CaseGeometry]:
@@ -316,8 +312,7 @@ def _drift(seed: int) -> tuple[SceneSpec, int, CaseGeometry]:
                   x0=140.0, y0=130.0, vx=-0.2, vy=0.05)
     rect = Sprite(shape="rect", size=7.0, color=(-0.5, -0.5, 0.9),
                   x0=112.0, y0=122.0, vx=0.25, vy=0.0)
-    return (_base_spec(seed, sprites=(disc, rect), camera=camera, octaves=1),
-            frames, geometry)
+    return SceneSpec(seed, texture_octaves=1, sprites=(disc, rect), camera=camera), frames, geometry
 
 
 PRESETS = {

@@ -301,7 +301,8 @@ class TestOutpaint:
         ({"denoiser": {"radius": 3, "sigma": 1.0}}, "denoiser.sigma"),
         ({"pad": {"target_height": 16, "target_width": 24, "offset_z": 0}}, "pad.offset_z"),
         ({"codec": {"kind": "avgpool", "factor": 1}}, "codec.kind"),
-    ], ids=["workers", "top-level", "denoiser-key", "pad-key", "codec-kind"])
+        ({"denoiser": {"kind": "toy"}}, "denoiser.kind"),
+    ], ids=["workers", "top-level", "denoiser-key", "pad-key", "codec-kind", "denoiser-kind"])
     def test_unknown_config_key_exit_2(self, tmp_path, capsys, overrides, named):
         err = _usage_error(tmp_path, capsys, _config(tmp_path, **overrides))
         assert named in err
@@ -420,8 +421,7 @@ def _own_type(default):
         return st.integers(-1, 24)
     if type(default) is float:
         return st.floats() | st.floats(-1.0, 2.0)
-    return st.sampled_from(sorted({*pipeline.MODES, "toy", "identity", "avgpool"})) | st.text(
-        max_size=4)
+    return st.sampled_from(pipeline.MODES) | st.text(max_size=4)
 
 
 @pytest.fixture(scope="module")

@@ -3,10 +3,11 @@ condition this test checks.
 
 The fields are read from `PipelineConfig`'s dataclasses, so a new field
 fails here until it has an entry.  `pad` is the clip's geometry, not a knob,
-and the `kind` keys are strings with one allowed value.  Each field is set
-on a fixed small clip, at the default config, in a mode (and, where the
-default leaves it no work, with other sections set) where it acts; the
-output must then move by more than 1e-4 somewhere.
+and `mode`, the only other field that is not a number, picks the stages
+each case runs.  Each field is set on a fixed small clip, at the default
+config, in a mode (and, where the default leaves it no work, with other
+sections set) where it acts; the output must then move by more than 1e-4
+somewhere.
 """
 import copy
 import inspect
@@ -94,18 +95,21 @@ def _is_numeric(hint) -> bool:
         int, float, bool}
 
 
-def numeric_fields() -> list[str]:
-    """The dotted path of every numeric field of every config section but `pad`."""
-    paths = []
+def config_fields() -> list[tuple[str, object]]:
+    """The dotted path and type of every field of every config section but `pad`."""
+    fields = []
     for name, hint in get_type_hints(PipelineConfig).items():
         if name == "pad":
             continue
-        if _is_numeric(hint):
-            paths.append(name)
-        elif is_dataclass(hint):
-            paths += [f"{name}.{key}" for key, sub in get_type_hints(hint).items()
-                      if _is_numeric(sub)]
-    return paths
+        if is_dataclass(hint):
+            fields += [(f"{name}.{key}", sub) for key, sub in get_type_hints(hint).items()]
+        else:
+            fields.append((name, hint))
+    return fields
+
+
+def numeric_fields() -> list[str]:
+    return [path for path, hint in config_fields() if _is_numeric(hint)]
 
 
 def _config(mode: str, sections: dict, path: str | None = None, value=None) -> PipelineConfig:
@@ -160,6 +164,12 @@ def bases() -> dict:
 def test_every_numeric_field_has_a_setting():
     assert sorted(SETTINGS) == sorted(numeric_fields())
     assert set(INERT_WHEN) <= set(SETTINGS)
+
+
+def test_mode_is_the_only_field_that_is_not_a_number():
+    """A string field with one legal value, or one derived from another
+    field, is not a setting; `mode` selects the ablation."""
+    assert [path for path, hint in config_fields() if not _is_numeric(hint)] == ["mode"]
 
 
 @pytest.mark.parametrize("path", numeric_fields())

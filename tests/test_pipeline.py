@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import WRONG_TYPES, ablation_config, golden_case, json_leaves, nan_velocity_in
 from outpainter import gcg, pipeline, rng, scene, video
-from outpainter.denoiser import DenoiserConfig, ToyDenoiser
+from outpainter.denoiser import DenoiserConfig, ToyDenoiser, _kernel_spectrum
 from outpainter.gcg import GcgError, insert_guidance
 from outpainter.pipeline import (MODES, CodecParams, GcgParams, PipelineConfig,
                                  StageError, TilingParams, WorkingSize,
@@ -632,7 +632,10 @@ class TestStageBoundaryChecks:
 def _traced_peaks_mib(frames: int) -> dict[str, float]:
     """Traced peaks of a default-config `run` on the `revisit` scene retimed
     to `frames` frames, in MiB above the memory traced before it: each
-    stage's under its name, and the whole run's under "run"."""
+    stage's under its name, and the whole run's under "run".  The fill's
+    kernel cache is cleared and `numpy.fft`, which numpy imports on first
+    use, is imported first, so that each reading is the same whatever ran
+    before it in the process."""
     spec, preset_frames, geometry = scene.PRESETS["revisit"](0)
     camera = tuple(replace(k, frame=k.frame * (frames - 1) // (preset_frames - 1))
                    for k in spec.camera)
@@ -648,6 +651,8 @@ def _traced_peaks_mib(frames: int) -> dict[str, float]:
         peaks[name] = tracemalloc.get_traced_memory()[1]
 
     pipeline._stage = stage
+    _kernel_spectrum.cache_clear()
+    import numpy.fft  # noqa: F401
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -661,27 +666,26 @@ def _traced_peaks_mib(frames: int) -> dict[str, float]:
 
 # The traced peak of `run` below, in MiB, as measured when GCG's windows
 # began to run one group at a time and refinement to sample from its
-# composite alone (15.82), plus 10%; it read 18.35 before, and 25.17 while
-# the padded clip, the gathered GCG conditions, the fill's per-axis
-# transforms and the last step output of each pass outlived their readers.
-PEAK_MIB = 17.4
+# composite alone (15.71, with the fill kernels it builds), plus 10%; it
+# read 18.35 before, and 25.17 while the padded clip, the gathered GCG
+# conditions, the fill's per-axis transforms and the last step output of
+# each pass outlived their readers.
+PEAK_MIB = 17.3
 
 
 def test_run_traced_peak_is_pinned():
     assert _traced_peaks_mib(96)["run"] <= PEAK_MIB
 
 
-# The traced peak at 192 frames, in MiB, as measured with PEAK_MIB (19.07,
-# 5.6x the 3.38 MiB output, set by completion), plus 10%; it read 20.37
-# before, and 30.66 before each stage dropped what it no longer reads.
+# The traced peak at 192 frames, in MiB, as measured with PEAK_MIB (20.25,
+# 6.0x the 3.38 MiB output, set by completion), plus less than 4%; it read
+# 30.66 before each stage dropped what it no longer reads.
 PEAK_MIB_192 = 21.0
 
 # Each stage's traced peak at 192 frames, measured with PEAK_MIB_192, plus
-# 10%, so that no stage grows into the run's peak unseen: pad 5.35,
-# downsample 12.10, guidance 11.29 (20.21 before), completion 19.07 and
-# refinement 12.50 (20.37 before).  Refinement's is 13.9, not 13.75: run
-# alone, without the 96-frame run before it, it reads 13.81 with the fill
-# kernels it builds and caches.
+# at most 10%, so that no stage grows into the run's peak unseen: pad 5.35,
+# downsample 12.10, guidance 11.56 (20.21 before), completion 20.25 and
+# refinement 13.69 (20.37 before).
 STAGE_PEAK_MIB_192 = {"pad": 5.9, "downsample": 13.3, "guidance": 12.4,
                       "completion": 21.0, "refinement": 13.9}
 
