@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import re
 import resource
 import sys
@@ -163,6 +164,7 @@ def _run_one(config: pipeline.PipelineConfig, clip: video.VideoTensor, in_path: 
         "keyframes": list(result.keyframes) if result.keyframes else None,
         "stage_seconds": {k: round(v, 6) for k, v in result.timings.items()},
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "toolchain": {"numpy": np.__version__, "python": platform.python_version()},
         "input": str(in_path),
         "output": str(out),
     }

@@ -156,23 +156,27 @@ class PipelineConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         check_seed(self.seed)
+        th, tw = self.pad.target_height, self.pad.target_width
         wh, ww = self.working_resolution()
-        if not (0 < wh <= self.pad.target_height and 0 < ww <= self.pad.target_width):
-            raise ConfigError(f"working resolution {wh}x{ww} is not within [1, target]")
+        # a derived working size counts whole codec blocks of the target
+        name, h, w = (("target", th, tw) if self.working.height is None
+                      else ("working resolution", wh, ww))
         factor = self.codec.factor
-        if factor > 1 and (wh % factor or ww % factor):
-            raise ConfigError("working resolution must be divisible by codec.factor")
+        if h % factor or w % factor:
+            raise ConfigError(f"{name} {h}x{w} must be divisible by codec.factor {factor}")
+        if not (0 < wh <= th and 0 < ww <= tw):
+            raise ConfigError(f"working resolution {wh}x{ww} is not within [1, target]")
 
     def working_resolution(self) -> tuple[int, int]:
-        """Configured working size, else longest target side mapped to 768."""
+        """Configured working size, else half the target with its longest
+        side at most 768, each side rounded to a multiple of codec.factor."""
         th, tw = self.pad.target_height, self.pad.target_width
         if self.working.height is not None:
             return self.working.height, self.working.width
-        longest = max(th, tw)
-        if longest <= 768:
-            return th, tw
-        scale = 768.0 / longest
-        return max(1, round(th * scale)), max(1, round(tw * scale))
+        factor = self.codec.factor
+        scale = min(0.5, 768.0 / max(th, tw))
+        return (factor * max(1, round(th * scale / factor)),
+                factor * max(1, round(tw * scale / factor)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":

@@ -7,6 +7,8 @@ every CLI command.
 """
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,30 +162,42 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     return mat
 
 
-def _resample(data: np.ndarray, axis: int, n_out: int) -> np.ndarray:
-    """`data` resampled to `n_out` along `axis` by `_resize_matrix`, in
-    float64.  Each output row sums its band of (at most 4) consecutive input
-    rows, which holds every nonzero weight of its matrix row, in ascending
-    order into a zeroed sum.  A skipped weight is 0.0, and adding +-0.0
-    never changes a zero-seeded sum, so this is the dense matrix product
-    summed in order, bit for bit."""
-    n_in = data.shape[axis]
+def _band(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each output row's first input row `lo` and its (n_out, width)
+    weights on rows lo, lo + 1, ...: the band of at most 4 consecutive
+    input rows that holds every nonzero weight of its `_resize_matrix` row."""
     mat = _resize_matrix(n_in, n_out)
     width = min(4, n_in)
     lo = np.minimum((mat != 0.0).argmax(axis=1), n_in - width)
-    rows = np.arange(n_out)
+    return lo, mat[np.arange(n_out)[:, None], lo[:, None] + np.arange(width)]
+
+
+def _resample(data: np.ndarray, axis: int, band: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """`data` resampled along `axis` by the `_band` of its resize matrix, in
+    float64.  Each output row sums its band of input rows in ascending order
+    into a zeroed sum.  A skipped weight is 0.0, and adding +-0.0 never
+    changes a zero-seeded sum, so this is the dense matrix product summed in
+    order, bit for bit."""
+    lo, weights = band
     weight_shape = [1] * data.ndim
-    weight_shape[axis] = n_out
-    out = np.zeros(data.shape[:axis] + (n_out,) + data.shape[axis + 1:])
-    for k in range(width):
+    weight_shape[axis] = len(lo)
+    out = np.zeros(data.shape[:axis] + (len(lo),) + data.shape[axis + 1:])
+    for k in range(weights.shape[1]):
         term = np.take(data, lo + k, axis=axis).astype(np.float64, copy=False)
-        term *= mat[rows, lo + k].reshape(weight_shape)
+        term *= weights[:, k].reshape(weight_shape)
         out += term
     return out
 
 
+# Frames of float64 that `resize_bicubic` resamples at a time, in bytes; a
+# frame larger than this is resampled alone.
+RESIZE_BLOCK_BYTES = 1 << 18
+
+
 def resize_bicubic(video: VideoTensor, h: int, w: int) -> VideoTensor:
-    """Per-frame Catmull-Rom bicubic resampling, clamped to [-1, 1]."""
+    """Per-frame Catmull-Rom bicubic resampling, clamped to [-1, 1].  Each
+    block of frames is resampled in float64 and cast into one float32
+    output, so the float64 temporaries scale with the block, not the clip."""
     if h < 1 or w < 1:
         raise ValueError("target size must be positive")
     if (h, w) == (video.height, video.width):
@@ -192,9 +206,14 @@ def resize_bicubic(video: VideoTensor, h: int, w: int) -> VideoTensor:
         out = np.clip(video.data, -1.0, 1.0).astype(np.float32, copy=False)
         out += 0.0
         return VideoTensor(out)
-    out = _resample(_resample(video.data, 1, h), 2, w)
-    np.clip(out, -1.0, 1.0, out=out)
-    return VideoTensor(out.astype(np.float32))
+    f, h_in, w_in, c = video.shape
+    rows, cols = _band(h_in, h), _band(w_in, w)
+    frames = max(1, RESIZE_BLOCK_BYTES // (8 * max(h_in, h) * max(w_in, w) * c))
+    out = np.empty((f, h, w, c), dtype=np.float32)
+    for f0 in range(0, f, frames):
+        block = _resample(_resample(video.data[f0:f0 + frames], 1, rows), 2, cols)
+        out[f0:f0 + frames] = np.clip(block, -1.0, 1.0, out=block)
+    return VideoTensor(out)
 
 
 def downsample_mask(mask: MaskVideo, h: int, w: int) -> MaskVideo:
@@ -212,31 +231,35 @@ def downsample_mask(mask: MaskVideo, h: int, w: int) -> MaskVideo:
 
 
 def write_raw(path: str | Path, video: VideoTensor | MaskVideo) -> None:
-    f, h, w = video.data.shape[:3]
-    c = video.data.shape[3]
     with open(path, "wb") as fh:
-        fh.write(HLVD_MAGIC)
-        fh.write(struct.pack("<IIII", f, h, w, c))
-        fh.write(np.ascontiguousarray(video.data, dtype="<f4").tobytes())
+        fh.write(HLVD_MAGIC + struct.pack("<IIII", *video.data.shape))
+        np.ascontiguousarray(video.data, dtype="<f4").tofile(fh)
 
 
 def _read_raw_array(path: str | Path) -> np.ndarray:
+    """The payload of an HLVD file, read once into its own array."""
     try:
-        raw = Path(path).read_bytes()
+        fh = open(path, "rb")
     except OSError as exc:  # a missing file or a directory is an input error
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    if len(raw) < 20 or raw[:4] != HLVD_MAGIC:
-        raise FormatError(f"{path}: bad magic, not an HLVD file")
-    f, h, w, c = struct.unpack("<IIII", raw[4:20])
-    count = f * h * w * c
-    payload = raw[20:]
-    if len(payload) != count * 4:
-        raise FormatError(f"{path}: payload of {len(payload)} bytes, expected {count * 4} "
-                          f"for {count} floats")
-    data = np.frombuffer(payload, dtype="<f4").reshape(f, h, w, c)
+    with fh:
+        head = fh.read(20)
+        if len(head) < 20 or head[:4] != HLVD_MAGIC:
+            raise FormatError(f"{path}: bad magic, not an HLVD file")
+        f, h, w, c = struct.unpack("<IIII", head[4:])
+        count = f * h * w * c
+        info = os.fstat(fh.fileno())
+        # a pipe's length is known only once it is read; a file's is its size
+        rest = None if stat.S_ISREG(info.st_mode) else fh.read()
+        size = info.st_size - 20 if rest is None else len(rest)
+        if size != count * 4:
+            raise FormatError(f"{path}: payload of {size} bytes, expected {count * 4} "
+                              f"for {count} floats")
+        data = (np.fromfile(fh, dtype="<f4", count=count) if rest is None
+                else np.frombuffer(rest, dtype="<f4"))
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: non-finite values in payload")
-    return np.array(data, dtype=np.float32)
+    return data.astype(np.float32, copy=False).reshape(f, h, w, c)
 
 
 def read_raw(path: str | Path) -> VideoTensor:

@@ -2,9 +2,11 @@
 prints them in the terminal summary, where output capture cannot swallow
 them, and builds the small ablation config, the golden case and the
 NaN-velocity patch that several test modules use."""
+import platform
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from outpainter import pipeline, scene
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
@@ -68,6 +70,22 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance scorecard")
         for line in _scorecard:
             terminalreporter.write_line(line)
+
+
+# The NumPy release that test_golden.py's hashes were read on.  Its float
+# kernels may round differently in another release, which would change the
+# hashes with no change to this code.
+GOLDEN_NUMPY = "2.4.6"
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """A failed golden-hash test reports the NumPy and Python it ran on."""
+    report = (yield).get_result()
+    if report.failed and item.path.name == "test_golden.py":
+        report.sections.append((
+            "toolchain", f"NumPy {np.__version__}, Python {platform.python_version()}; "
+                         f"the golden hashes were read on NumPy {GOLDEN_NUMPY}"))
 
 
 def nan_velocity_in(monkeypatch, owner, name: str, total_steps: int) -> list:

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,9 @@ class TestOutpaint:
         assert set(manifest["stage_seconds"]) == {"pad", "downsample", "guidance",
                                                   "completion", "refinement"}
         assert manifest["peak_rss_mb"] > 0
+        assert manifest["toolchain"] == {"numpy": np.__version__,
+                                         "python": platform.python_version()}
+        assert manifest["config"]["working"] == {"height": 8, "width": 12}
 
     def test_manifest_rerun_is_bit_identical(self, tmp_path):
         prefix = _synth(tmp_path)
@@ -653,6 +657,34 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
         assert not out.exists()
+
+
+_HEADER = b"HLVD" + np.array([1, 2, 2, 3], "<u4").tobytes()  # 12 floats, 48 bytes
+_NAN = np.zeros(12, "<f4")
+_NAN[5] = np.nan
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"NOPE" + b"\x00" * 64, "{}: bad magic, not an HLVD file"),
+    (b"HLVD\x01\x00", "{}: bad magic, not an HLVD file"),
+    (_HEADER + b"\x00" * 44, "{}: payload of 44 bytes, expected 48 for 12 floats"),
+    (_HEADER + b"\x00" * 52, "{}: payload of 52 bytes, expected 48 for 12 floats"),
+    (_HEADER + _NAN.tobytes(), "{}: non-finite values in payload"),
+    (None, "cannot read {}: No such file or directory"),
+    ("directory", "cannot read {}: Is a directory"),
+], ids=["magic", "short-header", "short-payload", "long-payload", "non-finite", "missing",
+        "directory"])
+def test_malformed_hlvd_message(tmp_path, capsys, content, message):
+    """Each malformed or unreadable HLVD file exits 2 with its own one-line
+    message, naming the file."""
+    bad = tmp_path / "bad.hlvd"
+    if content == "directory":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+    assert main(["export-ppm", str(bad), str(tmp_path / "frames")]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(bad)}\n"
+    assert not (tmp_path / "frames").exists()
 
 
 def test_failed_json_write_leaves_no_file(tmp_path):

@@ -193,7 +193,18 @@ class TestConfig:
         cfg = PipelineConfig(pad=PadSpec(1536, 768, 0, 0))
         assert cfg.working_resolution() == (768, 384)
         small = PipelineConfig(pad=PadSpec(64, 48, 0, 0))
-        assert small.working_resolution() == (64, 48)
+        assert small.working_resolution() == (32, 24)
+
+    @given(factor=st.integers(1, 8), blocks=st.tuples(st.integers(1, 200), st.integers(1, 200)))
+    @settings(max_examples=200, deadline=None)
+    def test_every_target_the_codec_factor_divides_has_a_default(self, factor, blocks):
+        """Half the target, each side rounded to whole codec blocks, is a
+        valid working size whenever the codec factor divides the target."""
+        th, tw = factor * blocks[0], factor * blocks[1]
+        cfg = PipelineConfig(pad=PadSpec(th, tw), codec=CodecParams(factor))
+        wh, ww = cfg.working_resolution()
+        assert wh % factor == 0 and ww % factor == 0
+        assert 0 < wh <= th and 0 < ww <= tw
 
     def test_working_cannot_exceed_target(self):
         with pytest.raises(ConfigError):
@@ -629,17 +640,33 @@ class TestStageBoundaryChecks:
 
 
 @functools.cache
-def _traced_peaks_mib(frames: int) -> dict[str, float]:
-    """Traced peaks of a default-config `run` on the `revisit` scene retimed
-    to `frames` frames, in MiB above the memory traced before it: each
-    stage's under its name, and the whole run's under "run".  The fill's
-    kernel cache is cleared and `numpy.fft`, which numpy imports on first
-    use, is imported first, so that each reading is the same whatever ran
-    before it in the process."""
+def _revisit_case(frames: int) -> scene.SceneCase:
+    """The `revisit` scene, seed 0, its camera path retimed to `frames` frames."""
     spec, preset_frames, geometry = scene.PRESETS["revisit"](0)
     camera = tuple(replace(k, frame=k.frame * (frames - 1) // (preset_frames - 1))
                    for k in spec.camera)
-    case = scene.make_case(replace(spec, camera=camera), frames, geometry)
+    return scene.make_case(replace(spec, camera=camera), frames, geometry)
+
+
+def test_default_config_runs_coarse_to_fine():
+    """The default working size is half the target, so `full` guides and
+    completes at half size and refines back up, where `temporal_only` runs
+    at the target; with a working size equal to the target the two agreed
+    to 1.5e-8."""
+    case = _revisit_case(96)
+    full, temporal = (run(PipelineConfig(pad=case.geometry.placement, mode=mode),
+                          case.input).output.data for mode in ("full", "temporal_only"))
+    assert float(np.abs(full - temporal).max()) > 1e-4
+
+
+@functools.cache
+def _traced_peaks_mib(frames: int) -> dict[str, float]:
+    """Traced peaks of a default-config `run` on `_revisit_case(frames)`, in
+    MiB above the memory traced before it: each stage's under its name, and
+    the whole run's under "run".  The fill's kernel cache is cleared and
+    `numpy.fft`, which numpy imports on first use, is imported first, so
+    that each reading is the same whatever ran before it in the process."""
+    case = _revisit_case(frames)
     real_stage, peaks = pipeline._stage, {"run": 0}
 
     @contextlib.contextmanager
@@ -664,30 +691,31 @@ def _traced_peaks_mib(frames: int) -> dict[str, float]:
     return {name: (peak - base) / 2 ** 20 for name, peak in peaks.items()}
 
 
-# The traced peak of `run` below, in MiB, as measured when GCG's windows
-# began to run one group at a time and refinement to sample from its
-# composite alone (15.71, with the fill kernels it builds), plus 10%; it
-# read 18.35 before, and 25.17 while the padded clip, the gathered GCG
-# conditions, the fill's per-axis transforms and the last step output of
-# each pass outlived their readers.
-PEAK_MIB = 17.3
+# The traced peak of `run` below, in MiB, as measured when the default
+# working size became half the target and `resize_bicubic` began to resample
+# a block of frames at a time (9.25, set by refinement), plus 10%; it read
+# 15.71 with the working size equal to the target, and 25.17 while the
+# padded clip, the gathered GCG conditions, the fill's per-axis transforms
+# and the last step output of each pass outlived their readers.
+PEAK_MIB = 10.1
 
 
 def test_run_traced_peak_is_pinned():
     assert _traced_peaks_mib(96)["run"] <= PEAK_MIB
 
 
-# The traced peak at 192 frames, in MiB, as measured with PEAK_MIB (20.25,
-# 6.0x the 3.38 MiB output, set by completion), plus less than 4%; it read
-# 30.66 before each stage dropped what it no longer reads.
-PEAK_MIB_192 = 21.0
+# The traced peak at 192 frames, in MiB, as measured with PEAK_MIB (12.74,
+# 3.8x the 3.38 MiB output, set by refinement), plus 10%; it read 20.25
+# with the working size equal to the target, and 30.66 before each stage
+# dropped what it no longer reads.
+PEAK_MIB_192 = 14.0
 
 # Each stage's traced peak at 192 frames, measured with PEAK_MIB_192, plus
 # at most 10%, so that no stage grows into the run's peak unseen: pad 5.35,
-# downsample 12.10, guidance 11.56 (20.21 before), completion 20.25 and
-# refinement 13.69 (20.37 before).
-STAGE_PEAK_MIB_192 = {"pad": 5.9, "downsample": 13.3, "guidance": 12.4,
-                      "completion": 21.0, "refinement": 13.9}
+# downsample 6.69, guidance 3.58, completion 5.61 and refinement 12.74
+# (12.10, 11.55, 20.25 and 13.68 with the working size equal to the target).
+STAGE_PEAK_MIB_192 = {"pad": 5.8, "downsample": 7.3, "guidance": 3.9,
+                      "completion": 6.1, "refinement": 13.9}
 
 
 def test_run_traced_peak_at_192_frames_is_pinned():

@@ -1,12 +1,15 @@
 """Tensor types, padding, resampling, mask reduction, and file formats."""
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from outpainter.video import (FormatError, MaskVideo, PadSpec, ShapeError,
-                              VideoTensor, _resize_matrix, downsample_mask, pad_video,
-                              read_mask, read_ppm, read_raw, resize_bicubic, write_ppm,
-                              write_raw)
+from outpainter.video import (RESIZE_BLOCK_BYTES, FormatError, MaskVideo, PadSpec,
+                              ShapeError, VideoTensor, _resize_matrix, downsample_mask,
+                              pad_video, read_mask, read_ppm, read_raw, resize_bicubic,
+                              write_ppm, write_raw)
 
 
 def _video(shape, seed=0, scale=0.8):
@@ -104,6 +107,14 @@ def _bicubic_oracle(frame, h_out, w_out):
     return np.clip(out, -1.0, 1.0)
 
 
+def _dense_resize(data: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The two dense `_resize_matrix` products over the whole clip, summed by
+    `einsum` over every input row, clamped and cast to float32."""
+    tmp = np.einsum("ih,fhwc->fiwc", _resize_matrix(data.shape[1], h), data.astype(np.float64))
+    want = np.einsum("jw,fiwc->fijc", _resize_matrix(data.shape[2], w), tmp)
+    return np.clip(want, -1.0, 1.0).astype(np.float32)
+
+
 class TestResize:
     def test_constant_preserved(self):
         v = VideoTensor(np.full((2, 5, 7, 3), -0.3, np.float32))
@@ -123,9 +134,7 @@ class TestResize:
         # the bytes the resampling matrices give, -0.0 summed to 0.0 included
         data[0, 0, :3, 0] = -0.0
         data[0, 0, 3:, 0] = -0.5
-        tmp = np.einsum("ih,fhwc->fiwc", _resize_matrix(5, 5), data.astype(np.float64))
-        want = np.einsum("jw,fiwc->fijc", _resize_matrix(7, 7), tmp)
-        want = np.clip(want, -1.0, 1.0).astype(np.float32)
+        want = _dense_resize(data, 5, 7)
         assert resize_bicubic(VideoTensor(data.copy()), 5, 7).data.tobytes() == want.tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]),
@@ -140,10 +149,24 @@ class TestResize:
         data = g.uniform(-1.5, 1.5, (2, h_in, w_in, 3)).astype(dtype)
         data[g.random(data.shape) < 0.2] = -0.0
         data[g.random(data.shape) < 0.1] = 0.0
-        tmp = np.einsum("ih,fhwc->fiwc", _resize_matrix(h_in, h), data.astype(np.float64))
-        want = np.einsum("jw,fiwc->fijc", _resize_matrix(w_in, w), tmp)
-        want = np.clip(want, -1.0, 1.0).astype(np.float32)
+        want = _dense_resize(data, h, w)
         assert resize_bicubic(VideoTensor(data), h, w).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, size, block", [
+        ((9, 40, 40, 3), (60, 80), 2), ((9, 40, 60, 3), (20, 24), 4),
+        ((1, 30, 20, 3), (45, 10), 12), ((3, 120, 130, 3), (100, 140), 0)],
+        ids=["up", "down", "one-frame", "frame-over-budget"])
+    def test_frame_blocks_equal_the_dense_products(self, shape, size, block):
+        """A clip resampled `block` frames at a time (a frame over the
+        budget alone) has the bytes of the dense products over the whole
+        clip, the last block short where the budget splits the clip."""
+        h_in, w_in, c = shape[1:]
+        assert RESIZE_BLOCK_BYTES // (8 * max(h_in, size[0]) * max(w_in, size[1]) * c) == block
+        g = np.random.default_rng(7)
+        data = g.uniform(-1.5, 1.5, shape).astype(np.float32)
+        data[g.random(shape) < 0.1] = -0.0
+        got = resize_bicubic(VideoTensor(data), *size).data
+        assert got.tobytes() == _dense_resize(data, *size).tobytes()
 
     def test_ramp_upscale_matches_oracle(self):
         ramp = np.linspace(-0.9, 0.9, 16).reshape(4, 4)
@@ -220,6 +243,23 @@ class TestRawFormat:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FormatError, match="payload"):
             read_raw(path)
+
+
+    def test_reads_a_pipe(self, tmp_path):
+        """A pipe has no size to check the header against, so it is read
+        whole, as a file is."""
+        v = _video((3, 5, 4, 3), seed=5)
+        write_raw(tmp_path / "clip.hlvd", v)
+        pipe = tmp_path / "pipe.hlvd"
+        os.mkfifo(pipe)
+        writer = threading.Thread(
+            target=lambda: pipe.write_bytes((tmp_path / "clip.hlvd").read_bytes()), daemon=True)
+        writer.start()
+        try:
+            assert read_raw(pipe).data.tobytes() == v.data.tobytes()
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 class TestPpm:
