@@ -2,9 +2,11 @@
 
 Stages: spatial padding onto the target canvas, downsampling to a working
 resolution, multi-scale keyframe guidance, guidance insertion, temporally
-tiled completion, and noise-injected spatial refinement back at target
-resolution.  Every stage runs on the clip's true frame count.
-Ablation modes selectively disable the guidance and refinement stages.
+tiled completion from pure noise, and refinement: the completed video
+upsampled back to target resolution with the input clip pasted on it.
+Every stage runs on the clip's true frame count.
+Ablation modes selectively disable the guidance and the downsampling (and
+so the refinement) stages.
 """
 from __future__ import annotations
 
@@ -19,9 +21,10 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import gcg as gcg_mod
+from . import rng
 from .denoiser import DenoiserConfig, ToyDenoiser
 from .gcg import GcgParams
-from .sampler import SampleSchedule, sdedit_start
+from .sampler import SampleSchedule
 from .tiling import (ConfigError, SpatiallyTiledDenoiser, TilePlan, plan, prepare_tiles,
                      tiled_denoise_pass)
 from .video import (MaskVideo, PadSpec, VideoTensor, downsample_mask, pad_video,
@@ -228,31 +231,19 @@ class RunResult:
     keyframes: tuple[int, ...] | None
 
 
-def _sample_tiles(condition: VideoTensor, mask: MaskVideo, denoiser, tile_plan: TilePlan,
-                  sample: SampleSchedule, strength: float, rng_seed: int,
-                  label: str) -> VideoTensor:
-    """SDEdit from `condition` over a tile plan with per-step blending:
-    prepare each tile's conditioning once, noise the condition to `strength`
-    (after the fills, so their temporaries and the latent are not held at
-    once), then step."""
-    prepared = prepare_tiles(denoiser, condition, mask, tile_plan, "dense")
-    z, steps = sdedit_start(condition.data, strength, sample, rng_seed, label)
-    # each pass blends into z itself; a float64 condition noises into a
-    # float64 latent, which the first pass's float32 result replaces
-    times = sample.times
-    for s in range(sample.total_steps - steps, sample.total_steps):
-        z = tiled_denoise_pass(z, tile_plan, denoiser, float(times[s]), float(times[s + 1]),
-                               prepared, out=z if z.dtype == np.float32 else None)
-    return VideoTensor(z)
-
-
 def temporal_completion(guided: VideoTensor, guided_mask: MaskVideo, denoiser,
                         plan_t: TilePlan, sample: SampleSchedule, rng_seed: int) -> VideoTensor:
     """Full denoising from pure noise over the tile plan with per-step
-    blending, conditioned on the guidance-augmented video.  At strength 1
-    SDEdit starts from the noise alone: (1-1)*guided + 1*eps is eps."""
-    return _sample_tiles(guided, guided_mask, denoiser, plan_t, sample, 1.0, rng_seed,
-                         "completion:init")
+    blending, conditioned on the guidance-augmented video: prepare each
+    tile's conditioning once, then draw the noise (after the fills, so their
+    temporaries and the latent are not held at once) and step it in place."""
+    prepared = prepare_tiles(denoiser, guided, guided_mask, plan_t, "dense")
+    z = rng.normals(rng_seed, "completion:init", guided.shape)
+    times = sample.times
+    for s in range(sample.total_steps):
+        z = tiled_denoise_pass(z, plan_t, denoiser, float(times[s]), float(times[s + 1]),
+                               prepared, out=z)
+    return VideoTensor(z)
 
 
 def refinement_composite(completed: VideoTensor, video: VideoTensor,
@@ -268,15 +259,6 @@ def refinement_composite(completed: VideoTensor, video: VideoTensor,
     ys, xs = pad.offset_y, pad.offset_x
     data[:, ys:ys + video.height, xs:xs + video.width] = video.data
     return VideoTensor(data)
-
-
-def spatial_refinement(composite: VideoTensor, denoiser, plan_st: TilePlan,
-                       sample: SampleSchedule, strength: float, rng_seed: int) -> VideoTensor:
-    """Inject moderate noise into the target-resolution composite and
-    re-denoise it over spatio-temporal tiles anchored on it."""
-    zero_mask = MaskVideo(np.zeros(composite.shape[:3] + (1,), dtype=np.float32))
-    return _sample_tiles(composite, zero_mask, denoiser, plan_st, sample, strength, rng_seed,
-                         "refine")
 
 
 @contextlib.contextmanager
@@ -301,7 +283,7 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
         padded, mask = pad_video(video, config.pad)
 
     use_gcg = config.mode in ("full", "temporal_only")
-    use_downsample = config.mode in ("full", "spatial_only")  # and refine back up
+    use_downsample = config.mode in ("full", "spatial_only")  # and upsample back
 
     with _stage(timings, "downsample"):
         factor = config.codec.factor if use_downsample else 1
@@ -348,13 +330,6 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
     del guided, guided_mask, plan_t  # no later stage reads them
 
     with _stage(timings, "refinement"):
-        if use_downsample:
-            composite = refinement_composite(completed, video, config.pad)
-            del completed  # refinement samples from the composite alone
-            plan_st = plan(composite.shape[:3], til.tile_t, til.tile_y, til.tile_x,
-                           til.overlap_t, til.overlap_y, til.overlap_x)
-            output = spatial_refinement(composite, denoiser, plan_st, config.sampler,
-                                        config.sampler.refine_strength, config.seed)
-        else:
-            output = completed
+        output = (refinement_composite(completed, video, config.pad) if use_downsample
+                  else completed)
     return RunResult(output, config.mode, config.seed, timings, keys)

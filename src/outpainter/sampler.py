@@ -1,4 +1,4 @@
-"""Rectified-flow schedule, noise injection, Euler stepping, and SDEdit entry."""
+"""Rectified-flow schedule, noise injection and Euler stepping."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +6,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import rng
 from .video import ShapeError, VideoTensor
 
 
@@ -16,21 +15,17 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class SampleSchedule:
-    """Linear time grid t_T=1 > ... > t_0=0 with an early swap-step budget,
-    and the SDEdit strength refinement starts from; the config's `sampler`
-    section."""
+    """Linear time grid t_T=1 > ... > t_0=0 with an early swap-step budget;
+    the config's `sampler` section."""
 
     total_steps: int = 40
     swap_steps: int = 8
-    refine_strength: float = 0.5
 
     def __post_init__(self):
         if self.total_steps < 1:
             raise ScheduleError("total_steps must be >= 1")
         if not 0 <= self.swap_steps <= self.total_steps:
             raise ScheduleError("swap_steps must be in [0, total_steps]")
-        if not 0.0 < self.refine_strength <= 1.0:
-            raise ScheduleError("refine_strength must be in (0, 1]")
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -67,26 +62,3 @@ def step(z: np.ndarray, v_hat: np.ndarray, t_from: float, t_to: float) -> np.nda
     out = np.multiply(v_hat, t_to - t_from, dtype=np.float64)
     out += z
     return out
-
-
-def sdedit_start(x_init: np.ndarray, strength: float, schedule: SampleSchedule,
-                 rng_seed: int, label: str = "sdedit") -> tuple[np.ndarray, int]:
-    """Partially noise x_init; returns (z, start_step).
-
-    start_step counts remaining denoising steps; the start time is
-    start_step / total_steps.  A minimum of one step is always taken.
-    """
-    if not 0.0 < strength <= 1.0:
-        raise ScheduleError(f"strength={strength} outside (0, 1]")
-    start_step = max(1, int(round(strength * schedule.total_steps)))
-    t = float(schedule.times[schedule.total_steps - start_step])
-    # add_noise's (1-t)*x + t*eps, mixed into the draw itself one frame at a
-    # time, so that only the draw and one frame's temporary are held at
-    # once; a float64 x_init widens the sum as it does there
-    z = rng.normals(rng_seed, label, x_init.shape)
-    z *= t
-    if x_init.dtype != z.dtype:
-        z = z.astype(x_init.dtype)
-    for f in range(len(z)):
-        z[f] += (1.0 - t) * x_init[f]
-    return z, start_step

@@ -306,7 +306,9 @@ class TestOutpaint:
         ({"pad": {"target_height": 16, "target_width": 24, "offset_z": 0}}, "pad.offset_z"),
         ({"codec": {"kind": "avgpool", "factor": 1}}, "codec.kind"),
         ({"denoiser": {"kind": "toy"}}, "denoiser.kind"),
-    ], ids=["workers", "top-level", "denoiser-key", "pad-key", "codec-kind", "denoiser-kind"])
+        ({"sampler": {"refine_strength": 0.5}}, "sampler.refine_strength"),
+    ], ids=["workers", "top-level", "denoiser-key", "pad-key", "codec-kind", "denoiser-kind",
+            "refine-strength"])
     def test_unknown_config_key_exit_2(self, tmp_path, capsys, overrides, named):
         err = _usage_error(tmp_path, capsys, _config(tmp_path, **overrides))
         assert named in err
@@ -325,7 +327,7 @@ class TestOutpaint:
 
     @pytest.mark.parametrize("section, key, value", [
         ("gcg", "keyframes", True), ("gcg", "delta_auto", "no"), ("gcg", "delta_auto", 0),
-        ("sampler", "total_steps", 2.5), ("sampler", "refine_strength", "0.5"),
+        ("sampler", "total_steps", 2.5), ("denoiser", "fill_floor", "0.5"),
         ("tiling", "tile_t", 16.0), ("working", "height", 8.5),
         ("pad", "target_width", 24.9), ("pad", "target_height", "16"),
         ("denoiser", "radius", 3.9), ("denoiser", "lambda_dense", "2")])

@@ -27,7 +27,7 @@ PAD = {"target_height": 32, "target_width": 48, "offset_y": 4, "offset_x": 4}
 CLIP = VideoTensor(np.clip(rng.normals(0, "liveness", (16, 24, 24, 3)) * 0.4, -1, 1))
 MOVED = 1e-4
 
-WORKING = {"working": {"height": 32, "width": 48}}  # the size the target resolves to
+WORKING = {"working": {"height": 32, "width": 48}}  # the target; by default 16x24, half of it
 GCG5 = {"gcg": {"keyframes": 5}}  # windows of 5 frames, at strides up to 3
 TILED = {"tiling": {"tile_t": 8, "overlap_t": 2, "tile_y": 16, "tile_x": 24,
                     "overlap_y": 4, "overlap_x": 6}}
@@ -40,7 +40,6 @@ SETTINGS = {
     "codec.factor": ("spatial_only", {}, 2),
     "sampler.total_steps": ("baseline", {}, 20),
     "sampler.swap_steps": ("temporal_only", GCG5, 0),
-    "sampler.refine_strength": ("spatial_only", {}, 1.0),
     "gcg.keyframes": ("temporal_only", {}, 5),
     "gcg.delta": ("temporal_only", GCG5, 1),
     "gcg.delta_auto": ("temporal_only", GCG5, True),
@@ -75,18 +74,11 @@ def _gap_within_tau(config, runs) -> bool:
     return gcg.max_index_gap(keys) <= config.gcg.tau and all(run.keys == keys for run in runs)
 
 
-def _zero_refine_mask(config, runs) -> bool:
-    """Refinement prepares an all-zero mask, so its Euler chain lands on the
-    composite whatever the strength (ROADMAP item 3)."""
-    return all(run.refine_masks and not any(run.refine_masks) for run in runs)
-
-
 INERT_WHEN = {
     "sampler.swap_steps": _idle_windows,
     "gcg.delta": _idle_windows,
     "gcg.delta_auto": _idle_windows,
     "gcg.tau": _gap_within_tau,
-    "sampler.refine_strength": _zero_refine_mask,
 }
 
 
@@ -134,20 +126,13 @@ def _spy(monkeypatch, owner, name: str, record):
 
 
 def _observed_run(monkeypatch, config):
-    """The run's output, with the windows of each GCG construction, the
-    preparation mode of each window stack, and whether each refinement mask
-    has a nonzero voxel."""
-    seen = SimpleNamespace(windows=[], modes=[], refine_masks=[])
-
-    def sampled(args):
-        if args["label"] == "refine":
-            seen.refine_masks.append(bool(args["mask"].data.any()))
-
+    """The run's output, with the windows of each GCG construction and the
+    preparation mode of each window stack."""
+    seen = SimpleNamespace(windows=[], modes=[])
     with monkeypatch.context() as patch:
         _spy(patch, gcg, "construct_gcg",
              lambda args: (seen.windows.append(args["windows"]), seen.modes.append([])))
         _spy(patch, gcg, "prepare_tiles", lambda args: seen.modes[-1].append(args["mode"]))
-        _spy(patch, pipeline, "_sample_tiles", sampled)
         result = pipeline.run(config, CLIP)
     # construct_gcg prepares each group of windows, then the stacks
     seen.window_modes = [mode for modes in seen.modes for mode in modes[:-1]]

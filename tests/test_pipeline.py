@@ -20,8 +20,7 @@ from outpainter.gcg import GcgError, insert_guidance
 from outpainter.pipeline import (MODES, CodecParams, GcgParams, PipelineConfig,
                                  StageError, TilingParams, WorkingSize,
                                  codec_decode, codec_encode, codec_encode_mask,
-                                 refinement_composite, run, spatial_refinement,
-                                 temporal_completion)
+                                 refinement_composite, run, temporal_completion)
 from outpainter.sampler import SampleSchedule
 from outpainter.tiling import ConfigError, plan
 from outpainter.video import MaskVideo, PadSpec, VideoTensor, pad_video, resize_bicubic
@@ -47,7 +46,7 @@ def _small_config(mode="full", seed=0, **overrides):
 BAD_TYPES = [
     ("gcg", "keyframes", True), ("gcg", "delta_auto", 0), ("tiling", "tile_t", 16.0),
     ("working", "height", 8.5), ("denoiser", "lambda_dense", "2"),
-    ("denoiser", "fill_floor", float("inf")), ("sampler", "refine_strength", None),
+    ("denoiser", "fill_floor", float("inf")), ("denoiser", "fill_floor", None),
 ]
 
 JSON_VALUES = st.recursive(
@@ -109,8 +108,7 @@ def _configs(draw):
     return PipelineConfig(
         pad=PadSpec(th, tw, ints(0, 8), ints(0, 8)),
         mode=draw(st.sampled_from(MODES)), seed=ints(0, 2 ** 64 - 1), working=working,
-        sampler=SampleSchedule(steps, ints(0, steps),
-                               draw(st.floats(0.0, 1.0, exclude_min=True))),
+        sampler=SampleSchedule(steps, ints(0, steps)),
         gcg=GcgParams(ints(1, 20), ints(1, 10), draw(st.booleans()), ints(1, 30)),
         tiling=TilingParams(tiles[0], ints(0, tiles[0] - 1), tiles[1], tiles[2],
                             ints(0, tiles[1] - 1), ints(0, tiles[2] - 1)),
@@ -236,10 +234,10 @@ class TestConfig:
 
     def test_integer_in_float_field_is_a_float(self):
         doc = _small_config().to_dict()
-        doc["sampler"]["refine_strength"] = 1
+        doc["denoiser"]["fill_floor"] = 1
         doc["denoiser"]["lambda_dense"] = 3
         cfg = PipelineConfig.from_dict(doc)
-        assert type(cfg.sampler.refine_strength) is float
+        assert type(cfg.denoiser.fill_floor) is float
         assert type(cfg.denoiser.lambda_dense) is float and cfg.denoiser.lambda_dense == 3.0
 
     @pytest.mark.parametrize("section, value, named", [
@@ -339,34 +337,6 @@ class TestTemporalCompletion:
         np.testing.assert_allclose(out.data, guided.data, atol=1e-6)
 
 
-class TestSpatialRefinement:
-    def test_minimal_strength_returns_composite(self):
-        clip = _input_clip(4, 8, 8, seed=5)
-        padded, mask = pad_video(clip, PadSpec(8, 12, 0, 0))
-        completed = VideoTensor(rng.normals(3, "completed", (4, 8, 12, 3)) * 0.3)
-        p = plan((4, 8, 12), 4, 8, 12)
-        out = spatial_refinement(refinement_composite(completed, clip, PadSpec(8, 12, 0, 0)),
-                                 ToyDenoiser(DenoiserConfig(radius=3)), p,
-                                 SampleSchedule(10, 0), strength=0.01, rng_seed=2)
-        # the upsampling stage clamps to the valid data range before compositing
-        composite = np.where(mask.data > 0,
-                             np.clip(completed.data, -1.0, 1.0), padded.data)
-        np.testing.assert_allclose(out.data, composite, atol=1e-2)
-        observed = np.broadcast_to(mask.data == 0, out.shape)
-        assert np.abs(out.data - padded.data)[observed].max() <= 1e-2
-
-    def test_observed_region_exact_at_full_strength(self):
-        clip = _input_clip(4, 8, 8, seed=6)
-        padded, mask = pad_video(clip, PadSpec(8, 12, 0, 0))
-        completed = VideoTensor(rng.normals(4, "completed", (4, 8, 12, 3)) * 0.3)
-        p = plan((4, 8, 12), 4, 8, 12)
-        out = spatial_refinement(refinement_composite(completed, clip, PadSpec(8, 12, 0, 0)),
-                                 ToyDenoiser(), p, SampleSchedule(6, 0), strength=1.0,
-                                 rng_seed=2)
-        observed = np.broadcast_to(mask.data == 0, out.shape)
-        assert np.abs(out.data - padded.data)[observed].max() <= 1e-2
-
-
 # finite float32 values, signed zeros among them
 _VALUES = st.floats(-2.0, 2.0, width=32) | st.sampled_from([-0.0, 0.0, -1.0, 1.0])
 
@@ -453,6 +423,20 @@ class TestRun:
         clip = _input_clip(8, 16, 24)
         result = run(_small_config(), clip)
         assert np.abs(result.output.data - clip.data).max() <= 1e-2
+
+    @given(mode=st.sampled_from(["full", "spatial_only"]), factor=st.sampled_from([1, 2]),
+           size=st.tuples(st.integers(1, 16), st.integers(1, 24)), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_observed_voxels_are_the_input(self, mode, factor, size, data):
+        """In the modes that upsample back to the target, the output's
+        observed voxels are the input clip byte for byte, at any offsets."""
+        h, w = size
+        pad = PadSpec(16, 24, data.draw(st.integers(0, 16 - h)),
+                      data.draw(st.integers(0, 24 - w)))
+        clip = _input_clip(5, h, w, seed=h * 24 + w)
+        result = run(_small_config(mode=mode, pad=pad, codec=CodecParams(factor)), clip)
+        ys, xs = pad.offset_y, pad.offset_x
+        assert result.output.data[:, ys:ys + h, xs:xs + w].tobytes() == clip.data.tobytes()
 
     def test_deterministic(self):
         clip = _input_clip(seed=9)
@@ -691,31 +675,34 @@ def _traced_peaks_mib(frames: int) -> dict[str, float]:
     return {name: (peak - base) / 2 ** 20 for name, peak in peaks.items()}
 
 
-# The traced peak of `run` below, in MiB, as measured when the default
-# working size became half the target and `resize_bicubic` began to resample
-# a block of frames at a time (9.25, set by refinement), plus 10%; it read
-# 15.71 with the working size equal to the target, and 25.17 while the
-# padded clip, the gathered GCG conditions, the fill's per-axis transforms
-# and the last step output of each pass outlived their readers.
-PEAK_MIB = 10.1
+# The traced peak of `run` below, in MiB, as measured when refinement became
+# the upsampled composite alone (4.48, set by completion), plus 10%; it read
+# 9.25 while refinement re-sampled the composite, 15.71 with the working size
+# equal to the target, and 25.17 while the padded clip, the gathered GCG
+# conditions, the fill's per-axis transforms and the last step output of
+# each pass outlived their readers.
+PEAK_MIB = 4.9
 
 
 def test_run_traced_peak_is_pinned():
     assert _traced_peaks_mib(96)["run"] <= PEAK_MIB
 
 
-# The traced peak at 192 frames, in MiB, as measured with PEAK_MIB (12.74,
-# 3.8x the 3.38 MiB output, set by refinement), plus 10%; it read 20.25
-# with the working size equal to the target, and 30.66 before each stage
-# dropped what it no longer reads.
-PEAK_MIB_192 = 14.0
+# The traced peak at 192 frames, in MiB, as measured with PEAK_MIB (6.69,
+# 2.0x the 3.38 MiB output, set by downsample), plus 10%; it read 12.74
+# while refinement re-sampled the composite, 20.25 with the working size
+# equal to the target, and 30.66 before each stage dropped what it no
+# longer reads.
+PEAK_MIB_192 = 7.3
 
 # Each stage's traced peak at 192 frames, measured with PEAK_MIB_192, plus
 # at most 10%, so that no stage grows into the run's peak unseen: pad 5.35,
-# downsample 6.69, guidance 3.58, completion 5.61 and refinement 12.74
-# (12.10, 11.55, 20.25 and 13.68 with the working size equal to the target).
+# downsample 6.69, guidance 3.58, completion 5.60 and refinement 5.81
+# (12.74 while refinement re-sampled the composite; downsample, guidance
+# and completion read 12.10, 11.55 and 20.25 with the working size equal to
+# the target).
 STAGE_PEAK_MIB_192 = {"pad": 5.8, "downsample": 7.3, "guidance": 3.9,
-                      "completion": 6.1, "refinement": 13.9}
+                      "completion": 6.1, "refinement": 6.3}
 
 
 def test_run_traced_peak_at_192_frames_is_pinned():

@@ -1,12 +1,9 @@
-"""Flow schedule, noise injection, Euler stepping, and partial-noising entry."""
-import tracemalloc
-
+"""Flow schedule, noise injection, Euler stepping, and rng streams."""
 import numpy as np
 import pytest
 
 from outpainter import rng
-from outpainter.sampler import (SampleSchedule, ScheduleError, add_noise,
-                                sdedit_start, step, velocity_target)
+from outpainter.sampler import SampleSchedule, ScheduleError, add_noise, step, velocity_target
 from outpainter.video import VideoTensor
 
 
@@ -103,58 +100,6 @@ class TestStep:
         x0, eps = _pair()
         with pytest.raises(ScheduleError):
             step(eps.data, x0.data, 0.5, 0.5)
-
-
-class TestSdeditStart:
-    def test_full_strength_is_pure_noise(self):
-        x0, _ = _pair(seed=7)
-        sched = SampleSchedule(8, 0)
-        z, start = sdedit_start(x0.data, 1.0, sched, rng_seed=9, label="probe")
-        assert start == 8
-        expected = rng.normals(9, "probe", x0.shape)
-        np.testing.assert_allclose(z, expected, atol=1e-6)
-
-    def test_half_strength_midpoint(self):
-        x0, _ = _pair(seed=8)
-        sched = SampleSchedule(40, 0)
-        z, start = sdedit_start(x0.data, 0.5, sched, rng_seed=2, label="probe")
-        assert start == 20
-        eps = rng.normals(2, "probe", x0.shape)
-        np.testing.assert_allclose(z, 0.5 * x0.data + 0.5 * eps, atol=1e-6)
-
-    @pytest.mark.parametrize("strength", [0.25, 0.5, 1.0])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_equals_add_noise_on_the_same_draw(self, strength, dtype):
-        x0 = VideoTensor(_pair(seed=5, shape=(3, 5, 7, 3))[0].data.astype(dtype))
-        sched = SampleSchedule(12, 0)
-        z, start = sdedit_start(x0.data, strength, sched, rng_seed=4, label="probe")
-        eps = VideoTensor(rng.normals(4, "probe", x0.shape))
-        want = add_noise(x0, eps, float(sched.times[sched.total_steps - start]))
-        assert z.dtype == want.data.dtype
-        assert z.tobytes() == want.data.tobytes()
-
-    def test_traced_peak_is_the_draw_and_one_temporary(self):
-        # a 192-frame 32x48 clip, as refinement noises at the default config
-        x0 = VideoTensor(np.zeros((192, 32, 48, 3), np.float32))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            z, _ = sdedit_start(x0.data, 0.5, SampleSchedule(40, 0), rng_seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 2.2 * x0.data.nbytes
-
-    def test_minimum_one_step(self):
-        x0, _ = _pair()
-        sched = SampleSchedule(40, 0)
-        _, start = sdedit_start(x0.data, 1e-9, sched, rng_seed=0)
-        assert start == 1
-
-    def test_zero_strength_rejected(self):
-        x0, _ = _pair()
-        with pytest.raises(ScheduleError):
-            sdedit_start(x0.data, 0.0, SampleSchedule(4, 0), rng_seed=0)
 
 
 class TestRngStreams:
