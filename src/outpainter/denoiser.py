@@ -9,7 +9,9 @@ useful at desk scale.
 A denoiser prepares a stage's fixed conditioning once (`prepare`) and
 predicts each step's velocity from that prepared state (`denoise`).  Both
 work on the frame concatenation of `items` equal-length stacks, so a caller
-runs a group of same-shaped tiles or stacks as one array.
+runs a group of same-shaped tiles or stacks as one array.  Once prepared,
+every operation is per frame, so a prepared state narrows to some of its
+frames (`rows`) and denoises them as it would within the whole.
 """
 from __future__ import annotations
 
@@ -231,6 +233,18 @@ class ToyDenoiser:
             x0 = np.clip(x0, -1.0, 1.0)  # once here, not at every step
         x0.flags.writeable = False
         return PreparedFill(mask, items, x0, carry)
+
+    def rows(self, prepared: PreparedFill, frames: list[int]) -> PreparedFill:
+        """`prepared` narrowed to `frames` of its frame concatenation, each
+        a one-frame item, repeats allowed: since `denoise` is per frame,
+        `denoise(rows(prepared, frames), z[frames], t)` is
+        `denoise(prepared, z, t)[frames]`, byte for byte."""
+        x0, carry = prepared.x0[frames], prepared.carry
+        x0.flags.writeable = False
+        if carry is not None:
+            carry = carry[frames]
+            carry.flags.writeable = False
+        return PreparedFill(MaskVideo(prepared.mask.data[frames]), len(frames), x0, carry)
 
     def denoise(self, prepared: PreparedFill, z: np.ndarray, t: float) -> np.ndarray:
         """Velocity for one step from `prepared`, which is

@@ -8,14 +8,14 @@ inside its local window, injecting short-range temporal cues into the global
 trajectory.  Midpoint keyframes are then inserted until the largest
 inter-keyframe gap falls below tau, with previously generated keyframes kept
 bit-identical as trusted anchors that only condition later rounds.  The
-exchange is one-way, from window to stack, so a round's windows run first,
-one group at a time, keeping one latent per swapped stack slot; the round's
-overlapping keyframe segments are then constructed together, in one latent.
+exchange is one-way, from window to stack, and reads one row of a window,
+its keyframe's, so windows are prepared and never stepped: a round's
+overlapping keyframe segments and those rows step together, in one latent.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,32 +78,6 @@ def build_window(k: int, count: int, delta: int, total_frames: int) -> tuple[int
     raise ConfigError(f"no feasible window for k={k}, K={count}, F={total_frames}")
 
 
-def _init_noise(rng_seed: int, tag: str, draws: Sequence[Sequence[int]],
-                frame_shape: tuple[int, ...]) -> Callable[[], np.ndarray]:
-    """A function that returns the initial latent of the next frame list of
-    `draws` at each call.  Noise is keyed by the original frame index, so
-    every keyframe stack and every window slot that names a frame starts from
-    the same latent; this makes the swap ablation a controlled comparison.
-    Each frame's noise is drawn once and held until the last list naming it
-    is taken."""
-    last = {f: i for i, idx in enumerate(draws) for f in idx}
-    held: dict[int, np.ndarray] = {}
-    lists = iter(enumerate(draws))
-
-    def take() -> np.ndarray:
-        i, idx = next(lists)
-        for f in idx:
-            if f not in held:
-                held[f] = rng.normals(rng_seed, f"{tag}:init:{f}", (1,) + frame_shape)
-        z = np.concatenate([held[f] for f in idx], axis=0)
-        for f in set(idx):
-            if last[f] == i:
-                del held[f]
-        return z
-
-    return take
-
-
 def _prepare_stacks(video_ds: VideoTensor, mask_ds: MaskVideo,
                     stacks: Sequence[tuple[int, ...]],
                     denoiser) -> tuple[tuple[Tile, ...], list]:
@@ -128,64 +102,53 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
     each keyframe's latent in the stacks is overwritten by its latent in its
     window, and a keyframe with no window keeps its own.
 
-    The exchange is one-way, from window to stack: no window reads a stack,
-    and a window evolves the same way for every keyframe that names it, so
-    each distinct window runs once, and the windows run first.  They run one
-    group of `group_items` at a time: a group is prepared, stepped for the
-    swap budget and dropped, and after each step one latent is kept per
-    stack slot the swap writes.  Then the stacks are prepared and step at
-    every step, whole-frame tiles of one latent; at a swap step the kept
-    latents are written into their slots, and a group of stacks whose every
-    slot they overwrite does not step."""
+    Once a fill is prepared every denoise operation is per frame, so of a
+    window the swap reads only its keyframe's row.  The windows are
+    prepared one group of `group_items` at a time, and each group is
+    dropped once `denoiser.rows` has taken its swap rows.  The latent is
+    [stack slots; swap rows], each frame starting from its keyframe's
+    noise.  Through the swap the rows step with the stack groups that keep
+    a slot; then they are written into the slots they overwrite, whose
+    values until then nothing reads."""
     swap = sample.swap_steps
     windows = windows if swap else {}  # with no swap, nothing reads a window
     keys = list(sum(segments, ()))
     swapped = [i for i, k in enumerate(keys) if k in windows]  # the stack slots the swap writes
-    own = sorted(set(range(len(keys))) - set(swapped))
     distinct = list(dict.fromkeys(windows.values()))
-    groups = group_items([(len(idx), video_ds.height, video_ds.width) for idx in distinct])
-    noise = _init_noise(rng_seed, noise_tag,
-                        [sum(distinct[g], ()) for g in groups] + [[keys[i] for i in own]],
-                        video_ds.shape[1:])
-    kept = np.empty((swap, len(swapped)) + video_ds.shape[1:])  # Euler steps are float64
-
-    def step_group(prep, z_group):  # reads the current step's t_from and t_to
-        return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
-
-    for g in groups:
+    rows, row_keys = [], []  # (tiles, prepared) of each window group's rows, and their keys
+    for g in group_items([(len(idx),) + video_ds.shape[1:3] for idx in distinct]):
         tiles, [(_, prep)] = _prepare_stacks(video_ds, mask_ds, distinct[g], denoiser)
         origin = {idx: tile.f0 for idx, tile in zip(distinct[g], tiles)}
-        reads = [(j, origin[windows[k]] + windows[k].index(k))
-                 for j, k in enumerate(keys[i] for i in swapped) if windows[k] in origin]
-        dest, src = [j for j, _ in reads], [p for _, p in reads]
-        z = noise()
-        for s in range(swap):
-            t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
-            z.flags.writeable = False  # as a gathered group is
-            z = step_group(prep, z)
-            kept[s, dest] = z[src]
-        del prep, z  # the next group is prepared without this one
+        named = [k for k in windows if windows[k] in origin]
+        f0 = len(keys) + len(row_keys)
+        rows.append(((Tile(f0, f0 + len(named), 0, video_ds.height, 0, video_ds.width),),
+                     denoiser.rows(prep, [origin[windows[k]] + windows[k].index(k)
+                                          for k in named])))
+        row_keys += named
+        del prep  # the next group is prepared without this one
 
     tiles, key_tiles = _prepare_stacks(video_ds, mask_ds, segments, denoiser)
     # the stack groups that keep a slot through the swap; only they step while it runs
     keeping = [(group, prep) for group, prep in key_tiles
-               if any(group[0].f0 <= i < group[-1].f1 for i in own)]
-    # a slot the swap writes starts at 0, not from noise: its group does not
-    # step before the swap overwrites it, or steps it alone, since every
-    # denoise operation is per frame
-    z = np.zeros((len(keys),) + video_ds.shape[1:], dtype=np.float32)
-    if own:
-        z[own] = noise()
+               if any(k not in windows for k in keys[group[0].f0:group[-1].f1])]
+    noise = {k: rng.normals(rng_seed, f"{noise_tag}:init:{k}", (1,) + video_ds.shape[1:])
+             for k in set(keys + row_keys)}
+    z = np.concatenate([noise[k] for k in keys + row_keys])
+    src = [len(keys) + row_keys.index(keys[i]) for i in swapped]
     stepped = np.empty(z.shape, dtype=np.float64)
+
+    def step_group(prep, z_group):  # reads the current step's t_from and t_to
+        return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
+
     for s in range(sample.total_steps):
         t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
-        live = keeping if s < swap else key_tiles
+        live = keeping + rows if s < swap else key_tiles
         for tile, out in tile_outputs(live, z, step_group):  # a group is read, then overwritten
             stepped[tile.f0:tile.f1] = out
             del out  # the next group is stepped without this one's output
         z = stepped
-        if s < swap:
-            z[swapped] = kept[s]
+        if s == swap - 1:
+            z[swapped] = z[src]
     return [z[tile.f0:tile.f1] for tile in tiles]
 
 

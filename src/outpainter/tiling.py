@@ -335,14 +335,26 @@ class SpatiallyTiledDenoiser:
         if self.plan.extent[1:] != condition.shape[1:3]:
             raise ShapeError(
                 f"plan extent {self.plan.extent} does not match request {condition.shape}")
-        frames = condition.frames
-        if frames not in self.frame_plans:
-            self.frame_plans[frames] = TilePlan(
-                condition.shape[:3],
-                tuple(Tile(0, frames, t.y0, t.y1, t.x0, t.x1) for t in self.plan.tiles))
-        frame_plan = self.frame_plans[frames]
+        frame_plan = self._frame_plan(condition.frames)
         parts = prepare_tiles(self.inner, condition, mask, frame_plan, mode, stacks=items)
         return PreparedTiles(frame_plan, tuple(parts))
+
+    def _frame_plan(self, frames: int) -> TilePlan:
+        if frames not in self.frame_plans:
+            self.frame_plans[frames] = TilePlan(
+                (frames,) + self.plan.extent[1:],
+                tuple(Tile(0, frames, t.y0, t.y1, t.x0, t.x1) for t in self.plan.tiles))
+        return self.frame_plans[frames]
+
+    def rows(self, prepared: PreparedTiles, frames: list[int]) -> PreparedTiles:
+        """`prepared` narrowed to `frames` as the inner `rows` narrows each
+        part, whose j-th tile holds frame f at j * n + f, for n frames."""
+        n, frame_plan = prepared.plan.extent[0], self._frame_plan(len(frames))
+        tiles = iter(frame_plan.tiles)
+        return PreparedTiles(frame_plan, tuple(
+            (tuple(next(tiles) for _ in group),
+             self.inner.rows(part, [j * n + f for j in range(len(group)) for f in frames]))
+            for group, part in prepared.parts))
 
     def denoise(self, prepared: PreparedTiles, z: np.ndarray, t: float) -> np.ndarray:
         # the inner denoiser rejects a channel count that differs from the condition's

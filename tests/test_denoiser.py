@@ -8,6 +8,7 @@ from outpainter import rng
 from outpainter.denoiser import (MODES, DenoiserConfig, ToyDenoiser, _kernel_spectrum,
                                  inverse_distance_fill)
 from outpainter.sampler import SampleSchedule, ScheduleError, step, velocity_target
+from outpainter.tiling import SpatiallyTiledDenoiser, plan
 from outpainter.video import MaskVideo, ShapeError, VideoTensor
 
 
@@ -515,6 +516,43 @@ class TestToyDenoiser:
         prepared = den.prepare(VideoTensor(cond), MaskVideo(mask))
         for _ in range(2):
             np.testing.assert_array_equal(den.denoise(prepared, z, 0.5), first)
+
+
+class TestRows:
+    @given(items=st.integers(1, 3), maskings=st.permutations(["random", "none", "all blank"]),
+           frames=st.integers(1, 3), height=st.integers(1, 7), width=st.integers(1, 7),
+           channels=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 8), min_size=1, max_size=5),
+           carryover=st.sampled_from([0.0, 0.5]), mode=st.sampled_from(MODES),
+           z_dtype=st.sampled_from([np.float32, np.float64]), adapter=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_denoise_as_the_whole(self, items, maskings, frames, height, width, channels,
+                                       seed, picks, carryover, mode, z_dtype, adapter):
+        """`denoise(rows(p, idx), z[idx], t)` is `denoise(p, z, t)[idx]`, byte
+        for byte, with the toy denoiser and through the spatial adapter: on
+        items with something, nothing or everything masked, with carry on
+        and off, and with a frame picked twice."""
+        g = np.random.default_rng(seed)
+        shape = (items * frames, height, width, channels)
+        cond = g.uniform(-1.2, 1.2, shape).astype(np.float32)
+        mask = (g.uniform(size=shape[:3] + (1,)) < 0.4).astype(np.float32)
+        for i, masking in enumerate(maskings[:items]):
+            if masking != "random":
+                mask[i * frames:(i + 1) * frames] = float(masking == "all blank")
+        den = ToyDenoiser(DenoiserConfig(radius=3, latent_carryover=carryover))
+        if adapter:
+            den = SpatiallyTiledDenoiser(den, plan((1, height, width), 1, 4, 5, 0, 2, 2))
+        prepared = den.prepare(VideoTensor(cond), MaskVideo(mask), mode, items=items)
+        idx = [p % shape[0] for p in picks + picks[:1]]
+        narrowed = den.rows(prepared, idx)
+        z = g.standard_normal(shape).astype(z_dtype)
+        z.flags.writeable = False
+        rows = z[idx]
+        rows.flags.writeable = False
+        for t in (0.9, 0.3):
+            want = den.denoise(prepared, z, t)[idx]
+            got = den.denoise(narrowed, rows, t)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestTrainingLoss:

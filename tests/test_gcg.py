@@ -95,58 +95,63 @@ def _windows(keys, frames, count=5, delta=2, skip=()):
 SEGMENT = select_keyframes(24, 5)
 
 
+# radius > lambda, so a frame's stack neighbours reach its fill and a
+# window's latent differs from the keyframe stack's
+_SWAP_DENOISER = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
+
+
 def _swap_trace(monkeypatch, windows, swap_steps, steps=6):
     """Per step of a one-segment construction: the keyframe stack as the
     Euler step left it (None if it did not step), as the next step (or the
-    output) reads it, and the stepped windows (None if they did not step).
-    The windows run first, each group for the whole swap budget; every step
-    taken before the stacks' first one steps a window group."""
-    read, stepped, window_steps = [], [], []
-    real_step = gcg.step
-
-    def spy_step(z, v, t_from, t_to):
-        out = real_step(z, v, t_from, t_to)
-        if not read:
-            window_steps.append(out.copy())
-        return out
+    output) reads it, and each swap row as the step left it, by keyframe
+    (None if the rows did not step).  The latent is [stack; swap rows],
+    with a row per keyframe that has a window, in keyframe order."""
+    read, stepped, rows = [], [], []
 
     def spy(live, z, run):
         read.append(z[:len(SEGMENT)].copy())
         outs = [(tile, out.copy()) for tile, out in tiling.tile_outputs(live, z, run)]
         stepped.append(next((out for tile, out in outs if tile.f0 == 0), None))
+        row_outs = [out for tile, out in outs if tile.f0 >= len(SEGMENT)]
+        rows.append(dict(zip([k for k in SEGMENT if k in windows], np.concatenate(row_outs)))
+                    if row_outs else None)
         return outs
 
-    monkeypatch.setattr(gcg, "step", spy_step)
     monkeypatch.setattr(gcg, "tile_outputs", spy)
     cond, mask = _masked_case(24)
-    # radius > lambda, so a frame's stack neighbours reach its fill and a
-    # window's latent differs from the keyframe stack's
-    den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
-    [out] = construct_gcg(cond, mask, [SEGMENT], windows, den, SampleSchedule(steps, swap_steps),
-                          3)
+    [out] = construct_gcg(cond, mask, [SEGMENT], windows, _SWAP_DENOISER,
+                          SampleSchedule(steps, swap_steps), 3)
     assert len(read) == steps
-    # group g's step s is call g * swap_steps + s; the groups concatenate in window order
-    groups = len(window_steps) // swap_steps if swap_steps else 0
-    window_out = [np.concatenate(window_steps[s::swap_steps]) if s < swap_steps and groups
-                  else None for s in range(steps)]
-    return stepped, read[1:] + [out], window_out
+    return stepped, read[1:] + [out], rows
 
 
-def _window_latent(windows, window_out, k):
-    """Keyframe k's latent in its window, within the stepped windows."""
-    distinct = list(dict.fromkeys(windows.values()))
-    return window_out[distinct.index(windows[k]) * len(windows[k]) + windows[k].index(k)]
+def _window_latents(window, k, sample):
+    """Keyframe k's latent in its window after each step, the window
+    denoised alone from the construction's per-frame noise."""
+    cond, mask = _masked_case(24)
+    idx = list(window)
+    prepared = _SWAP_DENOISER.prepare(VideoTensor(cond.data[idx]), MaskVideo(mask.data[idx]),
+                                      "sparse")
+    z = np.concatenate([rng.normals(3, f"gcg:init:{f}", (1,) + cond.shape[1:]) for f in idx])
+    latents = []
+    for s in range(sample.total_steps):
+        t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
+        z = step(z, _SWAP_DENOISER.denoise(prepared, z, t_from), t_from, t_to)
+        latents.append(z[window.index(k)])
+    return latents
 
 
 class TestSwap:
     def test_early_step_copies_window_latents(self, monkeypatch):
         windows = _windows(SEGMENT, 24)
-        stepped, read, window_out = _swap_trace(monkeypatch, windows, swap_steps=3)
-        for s in range(3):
-            assert stepped[s] is None  # the swap overwrites every slot of the stack
-            for i, k in enumerate(SEGMENT):
-                latent = _window_latent(windows, window_out[s], k)
-                np.testing.assert_array_equal(read[s][i], latent)
+        stepped, read, rows = _swap_trace(monkeypatch, windows, swap_steps=3)
+        for i, k in enumerate(SEGMENT):
+            latents = _window_latents(windows[k], k, SampleSchedule(6, 3))
+            for s in range(3):
+                assert stepped[s] is None  # the swap overwrites every slot of the stack
+                # a swap row steps as its keyframe does within the whole window
+                assert rows[s][k].tobytes() == latents[s].tobytes()
+            np.testing.assert_array_equal(read[2][i], latents[2])
 
     def test_late_step_is_identity(self, monkeypatch):
         stepped, read, _ = _swap_trace(monkeypatch, _windows(SEGMENT, 24), swap_steps=3)
@@ -157,21 +162,24 @@ class TestSwap:
         for swap_steps in (0, 3, 6):
             # a keyframe without a window keeps the stack stepping in the swap
             windows = _windows(SEGMENT, 24, skip=(SEGMENT[2],))
-            stepped, read, _ = _swap_trace(monkeypatch, windows, swap_steps)
+            stepped, read, rows = _swap_trace(monkeypatch, windows, swap_steps)
             changed = [not np.array_equal(a, b) for a, b in zip(stepped, read)]
-            assert changed == [s < swap_steps for s in range(6)]
+            # the rows are written into the stack once, at the swap's last step
+            assert changed == [s == swap_steps - 1 for s in range(6)]
+            assert [r is not None for r in rows] == [s < swap_steps for s in range(6)]
             stepped, _, _ = _swap_trace(monkeypatch, _windows(SEGMENT, 24), swap_steps)
             assert [a is None for a in stepped] == [s < swap_steps for s in range(6)]
 
     def test_keyframe_without_window_keeps_its_own_latent(self, monkeypatch):
         windows = _windows(SEGMENT, 24, skip=(SEGMENT[2],))
-        stepped, read, window_out = _swap_trace(monkeypatch, windows, swap_steps=3)
+        stepped, read, rows = _swap_trace(monkeypatch, windows, swap_steps=3)
+        assert SEGMENT[2] not in rows[0]
         for s in range(3):
             np.testing.assert_array_equal(read[s][2], stepped[s][2])
-            for i in (0, 1, 3, 4):
-                latent = _window_latent(windows, window_out[s], SEGMENT[i])
-                np.testing.assert_array_equal(read[s][i], latent)
-                assert not np.array_equal(stepped[s][i], latent)
+        for i in (0, 1, 3, 4):
+            latent = _window_latents(windows[SEGMENT[i]], SEGMENT[i], SampleSchedule(6, 3))[2]
+            np.testing.assert_array_equal(read[2][i], latent)
+            assert not np.array_equal(stepped[2][i], latent)
 
 
 def _observed_case(frames=24, hw=(6, 6), seed=3):
@@ -211,6 +219,30 @@ class TestConstructGcg:
             v = den.denoise(prepared, z, t_from)
             z = step(z, v, t_from, t_to)
         np.testing.assert_array_equal(out, z)
+
+    @pytest.mark.parametrize("adapter", [False, True], ids=["toy", "spatial-adapter"])
+    def test_denoiser_reads_every_latent_read_only(self, monkeypatch, adapter):
+        """Stack groups and swap rows alike reach the toy denoiser, directly
+        or through the adapter, as read-only latents.  A row state holds
+        one-frame items, so a call whose items are its frames denoises rows."""
+        calls = []
+        real = ToyDenoiser.denoise
+
+        def spy(self, prepared, z, t):
+            calls.append((prepared.items == len(z), z.flags.writeable))
+            return real(self, prepared, z, t)
+
+        monkeypatch.setattr(ToyDenoiser, "denoise", spy)
+        cond, mask = _masked_case(24)
+        den = _SWAP_DENOISER
+        if adapter:
+            den = tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2))
+        construct_gcg(cond, mask, [SEGMENT], _windows(SEGMENT, 24, skip=(SEGMENT[2],)), den,
+                      SampleSchedule(4, 2), 3)
+        # one window group, whose rows step at each of the 2 swap steps; the
+        # adapter's four same-shaped tiles are one part
+        assert sum(rows for rows, _ in calls) == 2
+        assert not any(writeable for _, writeable in calls)
 
     def test_swap_changes_output_on_masked_content(self):
         video, mask = _observed_case(seed=5)
@@ -279,8 +311,9 @@ class TestRound:
         for anchors in (frozenset(), anchored):
             # an anchor only conditions the round: it has no window
             round_windows = {k: w for k, w in windows.items() if k not in anchors}
-            distinct = set(round_windows.values())
-            assert len(distinct) < sum(k in round_windows for seg in segments for k in seg)
+            # one swap row per keyframe with a window, however many segments name it
+            rows = len(round_windows)
+            assert rows < sum(k in round_windows for seg in segments for k in seg)
             items = {}  # denoised items per step time
 
             def spy(self, prepared, z, t):
@@ -296,7 +329,7 @@ class TestRound:
             assert all(any(k in anchored for k in seg) for seg in segments)
             keeping = n if anchors else 0
             assert [items[float(t)] for t in sample.times[:-1]] == (
-                [keeping + len(distinct)] * swap_steps + [n] * (6 - swap_steps))
+                [keeping + rows] * swap_steps + [n] * (6 - swap_steps))
         # a keyframe outside the anchors evolves as it does with no anchors
         for seg, a, b in zip(segments, *outs):
             for pos, k in enumerate(seg):
@@ -384,12 +417,13 @@ class TestWindowsFirst:
             want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
-    def test_windows_add_only_the_kept_latents_to_the_peak(self):
+    def test_windows_add_only_their_rows_to_the_peak(self):
         """With one stack or window per group, a window group holds what the
-        stack group holds, and it is dropped before the stacks are prepared.
-        So adding windows raises the traced peak only by the latents the swap
-        keeps, a float64 frame per keyframe and swap step (and a little
-        bookkeeping), where holding every window raised it by far more."""
+        stack group holds, and it is dropped, all but its swap rows, before
+        the stacks are prepared.  So adding windows raises the traced peak
+        only by the rows' float32 `x0` (three channels) and `carry` (one) per
+        keyframe, and a little bookkeeping, where holding every window raised
+        it by far more."""
         frames, hw = 41, (32, 48)
         cond, mask = _masked_case(frames, hw)
         keys = select_keyframes(frames, 5)
@@ -397,7 +431,7 @@ class TestWindowsFirst:
         assert len(set(sum(windows.values(), ()))) == 25
         den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
         sample = SampleSchedule(6, 2)
-        kept = sample.swap_steps * len(keys) * np.prod(hw) * 3 * 8
+        rows = len(keys) * np.prod(hw) * (3 + 1) * 4
 
         def growth(construct):
             peaks = []
@@ -410,8 +444,8 @@ class TestWindowsFirst:
             return peaks[3] - peaks[2]
 
         with _group_budget(1):
-            assert growth(construct_gcg) <= kept + 16 * 1024
-            assert growth(_lockstep_construct_gcg) > 2 * kept
+            assert growth(construct_gcg) <= rows + 16 * 1024
+            assert growth(_lockstep_construct_gcg) > 4 * rows
 
 
 class TestGroupBudget:

@@ -124,16 +124,17 @@ def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
         for kind, idx in ([("keys", idx) for idx in segments]
                           + [("window", w) for w in windows.values()]):
             stacks[kind, args["noise_tag"], idx] = args["mask_ds"].data[list(idx)], den
-        # stacks step at every step and windows during the swap, except that
-        # a group of stacks whose every keyframe has a window (and so is
+        # stacks step at every step and, during the swap, one one-frame row
+        # per keyframe with a window, however many segments name it, except
+        # that a group of stacks whose every keyframe has a window (and so is
         # overwritten by the swap) does not step during it
         shape = args["mask_ds"].data.shape[1:3]
         groups = tmod.group_items([(len(idx),) + shape for idx in segments])
         swapped = sum(g.stop - g.start for g in groups
                       if all(k in windows for idx in segments[g] for k in idx))
+        rows = len({k for idx in segments for k in idx if k in windows})
         spatial = len(den.plan.tiles) if isinstance(den, tmod.SpatiallyTiledDenoiser) else 1
-        expected_steps += spatial * (total * len(segments) - swap * swapped
-                                     + swap * len(set(windows.values())))
+        expected_steps += spatial * (total * len(segments) - swap * swapped + swap * rows)
     if mode == "full":  # later rounds' anchors have no window; segments share windows
         assert any(k not in args["windows"]
                    for args, _ in constructs[1:] for idx in args["segments"] for k in idx)

@@ -697,11 +697,12 @@ PEAK_MIB_192 = 7.3
 
 # Each stage's traced peak at 192 frames, measured with PEAK_MIB_192, plus
 # at most 10%, so that no stage grows into the run's peak unseen: pad 5.35,
-# downsample 6.69, guidance 3.58, completion 5.60 and refinement 5.81
-# (12.74 while refinement re-sampled the composite; downsample, guidance
-# and completion read 12.10, 11.55 and 20.25 with the working size equal to
-# the target).
-STAGE_PEAK_MIB_192 = {"pad": 5.8, "downsample": 7.3, "guidance": 3.9,
+# downsample 6.69, guidance 2.69, completion 5.60 and refinement 5.81
+# (guidance read 3.58 while the windows stepped and the swap kept a float64
+# latent per swapped slot and step; refinement 12.74 while it re-sampled the
+# composite; downsample, guidance and completion read 12.10, 11.55 and 20.25
+# with the working size equal to the target).
+STAGE_PEAK_MIB_192 = {"pad": 5.8, "downsample": 7.3, "guidance": 2.9,
                       "completion": 6.1, "refinement": 6.3}
 
 
