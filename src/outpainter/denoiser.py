@@ -96,11 +96,21 @@ def _kernel_spectrum(radius: int, lam: float,
 # that each FFT works on cache-resident blocks the allocator hands back call
 # after call instead of on fresh pages that fault in on every fill.
 FILL_GROUP_BYTES = 1 << 18
-# The latent average runs on blocks of frames whose zero-padded float64 copy
+# The latent average runs on blocks of frames whose zero-padded float32 copy
 # stays within this many bytes, so that the copy and its sum stay in cache.
-# Blocks four times as large ran 8% faster on a 49-frame tile, but their
+# Blocks four times as large ran faster on a 49-frame tile, but their
 # scratch raised the peak memory of runs made of many small groups.
 BLOCK_BYTES = 1 << 17
+
+
+@functools.lru_cache(maxsize=8)
+def _neighbour_count(h: int, w: int, c: int) -> np.ndarray:
+    """Read-only (1, H, W, C) float32 count of each voxel's in-frame 3x3
+    neighbours, itself included."""
+    cy, cx = (3.0 - (np.arange(n) == 0) - (np.arange(n) == n - 1) for n in (h, w))
+    count = np.repeat((cy[:, None] * cx)[None, :, :, None], c, axis=3).astype(np.float32)
+    count.flags.writeable = False
+    return count
 
 
 def inverse_distance_fill(condition: np.ndarray, mask: np.ndarray, lam: float,
@@ -261,18 +271,20 @@ class ToyDenoiser:
             v /= t
             return v
         # per block of frames, in place: x0 + carry * (s - x0), clamped, then
-        # (z - that) / t; s is the edge-aware 3x3 within-frame average of z,
-        # nine adds in (dy, dx) order, from +0.0, of one zero-padded float64
-        # copy at flat offsets, over each voxel's count of in-frame neighbours
+        # (z - that) / t, in z's dtype; s is the edge-aware 3x3 within-frame
+        # average of z in single precision: nine adds in (dy, dx) order, from
+        # +0.0, of one zero-padded float32 copy of z at flat offsets, over
+        # each voxel's float32 count of in-frame neighbours.  Only the
+        # average is float32: the steps that accumulate the velocity over a
+        # schedule stay float64.
         f, h, w, c = z.shape
         row, plane = (w + 2) * c, (h + 2) * (w + 2) * c
-        rows = max(1, BLOCK_BYTES // (8 * plane))
-        pad = np.zeros((min(rows, f), h + 2, w + 2, c))
-        acc = np.empty(pad.shape)
+        rows = max(1, BLOCK_BYTES // (4 * plane))
+        pad = np.zeros((min(rows, f), h + 2, w + 2, c), dtype=np.float32)
+        acc = np.empty(pad.shape, dtype=np.float32)
         flat_pad, flat_acc = pad.reshape(-1), acc.reshape(-1)
         offsets = [dy * row + dx * c for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
-        cy, cx = (3.0 - (np.arange(n) == 0) - (np.arange(n) == n - 1) for n in (h, w))
-        count = np.repeat((cy[:, None] * cx)[None, :, :, None], c, axis=3)
+        count = _neighbour_count(h, w, c)
         out = np.empty(z.shape, dtype=z.dtype)
         lo = row + c  # the flat index of voxel (0, 0, 0); the last one ends lo before the block
         for a in range(0, f, rows):

@@ -45,14 +45,16 @@ def _shifted_slices(n, off):
     return slice(-off, n), slice(0, n + off)
 
 
-def _smooth3(z):
+def _smooth3(z, dtype=np.float32):
     """The pinned latent average: an edge-aware 3x3 within-frame mean, as
-    nine shifted-slice adds in (dy, dx) order over a float64 neighbour
-    count, rounded to z's dtype."""
+    nine shifted-slice adds in (dy, dx) order, from +0.0, of z rounded to
+    `dtype`, over a `dtype` neighbour count, then cast to z's dtype.  The
+    denoiser computes it in float32; float64 is the formula it replaced."""
     f, h, w, c = z.shape
-    acc = np.zeros(z.shape, dtype=np.float64)
-    cnt = np.zeros((1, h, w, 1), dtype=np.float64)
-    ones = np.ones((1, h, w, 1), dtype=np.float64)
+    src = z.astype(dtype, copy=False)
+    acc = np.zeros(z.shape, dtype=dtype)
+    cnt = np.zeros((1, h, w, 1), dtype=dtype)
+    ones = np.ones((1, h, w, 1), dtype=dtype)
     for dy in (-1, 0, 1):
         if abs(dy) >= h:
             continue
@@ -61,18 +63,19 @@ def _smooth3(z):
             if abs(dx) >= w:
                 continue
             xd, xs = _shifted_slices(w, dx)
-            acc[:, yd, xd] += z[:, ys, xs]
+            acc[:, yd, xd] += src[:, ys, xs]
             cnt[:, yd, xd] += ones[:, ys, xs]
     acc /= cnt
     return acc.astype(z.dtype, copy=False)
 
 
-def _pinned_velocity(cond, mask, z, t, cfg, mode):
-    """The pinned formula: fill, latent carryover, clamp, (z - x0) / t."""
+def _pinned_velocity(cond, mask, z, t, cfg, mode, average=np.float32):
+    """The pinned formula: fill, latent carryover with the latent average
+    taken in `average` precision, clamp, (z - x0) / t."""
     x0 = inverse_distance_fill(cond, mask, cfg.temporal_scale(mode), cfg.radius,
                                cfg.fill_floor)
     if cfg.latent_carryover > 0.0:
-        x0 = x0 + cfg.latent_carryover * mask * (_smooth3(z) - x0)
+        x0 = x0 + cfg.latent_carryover * mask * (_smooth3(z, average) - x0)
     return (z - np.clip(x0, -1.0, 1.0)) / t
 
 
@@ -386,7 +389,7 @@ class TestToyDenoiser:
         z = g.standard_normal(shape).astype(z_dtype)
         if zero_frames:
             z[::2] = -0.0  # frames of negative zeros keep their sign as in the formula
-        plane = 8 * (height + 2) * (width + 2) * channels  # bytes of one padded frame
+        plane = 4 * (height + 2) * (width + 2) * channels  # bytes of one padded frame
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dmod, "BLOCK_BYTES", int(plane * (rows + slack)))
             got = den.denoise(prepared, z, 0.8)
@@ -394,6 +397,70 @@ class TestToyDenoiser:
         assert got.dtype == expected.dtype == z_dtype
         assert got.tobytes() == expected.tobytes()
         assert den.denoise(prepared, z, 0.8).tobytes() == got.tobytes()
+
+    @given(frames=st.integers(1, 5), height=st.integers(1, 7), width=st.integers(1, 7),
+           channels=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1),
+           masking=st.sampled_from(["random", "none", "blank frames"]),
+           z_dtype=st.sampled_from([np.float32, np.float64]),
+           scale=st.sampled_from([0.01, 1.0, 40.0]), zero_frames=st.booleans(),
+           carryover=st.sampled_from([0.0, 0.5, 0.99]), t=st.sampled_from([1.0, 0.55, 0.025]))
+    @example(frames=2, height=3, width=3, channels=3, seed=0, masking="blank frames",
+             z_dtype=np.float64, scale=40.0, zero_frames=True, carryover=0.99, t=0.025)
+    @settings(max_examples=80, deadline=None)
+    def test_float32_average_stays_within_its_rounding_bound(self, frames, height, width,
+                                                              channels, seed, masking, z_dtype,
+                                                              scale, zero_frames, carryover, t):
+        """The denoiser's velocity v, whose latent average is float32, against
+        v64 from the same formula with the average in float64: |t (v - v64)|
+        <= (gamma10(u) + u_d + gamma10(u64) + 23 u_d) A, where u = 2^-24,
+        u64 = 2^-53, u_d is the unit roundoff of z's dtype, gamma_k(u) =
+        k u / (1 - k u), M = max|z| and A = max(M, max|x0|, 1).
+
+        - The float32 average s: each z is rounded to float32 once, then
+          goes through at most eight rounded adds and one rounded divide by
+          an exact count, ten relative errors of at most u each, so
+          |s - s*| <= gamma10(u) M against the exact mean s*.
+        - The float64 average s64 does the same in float64 and is rounded to
+          z's dtype: |s64 - s*| <= (u_d + gamma10(u64)) M.
+        - Both then run the same rounded ops in z's dtype: e = x0 + c (s -
+          x0) with 0 <= c < 1, clamped to [-1, 1], then (z - e) / t.  The
+          exact e moves by c |s - s64| <= |s - s64|, and the clamp does not
+          widen that.  Each side's own roundings add at most u_d times the
+          exact results: 2.02 A, 2.02 A and 3.03 A for the three ops of e
+          (as |s| <= 1.01 A), 2 A for z - e (as |e| <= 1) and 2.01 A for the
+          divide once multiplied back by t; 11.1 u_d A per side, 23 u_d A for
+          both, with room for the float64 subtraction and product that form
+          t (v - v64) here.
+
+        With carry off, or nothing masked, the average is unused and v ==
+        v64 byte for byte.  Frames of -0.0 are included."""
+        g = np.random.default_rng(seed)
+        shape = (frames, height, width, channels)
+        cond = g.uniform(-1.2, 1.2, shape).astype(np.float32)
+        mask = (g.uniform(size=shape[:3] + (1,)) < 0.5).astype(np.float32)
+        if masking == "none":
+            mask[:] = 0.0
+        elif masking == "blank frames":
+            mask[g.uniform(size=frames) < 0.5] = 1.0
+        cfg = DenoiserConfig(radius=3, latent_carryover=carryover)
+        den = ToyDenoiser(cfg)
+        prepared = den.prepare(VideoTensor(cond), MaskVideo(mask))
+        z = (scale * g.standard_normal(shape)).astype(z_dtype)
+        if zero_frames:
+            z[::2] = -0.0
+        v = den.denoise(prepared, z, t)
+        v64 = _pinned_velocity(cond, mask, z, t, cfg, "dense", average=np.float64)
+        assert v.dtype == v64.dtype == z_dtype
+        if prepared.carry is None:
+            assert v.tobytes() == v64.tobytes()
+            return
+        u, u64 = 2.0 ** -24, 2.0 ** -53
+        u_d = u if z_dtype == np.float32 else u64
+        gamma10, gamma10_64 = 10 * u / (1 - 10 * u), 10 * u64 / (1 - 10 * u64)
+        a = max(float(np.abs(z).max()), float(np.abs(prepared.x0).max()), 1.0)
+        bound = (gamma10 + u_d + gamma10_64 + 23 * u_d) * a
+        deviation = float(np.abs(t * (v.astype(np.float64) - v64)).max())
+        assert deviation <= bound
 
     @given(items=st.integers(1, 4), frames=st.integers(1, 3), height=st.integers(1, 6),
            width=st.integers(1, 6), channels=st.sampled_from([1, 3]),

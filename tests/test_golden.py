@@ -21,15 +21,15 @@ from outpainter import pipeline, scene
 from outpainter import tiling as tmod
 
 GOLDEN = {
-    "full": "7021843b8c94885034a9194d3bfb728f0e839200ebb837c0de0dde5a96772a86",
-    "spatial_only": "099d435e7853e18cbf7d470ce47aaed139755f3611c3a138ecf19d24dc81bbd1",
-    "temporal_only": "1ad9a7571652e2511dea6f2e339dd99fb257d7f7e8c2cd629ee83420f7e3e28e",
-    "baseline": "e4f37d8be359dc3269337eaab930c8e8bd2ddcc62c213bb166bf8e1a6abd2b08",
+    "full": "6e946e7915166f374a1a0ab10f5e6204636ec41eb820a808c26aa446417fa149",
+    "spatial_only": "c7dc35f467268b343cfc46a1f9d4f3bd0e4cea9692df3044bf75d7633d141905",
+    "temporal_only": "a79aeb3f69f25c419e8426f830703a32d649b8acd19e7b51d535b82f3c0d7801",
+    "baseline": "2720e5095622cd2435d581fbb03731e57ce0a7ae7f1fe678d9a132033d05bc6b",
 }
 
 
 # `full` with the codec pooling the working resolution by 2.
-CODEC_GOLDEN = "a82fab2cacb7842be63968846b2b30a29e7b67b5624bc7edd42f3ba417d9c8df"
+CODEC_GOLDEN = "a1e5c7db8da7737507951c76d244576eee44ff4ec14c71dae1e3f6a129c87d0f"
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import WRONG_TYPES, ablation_config, golden_case, json_leaves, nan_velocity_in
 from outpainter import gcg, pipeline, rng, scene, video
-from outpainter.denoiser import DenoiserConfig, ToyDenoiser, _kernel_spectrum
+from outpainter.denoiser import (DenoiserConfig, ToyDenoiser, _kernel_spectrum,
+                                 _neighbour_count)
 from outpainter.gcg import GcgError, insert_guidance
 from outpainter.pipeline import (MODES, CodecParams, GcgParams, PipelineConfig,
                                  StageError, TilingParams, WorkingSize,
@@ -647,9 +648,10 @@ def test_default_config_runs_coarse_to_fine():
 def _traced_peaks_mib(frames: int) -> dict[str, float]:
     """Traced peaks of a default-config `run` on `_revisit_case(frames)`, in
     MiB above the memory traced before it: each stage's under its name, and
-    the whole run's under "run".  The fill's kernel cache is cleared and
-    `numpy.fft`, which numpy imports on first use, is imported first, so
-    that each reading is the same whatever ran before it in the process."""
+    the whole run's under "run".  The fill's kernel cache and the latent
+    average's neighbour-count cache are cleared and `numpy.fft`, which numpy
+    imports on first use, is imported first, so that each reading is the
+    same whatever ran before it in the process."""
     case = _revisit_case(frames)
     real_stage, peaks = pipeline._stage, {"run": 0}
 
@@ -663,6 +665,7 @@ def _traced_peaks_mib(frames: int) -> dict[str, float]:
 
     pipeline._stage = stage
     _kernel_spectrum.cache_clear()
+    _neighbour_count.cache_clear()
     import numpy.fft  # noqa: F401
     tracemalloc.start()
     try:
