@@ -7,10 +7,10 @@ stack's latent for frame k_i is overwritten by the latent of the same frame
 inside its local window, injecting short-range temporal cues into the global
 trajectory.  Midpoint keyframes are then inserted until the largest
 inter-keyframe gap falls below tau, with previously generated keyframes kept
-bit-identical as trusted anchors that only condition later rounds.  The
-exchange is one-way, from window to stack, and reads one row of a window,
-its keyframe's, so windows are prepared and never stepped: a round's
-overlapping keyframe segments and those rows step together, in one latent.
+bit-identical as trusted anchors that only condition later rounds.  A step
+denoises only the latent rows whose output is read: of a window, its
+keyframe's row, as the exchange is one-way, from window to stack, and of an
+anchor, none.  A round's segments and those rows share one latent.
 """
 from __future__ import annotations
 
@@ -22,8 +22,7 @@ import numpy as np
 
 from . import rng
 from .sampler import SampleSchedule, step
-from .tiling import (ConfigError, Tile, TilePlan, blend, group_items, plan, prepare_tiles,
-                     tile_outputs)
+from .tiling import ConfigError, Tile, TilePlan, blend, group_items, plan, prepare_tiles
 from .video import MaskVideo, VideoTensor
 
 
@@ -96,56 +95,57 @@ def _prepare_stacks(video_ds: VideoTensor, mask_ds: MaskVideo,
 def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
                   segments: Sequence[tuple[int, ...]], windows: dict[int, tuple[int, ...]],
                   denoiser, sample: SampleSchedule, rng_seed: int,
-                  noise_tag: str = "gcg") -> list[np.ndarray]:
+                  noise_tag: str = "gcg", anchors: frozenset = frozenset()) -> list[np.ndarray]:
     """Denoise one keyframe stack per segment and return each.  `windows`
     maps a keyframe to its local window; for the first swap_steps steps
     each keyframe's latent in the stacks is overwritten by its latent in its
-    window, and a keyframe with no window keeps its own.
+    window, and a keyframe with no window keeps its own.  An anchor's slots
+    are never stepped: they keep their noise.
 
-    Once a fill is prepared every denoise operation is per frame, so of a
-    window the swap reads only its keyframe's row.  The windows are
-    prepared one group of `group_items` at a time, and each group is
-    dropped once `denoiser.rows` has taken its swap rows.  The latent is
-    [stack slots; swap rows], each frame starting from its keyframe's
-    noise.  Through the swap the rows step with the stack groups that keep
-    a slot; then they are written into the slots they overwrite, whose
-    values until then nothing reads."""
+    Once a fill is prepared every denoise operation is per frame, so a step
+    denoises only the latent rows whose output is read, each prepared group
+    narrowed by `denoiser.rows` unless all its rows are: through the swap,
+    each window's keyframe row and the stack slots with no window, and then
+    every stack slot but the anchors'.  The latent is [stack slots; swap
+    rows], each frame starting from its keyframe's noise."""
     swap = sample.swap_steps
     windows = windows if swap else {}  # with no swap, nothing reads a window
     keys = list(sum(segments, ()))
     swapped = [i for i, k in enumerate(keys) if k in windows]  # the stack slots the swap writes
     distinct = list(dict.fromkeys(windows.values()))
-    rows, row_keys = [], []  # (tiles, prepared) of each window group's rows, and their keys
+    through, after, row_keys = [], [], []  # (latent rows, prepared) in and after the swap
     for g in group_items([(len(idx),) + video_ds.shape[1:3] for idx in distinct]):
         tiles, [(_, prep)] = _prepare_stacks(video_ds, mask_ds, distinct[g], denoiser)
         origin = {idx: tile.f0 for idx, tile in zip(distinct[g], tiles)}
         named = [k for k in windows if windows[k] in origin]
         f0 = len(keys) + len(row_keys)
-        rows.append(((Tile(f0, f0 + len(named), 0, video_ds.height, 0, video_ds.width),),
-                     denoiser.rows(prep, [origin[windows[k]] + windows[k].index(k)
-                                          for k in named])))
+        through.append((slice(f0, f0 + len(named)),
+                        denoiser.rows(prep, [origin[windows[k]] + windows[k].index(k)
+                                             for k in named])))
         row_keys += named
         del prep  # the next group is prepared without this one
 
-    tiles, key_tiles = _prepare_stacks(video_ds, mask_ds, segments, denoiser)
-    # the stack groups that keep a slot through the swap; only they step while it runs
-    keeping = [(group, prep) for group, prep in key_tiles
-               if any(k not in windows for k in keys[group[0].f0:group[-1].f1])]
+    tiles, prepared = _prepare_stacks(video_ds, mask_ds, segments, denoiser)
+    # the stack slots whose keys each list skips; with no swap, every slot in it
+    for live, skip in ((through, anchors.union(windows) if swap else keys), (after, anchors)):
+        for group, prep in prepared:
+            a, b = group[0].f0, group[-1].f1
+            rows = [i for i in range(a, b) if keys[i] not in skip]
+            if rows:
+                live.append((slice(a, b), prep) if len(rows) == b - a
+                            else (rows, denoiser.rows(prep, [i - a for i in rows])))
+    del prepared, prep  # a group narrowed in both lists is held only narrowed
     noise = {k: rng.normals(rng_seed, f"{noise_tag}:init:{k}", (1,) + video_ds.shape[1:])
              for k in set(keys + row_keys)}
     z = np.concatenate([noise[k] for k in keys + row_keys])
     src = [len(keys) + row_keys.index(keys[i]) for i in swapped]
-    stepped = np.empty(z.shape, dtype=np.float64)
-
-    def step_group(prep, z_group):  # reads the current step's t_from and t_to
-        return step(z_group, denoiser.denoise(prep, z_group, t_from), t_from, t_to)
-
+    stepped = z.astype(np.float64)  # so an anchor's slots keep their noise
     for s in range(sample.total_steps):
         t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
-        live = keeping + rows if s < swap else key_tiles
-        for tile, out in tile_outputs(live, z, step_group):  # a group is read, then overwritten
-            stepped[tile.f0:tile.f1] = out
-            del out  # the next group is stepped without this one's output
+        for rows, prep in through if s < swap else after:  # rows are read, then overwritten
+            z_rows = z[rows]
+            z_rows.flags.writeable = False  # a view's flag: z stays writable
+            stepped[rows] = step(z_rows, denoiser.denoise(prep, z_rows, t_from), t_from, t_to)
         z = stepped
         if s == swap - 1:
             z[swapped] = z[src]
@@ -196,7 +196,7 @@ def _run_segments(keys: list[int], cond_v: VideoTensor, msk_v: MaskVideo,
     windows = {k: build_window(k, seg_size, delta, cond_v.frames)
                for k in keys if k not in anchors} if sample.swap_steps else {}
     outputs = construct_gcg(cond_v, msk_v, segments, windows, denoiser, sample, rng_seed,
-                            noise_tag=tag)
+                            noise_tag=tag, anchors=anchors)
     return blend(zip(seg_plan.tiles, outputs), seg_plan)
 
 

@@ -100,29 +100,68 @@ SEGMENT = select_keyframes(24, 5)
 _SWAP_DENOISER = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
 
 
+class _NamedDenoiser:
+    """`_SWAP_DENOISER`, naming the frames of each latent it denoises for a
+    one-segment construction on `condition`: ("slot", i) for slot i of the
+    keyframe stack, and ("row", f) for frame f of a window, so a keyframe's
+    swap row is ("row", k).  A narrowed state's frames are the rows it was
+    narrowed to.  Each call is recorded as [t, names, latent], and the
+    Euler step that follows it appends its output."""
+
+    def __init__(self, condition):
+        self.condition, self.names, self.calls = condition, [], []
+
+    def _names(self, prepared):
+        return next(names for state, names in self.names if state is prepared)
+
+    def prepare(self, condition, mask, mode="dense", items=1):
+        prepared = _SWAP_DENOISER.prepare(condition, mask, mode, items)
+        if np.array_equal(condition.data, self.condition.data[list(SEGMENT)]):
+            names = [("slot", i) for i in range(len(SEGMENT))]
+        else:
+            names = [("row", next(f for f, frame in enumerate(self.condition.data)
+                                  if np.array_equal(frame, x))) for x in condition.data]
+        self.names.append((prepared, names))
+        return prepared
+
+    def rows(self, prepared, frames):
+        narrowed = _SWAP_DENOISER.rows(prepared, frames)
+        names = self._names(prepared)
+        self.names.append((narrowed, [names[j] for j in frames]))
+        return narrowed
+
+    def denoise(self, prepared, z, t):
+        self.calls.append([t, self._names(prepared), z.copy()])
+        return _SWAP_DENOISER.denoise(prepared, z, t)
+
+
 def _swap_trace(monkeypatch, windows, swap_steps, steps=6):
-    """Per step of a one-segment construction: the keyframe stack as the
-    Euler step left it (None if it did not step), as the next step (or the
-    output) reads it, and each swap row as the step left it, by keyframe
-    (None if the rows did not step).  The latent is [stack; swap rows],
-    with a row per keyframe that has a window, in keyframe order."""
-    read, stepped, rows = [], [], []
-
-    def spy(live, z, run):
-        read.append(z[:len(SEGMENT)].copy())
-        outs = [(tile, out.copy()) for tile, out in tiling.tile_outputs(live, z, run)]
-        stepped.append(next((out for tile, out in outs if tile.f0 == 0), None))
-        row_outs = [out for tile, out in outs if tile.f0 >= len(SEGMENT)]
-        rows.append(dict(zip([k for k in SEGMENT if k in windows], np.concatenate(row_outs)))
-                    if row_outs else None)
-        return outs
-
-    monkeypatch.setattr(gcg, "tile_outputs", spy)
+    """Per step of a one-segment construction, by stack slot: the slots the
+    Euler step left, and the slots as the next step (or the output) reads
+    them; and each swap row the step left, by keyframe (None if no row
+    stepped).  A slot that does not step is neither left nor read."""
     cond, mask = _masked_case(24)
-    [out] = construct_gcg(cond, mask, [SEGMENT], windows, _SWAP_DENOISER,
-                          SampleSchedule(steps, swap_steps), 3)
-    assert len(read) == steps
-    return stepped, read[1:] + [out], rows
+    den = _NamedDenoiser(cond)
+    real_step = gcg.step
+
+    def spy(z, v, t_from, t_to):
+        out = real_step(z, v, t_from, t_to)
+        den.calls[-1].append(out.copy())
+        return out
+
+    monkeypatch.setattr(gcg, "step", spy)
+    sample = SampleSchedule(steps, swap_steps)
+    [out] = construct_gcg(cond, mask, [SEGMENT], windows, den, sample, 3)
+    times = [float(t) for t in sample.times[:-1]]
+    read, stepped, rows = ([{} for _ in times] for _ in range(3))
+    for t, names, z, z_out in den.calls:
+        s = times.index(t)
+        for (kind, at), latent, left in zip(names, z, z_out):
+            if kind == "slot":
+                read[s][at], stepped[s][at] = latent, left
+            else:
+                rows[s][at] = left
+    return stepped, read[1:] + [dict(enumerate(out))], [r or None for r in rows]
 
 
 def _window_latents(window, k, sample):
@@ -148,7 +187,7 @@ class TestSwap:
         for i, k in enumerate(SEGMENT):
             latents = _window_latents(windows[k], k, SampleSchedule(6, 3))
             for s in range(3):
-                assert stepped[s] is None  # the swap overwrites every slot of the stack
+                assert not stepped[s]  # the swap overwrites every slot of the stack
                 # a swap row steps as its keyframe does within the whole window
                 assert rows[s][k].tobytes() == latents[s].tobytes()
             np.testing.assert_array_equal(read[2][i], latents[2])
@@ -156,30 +195,41 @@ class TestSwap:
     def test_late_step_is_identity(self, monkeypatch):
         stepped, read, _ = _swap_trace(monkeypatch, _windows(SEGMENT, 24), swap_steps=3)
         for s in range(3, 6):
-            np.testing.assert_array_equal(read[s], stepped[s])
+            assert sorted(read[s]) == sorted(stepped[s]) == list(range(len(SEGMENT)))
+            for i in range(len(SEGMENT)):
+                np.testing.assert_array_equal(read[s][i], stepped[s][i])
 
     def test_swap_budget_boundary(self, monkeypatch):
         for swap_steps in (0, 3, 6):
-            # a keyframe without a window keeps the stack stepping in the swap
+            # a keyframe without a window keeps its stack slot stepping in the swap
             windows = _windows(SEGMENT, 24, skip=(SEGMENT[2],))
             stepped, read, rows = _swap_trace(monkeypatch, windows, swap_steps)
-            changed = [not np.array_equal(a, b) for a, b in zip(stepped, read)]
+            assert [sorted(a) for a in stepped] == [
+                [2] if s < swap_steps else list(range(len(SEGMENT))) for s in range(6)]
             # the rows are written into the stack once, at the swap's last step
-            assert changed == [s == swap_steps - 1 for s in range(6)]
+            written = [[i for i in read[s]
+                        if i not in stepped[s] or not np.array_equal(read[s][i], stepped[s][i])]
+                       for s in range(6)]
+            last = swap_steps - 1
+            assert written == [[0, 1, 3, 4] if s == last else [] for s in range(6)]
+            for i in written[last] if swap_steps else ():
+                assert read[last][i].tobytes() == rows[last][SEGMENT[i]].tobytes()
             assert [r is not None for r in rows] == [s < swap_steps for s in range(6)]
             stepped, _, _ = _swap_trace(monkeypatch, _windows(SEGMENT, 24), swap_steps)
-            assert [a is None for a in stepped] == [s < swap_steps for s in range(6)]
+            assert [not a for a in stepped] == [s < swap_steps for s in range(6)]
 
     def test_keyframe_without_window_keeps_its_own_latent(self, monkeypatch):
         windows = _windows(SEGMENT, 24, skip=(SEGMENT[2],))
         stepped, read, rows = _swap_trace(monkeypatch, windows, swap_steps=3)
+        own, _, _ = _swap_trace(monkeypatch, {}, swap_steps=3)  # every slot keeps its own
         assert SEGMENT[2] not in rows[0]
         for s in range(3):
             np.testing.assert_array_equal(read[s][2], stepped[s][2])
+            assert stepped[s][2].tobytes() == own[s][2].tobytes()
         for i in (0, 1, 3, 4):
             latent = _window_latents(windows[SEGMENT[i]], SEGMENT[i], SampleSchedule(6, 3))[2]
             np.testing.assert_array_equal(read[2][i], latent)
-            assert not np.array_equal(stepped[2][i], latent)
+            assert not np.array_equal(own[2][i], latent)
 
 
 def _observed_case(frames=24, hw=(6, 6), seed=3):
@@ -222,14 +272,14 @@ class TestConstructGcg:
 
     @pytest.mark.parametrize("adapter", [False, True], ids=["toy", "spatial-adapter"])
     def test_denoiser_reads_every_latent_read_only(self, monkeypatch, adapter):
-        """Stack groups and swap rows alike reach the toy denoiser, directly
-        or through the adapter, as read-only latents.  A row state holds
-        one-frame items, so a call whose items are its frames denoises rows."""
+        """Stack slots and swap rows alike reach the toy denoiser, directly
+        or through the adapter, as read-only latents, and only the frames
+        whose output is read do."""
         calls = []
         real = ToyDenoiser.denoise
 
         def spy(self, prepared, z, t):
-            calls.append((prepared.items == len(z), z.flags.writeable))
+            calls.append((len(z), z.flags.writeable))
             return real(self, prepared, z, t)
 
         monkeypatch.setattr(ToyDenoiser, "denoise", spy)
@@ -239,9 +289,11 @@ class TestConstructGcg:
             den = tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2))
         construct_gcg(cond, mask, [SEGMENT], _windows(SEGMENT, 24, skip=(SEGMENT[2],)), den,
                       SampleSchedule(4, 2), 3)
-        # one window group, whose rows step at each of the 2 swap steps; the
-        # adapter's four same-shaped tiles are one part
-        assert sum(rows for rows, _ in calls) == 2
+        # each of the 2 swap steps denoises the 4 swap rows and the one stack
+        # slot with no window, and each of the 2 later steps the 5 slots; the
+        # adapter's four same-shaped tiles are one part, of each frame four times
+        spatial = 4 if adapter else 1
+        assert sum(frames for frames, _ in calls) == spatial * (2 * (4 + 1) + 2 * 5)
         assert not any(writeable for _, writeable in calls)
 
     def test_swap_changes_output_on_masked_content(self):
@@ -303,38 +355,41 @@ class TestRound:
         cond, mask = _masked_case(33)
         keys = tuple(range(0, 33, 3))
         segments, windows = _round(33, keys, 5, 1)
+        slots = sum(segments, ())
         den = ToyDenoiser(DenoiserConfig(radius=3))
         sample = SampleSchedule(6, swap_steps)
         real = ToyDenoiser.denoise
         anchored = frozenset(keys[::2])
         outs = []
-        for anchors in (frozenset(), anchored):
-            # an anchor only conditions the round: it has no window
-            round_windows = {k: w for k, w in windows.items() if k not in anchors}
+        # (keyframes with no window, anchors): an anchor has no window, and a
+        # keyframe with no window that is not an anchor keeps its own latent
+        for windowless, anchors in ((frozenset(), frozenset()), (anchored, frozenset()),
+                                    (anchored, anchored)):
+            round_windows = {k: w for k, w in windows.items() if k not in windowless}
             # one swap row per keyframe with a window, however many segments name it
             rows = len(round_windows)
-            assert rows < sum(k in round_windows for seg in segments for k in seg)
-            items = {}  # denoised items per step time
+            assert rows < sum(k in round_windows for k in slots)
+            frames = {}  # denoised frames per step time
 
             def spy(self, prepared, z, t):
-                items[t] = items.get(t, 0) + prepared.items
+                frames[t] = frames.get(t, 0) + len(z)
                 return real(self, prepared, z, t)
 
             monkeypatch.setattr(ToyDenoiser, "denoise", spy)
-            outs.append(construct_gcg(cond, mask, segments, round_windows, den, sample, 3))
-            # the stacks are one group, which steps in the swap only if a
-            # keyframe in it has no window: here, if the round has anchors
-            n = len(segments)
-            assert len(tiling.group_items([(5, 8, 8)] * n)) == 1
-            assert all(any(k in anchored for k in seg) for seg in segments)
-            keeping = n if anchors else 0
-            assert [items[float(t)] for t in sample.times[:-1]] == (
-                [keeping + rows] * swap_steps + [n] * (6 - swap_steps))
+            outs.append(construct_gcg(cond, mask, segments, round_windows, den, sample, 3,
+                                      anchors=anchors))
+            # through the swap, the rows and the slots of keyframes with no
+            # window; after it, every slot but the anchors'
+            own = sum(k in windowless and k not in anchors for k in slots)
+            assert [frames[float(t)] for t in sample.times[:-1]] == (
+                [rows + own] * swap_steps + [len(slots) - sum(k in anchors for k in slots)]
+                * (6 - swap_steps))
         # a keyframe outside the anchors evolves as it does with no anchors
-        for seg, a, b in zip(segments, *outs):
-            for pos, k in enumerate(seg):
-                if k not in anchored:
-                    assert a[pos].tobytes() == b[pos].tobytes()
+        for seg, a, *others in zip(segments, *outs):
+            for b in others:
+                for pos, k in enumerate(seg):
+                    if k not in anchored:
+                        assert a[pos].tobytes() == b[pos].tobytes()
 
 
 def _lockstep_construct_gcg(video_ds, mask_ds, segments, windows, denoiser, sample, rng_seed,
@@ -416,6 +471,39 @@ class TestWindowsFirst:
             got = construct_gcg(cond, mask, segments, windows, den, sample, seed)
             want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_constructions(), budget=st.sampled_from([1, tiling.GROUP_VOXELS]),
+           data=st.data())
+    def test_anchors_keep_their_noise(self, case, budget, data):
+        """Of the keyframes with no window, some drawn as anchors: every
+        other slot equals the lockstep construction, an anchor's slots
+        return their initial noise, and no anchor's latent reaches the
+        denoiser."""
+        frames, segments, windows, sample, seed, adapter = case
+        keys = sorted(set(sum(segments, ())))
+        anchors = frozenset(data.draw(st.sets(st.sampled_from(keys))) - windows.keys())
+        cond, mask = _masked_case(frames)
+        den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
+        if adapter:
+            den = tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2))
+        noise = {k: rng.normals(seed, f"gcg:init:{k}", (1,) + cond.shape[1:])[0] for k in keys}
+        real = den.denoise
+
+        def denoise(prepared, z, t):
+            # an anchor's slots are never stepped, so one read would read its noise
+            assert not any(np.array_equal(row, noise[k]) for row in z for k in anchors)
+            return real(prepared, z, t)
+
+        with _group_budget(budget):
+            want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
+            den.denoise = denoise
+            got = construct_gcg(cond, mask, segments, windows, den, sample, seed,
+                                anchors=anchors)
+        for seg, a, b in zip(segments, got, want):
+            for pos, k in enumerate(seg):
+                expected = noise[k].astype(np.float64) if k in anchors else b[pos]
+                assert a[pos].tobytes() == expected.tobytes()
 
     def test_windows_add_only_their_rows_to_the_peak(self):
         """With one stack or window per group, a window group holds what the

@@ -105,10 +105,10 @@ def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
     clip = case if frames == FRAMES else scene.preset_case("revisit", 0)
     constructs = _spy(monkeypatch, gmod, "construct_gcg", fills)
     completion = _spy(monkeypatch, pipeline, "temporal_completion", fills)
-    steps = []  # items denoised per call
+    steps = []  # frames denoised per call
     real_denoise = dmod.ToyDenoiser.denoise
     monkeypatch.setattr(dmod.ToyDenoiser, "denoise",
-                        lambda self, *a: steps.append(a[0].items) or real_denoise(self, *a))
+                        lambda self, *a: steps.append(len(a[1])) or real_denoise(self, *a))
     config = ablation_config(clip, mode)
     pipeline.run(config, clip.input)
     total, swap = config.sampler.total_steps, config.sampler.swap_steps
@@ -124,17 +124,14 @@ def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
         for kind, idx in ([("keys", idx) for idx in segments]
                           + [("window", w) for w in windows.values()]):
             stacks[kind, args["noise_tag"], idx] = args["mask_ds"].data[list(idx)], den
-        # stacks step at every step and, during the swap, one one-frame row
-        # per keyframe with a window, however many segments name it, except
-        # that a group of stacks whose every keyframe has a window (and so is
-        # overwritten by the swap) does not step during it
-        shape = args["mask_ds"].data.shape[1:3]
-        groups = tmod.group_items([(len(idx),) + shape for idx in segments])
-        swapped = sum(g.stop - g.start for g in groups
-                      if all(k in windows for idx in segments[g] for k in idx))
-        rows = len({k for idx in segments for k in idx if k in windows})
+        # only the frames whose output is read step, an anchor's slots never:
+        # during the swap, one row per keyframe with a window, however many
+        # segments name it, and the slots with no window; after it, the slots
+        slots = [k for idx in segments for k in idx if k not in args["anchors"]]
+        own = sum(k not in windows for k in slots)
+        rows = len({k for k in slots if k in windows})
         spatial = len(den.plan.tiles) if isinstance(den, tmod.SpatiallyTiledDenoiser) else 1
-        expected_steps += spatial * (total * len(segments) - swap * swapped + swap * rows)
+        expected_steps += spatial * (swap * (rows + own) + (total - swap) * len(slots))
     if mode == "full":  # later rounds' anchors have no window; segments share windows
         assert any(k not in args["windows"]
                    for args, _ in constructs[1:] for idx in args["segments"] for k in idx)
@@ -148,6 +145,7 @@ def test_each_conditioning_filled_once(case, fills, monkeypatch, mode, frames):
     guided_mask = args["guided_mask"].data
     expected += sum(_filled(guided_mask[t.f0:t.f1, t.y0:t.y1, t.x0:t.x1])
                     for t in args["plan_t"].tiles)
-    expected_steps += total * len(args["plan_t"].tiles)  # completion starts from noise
+    # completion starts from noise
+    expected_steps += total * sum(t.f1 - t.f0 for t in args["plan_t"].tiles)
     assert sum(fills) == expected
     assert sum(steps) == expected_steps
