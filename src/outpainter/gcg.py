@@ -7,10 +7,10 @@ stack's latent for frame k_i is overwritten by the latent of the same frame
 inside its local window, injecting short-range temporal cues into the global
 trajectory.  Midpoint keyframes are then inserted until the largest
 inter-keyframe gap falls below tau, with previously generated keyframes kept
-bit-identical as trusted anchors that only condition later rounds.  A step
-denoises only the latent rows whose output is read: of a window, its
-keyframe's row, as the exchange is one-way, from window to stack, and of an
-anchor, none.  A round's segments and those rows share one latent.
+bit-identical as trusted anchors that only condition later rounds.  A round
+prepares and steps only the latent rows whose output is read: of a window,
+its keyframe's row, as the exchange is one-way, from window to stack, and of
+an anchor, none.  A round's segments and those rows share one latent.
 """
 from __future__ import annotations
 
@@ -78,18 +78,17 @@ def build_window(k: int, count: int, delta: int, total_frames: int) -> tuple[int
 
 
 def _prepare_stacks(video_ds: VideoTensor, mask_ds: MaskVideo,
-                    stacks: Sequence[tuple[int, ...]],
-                    denoiser) -> tuple[tuple[Tile, ...], list]:
-    """Whole-frame tiles, one per stack, over the frame concatenation of
-    `stacks`, and their groups prepared "sparse" by `prepare_tiles`; the
-    gathered condition is dropped once they are."""
+                    stacks: Sequence[tuple[int, ...]], denoiser, rows: list[int]) -> list:
+    """`prepare_tiles` "sparse" over whole-frame tiles, one per stack, of the
+    frame concatenation of `stacks`, for its frames `rows`; the gathered
+    condition is dropped once they are."""
     frames = list(sum(stacks, ()))
     bounds = np.cumsum([0] + [len(idx) for idx in stacks]).tolist()
     extent = (len(frames), video_ds.height, video_ds.width)
     tiles = tuple(Tile(a, b, 0, extent[1], 0, extent[2]) for a, b in zip(bounds, bounds[1:]))
-    prepared = prepare_tiles(denoiser, VideoTensor(video_ds.data[frames]),
-                             MaskVideo(mask_ds.data[frames]), TilePlan(extent, tiles), "sparse")
-    return tiles, prepared
+    return prepare_tiles(denoiser, VideoTensor(video_ds.data[frames]),
+                         MaskVideo(mask_ds.data[frames]), TilePlan(extent, tiles), "sparse",
+                         rows=rows)
 
 
 def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
@@ -100,14 +99,14 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
     maps a keyframe to its local window; for the first swap_steps steps
     each keyframe's latent in the stacks is overwritten by its latent in its
     window, and a keyframe with no window keeps its own.  An anchor's slots
-    are never stepped: they keep their noise.
+    draw no noise and are never stepped: they stay zero.
 
-    Once a fill is prepared every denoise operation is per frame, so a step
-    denoises only the latent rows whose output is read, each prepared group
-    narrowed by `denoiser.rows` unless all its rows are: through the swap,
-    each window's keyframe row and the stack slots with no window, and then
-    every stack slot but the anchors'.  The latent is [stack slots; swap
-    rows], each frame starting from its keyframe's noise."""
+    Once a fill is prepared every denoise operation is per frame, so each
+    group is prepared for, and steps, only the latent rows whose output is
+    read: through the swap, each window's keyframe row and the stack slots
+    with no window, and then every stack slot but the anchors'.  The latent
+    is [stack slots; swap rows], each frame starting from its keyframe's
+    noise."""
     swap = sample.swap_steps
     windows = windows if swap else {}  # with no swap, nothing reads a window
     keys = list(sum(segments, ()))
@@ -115,31 +114,29 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
     distinct = list(dict.fromkeys(windows.values()))
     through, after, row_keys = [], [], []  # (latent rows, prepared) in and after the swap
     for g in group_items([(len(idx),) + video_ds.shape[1:3] for idx in distinct]):
-        tiles, [(_, prep)] = _prepare_stacks(video_ds, mask_ds, distinct[g], denoiser)
-        origin = {idx: tile.f0 for idx, tile in zip(distinct[g], tiles)}
-        named = [k for k in windows if windows[k] in origin]
+        # (keyframe, row) window by window, as the group lays its rows out
+        named = [(k, j * len(w) + w.index(k))
+                 for j, w in enumerate(distinct[g]) for k in windows if windows[k] == w]
+        [(_, prep)] = _prepare_stacks(video_ds, mask_ds, distinct[g], denoiser,
+                                      [row for _, row in named])
         f0 = len(keys) + len(row_keys)
-        through.append((slice(f0, f0 + len(named)),
-                        denoiser.rows(prep, [origin[windows[k]] + windows[k].index(k)
-                                             for k in named])))
-        row_keys += named
-        del prep  # the next group is prepared without this one
+        through.append((slice(f0, f0 + len(named)), prep))
+        row_keys += [k for k, _ in named]
 
-    tiles, prepared = _prepare_stacks(video_ds, mask_ds, segments, denoiser)
     # the stack slots whose keys each list skips; with no swap, every slot in it
     for live, skip in ((through, anchors.union(windows) if swap else keys), (after, anchors)):
+        rows = [i for i, k in enumerate(keys) if k not in skip]
+        prepared = _prepare_stacks(video_ds, mask_ds, segments, denoiser, rows) if rows else []
         for group, prep in prepared:
             a, b = group[0].f0, group[-1].f1
-            rows = [i for i in range(a, b) if keys[i] not in skip]
-            if rows:
-                live.append((slice(a, b), prep) if len(rows) == b - a
-                            else (rows, denoiser.rows(prep, [i - a for i in rows])))
-    del prepared, prep  # a group narrowed in both lists is held only narrowed
+            held = [i for i in rows if a <= i < b]
+            live.append((slice(a, b) if len(held) == b - a else held, prep))
     noise = {k: rng.normals(rng_seed, f"{noise_tag}:init:{k}", (1,) + video_ds.shape[1:])
-             for k in set(keys + row_keys)}
-    z = np.concatenate([noise[k] for k in keys + row_keys])
+             for k in set(keys + row_keys) - anchors}
+    zero = np.zeros((1,) + video_ds.shape[1:], dtype=np.float32)
+    z = np.concatenate([noise.get(k, zero) for k in keys + row_keys])
     src = [len(keys) + row_keys.index(keys[i]) for i in swapped]
-    stepped = z.astype(np.float64)  # so an anchor's slots keep their noise
+    stepped = np.zeros(z.shape)  # so that an anchor's slots stay zero
     for s in range(sample.total_steps):
         t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
         for rows, prep in through if s < swap else after:  # rows are read, then overwritten
@@ -149,7 +146,8 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
         z = stepped
         if s == swap - 1:
             z[swapped] = z[src]
-    return [z[tile.f0:tile.f1] for tile in tiles]
+    bounds = np.cumsum([0] + [len(idx) for idx in segments]).tolist()
+    return [z[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def max_index_gap(indices) -> int:

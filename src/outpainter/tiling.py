@@ -261,19 +261,30 @@ def _gather(arr: np.ndarray, tiles) -> np.ndarray:
 
 
 def prepare_tiles(denoiser, condition: VideoTensor, mask: MaskVideo,
-                  tile_plan: TilePlan, mode: str = "dense", stacks: int = 1) -> list:
+                  tile_plan: TilePlan, mode: str = "dense", stacks: int = 1,
+                  rows=None) -> list:
     """(tiles, prepared) for each group of `group_items`, in plan order: the
     group's conditioning prepared through one `denoiser.prepare` call.  Each
     tile box holds `stacks` equal-length stacks, so a group is prepared as
-    `stacks` items per tile.  A stage makes this once and reuses it at every
-    step."""
+    `stacks` items per tile.  With `rows`, frames of the plan's extent, a
+    group is prepared for the listed frames its tiles span, tile by tile:
+    whole if they are all its frames in order, and left out if they are
+    none.  A stage makes this once and reuses it at every step."""
     if condition.shape[:3] != tile_plan.extent:
         raise ShapeError(f"condition {condition.shape} does not match plan {tile_plan.extent}")
-    tiles = tile_plan.tiles
-    return [(tiles[g], denoiser.prepare(VideoTensor(_gather(condition.data, tiles[g])),
-                                        MaskVideo(_gather(mask.data, tiles[g])), mode,
-                                        items=stacks * (g.stop - g.start)))
-            for g in group_items([tile.shape for tile in tiles])]
+    tiles, prepared = tile_plan.tiles, []
+    for g in group_items([tile.shape for tile in tiles]):
+        # frame f of the group's j-th tile of n frames is its row j * n + f - f0
+        picked = None if rows is None else [j * t.shape[0] + f - t.f0 for j, t in
+                                            enumerate(tiles[g]) for f in rows if t.f0 <= f < t.f1]
+        if picked == list(range(sum(t.shape[0] for t in tiles[g]))):
+            picked = None  # every frame in order: the group is prepared whole
+        if picked != []:
+            prepared.append((tiles[g], denoiser.prepare(
+                VideoTensor(_gather(condition.data, tiles[g])),
+                MaskVideo(_gather(mask.data, tiles[g])), mode,
+                items=stacks * (g.stop - g.start), rows=picked)))
+    return prepared
 
 
 def tile_outputs(prepared, data: np.ndarray, run):
@@ -327,17 +338,22 @@ class SpatiallyTiledDenoiser:
         self.frame_plans: dict[int, TilePlan] = {}
 
     def prepare(self, condition: VideoTensor, mask: MaskVideo, mode: str = "dense",
-                items: int = 1) -> PreparedTiles:
+                items: int = 1, rows=None) -> PreparedTiles:
         """Prepare the spatial tiles, each over every frame of all items,
-        through the inner denoiser, in groups of same-shaped tiles.  A tile
-        spans the whole frame axis, so its frame weight is flat and each
-        item blends as it would alone."""
+        through the inner denoiser, in groups of same-shaped tiles; with
+        `rows`, each part for those frames of each of its tiles, so that the
+        state is one of `len(rows)` frames.  A tile spans the whole frame
+        axis, so its frame weight is flat and each item blends as it would
+        alone."""
         if self.plan.extent[1:] != condition.shape[1:3]:
             raise ShapeError(
                 f"plan extent {self.plan.extent} does not match request {condition.shape}")
-        frame_plan = self._frame_plan(condition.frames)
-        parts = prepare_tiles(self.inner, condition, mask, frame_plan, mode, stacks=items)
-        return PreparedTiles(frame_plan, tuple(parts))
+        parts = prepare_tiles(self.inner, condition, mask, self._frame_plan(condition.frames),
+                              mode, stacks=items, rows=rows)
+        frame_plan = self._frame_plan(condition.frames if rows is None else len(rows))
+        tiles = iter(frame_plan.tiles)
+        return PreparedTiles(frame_plan, tuple((tuple(next(tiles) for _ in group), part)
+                                               for group, part in parts))
 
     def _frame_plan(self, frames: int) -> TilePlan:
         if frames not in self.frame_plans:
@@ -345,16 +361,6 @@ class SpatiallyTiledDenoiser:
                 (frames,) + self.plan.extent[1:],
                 tuple(Tile(0, frames, t.y0, t.y1, t.x0, t.x1) for t in self.plan.tiles))
         return self.frame_plans[frames]
-
-    def rows(self, prepared: PreparedTiles, frames: list[int]) -> PreparedTiles:
-        """`prepared` narrowed to `frames` as the inner `rows` narrows each
-        part, whose j-th tile holds frame f at j * n + f, for n frames."""
-        n, frame_plan = prepared.plan.extent[0], self._frame_plan(len(frames))
-        tiles = iter(frame_plan.tiles)
-        return PreparedTiles(frame_plan, tuple(
-            (tuple(next(tiles) for _ in group),
-             self.inner.rows(part, [j * n + f for j in range(len(group)) for f in frames]))
-            for group, part in prepared.parts))
 
     def denoise(self, prepared: PreparedTiles, z: np.ndarray, t: float) -> np.ndarray:
         # the inner denoiser rejects a channel count that differs from the condition's

@@ -1,7 +1,8 @@
 """Shared test hooks and helpers: collects acceptance scorecard lines and
 prints them in the terminal summary, where output capture cannot swallow
-them, and builds the small ablation config, the golden case and the
-NaN-velocity patch that several test modules use."""
+them, and builds the small ablation config, the golden case, the
+NaN-velocity patch and the narrowing denoiser that several test modules
+use."""
 import platform
 from dataclasses import replace
 
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from outpainter import pipeline, scene
-from outpainter.denoiser import DenoiserConfig, ToyDenoiser
+from outpainter.denoiser import DenoiserConfig, PreparedFill, ToyDenoiser
 from outpainter.sampler import SampleSchedule
+from outpainter.video import MaskVideo
 
 FRAMES = 16  # frames of the golden case
 
@@ -113,3 +115,31 @@ def nan_velocity_in(monkeypatch, owner, name: str, total_steps: int) -> list:
     monkeypatch.setattr(owner, name, stage)
     monkeypatch.setattr(ToyDenoiser, "denoise", denoise)
     return poisoned
+
+
+def narrowed(prepared: PreparedFill, rows) -> PreparedFill:
+    """A toy denoiser's whole prepared state narrowed to `rows` of its frame
+    concatenation, each a one-frame item: what `prepare(..., rows=rows)`
+    stands for, with the whole fill's rounding."""
+    x0, carry = prepared.x0[rows], prepared.carry
+    x0.flags.writeable = False
+    if carry is not None:
+        carry = carry[rows]
+        carry.flags.writeable = False
+    return PreparedFill(MaskVideo(prepared.mask.data[rows]), len(rows), x0, carry)
+
+
+class NarrowingDenoiser:
+    """`inner` (a toy denoiser), whose `prepare(..., rows=)` narrows the
+    whole prepared state: a caller's use of rows is then checked byte for
+    byte, apart from the row fill's rounding, which test_denoiser bounds."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def prepare(self, condition, mask, mode="dense", items=1, rows=None):
+        prepared = self.inner.prepare(condition, mask, mode, items)
+        return prepared if rows is None else narrowed(prepared, rows)
+
+    def denoise(self, prepared, z, t):
+        return self.inner.denoise(prepared, z, t)

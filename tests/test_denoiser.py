@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import NarrowingDenoiser
 from outpainter import denoiser as dmod
 from outpainter import rng
 from outpainter.denoiser import (MODES, DenoiserConfig, ToyDenoiser, _kernel_spectrum,
@@ -247,6 +248,52 @@ class TestFill:
             assert (out[i][uncovered] == np.float32(floor)).all()
             np.testing.assert_allclose(out[i][~uncovered], expected[~uncovered],
                                        rtol=0, atol=1e-6)
+
+    @given(items=st.integers(1, 3), frames=st.integers(1, 6), height=st.integers(1, 7),
+           width=st.integers(1, 7), channels=st.integers(1, 3), radius=st.integers(1, 16),
+           lam=st.floats(0.5, 8.0),
+           maskings=st.lists(st.sampled_from(["random", "all ones", "all zeros"]),
+                             min_size=3, max_size=3),
+           floor=st.floats(-1.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 17), min_size=1, max_size=6),
+           budget=st.sampled_from([1, dmod.FILL_GROUP_BYTES]))
+    # the empty ball: one pixel a frame and a frame step beyond the radius
+    @example(items=2, frames=3, height=1, width=1, channels=2, radius=1, lam=2.0,
+             maskings=["random"] * 3, floor=0.5, seed=0, picks=[0, 4, 4], budget=1)
+    # reach 0: frames fill from their own frame alone; one row picked twice
+    @example(items=1, frames=4, height=5, width=6, channels=3, radius=3, lam=4.0,
+             maskings=["random"] * 3, floor=-0.25, seed=1, picks=[2, 1, 2], budget=1 << 18)
+    # a blank item and a fully observed one beside a random one, every row
+    @example(items=3, frames=2, height=4, width=3, channels=1, radius=4, lam=1.5,
+             maskings=["all ones", "all zeros", "random"], floor=0.75, seed=2,
+             picks=[0, 1, 2, 3, 4, 5], budget=1)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_fill_as_the_whole(self, items, frames, height, width, channels, radius,
+                                    lam, maskings, floor, seed, picks, budget):
+        """`inverse_distance_fill(..., rows=R)` puts `floor` on exactly the
+        voxels where the whole fill's rows R have it, as the oracle cannot
+        reach them, and elsewhere is within a float32 ulp of those rows and
+        within 1e-6 of the oracle, whatever the chunks' budget."""
+        g = np.random.default_rng(seed)
+        shape = (items, frames, height, width)
+        cond = g.uniform(-1.0, 1.0, shape + (channels,)).astype(np.float32)
+        mask = (g.uniform(size=shape + (1,)) < 0.5).astype(np.float32)
+        for i, masking in enumerate(maskings[:items]):
+            if masking != "random":
+                mask[i] = 1.0 if masking == "all ones" else 0.0
+        rows = [p % (items * frames) for p in picks]
+        whole = inverse_distance_fill(cond, mask, lam, radius, floor)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dmod, "FILL_GROUP_BYTES", budget)
+            got = inverse_distance_fill(cond, mask, lam, radius, floor, rows=rows)
+        want = whole.reshape((-1,) + whole.shape[2:])[rows]
+        expected = np.concatenate([_fill_oracle(cond[i], mask[i], lam, radius, np.nan)
+                                   for i in range(items)])[rows]
+        uncovered = np.isnan(expected)
+        assert (got[uncovered] == np.float32(floor)).all()
+        assert (want[uncovered] == np.float32(floor)).all()
+        _within_an_ulp(got[~uncovered], want[~uncovered])
+        np.testing.assert_allclose(got[~uncovered], expected[~uncovered], rtol=0, atol=1e-6)
 
     def test_short_axes_do_not_crash(self):
         cond = np.zeros((2, 2, 2, 1), np.float32)
@@ -585,6 +632,12 @@ class TestToyDenoiser:
             np.testing.assert_array_equal(den.denoise(prepared, z, 0.5), first)
 
 
+def _within_an_ulp(got, want):
+    """Every float32 of `got` is `want`'s, or one of its neighbours."""
+    assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+    assert (np.abs(got.astype(np.float64) - want) <= np.spacing(np.abs(want))).all()
+
+
 class TestRows:
     @given(items=st.integers(1, 3), maskings=st.permutations(["random", "none", "all blank"]),
            frames=st.integers(1, 3), height=st.integers(1, 7), width=st.integers(1, 7),
@@ -595,10 +648,13 @@ class TestRows:
     @settings(max_examples=80, deadline=None)
     def test_rows_denoise_as_the_whole(self, items, maskings, frames, height, width, channels,
                                        seed, picks, carryover, mode, z_dtype, adapter):
-        """`denoise(rows(p, idx), z[idx], t)` is `denoise(p, z, t)[idx]`, byte
-        for byte, with the toy denoiser and through the spatial adapter: on
-        items with something, nothing or everything masked, with carry on
-        and off, and with a frame picked twice."""
+        """A state prepared for rows `idx` is the whole state narrowed to
+        them: its mask, carry and items byte for byte, and its `x0` within a
+        float32 ulp, with the toy denoiser and through the spatial adapter,
+        on items with something, nothing or everything masked, with carry on
+        and off, and with a frame picked twice.  The whole state narrowed to
+        `idx` denoises `z[idx]` as the whole denoises `z` and takes `idx`,
+        byte for byte."""
         g = np.random.default_rng(seed)
         shape = (items * frames, height, width, channels)
         cond = g.uniform(-1.2, 1.2, shape).astype(np.float32)
@@ -606,20 +662,32 @@ class TestRows:
         for i, masking in enumerate(maskings[:items]):
             if masking != "random":
                 mask[i * frames:(i + 1) * frames] = float(masking == "all blank")
-        den = ToyDenoiser(DenoiserConfig(radius=3, latent_carryover=carryover))
+        toy = ToyDenoiser(DenoiserConfig(radius=3, latent_carryover=carryover))
+        den, whole = toy, NarrowingDenoiser(toy)
         if adapter:
-            den = SpatiallyTiledDenoiser(den, plan((1, height, width), 1, 4, 5, 0, 2, 2))
-        prepared = den.prepare(VideoTensor(cond), MaskVideo(mask), mode, items=items)
+            spatial = plan((1, height, width), 1, 4, 5, 0, 2, 2)
+            den, whole = (SpatiallyTiledDenoiser(d, spatial) for d in (den, whole))
         idx = [p % shape[0] for p in picks + picks[:1]]
-        narrowed = den.rows(prepared, idx)
+        got, want = (d.prepare(VideoTensor(cond), MaskVideo(mask), mode, items=items, rows=idx)
+                     for d in (den, whole))
+        if adapter:
+            assert got.plan == want.plan
+            assert [tiles for tiles, _ in got.parts] == [tiles for tiles, _ in want.parts]
+        for a, b in zip(*([part for _, part in p.parts] if adapter else [p]
+                          for p in (got, want))):
+            assert a.items == b.items and a.mask.data.tobytes() == b.mask.data.tobytes()
+            assert (a.carry is None) == (b.carry is None)
+            assert a.carry is None or a.carry.tobytes() == b.carry.tobytes()
+            _within_an_ulp(a.x0, b.x0)
+        prepared = whole.prepare(VideoTensor(cond), MaskVideo(mask), mode, items=items)
         z = g.standard_normal(shape).astype(z_dtype)
         z.flags.writeable = False
         rows = z[idx]
         rows.flags.writeable = False
         for t in (0.9, 0.3):
-            want = den.denoise(prepared, z, t)[idx]
-            got = den.denoise(narrowed, rows, t)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            want_v = whole.denoise(prepared, z, t)[idx]
+            got_v = whole.denoise(want, rows, t)
+            assert got_v.dtype == want_v.dtype and got_v.tobytes() == want_v.tobytes()
 
 
 class TestTrainingLoss:

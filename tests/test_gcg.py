@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import NarrowingDenoiser, narrowed
 from outpainter import gcg, rng, tiling
 from outpainter.denoiser import DenoiserConfig, ToyDenoiser
 from outpainter.gcg import (GcgError, GcgParams, build_window, construct_gcg, auto_delta,
@@ -104,9 +105,10 @@ class _NamedDenoiser:
     """`_SWAP_DENOISER`, naming the frames of each latent it denoises for a
     one-segment construction on `condition`: ("slot", i) for slot i of the
     keyframe stack, and ("row", f) for frame f of a window, so a keyframe's
-    swap row is ("row", k).  A narrowed state's frames are the rows it was
-    narrowed to.  Each call is recorded as [t, names, latent], and the
-    Euler step that follows it appends its output."""
+    swap row is ("row", k).  A state prepared for some rows is the whole
+    state narrowed to them, and its frames are the rows it was prepared
+    for.  Each call is recorded as [t, names, latent], and the Euler step
+    that follows it appends its output."""
 
     def __init__(self, condition):
         self.condition, self.names, self.calls = condition, [], []
@@ -114,21 +116,17 @@ class _NamedDenoiser:
     def _names(self, prepared):
         return next(names for state, names in self.names if state is prepared)
 
-    def prepare(self, condition, mask, mode="dense", items=1):
+    def prepare(self, condition, mask, mode="dense", items=1, rows=None):
         prepared = _SWAP_DENOISER.prepare(condition, mask, mode, items)
         if np.array_equal(condition.data, self.condition.data[list(SEGMENT)]):
             names = [("slot", i) for i in range(len(SEGMENT))]
         else:
             names = [("row", next(f for f, frame in enumerate(self.condition.data)
                                   if np.array_equal(frame, x))) for x in condition.data]
+        if rows is not None:
+            prepared, names = narrowed(prepared, rows), [names[j] for j in rows]
         self.names.append((prepared, names))
         return prepared
-
-    def rows(self, prepared, frames):
-        narrowed = _SWAP_DENOISER.rows(prepared, frames)
-        names = self._names(prepared)
-        self.names.append((narrowed, [names[j] for j in frames]))
-        return narrowed
 
     def denoise(self, prepared, z, t):
         self.calls.append([t, self._names(prepared), z.copy()])
@@ -458,15 +456,23 @@ def _constructions(draw):
             draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
 
 
+def _narrowing(adapter):
+    """The round's toy denoiser, directly or through the spatial adapter,
+    whose prepare for rows narrows the whole prepared state."""
+    den = NarrowingDenoiser(ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3)))
+    return tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2)) \
+        if adapter else den
+
+
 class TestWindowsFirst:
     @settings(max_examples=60, deadline=None)
     @given(case=_constructions(), budget=st.sampled_from([1, tiling.GROUP_VOXELS]))
     def test_equals_the_lockstep_construction(self, case, budget):
+        """Byte for byte, with the rows prepared as the whole state narrowed
+        to them: the row fill's own rounding is bounded in test_denoiser."""
         frames, segments, windows, sample, seed, adapter = case
         cond, mask = _masked_case(frames)
-        den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
-        if adapter:
-            den = tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2))
+        den = _narrowing(adapter)
         with _group_budget(budget):
             got = construct_gcg(cond, mask, segments, windows, den, sample, seed)
             want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
@@ -475,34 +481,38 @@ class TestWindowsFirst:
     @settings(max_examples=60, deadline=None)
     @given(case=_constructions(), budget=st.sampled_from([1, tiling.GROUP_VOXELS]),
            data=st.data())
-    def test_anchors_keep_their_noise(self, case, budget, data):
+    def test_anchors_stay_zero(self, case, budget, data):
         """Of the keyframes with no window, some drawn as anchors: every
-        other slot equals the lockstep construction, an anchor's slots
-        return their initial noise, and no anchor's latent reaches the
-        denoiser."""
+        other slot equals the lockstep construction, byte for byte with the
+        rows prepared as the whole state narrowed to them; an anchor's slots
+        return zero, no noise is drawn for an anchor, and no anchor's slot
+        reaches the denoiser."""
         frames, segments, windows, sample, seed, adapter = case
         keys = sorted(set(sum(segments, ())))
         anchors = frozenset(data.draw(st.sets(st.sampled_from(keys))) - windows.keys())
         cond, mask = _masked_case(frames)
-        den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
-        if adapter:
-            den = tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2))
-        noise = {k: rng.normals(seed, f"gcg:init:{k}", (1,) + cond.shape[1:])[0] for k in keys}
-        real = den.denoise
+        den = _narrowing(adapter)
+        real, real_normals, labels = den.denoise, rng.normals, []
 
         def denoise(prepared, z, t):
-            # an anchor's slots are never stepped, so one read would read its noise
-            assert not any(np.array_equal(row, noise[k]) for row in z for k in anchors)
+            # every stepped latent row starts from noise, an anchor's slot from zero
+            assert all(row.any() for row in z)
             return real(prepared, z, t)
 
-        with _group_budget(budget):
+        def normals(seed, label, shape):
+            labels.append(label)
+            return real_normals(seed, label, shape)
+
+        with _group_budget(budget), pytest.MonkeyPatch.context() as patch:
             want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
             den.denoise = denoise
+            patch.setattr(gcg.rng, "normals", normals)
             got = construct_gcg(cond, mask, segments, windows, den, sample, seed,
                                 anchors=anchors)
+        assert {f"gcg:init:{k}" for k in keys} - set(labels) == {f"gcg:init:{k}" for k in anchors}
         for seg, a, b in zip(segments, got, want):
             for pos, k in enumerate(seg):
-                expected = noise[k].astype(np.float64) if k in anchors else b[pos]
+                expected = np.zeros_like(b[pos]) if k in anchors else b[pos]
                 assert a[pos].tobytes() == expected.tobytes()
 
     def test_windows_add_only_their_rows_to_the_peak(self):

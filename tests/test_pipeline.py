@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import WRONG_TYPES, ablation_config, golden_case, json_leaves, nan_velocity_in
+from outpainter import denoiser as dmod
 from outpainter import gcg, pipeline, rng, scene, video
-from outpainter.denoiser import (DenoiserConfig, ToyDenoiser, _kernel_spectrum,
-                                 _neighbour_count)
+from outpainter.denoiser import (DenoiserConfig, ToyDenoiser, _kernel_slices,
+                                 _kernel_spectrum, _neighbour_count)
 from outpainter.gcg import GcgError, insert_guidance
 from outpainter.pipeline import (MODES, CodecParams, GcgParams, PipelineConfig,
                                  StageError, TilingParams, WorkingSize,
@@ -672,12 +673,50 @@ def test_guidance_denoises_only_the_frames_it_reads(monkeypatch, frames, denoise
     assert sum(counted) == denoised
 
 
+def test_guidance_fills_and_draws_only_what_it_reads(monkeypatch):
+    """The frames GCG's fills return and the noise fields it draws, on the
+    ablation config at the `revisit` preset's 48 frames (three rounds, 17
+    keyframes): a window group is filled for its keyframes' rows, a stack
+    group with an anchor for its other slots, and no anchor draws noise.
+    It read 130 frames and 31 fields while every item was filled whole and
+    every anchor drew noise."""
+    clip = scene.preset_case("revisit", 0)
+    inside, filled, drawn = [], [], []
+    real_construct, real_fill, real_normals = (gcg.construct_gcg, dmod.inverse_distance_fill,
+                                               rng.normals)
+
+    def construct(*args, **kwargs):
+        inside.append(args)
+        try:
+            return real_construct(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def fill(*args, **kwargs):
+        out = real_fill(*args, **kwargs)
+        if inside:
+            filled.append(int(np.prod(out.shape[:-3])))
+        return out
+
+    def normals(*args):
+        if inside:
+            drawn.append(args[1])
+        return real_normals(*args)
+
+    monkeypatch.setattr(gcg, "construct_gcg", construct)
+    monkeypatch.setattr(dmod, "inverse_distance_fill", fill)
+    monkeypatch.setattr(rng, "normals", normals)
+    result = run(ablation_config(clip, "full"), clip.input)
+    assert len(result.keyframes) == 17
+    assert (sum(filled), len(drawn)) == (41, 17)
+
+
 @functools.cache
 def _traced_peaks_mib(frames: int) -> dict[str, float]:
     """Traced peaks of a default-config `run` on `_revisit_case(frames)`, in
     MiB above the memory traced before it: each stage's under its name, and
     the whole run's under "run".  An untraced run on an 8-frame clip comes
-    first, then the fill's kernel cache and the latent average's
+    first, then the fill's kernel caches and the latent average's
     neighbour-count cache are cleared, so that a reading hardly depends on
     what ran before it in the process.  At 192 frames, repeated calls in one
     process read within 0.005 MiB of each other per stage, the first call
@@ -697,6 +736,7 @@ def _traced_peaks_mib(frames: int) -> dict[str, float]:
 
     pipeline._stage = stage
     _kernel_spectrum.cache_clear()
+    _kernel_slices.cache_clear()
     _neighbour_count.cache_clear()
     tracemalloc.start()
     try:
