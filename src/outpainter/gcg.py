@@ -1,16 +1,13 @@
 """Global coarse guidance: keyframe selection, local temporal windows,
 global-local frame swapping during sampling, and multi-scale densification.
 
-Stage 1 denoises a sparse keyframe stack with one short-stride local window
-per keyframe; during the first ``swap_steps`` denoising steps the keyframe
-stack's latent for frame k_i is overwritten by the latent of the same frame
-inside its local window, injecting short-range temporal cues into the global
-trajectory.  Midpoint keyframes are then inserted until the largest
-inter-keyframe gap falls below tau, with previously generated keyframes kept
-bit-identical as trusted anchors that only condition later rounds.  A round
-prepares and steps only the latent rows whose output is read: of a window,
-its keyframe's row, as the exchange is one-way, from window to stack, and of
-an anchor, none.  A round's segments and those rows share one latent.
+Stage 1 samples each keyframe inside its short-stride local window for the
+first ``swap_steps`` denoising steps, then hands its latent over to the
+keyframe's slots in the sparse keyframe stacks, which sample the rest: the
+windows inject short-range temporal cues into the global trajectory.
+Midpoint keyframes are then inserted until the largest inter-keyframe gap
+falls below tau, with previously generated keyframes kept bit-identical as
+trusted anchors that only condition later rounds and are never sampled.
 """
 from __future__ import annotations
 
@@ -22,7 +19,7 @@ import numpy as np
 
 from . import rng
 from .sampler import SampleSchedule, step
-from .tiling import ConfigError, Tile, TilePlan, blend, group_items, plan, prepare_tiles
+from .tiling import ConfigError, Tile, TilePlan, blend, plan, prepare_tiles
 from .video import MaskVideo, VideoTensor
 
 
@@ -80,15 +77,35 @@ def build_window(k: int, count: int, delta: int, total_frames: int) -> tuple[int
 def _prepare_stacks(video_ds: VideoTensor, mask_ds: MaskVideo,
                     stacks: Sequence[tuple[int, ...]], denoiser, rows: list[int]) -> list:
     """`prepare_tiles` "sparse" over whole-frame tiles, one per stack, of the
-    frame concatenation of `stacks`, for its frames `rows`; the gathered
-    condition is dropped once they are."""
+    frame concatenation of `stacks`, for its ascending frames `rows`: each
+    group as (the slice of the latent it steps, prepared), row j of that
+    latent being frame rows[j].  The gathered condition is dropped once they
+    are prepared."""
+    if not rows:
+        return []
     frames = list(sum(stacks, ()))
     bounds = np.cumsum([0] + [len(idx) for idx in stacks]).tolist()
     extent = (len(frames), video_ds.height, video_ds.width)
     tiles = tuple(Tile(a, b, 0, extent[1], 0, extent[2]) for a, b in zip(bounds, bounds[1:]))
-    return prepare_tiles(denoiser, VideoTensor(video_ds.data[frames]),
-                         MaskVideo(mask_ds.data[frames]), TilePlan(extent, tiles), "sparse",
-                         rows=rows)
+    prepared = prepare_tiles(denoiser, VideoTensor(video_ds.data[frames]),
+                             MaskVideo(mask_ds.data[frames]), TilePlan(extent, tiles), "sparse",
+                             rows=rows)
+    return [(slice(*np.searchsorted(rows, (group[0].f0, group[-1].f1)).tolist()), prep)
+            for group, prep in prepared]
+
+
+def _sample(z: np.ndarray, prepared: list, denoiser, sample: SampleSchedule,
+            steps: range) -> np.ndarray:
+    """`z` after `steps` of `sample`, each prepared group stepping its rows."""
+    stepped = np.empty(z.shape)
+    for s in steps:
+        t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
+        for rows, prep in prepared:  # rows are read, then overwritten
+            z_rows = z[rows]
+            z_rows.flags.writeable = False  # a view's flag: z stays writable
+            stepped[rows] = step(z_rows, denoiser.denoise(prep, z_rows, t_from), t_from, t_to)
+        z = stepped
+    return z
 
 
 def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
@@ -96,58 +113,38 @@ def construct_gcg(video_ds: VideoTensor, mask_ds: MaskVideo,
                   denoiser, sample: SampleSchedule, rng_seed: int,
                   noise_tag: str = "gcg", anchors: frozenset = frozenset()) -> list[np.ndarray]:
     """Denoise one keyframe stack per segment and return each.  `windows`
-    maps a keyframe to its local window; for the first swap_steps steps
-    each keyframe's latent in the stacks is overwritten by its latent in its
-    window, and a keyframe with no window keeps its own.  An anchor's slots
-    draw no noise and are never stepped: they stay zero.
+    maps every keyframe that is not an anchor to its local window.  An
+    anchor draws no noise and is never stepped: its slots return zero.
 
-    Once a fill is prepared every denoise operation is per frame, so each
-    group is prepared for, and steps, only the latent rows whose output is
-    read: through the swap, each window's keyframe row and the stack slots
-    with no window, and then every stack slot but the anchors'.  The latent
-    is [stack slots; swap rows], each frame starting from its keyframe's
-    noise."""
+    Sampling runs in two phases, handing the latent over at the swap.
+    Through the first swap_steps steps the latent holds one row per
+    keyframe, from its noise, conditioned on its window; at the swap each
+    stack slot takes its keyframe's latent; after it the latent holds one
+    row per slot, conditioned on its stack.  Once a fill is prepared every
+    denoise operation is per frame, so each phase prepares and steps only
+    the rows it holds."""
     swap = sample.swap_steps
-    windows = windows if swap else {}  # with no swap, nothing reads a window
     keys = list(sum(segments, ()))
-    swapped = [i for i, k in enumerate(keys) if k in windows]  # the stack slots the swap writes
-    distinct = list(dict.fromkeys(windows.values()))
-    through, after, row_keys = [], [], []  # (latent rows, prepared) in and after the swap
-    for g in group_items([(len(idx),) + video_ds.shape[1:3] for idx in distinct]):
-        # (keyframe, row) window by window, as the group lays its rows out
-        named = [(k, j * len(w) + w.index(k))
-                 for j, w in enumerate(distinct[g]) for k in windows if windows[k] == w]
-        [(_, prep)] = _prepare_stacks(video_ds, mask_ds, distinct[g], denoiser,
-                                      [row for _, row in named])
-        f0 = len(keys) + len(row_keys)
-        through.append((slice(f0, f0 + len(named)), prep))
-        row_keys += [k for k, _ in named]
-
-    # the stack slots whose keys each list skips; with no swap, every slot in it
-    for live, skip in ((through, anchors.union(windows) if swap else keys), (after, anchors)):
-        rows = [i for i, k in enumerate(keys) if k not in skip]
-        prepared = _prepare_stacks(video_ds, mask_ds, segments, denoiser, rows) if rows else []
-        for group, prep in prepared:
-            a, b = group[0].f0, group[-1].f1
-            held = [i for i in rows if a <= i < b]
-            live.append((slice(a, b) if len(held) == b - a else held, prep))
-    noise = {k: rng.normals(rng_seed, f"{noise_tag}:init:{k}", (1,) + video_ds.shape[1:])
-             for k in set(keys + row_keys) - anchors}
-    zero = np.zeros((1,) + video_ds.shape[1:], dtype=np.float32)
-    z = np.concatenate([noise.get(k, zero) for k in keys + row_keys])
-    src = [len(keys) + row_keys.index(keys[i]) for i in swapped]
-    stepped = np.zeros(z.shape)  # so that an anchor's slots stay zero
-    for s in range(sample.total_steps):
-        t_from, t_to = float(sample.times[s]), float(sample.times[s + 1])
-        for rows, prep in through if s < swap else after:  # rows are read, then overwritten
-            z_rows = z[rows]
-            z_rows.flags.writeable = False  # a view's flag: z stays writable
-            stepped[rows] = step(z_rows, denoiser.denoise(prep, z_rows, t_from), t_from, t_to)
-        z = stepped
-        if s == swap - 1:
-            z[swapped] = z[src]
+    live = [i for i, k in enumerate(keys) if k not in anchors]  # the slots that step
+    if swap:
+        distinct = list(dict.fromkeys(windows.values()))
+        start = dict(zip(distinct, np.cumsum([0] + [len(w) for w in distinct]).tolist()))
+        at = {start[w] + w.index(k): k for k, w in windows.items()}  # keyframe by window row
+        held = [at[row] for row in sorted(at)]
+        through = _prepare_stacks(video_ds, mask_ds, distinct, denoiser, sorted(at))
+    else:  # with no swap, nothing reads a window
+        held, through = list(dict.fromkeys(keys[i] for i in live)), []
+    after = _prepare_stacks(video_ds, mask_ds, segments, denoiser, live)
+    z = np.empty((len(held),) + video_ds.shape[1:], np.float32)
+    for j, k in enumerate(held):
+        z[j] = rng.normals(rng_seed, f"{noise_tag}:init:{k}", z.shape[1:])
+    z = _sample(z, through, denoiser, sample, range(swap))
+    z = z[[held.index(keys[i]) for i in live]]  # the hand-off: each slot takes its keyframe's row
+    z = _sample(z, after, denoiser, sample, range(swap, sample.total_steps))
+    out = np.zeros((len(keys),) + z.shape[1:])
+    out[live] = z
     bounds = np.cumsum([0] + [len(idx) for idx in segments]).tolist()
-    return [z[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [out[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def max_index_gap(indices) -> int:

@@ -199,35 +199,18 @@ class TestSwap:
 
     def test_swap_budget_boundary(self, monkeypatch):
         for swap_steps in (0, 3, 6):
-            # a keyframe without a window keeps its stack slot stepping in the swap
-            windows = _windows(SEGMENT, 24, skip=(SEGMENT[2],))
-            stepped, read, rows = _swap_trace(monkeypatch, windows, swap_steps)
+            stepped, read, rows = _swap_trace(monkeypatch, _windows(SEGMENT, 24), swap_steps)
             assert [sorted(a) for a in stepped] == [
-                [2] if s < swap_steps else list(range(len(SEGMENT))) for s in range(6)]
-            # the rows are written into the stack once, at the swap's last step
+                [] if s < swap_steps else list(range(len(SEGMENT))) for s in range(6)]
+            # the rows are handed over to the stack once, at the swap's last step
             written = [[i for i in read[s]
                         if i not in stepped[s] or not np.array_equal(read[s][i], stepped[s][i])]
                        for s in range(6)]
             last = swap_steps - 1
-            assert written == [[0, 1, 3, 4] if s == last else [] for s in range(6)]
+            assert written == [list(range(len(SEGMENT))) if s == last else [] for s in range(6)]
             for i in written[last] if swap_steps else ():
                 assert read[last][i].tobytes() == rows[last][SEGMENT[i]].tobytes()
             assert [r is not None for r in rows] == [s < swap_steps for s in range(6)]
-            stepped, _, _ = _swap_trace(monkeypatch, _windows(SEGMENT, 24), swap_steps)
-            assert [not a for a in stepped] == [s < swap_steps for s in range(6)]
-
-    def test_keyframe_without_window_keeps_its_own_latent(self, monkeypatch):
-        windows = _windows(SEGMENT, 24, skip=(SEGMENT[2],))
-        stepped, read, rows = _swap_trace(monkeypatch, windows, swap_steps=3)
-        own, _, _ = _swap_trace(monkeypatch, {}, swap_steps=3)  # every slot keeps its own
-        assert SEGMENT[2] not in rows[0]
-        for s in range(3):
-            np.testing.assert_array_equal(read[s][2], stepped[s][2])
-            assert stepped[s][2].tobytes() == own[s][2].tobytes()
-        for i in (0, 1, 3, 4):
-            latent = _window_latents(windows[SEGMENT[i]], SEGMENT[i], SampleSchedule(6, 3))[2]
-            np.testing.assert_array_equal(read[2][i], latent)
-            assert not np.array_equal(own[2][i], latent)
 
 
 def _observed_case(frames=24, hw=(6, 6), seed=3):
@@ -270,14 +253,15 @@ class TestConstructGcg:
 
     @pytest.mark.parametrize("adapter", [False, True], ids=["toy", "spatial-adapter"])
     def test_denoiser_reads_every_latent_read_only(self, monkeypatch, adapter):
-        """Stack slots and swap rows alike reach the toy denoiser, directly
+        """Stack slots and window rows alike reach the toy denoiser, directly
         or through the adapter, as read-only latents, and only the frames
-        whose output is read do."""
+        whose output is read do.  Without the adapter each latent is a view
+        of the phase's latent, with an anchor among the slots too."""
         calls = []
         real = ToyDenoiser.denoise
 
         def spy(self, prepared, z, t):
-            calls.append((len(z), z.flags.writeable))
+            calls.append((len(z), z.flags.writeable, z.base is not None))
             return real(self, prepared, z, t)
 
         monkeypatch.setattr(ToyDenoiser, "denoise", spy)
@@ -285,14 +269,18 @@ class TestConstructGcg:
         den = _SWAP_DENOISER
         if adapter:
             den = tiling.SpatiallyTiledDenoiser(den, tiling.plan((1, 8, 8), 1, 6, 6, 0, 2, 2))
-        construct_gcg(cond, mask, [SEGMENT], _windows(SEGMENT, 24, skip=(SEGMENT[2],)), den,
-                      SampleSchedule(4, 2), 3)
-        # each of the 2 swap steps denoises the 4 swap rows and the one stack
-        # slot with no window, and each of the 2 later steps the 5 slots; the
-        # adapter's four same-shaped tiles are one part, of each frame four times
-        spatial = 4 if adapter else 1
-        assert sum(frames for frames, _ in calls) == spatial * (2 * (4 + 1) + 2 * 5)
-        assert not any(writeable for _, writeable in calls)
+        for anchors in (frozenset(), frozenset(SEGMENT[2:3])):
+            calls.clear()
+            construct_gcg(cond, mask, [SEGMENT], _windows(SEGMENT, 24, skip=anchors), den,
+                          SampleSchedule(4, 2), 3, anchors=anchors)
+            # each of the 2 swap steps denoises one window row per keyframe,
+            # and each of the 2 later steps the slots, anchors' aside; the
+            # adapter's four same-shaped tiles are one part, of each frame four times
+            spatial, held = (4 if adapter else 1), len(SEGMENT) - len(anchors)
+            assert sum(frames for frames, _, _ in calls) == spatial * (2 * held + 2 * held)
+            assert not any(writeable for _, writeable, _ in calls)
+            if not adapter:
+                assert all(view for _, _, view in calls)
 
     def test_swap_changes_output_on_masked_content(self):
         video, mask = _observed_case(seed=5)
@@ -359,11 +347,8 @@ class TestRound:
         real = ToyDenoiser.denoise
         anchored = frozenset(keys[::2])
         outs = []
-        # (keyframes with no window, anchors): an anchor has no window, and a
-        # keyframe with no window that is not an anchor keeps its own latent
-        for windowless, anchors in ((frozenset(), frozenset()), (anchored, frozenset()),
-                                    (anchored, anchored)):
-            round_windows = {k: w for k, w in windows.items() if k not in windowless}
+        for anchors in (frozenset(), anchored):  # an anchor has no window
+            round_windows = {k: w for k, w in windows.items() if k not in anchors}
             # one swap row per keyframe with a window, however many segments name it
             rows = len(round_windows)
             assert rows < sum(k in round_windows for k in slots)
@@ -376,11 +361,9 @@ class TestRound:
             monkeypatch.setattr(ToyDenoiser, "denoise", spy)
             outs.append(construct_gcg(cond, mask, segments, round_windows, den, sample, 3,
                                       anchors=anchors))
-            # through the swap, the rows and the slots of keyframes with no
-            # window; after it, every slot but the anchors'
-            own = sum(k in windowless and k not in anchors for k in slots)
+            # through the swap, the rows; after it, every slot but the anchors'
             assert [frames[float(t)] for t in sample.times[:-1]] == (
-                [rows + own] * swap_steps + [len(slots) - sum(k in anchors for k in slots)]
+                [rows] * swap_steps + [len(slots) - sum(k in anchors for k in slots)]
                 * (6 - swap_steps))
         # a keyframe outside the anchors evolves as it does with no anchors
         for seg, a, *others in zip(segments, *outs):
@@ -443,17 +426,17 @@ def _group_budget(voxels):
 @st.composite
 def _constructions(draw):
     """A round's segments and windows as `_run_segments` lays them out, some
-    keyframes taken as anchors (no window), a schedule, a seed, and whether
+    keyframes drawn as anchors (no window), a schedule, a seed, and whether
     the denoiser runs through the spatial adapter."""
     frames = draw(st.integers(1, 24))
     keys = sorted(draw(st.sets(st.integers(0, frames - 1), min_size=1, max_size=9)))
     count = draw(st.integers(1, min(5, len(keys))))
     segments, windows = _round(frames, tuple(keys), count, draw(st.integers(1, 3)))
-    anchors = draw(st.sets(st.sampled_from(keys)))
+    anchors = frozenset(draw(st.sets(st.sampled_from(keys))))
     total = draw(st.integers(1, 4))
     sample = SampleSchedule(total, draw(st.integers(0, total)))
-    return (frames, segments, {k: w for k, w in windows.items() if k not in anchors}, sample,
-            draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
+    return (frames, segments, {k: w for k, w in windows.items() if k not in anchors}, anchors,
+            sample, draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
 
 
 def _narrowing(adapter):
@@ -466,33 +449,18 @@ def _narrowing(adapter):
 
 class TestWindowsFirst:
     @settings(max_examples=60, deadline=None)
-    @given(case=_constructions(), budget=st.sampled_from([1, tiling.GROUP_VOXELS]))
-    def test_equals_the_lockstep_construction(self, case, budget):
-        """Byte for byte, with the rows prepared as the whole state narrowed
-        to them: the row fill's own rounding is bounded in test_denoiser."""
-        frames, segments, windows, sample, seed, adapter = case
-        cond, mask = _masked_case(frames)
-        den = _narrowing(adapter)
-        with _group_budget(budget):
-            got = construct_gcg(cond, mask, segments, windows, den, sample, seed)
-            want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=_constructions(), budget=st.sampled_from([1, tiling.GROUP_VOXELS]),
-           data=st.data())
-    def test_anchors_stay_zero(self, case, budget, data):
-        """Of the keyframes with no window, some drawn as anchors: every
-        other slot equals the lockstep construction, byte for byte with the
-        rows prepared as the whole state narrowed to them; an anchor's slots
-        return zero, no noise is drawn for an anchor, and no anchor's slot
-        reaches the denoiser."""
-        frames, segments, windows, sample, seed, adapter = case
+    @given(case=_constructions())
+    def test_equals_the_lockstep_construction(self, case):
+        """At both group budgets: every slot but the anchors' equals the
+        lockstep construction, byte for byte with the rows prepared as the
+        whole state narrowed to them (the row fill's own rounding is bounded
+        in test_denoiser); an anchor's slots return zero, no noise is drawn
+        for an anchor, and no anchor's slot reaches the denoiser."""
+        frames, segments, windows, anchors, sample, seed, adapter = case
         keys = sorted(set(sum(segments, ())))
-        anchors = frozenset(data.draw(st.sets(st.sampled_from(keys))) - windows.keys())
         cond, mask = _masked_case(frames)
         den = _narrowing(adapter)
-        real, real_normals, labels = den.denoise, rng.normals, []
+        real, real_normals = den.denoise, rng.normals
 
         def denoise(prepared, z, t):
             # every stepped latent row starts from noise, an anchor's slot from zero
@@ -503,42 +471,47 @@ class TestWindowsFirst:
             labels.append(label)
             return real_normals(seed, label, shape)
 
-        with _group_budget(budget), pytest.MonkeyPatch.context() as patch:
-            want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
-            den.denoise = denoise
-            patch.setattr(gcg.rng, "normals", normals)
-            got = construct_gcg(cond, mask, segments, windows, den, sample, seed,
-                                anchors=anchors)
-        assert {f"gcg:init:{k}" for k in keys} - set(labels) == {f"gcg:init:{k}" for k in anchors}
-        for seg, a, b in zip(segments, got, want):
-            for pos, k in enumerate(seg):
-                expected = np.zeros_like(b[pos]) if k in anchors else b[pos]
-                assert a[pos].tobytes() == expected.tobytes()
+        for budget in (1, tiling.GROUP_VOXELS):
+            labels = []
+            with _group_budget(budget), pytest.MonkeyPatch.context() as patch:
+                want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
+                patch.setattr(den, "denoise", denoise)
+                patch.setattr(gcg.rng, "normals", normals)
+                got = construct_gcg(cond, mask, segments, windows, den, sample, seed,
+                                    anchors=anchors)
+            assert ({f"gcg:init:{k}" for k in keys} - set(labels)
+                    == {f"gcg:init:{k}" for k in anchors})
+            for seg, a, b in zip(segments, got, want):
+                for pos, k in enumerate(seg):
+                    expected = np.zeros_like(b[pos]) if k in anchors else b[pos]
+                    assert a[pos].tobytes() == expected.tobytes()
 
     def test_windows_add_only_their_rows_to_the_peak(self):
-        """With one stack or window per group, a window group holds what the
-        stack group holds, and it is dropped, all but its swap rows, before
-        the stacks are prepared.  So adding windows raises the traced peak
-        only by the rows' float32 `x0` (three channels) and `carry` (one) per
-        keyframe, and a little bookkeeping, where holding every window raised
-        it by far more."""
+        """Windows are prepared for their keyframes' rows only, and dropped,
+        all but those rows, before the stacks are prepared.  So adding them
+        to a run with no swap raises the traced peak by at most the rows'
+        float32 `x0` (three channels) and `carry` (one) per keyframe, and a
+        little bookkeeping, where holding every window raised it by far
+        more."""
         frames, hw = 41, (32, 48)
         cond, mask = _masked_case(frames, hw)
         keys = select_keyframes(frames, 5)
         windows = _windows(keys, frames, delta=1)  # five disjoint windows
         assert len(set(sum(windows.values(), ()))) == 25
         den = ToyDenoiser(DenoiserConfig(lambda_sparse=2.0, radius=3))
-        sample = SampleSchedule(6, 2)
         rows = len(keys) * np.prod(hw) * (3 + 1) * 4
 
         def growth(construct):
             peaks = []
-            for w in ({}, windows) * 2:  # the second pair runs with warm caches
+            # with no swap, nothing reads a window; the second pair runs with warm caches
+            for w, swap in (({}, 0), (windows, 2)) * 2:
                 tracemalloc.start()
-                base = tracemalloc.get_traced_memory()[0]
-                construct(cond, mask, [keys], w, den, sample, 3)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-                tracemalloc.stop()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    construct(cond, mask, [keys], w, den, SampleSchedule(6, swap), 3)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                finally:
+                    tracemalloc.stop()
             return peaks[3] - peaks[2]
 
         with _group_budget(1):
