@@ -425,18 +425,16 @@ def _group_budget(voxels):
 
 @st.composite
 def _constructions(draw):
-    """A round's segments and windows as `_run_segments` lays them out, some
-    keyframes drawn as anchors (no window), a schedule, a seed, and whether
-    the denoiser runs through the spatial adapter."""
+    """A round's segments and windows as `_run_segments` lays them out, a
+    schedule, a seed, and whether the denoiser runs through the spatial
+    adapter."""
     frames = draw(st.integers(1, 24))
     keys = sorted(draw(st.sets(st.integers(0, frames - 1), min_size=1, max_size=9)))
     count = draw(st.integers(1, min(5, len(keys))))
     segments, windows = _round(frames, tuple(keys), count, draw(st.integers(1, 3)))
-    anchors = frozenset(draw(st.sets(st.sampled_from(keys))))
     total = draw(st.integers(1, 4))
     sample = SampleSchedule(total, draw(st.integers(0, total)))
-    return (frames, segments, {k: w for k, w in windows.items() if k not in anchors}, anchors,
-            sample, draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
+    return frames, segments, windows, sample, draw(st.integers(0, 2 ** 16)), draw(st.booleans())
 
 
 def _narrowing(adapter):
@@ -449,18 +447,34 @@ def _narrowing(adapter):
 
 class TestWindowsFirst:
     @settings(max_examples=60, deadline=None)
-    @given(case=_constructions())
-    def test_equals_the_lockstep_construction(self, case):
-        """At both group budgets: every slot but the anchors' equals the
-        lockstep construction, byte for byte with the rows prepared as the
-        whole state narrowed to them (the row fill's own rounding is bounded
-        in test_denoiser); an anchor's slots return zero, no noise is drawn
-        for an anchor, and no anchor's slot reaches the denoiser."""
-        frames, segments, windows, anchors, sample, seed, adapter = case
-        keys = sorted(set(sum(segments, ())))
+    @given(case=_constructions(), budget=st.sampled_from([1, tiling.GROUP_VOXELS]))
+    def test_equals_the_lockstep_construction(self, case, budget):
+        """Byte for byte, with the rows prepared as the whole state narrowed
+        to them: the row fill's own rounding is bounded in test_denoiser."""
+        frames, segments, windows, sample, seed, adapter = case
         cond, mask = _masked_case(frames)
         den = _narrowing(adapter)
-        real, real_normals = den.denoise, rng.normals
+        with _group_budget(budget):
+            got = construct_gcg(cond, mask, segments, windows, den, sample, seed)
+            want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_constructions(), budget=st.sampled_from([1, tiling.GROUP_VOXELS]),
+           data=st.data())
+    def test_anchors_stay_zero(self, case, budget, data):
+        """Some keyframes drawn as anchors, which have no window: every other
+        slot equals the lockstep construction, byte for byte with the rows
+        prepared as the whole state narrowed to them; an anchor's slots
+        return zero, no noise is drawn for an anchor, and no anchor's slot
+        reaches the denoiser."""
+        frames, segments, windows, sample, seed, adapter = case
+        keys = sorted(set(sum(segments, ())))
+        anchors = frozenset(data.draw(st.sets(st.sampled_from(keys))))
+        windows = {k: w for k, w in windows.items() if k not in anchors}
+        cond, mask = _masked_case(frames)
+        den = _narrowing(adapter)
+        real, real_normals, labels = den.denoise, rng.normals, []
 
         def denoise(prepared, z, t):
             # every stepped latent row starts from noise, an anchor's slot from zero
@@ -471,20 +485,17 @@ class TestWindowsFirst:
             labels.append(label)
             return real_normals(seed, label, shape)
 
-        for budget in (1, tiling.GROUP_VOXELS):
-            labels = []
-            with _group_budget(budget), pytest.MonkeyPatch.context() as patch:
-                want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
-                patch.setattr(den, "denoise", denoise)
-                patch.setattr(gcg.rng, "normals", normals)
-                got = construct_gcg(cond, mask, segments, windows, den, sample, seed,
-                                    anchors=anchors)
-            assert ({f"gcg:init:{k}" for k in keys} - set(labels)
-                    == {f"gcg:init:{k}" for k in anchors})
-            for seg, a, b in zip(segments, got, want):
-                for pos, k in enumerate(seg):
-                    expected = np.zeros_like(b[pos]) if k in anchors else b[pos]
-                    assert a[pos].tobytes() == expected.tobytes()
+        with _group_budget(budget), pytest.MonkeyPatch.context() as patch:
+            want = _lockstep_construct_gcg(cond, mask, segments, windows, den, sample, seed)
+            patch.setattr(den, "denoise", denoise)
+            patch.setattr(gcg.rng, "normals", normals)
+            got = construct_gcg(cond, mask, segments, windows, den, sample, seed,
+                                anchors=anchors)
+        assert {f"gcg:init:{k}" for k in keys} - set(labels) == {f"gcg:init:{k}" for k in anchors}
+        for seg, a, b in zip(segments, got, want):
+            for pos, k in enumerate(seg):
+                expected = np.zeros_like(b[pos]) if k in anchors else b[pos]
+                assert a[pos].tobytes() == expected.tobytes()
 
     def test_windows_add_only_their_rows_to_the_peak(self):
         """Windows are prepared for their keyframes' rows only, and dropped,
