@@ -276,15 +276,13 @@ def _fill_rows(items: np.ndarray, masks: np.ndarray, rows: np.ndarray,
 
 @dataclass(frozen=True)
 class PreparedFill:
-    """The toy backend's per-stage state for the frame concatenation of
-    `items` equal-length stacks: `x0` is the read-only fill of the
-    condition, `carry` the read-only weight with which steps blend in the
-    latent average (latent_carryover times the mask), or None when nothing
-    is masked or carryover is off; then `x0` is already clamped to
-    [-1, 1]."""
+    """The toy backend's per-stage state for a frame concatenation of
+    stacks: `x0` is the read-only fill of the condition, `carry` the
+    read-only weight with which steps blend in the latent average
+    (latent_carryover times the mask), or None when nothing is masked or
+    carryover is off; then `x0` is already clamped to [-1, 1]."""
 
     mask: MaskVideo  # unused by `denoise`; the benchmark's zero-mask counter reads it
-    items: int
     x0: np.ndarray
     carry: np.ndarray | None
 
@@ -358,7 +356,7 @@ class ToyDenoiser:
         elif not -1.0 <= x0.min() <= x0.max() <= 1.0:
             x0 = np.clip(x0, -1.0, 1.0)  # once here, not at every step
         x0.flags.writeable = False
-        return PreparedFill(narrowed, items if rows is None else len(frames), x0, carry)
+        return PreparedFill(narrowed, x0, carry)
 
     def denoise(self, prepared: PreparedFill, z: np.ndarray, t: float) -> np.ndarray:
         """Velocity for one step from `prepared`, which is

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng
 from .sampler import SampleSchedule, step
-from .tiling import ConfigError, Tile, TilePlan, blend, plan, prepare_tiles
+from .tiling import ConfigError, Tile, TilePlan, blend, group_items, plan, prepare_tiles
 from .video import MaskVideo, VideoTensor
 
 
@@ -78,20 +78,26 @@ def _prepare_stacks(video_ds: VideoTensor, mask_ds: MaskVideo,
                     stacks: Sequence[tuple[int, ...]], denoiser, rows: list[int]) -> list:
     """`prepare_tiles` "sparse" over whole-frame tiles, one per stack, of the
     frame concatenation of `stacks`, for its ascending frames `rows`: each
-    group as (the slice of the latent it steps, prepared), row j of that
-    latent being frame rows[j].  The gathered condition is dropped once they
-    are prepared."""
-    if not rows:
-        return []
-    frames = list(sum(stacks, ()))
+    group of `group_items` as (the slice of the latent it steps, prepared),
+    row j of that latent being frame rows[j].  Each group's condition is
+    gathered on its own, through a one-group plan, and dropped once it is
+    prepared."""
+    h, w = video_ds.height, video_ds.width
     bounds = np.cumsum([0] + [len(idx) for idx in stacks]).tolist()
-    extent = (len(frames), video_ds.height, video_ds.width)
-    tiles = tuple(Tile(a, b, 0, extent[1], 0, extent[2]) for a, b in zip(bounds, bounds[1:]))
-    prepared = prepare_tiles(denoiser, VideoTensor(video_ds.data[frames]),
-                             MaskVideo(mask_ds.data[frames]), TilePlan(extent, tiles), "sparse",
-                             rows=rows)
-    return [(slice(*np.searchsorted(rows, (group[0].f0, group[-1].f1)).tolist()), prep)
-            for group, prep in prepared]
+    prepared = []
+    for g in group_items([(len(idx), h, w) for idx in stacks]):
+        a, b = bounds[g.start], bounds[g.stop]
+        lo, hi = np.searchsorted(rows, (a, b)).tolist()
+        if lo < hi:  # else the group steps no row
+            frames = list(sum(stacks[g], ()))
+            tiles = tuple(Tile(f0 - a, f1 - a, 0, h, 0, w) for f0, f1 in
+                          zip(bounds[g.start:g.stop], bounds[g.start + 1:g.stop + 1]))
+            ((_, prep),) = prepare_tiles(denoiser, VideoTensor(video_ds.data[frames]),
+                                         MaskVideo(mask_ds.data[frames]),
+                                         TilePlan((b - a, h, w), tiles), "sparse",
+                                         rows=[f - a for f in rows[lo:hi]])
+            prepared.append((slice(lo, hi), prep))
+    return prepared
 
 
 def _sample(z: np.ndarray, prepared: list, denoiser, sample: SampleSchedule,

@@ -131,17 +131,6 @@ class WorkingSize:
 
 
 @dataclass(frozen=True)
-class CodecParams:
-    """Block-average codec over `factor` x `factor` pixels; 1 is the identity."""
-
-    factor: int = 1
-
-    def __post_init__(self):
-        if not (type(self.factor) is int and self.factor >= 1):
-            raise ConfigError(f"codec.factor must be an integer >= 1, got {self.factor!r}")
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     """The run's knobs; each field is one section of the JSON config."""
 
@@ -153,7 +142,6 @@ class PipelineConfig:
     gcg: GcgParams = field(default_factory=GcgParams)
     tiling: TilingParams = field(default_factory=TilingParams)
     denoiser: DenoiserConfig = field(default_factory=DenoiserConfig)
-    codec: CodecParams = field(default_factory=CodecParams)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -161,25 +149,17 @@ class PipelineConfig:
         check_seed(self.seed)
         th, tw = self.pad.target_height, self.pad.target_width
         wh, ww = self.working_resolution()
-        # a derived working size counts whole codec blocks of the target
-        name, h, w = (("target", th, tw) if self.working.height is None
-                      else ("working resolution", wh, ww))
-        factor = self.codec.factor
-        if h % factor or w % factor:
-            raise ConfigError(f"{name} {h}x{w} must be divisible by codec.factor {factor}")
         if not (0 < wh <= th and 0 < ww <= tw):
             raise ConfigError(f"working resolution {wh}x{ww} is not within [1, target]")
 
     def working_resolution(self) -> tuple[int, int]:
         """Configured working size, else half the target with its longest
-        side at most 768, each side rounded to a multiple of codec.factor."""
+        side at most 768, each side rounded to a whole pixel."""
         th, tw = self.pad.target_height, self.pad.target_width
         if self.working.height is not None:
             return self.working.height, self.working.width
-        factor = self.codec.factor
         scale = min(0.5, 768.0 / max(th, tw))
-        return (factor * max(1, round(th * scale / factor)),
-                factor * max(1, round(tw * scale / factor)))
+        return max(1, round(th * scale)), max(1, round(tw * scale))
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -189,37 +169,6 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         wh, ww = self.working_resolution()
         return {**asdict(self), "working": {"height": wh, "width": ww}}
-
-
-def _blocks(data: np.ndarray, factor: int) -> np.ndarray:
-    """(F, H, W, C) `data` viewed as factor x factor pixel blocks, which
-    axes 2 and 4 of the view run over."""
-    f, h, w, c = data.shape
-    if h % factor or w % factor:
-        raise ConfigError(f"({h}, {w}) not divisible by codec factor {factor}")
-    return data.reshape(f, h // factor, factor, w // factor, factor, c)
-
-
-def codec_encode(video: VideoTensor, factor: int) -> VideoTensor:
-    """Average-pool each frame by `factor` along both spatial axes."""
-    if factor == 1:
-        return video
-    return VideoTensor(_blocks(video.data, factor).mean(axis=(2, 4), dtype=np.float64)
-                       .astype(np.float32))
-
-
-def codec_encode_mask(mask: MaskVideo, factor: int) -> MaskVideo:
-    """A pooled cell counts as observed only if every source pixel is observed."""
-    if factor == 1:
-        return mask
-    return MaskVideo(_blocks(mask.data, factor).max(axis=(2, 4)))
-
-
-def codec_decode(video: VideoTensor, factor: int) -> VideoTensor:
-    """Nearest-neighbor expansion back to pixel resolution."""
-    if factor == 1:
-        return video
-    return VideoTensor(np.repeat(np.repeat(video.data, factor, axis=1), factor, axis=2))
 
 
 @dataclass(frozen=True)
@@ -286,17 +235,14 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
     use_downsample = config.mode in ("full", "spatial_only")  # and upsample back
 
     with _stage(timings, "downsample"):
-        factor = config.codec.factor if use_downsample else 1
         if use_downsample:
             wh, ww = config.working_resolution()
-            video_ds = codec_encode(resize_bicubic(padded, wh, ww), factor)
-            mask_ds = codec_encode_mask(downsample_mask(mask, wh, ww), factor)
+            mask_ds = downsample_mask(mask, wh, ww)
             # re-zero surviving mask pixels so the clip is blank where generated:
             # the denoiser reads no masked voxel's condition, but auto_delta
-            # reads every voxel; a pooled cell is observed only where all its
-            # pixels are, so zeroing once, after the codec, suffices
-            video_ds = VideoTensor(np.where(mask_ds.data > 0.0, 0.0, video_ds.data))
-            wh, ww = wh // factor, ww // factor
+            # reads every voxel
+            video_ds = VideoTensor(np.where(mask_ds.data > 0.0, 0.0,
+                                            resize_bicubic(padded, wh, ww).data))
         else:
             wh, ww = padded.height, padded.width
             video_ds, mask_ds = padded, mask
@@ -325,8 +271,6 @@ def run(config: PipelineConfig, video: VideoTensor) -> RunResult:
                           til.overlap_t, til.overlap_y, til.overlap_x)
         completed = temporal_completion(guided, guided_mask, denoiser, plan_t,
                                         config.sampler, config.seed)
-        if factor > 1:
-            completed = codec_decode(completed, factor)
     del guided, guided_mask, plan_t  # no later stage reads them
 
     with _stage(timings, "refinement"):

@@ -126,7 +126,7 @@ def narrowed(prepared: PreparedFill, rows) -> PreparedFill:
     if carry is not None:
         carry = carry[rows]
         carry.flags.writeable = False
-    return PreparedFill(MaskVideo(prepared.mask.data[rows]), len(rows), x0, carry)
+    return PreparedFill(MaskVideo(prepared.mask.data[rows]), x0, carry)
 
 
 class NarrowingDenoiser:

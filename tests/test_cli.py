@@ -304,11 +304,12 @@ class TestOutpaint:
         ({"colour": "red"}, "colour"),
         ({"denoiser": {"radius": 3, "sigma": 1.0}}, "denoiser.sigma"),
         ({"pad": {"target_height": 16, "target_width": 24, "offset_z": 0}}, "pad.offset_z"),
-        ({"codec": {"kind": "avgpool", "factor": 1}}, "codec.kind"),
+        ({"codec": {"kind": "avgpool", "factor": 1}}, "codec"),
+        ({"codec": {"factor": 2}}, "codec"),
         ({"denoiser": {"kind": "toy"}}, "denoiser.kind"),
         ({"sampler": {"refine_strength": 0.5}}, "sampler.refine_strength"),
-    ], ids=["workers", "top-level", "denoiser-key", "pad-key", "codec-kind", "denoiser-kind",
-            "refine-strength"])
+    ], ids=["workers", "top-level", "denoiser-key", "pad-key", "codec-kind", "codec-factor",
+            "denoiser-kind", "refine-strength"])
     def test_unknown_config_key_exit_2(self, tmp_path, capsys, overrides, named):
         err = _usage_error(tmp_path, capsys, _config(tmp_path, **overrides))
         assert named in err

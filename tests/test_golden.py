@@ -2,14 +2,13 @@
 
 The hashes pin `pipeline.run` bit for bit on a 16-frame `revisit` clip
 (seed 0, `conftest.ablation_config`, which the acceptance suite runs too),
-and `full` once more with the codec, so a change meant to keep behaviour
-must leave them as they are.  The fill counts pin that a stage's
-conditioning is filled once, before its step loop, and not once per step.
+so a change meant to keep behaviour must leave them as they are.  The fill
+counts pin that a stage's conditioning is filled once, before its step
+loop, and not once per step.
 A fill covers a group of stacks at once, so fills are counted in items.
 """
 import hashlib
 import inspect
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +27,6 @@ GOLDEN = {
 }
 
 
-# `full` with the codec pooling the working resolution by 2.
-CODEC_GOLDEN = "a1e5c7db8da7737507951c76d244576eee44ff4ec14c71dae1e3f6a129c87d0f"
-
-
 @pytest.fixture(scope="module")
 def case():
     return golden_case()
@@ -42,12 +37,6 @@ def test_output_hash(case, mode):
     out = pipeline.run(ablation_config(case, mode), case.input).output
     assert out.data.dtype == np.float32
     assert hashlib.sha256(out.data.tobytes()).hexdigest() == GOLDEN[mode]
-
-
-def test_codec_output_hash(case):
-    config = replace(ablation_config(case, "full"), codec=pipeline.CodecParams(2))
-    out = pipeline.run(config, case.input).output
-    assert hashlib.sha256(out.data.tobytes()).hexdigest() == CODEC_GOLDEN
 
 
 @pytest.fixture

@@ -37,7 +37,6 @@ SETTINGS = {
     "seed": ("baseline", {}, 1),
     "working.height": ("spatial_only", WORKING, 16),
     "working.width": ("spatial_only", WORKING, 24),
-    "codec.factor": ("spatial_only", {}, 2),
     "sampler.total_steps": ("baseline", {}, 20),
     "sampler.swap_steps": ("temporal_only", GCG5, 0),
     "gcg.keyframes": ("temporal_only", {}, 5),

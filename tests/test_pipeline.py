@@ -1,4 +1,4 @@
-"""End-to-end orchestration: config, stages, codec, ablation modes."""
+"""End-to-end orchestration: config, stages, ablation modes."""
 import contextlib
 import copy
 import functools
@@ -19,10 +19,8 @@ from outpainter import gcg, pipeline, rng, scene, video
 from outpainter.denoiser import (DenoiserConfig, ToyDenoiser, _kernel_slices,
                                  _kernel_spectrum, _neighbour_count)
 from outpainter.gcg import GcgError, insert_guidance
-from outpainter.pipeline import (MODES, CodecParams, GcgParams, PipelineConfig,
-                                 StageError, TilingParams, WorkingSize,
-                                 codec_decode, codec_encode, codec_encode_mask,
-                                 refinement_composite, run, temporal_completion)
+from outpainter.pipeline import (MODES, GcgParams, PipelineConfig, StageError, TilingParams,
+                                 WorkingSize, refinement_composite, run, temporal_completion)
 from outpainter.sampler import SampleSchedule
 from outpainter.tiling import ConfigError, plan
 from outpainter.video import MaskVideo, PadSpec, VideoTensor, pad_video, resize_bicubic
@@ -96,15 +94,12 @@ def _load_or_config_error(edits) -> None:
 
 @st.composite
 def _configs(draw):
-    """A valid config: every section drawn in range, the working size (or the
-    target it defaults to) divisible by the codec factor."""
+    """A valid config: every section drawn in range."""
     def ints(lo, hi):
         return draw(st.integers(lo, hi))
 
-    factor = ints(1, 3)
-    th, tw = factor * ints(1, 16), factor * ints(1, 16)
-    working = draw(st.sampled_from((WorkingSize(), WorkingSize(factor * ints(1, th // factor),
-                                                               factor * ints(1, tw // factor)))))
+    th, tw = ints(1, 48), ints(1, 48)
+    working = draw(st.sampled_from((WorkingSize(), WorkingSize(ints(1, th), ints(1, tw)))))
     steps = ints(1, 50)
     tiles = [ints(1, 100) for _ in range(3)]
     return PipelineConfig(
@@ -117,8 +112,7 @@ def _configs(draw):
         denoiser=DenoiserConfig(lambda_sparse=draw(st.floats(0.5, 20.0)),
                                 lambda_dense=draw(st.floats(0.5, 20.0)), radius=ints(1, 16),
                                 fill_floor=draw(st.floats(-1.0, 1.0)),
-                                latent_carryover=draw(st.floats(0.0, 1.0, exclude_max=True))),
-        codec=CodecParams(factor))
+                                latent_carryover=draw(st.floats(0.0, 1.0, exclude_max=True))))
 
 
 def _input_clip(frames=8, h=16, w=16, seed=0):
@@ -128,7 +122,7 @@ def _input_clip(frames=8, h=16, w=16, seed=0):
 
 class TestConfig:
     def test_dict_round_trip(self):
-        cfg = _small_config(codec=CodecParams(2), working=WorkingSize(8, 12))
+        cfg = _small_config(working=WorkingSize(8, 12))
         back = PipelineConfig.from_dict(cfg.to_dict())
         assert back.to_dict() == cfg.to_dict()
 
@@ -148,7 +142,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key", [
         (None, "tile_t"), ("pad", "offset"), ("working", "depth"),
-        ("denoiser", "lambda"), ("codec", "mode"), ("sampler", "steps"),
+        ("denoiser", "lambda"), ("sampler", "steps"),
         ("gcg", "kappa"), ("tiling", "tile_z")])
     def test_unknown_key_named(self, section, key):
         doc = _small_config().to_dict()
@@ -172,16 +166,6 @@ class TestConfig:
             doc["seed"] = seed
             assert PipelineConfig.from_dict(doc).seed == seed
 
-    @pytest.mark.parametrize("kind, factor", [
-        ("avgpool", 1), ("identity", 2), ("jpeg", 1)])
-    def test_codec_kind_must_match_factor(self, kind, factor):
-        doc = _small_config(working=WorkingSize(8, 12)).to_dict()
-        doc["codec"] = {"kind": kind, "factor": factor}
-        with pytest.raises(ConfigError, match="codec.kind"):
-            PipelineConfig.from_dict(doc)
-        del doc["codec"]["kind"]
-        assert PipelineConfig.from_dict(doc).codec.factor == factor
-
     def test_working_needs_both_sides(self):
         with pytest.raises(ConfigError, match="together"):
             _small_config(working=WorkingSize(8))
@@ -195,31 +179,18 @@ class TestConfig:
         small = PipelineConfig(pad=PadSpec(64, 48, 0, 0))
         assert small.working_resolution() == (32, 24)
 
-    @given(factor=st.integers(1, 8), blocks=st.tuples(st.integers(1, 200), st.integers(1, 200)))
+    @given(target=st.tuples(st.integers(1, 1600), st.integers(1, 1600)))
     @settings(max_examples=200, deadline=None)
-    def test_every_target_the_codec_factor_divides_has_a_default(self, factor, blocks):
-        """Half the target, each side rounded to whole codec blocks, is a
-        valid working size whenever the codec factor divides the target."""
-        th, tw = factor * blocks[0], factor * blocks[1]
-        cfg = PipelineConfig(pad=PadSpec(th, tw), codec=CodecParams(factor))
-        wh, ww = cfg.working_resolution()
-        assert wh % factor == 0 and ww % factor == 0
+    def test_every_target_has_a_default_working_size(self, target):
+        """Half the target, capped at 768 on its longest side and each side
+        rounded to a whole pixel, is a working size in [1, target]."""
+        th, tw = target
+        wh, ww = PipelineConfig(pad=PadSpec(th, tw)).working_resolution()
         assert 0 < wh <= th and 0 < ww <= tw
 
     def test_working_cannot_exceed_target(self):
         with pytest.raises(ConfigError):
             _small_config(working=WorkingSize(32, 24))
-
-    def test_codec_divisibility(self):
-        with pytest.raises(ConfigError):
-            _small_config(codec=CodecParams(5))
-
-    @pytest.mark.parametrize("factor", [0, 2.0, "2", True, None])
-    def test_codec_factor_must_be_positive_int(self, factor):
-        doc = _small_config(working=WorkingSize(8, 12)).to_dict()
-        doc["codec"] = {"factor": factor}
-        with pytest.raises(ConfigError, match=r"codec\.factor must be an integer"):
-            PipelineConfig.from_dict(doc)
 
     def test_unknown_denoiser_kind(self):
         with pytest.raises(ConfigError):
@@ -374,39 +345,6 @@ class TestRefinementComposite:
             refinement_composite(completed, clip, PadSpec(6, 6, 0, 3))
 
 
-class TestCodec:
-    def test_encode_is_block_mean(self):
-        v = _input_clip(2, 4, 6, seed=7)
-        enc = codec_encode(v, 2)
-        assert enc.shape == (2, 2, 3, 3)
-        manual = v.data.reshape(2, 2, 2, 3, 2, 3).mean(axis=(2, 4))
-        np.testing.assert_allclose(enc.data, manual, atol=1e-6)
-
-    def test_identity_factor(self):
-        v = _input_clip(1, 4, 4)
-        assert codec_encode(v, 1) is v
-        assert codec_decode(v, 1) is v
-
-    def test_mask_cell_observed_only_if_fully_observed(self):
-        m = np.zeros((1, 4, 4, 1), np.float32)
-        m[0, 0, 1, 0] = 1.0
-        enc = codec_encode_mask(MaskVideo(m), 2)
-        assert enc.data[0, 0, 0, 0] == 1.0
-        assert enc.data[0, 0, 1, 0] == 0.0
-        assert enc.data[0, 1, 0, 0] == 0.0
-
-    def test_decode_expands(self):
-        v = _input_clip(1, 2, 2)
-        dec = codec_decode(v, 3)
-        assert dec.shape == (1, 6, 6, 3)
-        np.testing.assert_array_equal(dec.data[0, :3, :3],
-                                      np.broadcast_to(v.data[0, 0, 0], (3, 3, 3)))
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(ConfigError):
-            codec_encode(_input_clip(1, 5, 4), 2)
-
-
 class TestRun:
     @pytest.mark.parametrize("mode", ["full", "spatial_only", "temporal_only", "baseline"])
     def test_modes_produce_target_shape(self, mode):
@@ -426,17 +364,17 @@ class TestRun:
         result = run(_small_config(), clip)
         assert np.abs(result.output.data - clip.data).max() <= 1e-2
 
-    @given(mode=st.sampled_from(["full", "spatial_only"]), factor=st.sampled_from([1, 2]),
+    @given(mode=st.sampled_from(["full", "spatial_only"]),
            size=st.tuples(st.integers(1, 16), st.integers(1, 24)), data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_observed_voxels_are_the_input(self, mode, factor, size, data):
+    def test_observed_voxels_are_the_input(self, mode, size, data):
         """In the modes that upsample back to the target, the output's
         observed voxels are the input clip byte for byte, at any offsets."""
         h, w = size
         pad = PadSpec(16, 24, data.draw(st.integers(0, 16 - h)),
                       data.draw(st.integers(0, 24 - w)))
         clip = _input_clip(5, h, w, seed=h * 24 + w)
-        result = run(_small_config(mode=mode, pad=pad, codec=CodecParams(factor)), clip)
+        result = run(_small_config(mode=mode, pad=pad), clip)
         ys, xs = pad.offset_y, pad.offset_x
         assert result.output.data[:, ys:ys + h, xs:xs + w].tobytes() == clip.data.tobytes()
 
@@ -451,14 +389,6 @@ class TestRun:
         a = run(_small_config(seed=4), clip)
         b = run(_small_config(seed=5), clip)
         assert not np.array_equal(a.output.data, b.output.data)
-
-    def test_codec_run(self):
-        clip = _input_clip()
-        cfg = _small_config(codec=CodecParams(2), working=WorkingSize(16, 24))
-        result = run(cfg, clip)
-        assert result.output.shape == (8, 16, 24, 3)
-        again = run(cfg, clip)
-        np.testing.assert_array_equal(result.output.data, again.output.data)
 
     def test_frame_padding_round_trip(self):
         clip = _input_clip(frames=5)  # not a multiple of tile_t=8
@@ -547,14 +477,15 @@ class TestRun:
         assert np.abs(result.output.data - pad_target.data)[observed].max() <= 1e-2
 
     def test_downsampled_condition_is_zero_where_masked(self, monkeypatch):
-        """A 2x2 observed patch leaves no observed cell once the codec pools
-        the 8x8 working resolution by 2.  The denoiser reads no masked
-        voxel's condition, but `gcg.auto_delta` reads the whole working
-        clip, so the condition must be blank there, not the bicubic bleed of
-        the patch."""
+        """A 2x2 observed patch at offset (6, 6) is one cell of the 8x8
+        working resolution, and the bicubic resize, whose taps reach past a
+        cell, bleeds it into the masked cells around it.  The denoiser reads
+        no masked voxel's condition, but `gcg.auto_delta` reads the whole
+        working clip, so the condition must be blank there, and the resize
+        where observed."""
         clip = VideoTensor(np.full((3, 2, 2, 3), 0.8, np.float32))
-        cfg = _small_config(mode="spatial_only", pad=PadSpec(16, 16, 7, 7),
-                            working=WorkingSize(8, 8), codec=CodecParams(2))
+        cfg = _small_config(mode="spatial_only", pad=PadSpec(16, 16, 6, 6),
+                            working=WorkingSize(8, 8))
         real = ToyDenoiser.prepare
         masked = []
 
@@ -565,10 +496,14 @@ class TestRun:
 
         monkeypatch.setattr(ToyDenoiser, "prepare", spy)
         run(cfg, clip)
+        resized = resize_bicubic(pad_video(clip, cfg.pad)[0], 8, 8).data
         assert masked  # completion conditions on the working resolution
         for condition, mask in masked:
-            assert condition.shape[1:3] == (4, 4) and mask.all()
-            assert not condition.any()
+            where = np.broadcast_to(mask > 0.0, condition.shape)
+            assert condition.shape[1:3] == (8, 8) and 0 < where.sum() < where.size
+            assert resized[where].any()  # the bleed
+            assert not condition[where].any()
+            assert condition[~where].tobytes() == resized[~where].tobytes()
 
 
 class TestStageBoundaryChecks:
