@@ -201,19 +201,80 @@ class SceneCase:
     full_origins: tuple[tuple[int, int], ...]  # per-frame (y, x) world origin of `full`
 
 
+# Pixels per block of `_draw_sprites`: a block's largest temporary, one
+# float64 a pixel, stays at 64 KiB, under glibc's default 128 KiB mmap
+# threshold, so nothing the renderer frees raises that threshold for the
+# arrays allocated after it.
+SPRITE_BLOCK_PIXELS = 2 ** 13
+
+
+def _draw_sprites(spec: SceneSpec, truth: np.ndarray, origins: list[tuple[int, int]]) -> None:
+    """Paint `spec`'s sprites, in order, over `truth`'s frames whose full
+    windows sit at `origins`, as `render` paints them on one frame."""
+    frames, fh, fw = truth.shape[:3]
+    ys = np.array([oy for oy, _ in origins], np.float64)[:, None, None] + (
+        np.arange(fh, dtype=np.float64) + 0.5)[:, None]
+    xs = np.array([ox for _, ox in origins], np.float64)[:, None, None] + (
+        np.arange(fw, dtype=np.float64) + 0.5)
+    block = max(1, SPRITE_BLOCK_PIXELS // (fh * fw))
+    for sprite in spec.sprites:
+        last = min(sprite.visible_until, frames - 1)
+        for a in range(max(sprite.visible_from, 0), last + 1, block):
+            b = min(a + block, last + 1)
+            t = np.arange(a, b, dtype=np.float64)[:, None, None]
+            hit = _sprite_hit(sprite, t, xs[a:b], ys[a:b])
+            for c in range(spec.channels):
+                np.copyto(truth[a:b, :, :, c], np.float32(sprite.color[c % 3]), where=hit)
+
+
+def _camera_runs(origins: list[tuple[int, int]], fh: int, fw: int) -> list[tuple[range, tuple]]:
+    """Consecutive runs of frames, each with the world box (y0, x0, y1, x1)
+    of its frames' windows.  A run grows while its box holds at most twice
+    one window's pixels, so painting a run's box costs no more than rendering
+    its frames one by one, and while the box lies within 2**52 of the world
+    origin, where integer + 0.5 is exact and a pixel centre is the same float
+    whichever corner it is counted from."""
+    runs = []
+    for f, (oy, ox) in enumerate(origins):
+        if runs:
+            frames, (y0, x0, y1, x1) = runs[-1]
+            box = (min(y0, oy), min(x0, ox), max(y1, oy + fh), max(x1, ox + fw))
+            if ((box[2] - box[0]) * (box[3] - box[1]) <= 2 * fh * fw
+                    and max(-box[0], -box[1], box[2], box[3]) <= 2 ** 52):
+                runs[-1] = (range(frames.start, f + 1), box)
+                continue
+        runs.append((range(f, f + 1), (oy, ox, oy + fh, ox + fw)))
+    return runs
+
+
 def make_case(spec: SceneSpec, frames: int, geometry: CaseGeometry) -> SceneCase:
     """Render the camera-tracked full window (ground truth) and slice the crop
     (input) from it.  Both windows sample one world pixel per pixel at integer
-    + 0.5 world coordinates, so the crop's own render is exactly this slice."""
+    + 0.5 world coordinates, so the crop's own render is exactly this slice.
+
+    Each frame equals `render` of its full window, byte for byte, but the
+    texture is painted once per camera run onto the run's world box and each
+    frame copies its window out of it; sprites are then drawn over blocks of
+    frames."""
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
     fy, fx, fh, fw = geometry.full
-    truths = []
     origins = []
     for f in range(frames):
         ccy, ccx = camera_center(spec, f)
-        oy, ox = ccy + fy, ccx + fx
-        origins.append((oy, ox))
-        truths.append(render(spec, f, (oy, ox, fh, fw), fh, fw).data[0])
-    truth = np.stack(truths)
+        origins.append((ccy + fy, ccx + fx))
+    truth = np.empty((frames, fh, fw, spec.channels), np.float32)
+    for run, (y0, x0, y1, x1) in _camera_runs(origins, fh, fw):
+        ys = y0 + (np.arange(y1 - y0, dtype=np.float64) + 0.5)
+        xs = x0 + (np.arange(x1 - x0, dtype=np.float64) + 0.5)
+        yy, xx = np.meshgrid(ys, xs, indexing="ij")
+        canvas = np.empty(yy.shape + (spec.channels,))
+        for c in range(spec.channels):
+            canvas[:, :, c] = texture_at(spec, xx, yy, c)
+        for f in run:
+            oy, ox = origins[f]
+            truth[f] = canvas[oy - y0:oy - y0 + fh, ox - x0:ox - x0 + fw]
+    _draw_sprites(spec, truth, origins)
     place = geometry.placement
     ch, cw = geometry.crop[2:]
     return SceneCase(

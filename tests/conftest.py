@@ -19,12 +19,20 @@ FRAMES = 16  # frames of the golden case
 _scorecard: list[str] = []
 
 
+def retimed_case(preset: str, seed: int, frames: int | None = None):
+    """`preset`'s case at `seed`, its camera path re-timed to `frames`
+    frames as the benchmark's `render_case` does (None keeps its own)."""
+    spec, native, geometry = scene.PRESETS[preset](seed)
+    if frames is None:
+        frames = native
+    camera = tuple(replace(k, frame=k.frame * (frames - 1) // (native - 1))
+                   for k in spec.camera)
+    return scene.make_case(replace(spec, camera=camera), frames, geometry)
+
+
 def golden_case():
     """Preset `revisit`, seed 0, its camera path re-timed to FRAMES frames."""
-    spec, frames, geometry = scene.PRESETS["revisit"](0)
-    camera = tuple(replace(k, frame=k.frame * (FRAMES - 1) // (frames - 1))
-                   for k in spec.camera)
-    return scene.make_case(replace(spec, camera=camera), FRAMES, geometry)
+    return retimed_case("revisit", 0, FRAMES)
 
 
 def ablation_config(case, mode, seed=0):

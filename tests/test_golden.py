@@ -2,7 +2,8 @@
 
 The hashes pin `pipeline.run` bit for bit on a 16-frame `revisit` clip
 (seed 0, `conftest.ablation_config`, which the acceptance suite runs too),
-so a change meant to keep behaviour must leave them as they are.  The fill
+so a change meant to keep behaviour must leave them as they are; the truth
+hashes pin the scene oracle's ground truth the same way.  The fill
 counts pin that a stage's conditioning is filled once, before its step
 loop, and not once per step.
 A fill covers a group of stacks at once, so fills are counted in items.
@@ -13,7 +14,7 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import FRAMES, ablation_config, golden_case
+from conftest import FRAMES, ablation_config, golden_case, retimed_case
 from outpainter import denoiser as dmod
 from outpainter import gcg as gmod
 from outpainter import pipeline, scene
@@ -37,6 +38,26 @@ def test_output_hash(case, mode):
     out = pipeline.run(ablation_config(case, mode), case.input).output
     assert out.data.dtype == np.float32
     assert hashlib.sha256(out.data.tobytes()).hexdigest() == GOLDEN[mode]
+
+
+# sha256 of each preset's ground truth at seed 0, at its own length and, for
+# the two scenes that `long-clip-default` runs, re-timed to 192 frames; read
+# while `make_case` still rendered the truth one frame at a time
+TRUTH_GOLDEN = {
+    ("late-reveal", None): "d4a7e048e33b313cb9aa9b4323dc41ec8cf0fd90805e57a7ced9bb87855a0dd5",
+    ("revisit", None): "2cb90b928857e3da041be40af9ed39622d8422a220695f5f3d8cf1022ddf1bf0",
+    ("textured", None): "effbbeb80b255328cc6158f7c5a25cd143a0622152ff3aaeaf1eb103c6d00c0b",
+    ("drift", None): "1f40bd8defe6b6cf222ce8cfc6274d954a659c4ff497eae599ff80424b80d144",
+    ("revisit", 192): "5e5b9a34a93ed5bfe97df6b606447fc7dcf149436377dd06fd449a8bd5d6b579",
+    ("drift", 192): "f281326fda47b904b4ef2b752512c9fb944fe6802ddd3155d068ad1ebad882b9",
+}
+
+
+@pytest.mark.parametrize("preset, frames", TRUTH_GOLDEN)
+def test_truth_hash(preset, frames):
+    truth = retimed_case(preset, 0, frames).ground_truth.data
+    assert truth.dtype == np.float32
+    assert hashlib.sha256(truth.tobytes()).hexdigest() == TRUTH_GOLDEN[preset, frames]
 
 
 @pytest.fixture

@@ -127,14 +127,18 @@ def _spy(monkeypatch, owner, name: str, record):
 def _observed_run(monkeypatch, config):
     """The run's output, with the windows of each GCG construction and the
     preparation mode of each window stack."""
-    seen = SimpleNamespace(windows=[], modes=[])
+    seen = SimpleNamespace(windows=[], window_modes=[], handed_windows=False)
+
+    def handed(args):  # construct_gcg hands over its distinct windows, then its segments
+        windows = dict.fromkeys(seen.windows[-1].values())
+        seen.handed_windows = list(args["stacks"]) == list(windows)
+
     with monkeypatch.context() as patch:
-        _spy(patch, gcg, "construct_gcg",
-             lambda args: (seen.windows.append(args["windows"]), seen.modes.append([])))
-        _spy(patch, gcg, "prepare_tiles", lambda args: seen.modes[-1].append(args["mode"]))
+        _spy(patch, gcg, "construct_gcg", lambda args: seen.windows.append(args["windows"]))
+        _spy(patch, gcg, "_prepare_stacks", handed)
+        _spy(patch, gcg, "prepare_tiles",
+             lambda args: seen.handed_windows and seen.window_modes.append(args["mode"]))
         result = pipeline.run(config, CLIP)
-    # construct_gcg prepares each group of windows, then the stacks
-    seen.window_modes = [mode for modes in seen.modes for mode in modes[:-1]]
     seen.keys = result.keyframes
     return result.output.data, seen
 

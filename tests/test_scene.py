@@ -1,12 +1,15 @@
 """Procedural scene oracle: determinism, consistency, presets."""
 import json
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import WRONG_TYPES, json_leaves
+from conftest import WRONG_TYPES, json_leaves, retimed_case
+from outpainter import scene
 from outpainter.scene import (PRESETS, SPRITE_SHAPES, CameraKey, CaseGeometry, GeometryError,
                               SceneSpec, Sprite, camera_center, case_mask, make_case,
                               preset_case, render, revisit_pairs, texture_at)
@@ -215,3 +218,120 @@ class TestSpecJson:
             b = preset_case(name, seed=3)
             np.testing.assert_array_equal(a.input.data, b.input.data)
             np.testing.assert_array_equal(a.ground_truth.data, b.ground_truth.data)
+
+
+@st.composite
+def _visible_sprites(draw):
+    """A sprite of any shape near the windows `_cases` draws, visible over a
+    span that may start after the clip or end before frame 0."""
+    visible = sorted(draw(st.lists(st.integers(-8, 32), min_size=2, max_size=2)))
+    return Sprite(draw(st.sampled_from(SPRITE_SHAPES)), draw(st.floats(2.0, 24.0)),
+                  draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)),
+                  *(draw(st.floats(-16.0, 16.0)) for _ in range(2)),
+                  *(draw(st.floats(-1.5, 1.5)) for _ in range(2)), *visible)
+
+
+@st.composite
+def _camera_paths(draw):
+    """Keys near the world origin, between which the camera pans a pixel or
+    a few a frame, and maybe one key a frame after another and 50-300 px
+    away from it, to which the camera jumps farther than any window that
+    `_cases` draws: the frames split into several runs."""
+    near = st.floats(-12.0, 12.0)
+    keys = draw(st.lists(st.builds(CameraKey, st.integers(-4, 28), near, near),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):
+        before = draw(st.sampled_from(keys))
+        far = st.floats(50.0, 300.0).flatmap(lambda d: st.sampled_from((d, -d)))
+        keys.append(CameraKey(before.frame + 1, before.cx + draw(far), before.cy + draw(far)))
+    return tuple(keys)
+
+
+@st.composite
+def _cases(draw):
+    """(spec, frames, geometry) of a small scene."""
+    spec = SceneSpec(seed=draw(st.integers(0, 2 ** 64 - 1)),
+                     texture_octaves=draw(st.integers(1, 4)),
+                     texture_base_freq=draw(st.floats(1.0 / 64.0, 1.0)),
+                     sprites=tuple(draw(st.lists(_visible_sprites(), max_size=3))),
+                     camera=draw(_camera_paths()),
+                     channels=draw(st.sampled_from((1, 3))))
+    fh, fw = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    ch, cw = draw(st.integers(1, fh)), draw(st.integers(1, fw))
+    fy, fx = draw(st.integers(-12, 0)), draw(st.integers(-12, 0))
+    cy, cx = fy + draw(st.integers(0, fh - ch)), fx + draw(st.integers(0, fw - cw))
+    return spec, draw(st.integers(1, 24)), CaseGeometry((fy, fx, fh, fw), (cy, cx, ch, cw))
+
+
+class TestMakeCase:
+    @given(case=_cases(), block=st.integers(1, 300))
+    @settings(max_examples=80, deadline=None)
+    def test_truth_is_the_render_of_each_full_window(self, case, block):
+        """The truth is painted per camera run and sprite block, yet each of
+        its frames is `render` of the frame's full window, byte for byte.
+        Sprite blocks as small as `block` pixels make a clip span several."""
+        spec, frames, geometry = case
+        painted = []  # world pixels of each texture_at call
+        with (mock.patch.object(scene, "SPRITE_BLOCK_PIXELS", block),
+              mock.patch.object(scene, "texture_at", lambda spec, x, y, c: painted.append(
+                  x.size) or texture_at(spec, x, y, c))):
+            made = make_case(spec, frames, geometry)
+        fy, fx, fh, fw = geometry.full
+        # no more texture work than rendering the frames one by one
+        assert sum(painted) <= frames * fh * fw * spec.channels
+        assert made.ground_truth.data.shape == (frames, fh, fw, spec.channels)
+        for f in range(frames):
+            ccy, ccx = camera_center(spec, f)
+            assert made.full_origins[f] == (ccy + fy, ccx + fx)
+            assert all(type(v) is int for v in made.full_origins[f])
+            want = render(spec, f, (ccy + fy, ccx + fx, fh, fw), fh, fw).data[0]
+            assert made.ground_truth.data[f].tobytes() == want.tobytes()
+
+    def test_truth_is_the_render_past_exact_world_coordinates(self):
+        """Past 2**53 px from the world origin not every integer is a float,
+        so pixel centres counted from two frames' origins can round apart:
+        frames there are painted one by one, each from its own origin."""
+        far = 2.0 ** 53
+        camera = (CameraKey(0, far + 10, far + 10), CameraKey(19, far + 17, far + 15))
+        spec = SceneSpec(3, texture_octaves=2, texture_base_freq=0.75, camera=camera)
+        geometry = CaseGeometry(full=(-3, -5, 8, 8), crop=(-2, -2, 4, 4))
+        made = make_case(spec, 20, geometry)
+        for f, (oy, ox) in enumerate(made.full_origins):
+            want = render(spec, f, (oy, ox, 8, 8), 8, 8).data[0]
+            assert made.ground_truth.data[f].tobytes() == want.tobytes()
+
+    def test_no_frames_rejected(self):
+        with pytest.raises(ValueError, match="frames"):
+            make_case(_spec(), 0, CaseGeometry(full=(-8, -8, 16, 16), crop=(-8, -8, 8, 8)))
+
+
+def _traced_peak(fn) -> int:
+    """Bytes traced at the peak of fn(), above what was traced before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMakeCaseMemory:
+    def test_long_revisit_peak_is_pinned(self):
+        """`revisit` re-timed to 192 frames, as `long-clip-default` renders
+        it: 5.58 MiB measured (its truth alone is 3.38 MiB), pinned at 5.75.
+        It read 8.95 MiB while every frame was rendered on its own and
+        stacked."""
+        retimed_case("revisit", 0, 8)  # imports and caches outside the trace
+        assert _traced_peak(lambda: retimed_case("revisit", 0, 192)) / 2 ** 20 <= 5.75
+
+    def test_jumping_camera_paints_no_box_around_the_jump(self):
+        """A camera that jumps 10**6 px between two frames puts them in runs
+        of their own: rendering holds at most twice one window's texture
+        temporaries, plus the truth."""
+        geometry = CaseGeometry(full=(-16, -16, 32, 48), crop=(-12, -12, 24, 24))
+        spec = _spec(sprites=(Sprite("disc", 9.0, (0.5, 0.1, -0.4), 64.0, 64.0, 0.0, 0.0),),
+                     camera=(CameraKey(0, 64.0, 64.0), CameraKey(1, 1e6 + 64.0, 1e6 + 64.0)))
+        one_window = _traced_peak(lambda: render(spec, 0, (48, 48, 32, 48), 32, 48))
+        truth = 2 * 32 * 48 * 3 * 4
+        assert _traced_peak(lambda: make_case(spec, 2, geometry)) <= 2 * one_window + truth
